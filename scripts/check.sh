@@ -37,22 +37,21 @@ if [[ $fast -eq 0 ]]; then
   ctest --preset asan -L observability -j "$jobs"
 fi
 
-# Bench smoke: the cheapest bench (raw device rates, ~1 s) runs end to end
-# and its headline values must match the committed baseline bit-for-bit —
-# observation code must never perturb the simulation. Table 3 rides along
-# because it also covers the async read pipeline's batched-fault scenario
-# (and, flag off, proves the pipeline plumbing changed no legacy numbers).
-echo "==> bench smoke (table5 + table3 vs baselines)"
+# Paper tables: every table bench (2-6) runs end to end and its headline
+# values must match the committed baseline bit-for-bit — observation and
+# engine-speed work must never perturb the simulation. Table 3 also covers
+# the async read pipeline's batched-fault scenario.
+echo "==> paper tables 2-6 vs baselines"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
-cmake --build --preset default --target table5_raw_devices \
-  table3_access_delays -j "$jobs" >/dev/null
-(cd "$smoke_dir" && "$OLDPWD"/build/bench/table5_raw_devices >/dev/null)
-python3 scripts/bench_diff.py "$smoke_dir"/BENCH_table5_raw_devices.json \
-  bench/baselines/table5_raw_devices.json
-(cd "$smoke_dir" && "$OLDPWD"/build/bench/table3_access_delays >/dev/null)
-python3 scripts/bench_diff.py "$smoke_dir"/BENCH_table3_access_delays.json \
-  bench/baselines/table3_access_delays.json
+tables="table2_large_object table3_access_delays table4_migration_breakdown
+  table5_raw_devices table6_migrator_throughput"
+cmake --build --preset default --target $tables -j "$jobs" >/dev/null
+for t in $tables; do
+  (cd "$smoke_dir" && "$OLDPWD"/build/bench/"$t" >/dev/null)
+  python3 scripts/bench_diff.py "$smoke_dir"/BENCH_"$t".json \
+    bench/baselines/"$t".json
+done
 
 # Engine-ops gate: the TsegTable bookkeeping indices must agree with their
 # linear-scan references, Store() must coalesce, and the migration-pass

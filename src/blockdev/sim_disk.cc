@@ -1,6 +1,7 @@
 #include "blockdev/sim_disk.h"
 
 #include <cstring>
+#include <new>
 
 namespace hl {
 
@@ -11,11 +12,15 @@ SimDisk::SimDisk(std::string name, uint32_t num_blocks, DiskProfile profile,
       profile_(std::move(profile)),
       clock_(clock),
       spindle_(name_ + ".spindle"),
-      bus_(bus),
-      data_(static_cast<size_t>(num_blocks) * kBlockSize, 0) {
+      bus_(bus) {
+  const size_t bytes = static_cast<size_t>(num_blocks) * kBlockSize;
+  data_.reset(static_cast<uint8_t*>(std::calloc(bytes, 1)));
+  if (data_ == nullptr && bytes > 0) {
+    throw std::bad_alloc();
+  }
   // The timing model scales seeks by capacity; use the actual simulated size
   // so that address distance maps onto arm travel sensibly.
-  profile_.capacity_bytes = data_.size();
+  profile_.capacity_bytes = bytes;
 }
 
 void SimDisk::AttachFaults(FaultInjector* injector) {
@@ -87,7 +92,7 @@ Result<SimTime> SimDisk::ScheduleReadAt(SimTime earliest, uint32_t block,
     return IoError(name_ + ": injected read failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  std::memcpy(out.data(), data_.data() + offset, out.size());
+  std::memcpy(out.data(), data_.get() + offset, out.size());
   if (faults_ != nullptr) {
     faults_->MaybeCorruptRead(out, offset);
   }
@@ -122,7 +127,7 @@ Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
     return IoError(name_ + ": injected write failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  std::memcpy(data_.data() + offset, data.data(), data.size());
+  std::memcpy(data_.get() + offset, data.data(), data.size());
   if (faults_ != nullptr) {
     faults_->NoteWrite(offset, data.size());
   }

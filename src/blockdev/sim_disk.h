@@ -1,6 +1,6 @@
 // SimDisk: an in-memory disk with an analytic timing model.
 //
-// Data are byte-accurate (a std::vector backing store), while service time is
+// Data are byte-accurate (a zero-filled in-memory image), while service time is
 // computed from the DiskProfile: per-op overhead + seek (function of arm
 // travel distance) + rotational latency + transfer. The disk serializes its
 // operations through a Resource and optionally shares a bus Resource, which is
@@ -17,6 +17,7 @@
 #define HIGHLIGHT_BLOCKDEV_SIM_DISK_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <span>
@@ -95,7 +96,12 @@ class SimDisk : public BlockDevice {
   SimClock* clock_;
   Resource spindle_;
   Resource* bus_;
-  std::vector<uint8_t> data_;
+  // The image comes from calloc, so pages no write touches are never
+  // faulted in: building a deployment costs only the blocks it writes.
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+  std::unique_ptr<uint8_t[], FreeDeleter> data_;
   uint64_t arm_byte_pos_ = 0;
 
   int fail_ops_ = 0;

@@ -124,10 +124,10 @@ Result<SegSummary> SegSummary::DeserializeFromBlock(
   Reader r(block);
   SegSummary s;
   s.sumsum = r.GetU32();
-  // Verify the checksum first: zero the field and re-CRC.
-  std::vector<uint8_t> copy(block.begin(), block.end());
-  std::memset(copy.data(), 0, 4);
-  if (Crc32(copy) != s.sumsum) {
+  // Verify the checksum first. sumsum covers the block with its own field
+  // zeroed, so chain the CRC over four zero bytes and then the rest.
+  constexpr uint8_t kZeroSumsum[4] = {};
+  if (Crc32(block.subspan(4), Crc32(kZeroSumsum)) != s.sumsum) {
     return Corruption("segment summary checksum mismatch");
   }
   s.datasum = r.GetU32();

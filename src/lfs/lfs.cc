@@ -397,12 +397,8 @@ Status Lfs::RollForward() {
       break;
     }
     // Verify the data checksum before trusting anything.
-    {
-      std::vector<uint8_t> copy = body;
-      uint32_t crc = Crc32(copy);
-      if (crc != sum->datasum) {
-        break;
-      }
+    if (Crc32(body) != sum->datasum) {
+      break;
     }
     // Apply inode updates: every inode in the trailing inode blocks is newer
     // than anything the checkpointed inode map knows.

@@ -15,7 +15,13 @@
 namespace hl {
 
 // Incremental CRC: pass the previous value as `seed` to chain buffers.
+// Runs the fastest kernel the CPU supports, chosen once per process:
+// PCLMULQDQ folding on x86 CPUs that have it, slice-by-8 everywhere else.
 uint32_t Crc32(std::span<const uint8_t> data, uint32_t seed = 0);
+
+// The slice-by-8 fallback alone, whatever the CPU. Same results as Crc32;
+// exposed so tests and micro-benchmarks can compare the two kernels.
+uint32_t Crc32Portable(std::span<const uint8_t> data, uint32_t seed = 0);
 
 }  // namespace hl
 

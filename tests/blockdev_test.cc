@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "blockdev/concat_driver.h"
@@ -36,6 +37,25 @@ TEST_F(SimDiskTest, UnwrittenBlocksReadZero) {
   std::vector<uint8_t> out(kBlockSize, 0xFF);
   ASSERT_TRUE(disk_.ReadBlocks(5, 1, out).ok());
   EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 0);
+}
+
+TEST(SimDiskImageTest, NeverWrittenBlocksReadZeroOnRecycledMemory) {
+  // A small image comes from the heap and may land on memory an earlier
+  // disk dirtied; a large one comes from fresh pages. Both read zeros.
+  SimClock clock;
+  for (uint32_t blocks : {16u, 8192u}) {
+    auto data = Pattern(kBlockSize * blocks, 9);
+    {
+      SimDisk old("old", blocks, Rz57Profile(), &clock);
+      ASSERT_TRUE(old.WriteBlocks(0, blocks, data).ok());
+    }
+    SimDisk fresh("fresh", blocks, Rz57Profile(), &clock);
+    std::vector<uint8_t> out(kBlockSize * blocks, 0xFF);
+    ASSERT_TRUE(fresh.ReadBlocks(0, blocks, out).ok());
+    EXPECT_EQ(std::count(out.begin(), out.end(), 0),
+              static_cast<std::ptrdiff_t>(out.size()))
+        << blocks << " blocks";
+  }
 }
 
 TEST_F(SimDiskTest, RejectsOutOfRange) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <vector>
 
 #include "sim/sim_clock.h"
 #include "util/crc32.h"
@@ -58,12 +60,97 @@ TEST(ResultTest, AssignOrReturnPropagates) {
   EXPECT_EQ(Doubler(Internal("boom")).status().code(), ErrorCode::kInternal);
 }
 
+// The textbook bytewise CRC-32, one table lookup per byte: the reference
+// both production kernels are checked against.
+uint32_t Crc32Bytewise(std::span<const uint8_t> data, uint32_t seed = 0) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (uint8_t byte : data) {
+    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// The dispatched entry point (PCLMULQDQ folding where the CPU has it) and
+// the portable slice-by-8 fallback.
+struct Crc32Path {
+  const char* name;
+  uint32_t (*fn)(std::span<const uint8_t>, uint32_t);
+};
+constexpr Crc32Path kCrc32Paths[] = {{"Crc32", Crc32},
+                                     {"Crc32Portable", Crc32Portable}};
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> v(n);
+  for (uint8_t& b : v) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return v;
+}
+
 TEST(Crc32Test, KnownVector) {
   // CRC-32("123456789") = 0xCBF43926 (IEEE).
   const char* s = "123456789";
-  uint32_t crc = Crc32(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(s), 9));
-  EXPECT_EQ(crc, 0xCBF43926u);
+  std::span<const uint8_t> data(reinterpret_cast<const uint8_t*>(s), 9);
+  EXPECT_EQ(Crc32Bytewise(data), 0xCBF43926u);
+  for (const Crc32Path& path : kCrc32Paths) {
+    EXPECT_EQ(path.fn(data, 0), 0xCBF43926u) << path.name;
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndOffset) {
+  const std::vector<uint8_t> buf = RandomBytes(1100 + 16, 1);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      std::span<const uint8_t> data(buf.data() + offset, len);
+      const uint32_t want = Crc32Bytewise(data);
+      for (const Crc32Path& path : kCrc32Paths) {
+        ASSERT_EQ(path.fn(data, 0), want)
+            << path.name << " offset " << offset << " length " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseOnBlockAndSegmentSizes) {
+  const std::vector<uint8_t> buf = RandomBytes((1 << 20) + 16, 2);
+  for (size_t len : {size_t{4096}, size_t{256} << 10, size_t{1} << 20}) {
+    for (size_t offset : {0, 1, 8, 15}) {
+      std::span<const uint8_t> data(buf.data() + offset, len);
+      const uint32_t seed = static_cast<uint32_t>(len + offset);
+      const uint32_t want = Crc32Bytewise(data, seed);
+      for (const Crc32Path& path : kCrc32Paths) {
+        EXPECT_EQ(path.fn(data, seed), want)
+            << path.name << " offset " << offset << " length " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedCallsMatchOneShot) {
+  // Every split point up to 520 bytes, so both halves cross or stop short
+  // of the 16 B and 64 B fold boundaries in every combination.
+  const std::vector<uint8_t> buf = RandomBytes(520, 3);
+  const std::span<const uint8_t> all(buf);
+  const uint32_t want = Crc32Bytewise(all);
+  for (size_t split = 0; split <= all.size(); ++split) {
+    for (const Crc32Path& path : kCrc32Paths) {
+      ASSERT_EQ(path.fn(all.subspan(split), path.fn(all.first(split), 0)),
+                want)
+          << path.name << " split at " << split;
+    }
+  }
 }
 
 TEST(Crc32Test, EmptyIsZero) {

@@ -6,6 +6,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <string>
+#include <string_view>
+
 #include "blockdev/sim_disk.h"
 #include "lfs/buffer_cache.h"
 #include "lfs/format.h"
@@ -17,21 +21,42 @@
 namespace hl {
 namespace {
 
-// Checksum throughput in bytes/s over a block, a 256 KB segment and a 1 MB
-// segment: the dispatched hl::Crc32 and, as *Portable, its slice-by-8
-// fallback, so the gap between the two kernels stays visible.
-void Crc32Rate(benchmark::State& state,
-               uint32_t (*crc)(std::span<const uint8_t>, uint32_t),
-               size_t bytes) {
+std::vector<uint8_t> RandomBuffer(size_t bytes) {
   std::vector<uint8_t> buf(bytes);
   Rng rng(bytes);
   for (uint8_t& b : buf) {
     b = static_cast<uint8_t>(rng.Next());
   }
+  return buf;
+}
+
+// Checksum throughput in bytes/s over a block, a 256 KB segment and a 1 MB
+// segment: the dispatched hl::Crc32, and each slower tier run directly
+// (skipped where the CPU lacks it), so the gaps between kernels stay visible.
+void Crc32Rate(benchmark::State& state,
+               uint32_t (*crc)(std::span<const uint8_t>, uint32_t),
+               size_t bytes) {
+  const std::vector<uint8_t> buf = RandomBuffer(bytes);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crc(buf, 0));
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+
+void TierRate(benchmark::State& state, std::string_view tier, size_t bytes) {
+  for (const Crc32Kernel& k : Crc32Kernels()) {
+    if (k.name != tier) {
+      continue;
+    }
+    if (!k.supported()) {
+      const std::string why = std::string("CPU lacks ") + k.missing_feature;
+      state.SkipWithError(why.c_str());
+      return;
+    }
+    Crc32Rate(state, k.crc, bytes);
+    return;
+  }
+  state.SkipWithError("no such CRC tier");
 }
 
 void BM_Crc32_4K(benchmark::State& s) { Crc32Rate(s, Crc32, 4096); }
@@ -40,18 +65,49 @@ void BM_Crc32_256K(benchmark::State& s) { Crc32Rate(s, Crc32, 256 << 10); }
 BENCHMARK(BM_Crc32_256K);
 void BM_Crc32_1M(benchmark::State& s) { Crc32Rate(s, Crc32, 1 << 20); }
 BENCHMARK(BM_Crc32_1M);
-void BM_Crc32Portable_4K(benchmark::State& s) {
-  Crc32Rate(s, Crc32Portable, 4096);
+void BM_Crc32Pclmul128_256K(benchmark::State& s) {
+  TierRate(s, "pclmul128", 256 << 10);
 }
-BENCHMARK(BM_Crc32Portable_4K);
-void BM_Crc32Portable_256K(benchmark::State& s) {
-  Crc32Rate(s, Crc32Portable, 256 << 10);
+BENCHMARK(BM_Crc32Pclmul128_256K);
+void BM_Crc32Slice8_4K(benchmark::State& s) { TierRate(s, "slice8", 4096); }
+BENCHMARK(BM_Crc32Slice8_4K);
+void BM_Crc32Slice8_256K(benchmark::State& s) {
+  TierRate(s, "slice8", 256 << 10);
 }
-BENCHMARK(BM_Crc32Portable_256K);
-void BM_Crc32Portable_1M(benchmark::State& s) {
-  Crc32Rate(s, Crc32Portable, 1 << 20);
+BENCHMARK(BM_Crc32Slice8_256K);
+void BM_Crc32Slice8_1M(benchmark::State& s) {
+  TierRate(s, "slice8", 1 << 20);
 }
-BENCHMARK(BM_Crc32Portable_1M);
+BENCHMARK(BM_Crc32Slice8_1M);
+
+// The fused copy + checksum a tertiary read runs, over one 256 KB segment
+// image, beside a plain memcpy of the same bytes: the gap between the two
+// is what checksumming costs once it rides the copy.
+void BM_Crc32Copy_256K(benchmark::State& state) {
+  const std::vector<uint8_t> src = RandomBuffer(256 << 10);
+  std::vector<uint8_t> dst(src.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32Copy(dst, src, 0));
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(src.size()));
+}
+BENCHMARK(BM_Crc32Copy_256K);
+
+void BM_Memcpy_256K(benchmark::State& state) {
+  const std::vector<uint8_t> src = RandomBuffer(256 << 10);
+  std::vector<uint8_t> dst(src.size());
+  for (auto _ : state) {
+    std::memcpy(dst.data(), src.data(), src.size());
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(src.size()));
+}
+BENCHMARK(BM_Memcpy_256K);
 
 void BM_InodeSerialize(benchmark::State& state) {
   DInode inode;

@@ -104,4 +104,11 @@ cmake --build --preset default --target site_disaster -j "$jobs" >/dev/null
 (cd "$smoke_dir" && "$OLDPWD"/build/bench/site_disaster --smoke >/dev/null)
 python3 scripts/bench_diff.py "$smoke_dir"/BENCH_site_disaster_smoke.json \
   bench/baselines/site_disaster_smoke.json
+
+# hlbench sim-digest gate: the repository benchmark's three workloads at
+# seed 1 must pass their correctness checks and reproduce the committed
+# sim digests (every simulated metric and registry, hashed), so engine-speed
+# work cannot perturb the model unnoticed.
+echo "==> hlbench sim digests vs baseline"
+python3 scripts/hlbench_digests.py
 echo "All checks passed."

@@ -127,13 +127,19 @@ Status IoServer::RetrySync(uint32_t tseg, uint32_t volume,
   return s;
 }
 
-Status IoServer::VerifyCrc(uint32_t source, std::span<const uint8_t> buf,
-                           uint32_t volume) {
+std::shared_ptr<std::vector<uint8_t>> IoServer::TransferImage() {
+  if (transfer_image_ == nullptr || transfer_image_.use_count() > 1) {
+    transfer_image_ = std::make_shared<std::vector<uint8_t>>(amap_->SegBytes());
+  }
+  return transfer_image_;
+}
+
+Status IoServer::VerifyCrc(uint32_t source, uint32_t crc, uint32_t volume) {
   uint32_t expect = 0;
   if (!crc_lookup_ || !crc_lookup_(source, &expect)) {
     return OkStatus();
   }
-  if (Crc32(buf) == expect) {
+  if (crc == expect) {
     stats_.crc_verified++;
     return OkStatus();
   }
@@ -148,10 +154,11 @@ Status IoServer::ReadTertiaryCopy(uint32_t source, std::span<uint8_t> buf) {
   const uint64_t offset = amap_->ByteOffsetOnVolume(source);
   return RetrySync(source, volume, [&]() {
     SimTime t0 = clock_->Now();
-    Status s = footprint_->Read(static_cast<int>(volume), offset, buf);
+    uint32_t crc = 0;
+    Status s = footprint_->Read(static_cast<int>(volume), offset, buf, &crc);
     phases_.Add(phase_footprint_, clock_->Now() - t0);
     if (s.ok()) {
-      s = VerifyCrc(source, buf, volume);
+      s = VerifyCrc(source, crc, volume);
     }
     return s;
   });
@@ -159,7 +166,8 @@ Status IoServer::ReadTertiaryCopy(uint32_t source, std::span<uint8_t> buf) {
 
 Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
   const uint64_t seg_bytes = amap_->SegBytes();
-  std::vector<uint8_t> buf(seg_bytes);
+  const std::shared_ptr<std::vector<uint8_t>> image = TransferImage();
+  std::span<uint8_t> buf(*image);
 
   SpanScope fetch(spans_, "fetch", "io");
   fetch.Annotate("tseg", std::to_string(tseg));
@@ -213,7 +221,8 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
 
 Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
   const uint64_t seg_bytes = amap_->SegBytes();
-  std::vector<uint8_t> buf(seg_bytes);
+  const std::shared_ptr<std::vector<uint8_t>> image = TransferImage();
+  std::span<uint8_t> buf(*image);
 
   SpanScope span(spans_, "copyout", "io");
   span.Annotate("tseg", std::to_string(tseg));
@@ -423,7 +432,8 @@ Status IoServer::Deliver(PendingOp& op, const Status& s) {
 Status IoServer::IssueOne(PendingOp& op) {
   stats_.ops_issued++;
   const uint64_t seg_bytes = amap_->SegBytes();
-  std::vector<uint8_t> buf(seg_bytes);
+  const std::shared_ptr<std::vector<uint8_t>> image = TransferImage();
+  std::span<uint8_t> buf(*image);
 
   // The issue-time span is a child of the *enqueue-time* context, not of
   // whatever span happens to be open now (often a later drain): causality
@@ -549,8 +559,9 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
   uint32_t volume = amap_->VolumeOfTseg(source);
   uint64_t offset = amap_->ByteOffsetOnVolume(source);
   SimTime t0 = clock_->Now();
+  uint32_t read_crc = 0;
   Result<SimTime> end = footprint_->ScheduleRead(
-      clock_->Now(), static_cast<int>(volume), offset, buf);
+      clock_->Now(), static_cast<int>(volume), offset, buf, &read_crc);
   if (!end.ok()) {
     if (done) {
       done(end.status(), 0);
@@ -560,7 +571,7 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
   // The data moved synchronously even though device time completes later,
   // so the image can be verified now; a corrupted prefetch is dropped here
   // rather than poisoning a cache line at install time.
-  Status crc = VerifyCrc(source, buf, volume);
+  Status crc = VerifyCrc(source, read_crc, volume);
   if (!crc.ok()) {
     if (health_ != nullptr) {
       health_->RecordVolumeFailure(volume);
@@ -802,12 +813,13 @@ Status IoServer::ScheduleTertiaryCopy(uint32_t source, std::span<uint8_t> buf,
       }
       earliest += backoff;
     }
+    uint32_t crc = 0;
     Result<SimTime> end = footprint_->ScheduleRead(
-        earliest, static_cast<int>(volume), offset, buf);
+        earliest, static_cast<int>(volume), offset, buf, &crc);
     // Data moves synchronously even though device time completes later, so
     // the image can be CRC-checked now; a corrupt read retries like an I/O
     // error.
-    s = end.ok() ? VerifyCrc(source, buf, volume) : end.status();
+    s = end.ok() ? VerifyCrc(source, crc, volume) : end.status();
     if (health_ != nullptr) {
       if (s.ok()) {
         health_->RecordVolumeSuccess(volume);
@@ -835,7 +847,7 @@ Status IoServer::IssueRead(PendingOp& op) {
   stats_.ops_issued++;
   const uint64_t seg_bytes = amap_->SegBytes();
   if (!op.image) {
-    op.image = std::make_shared<std::vector<uint8_t>>(seg_bytes);
+    op.image = TransferImage();
   }
   std::span<uint8_t> buf(op.image->data(), op.image->size());
   const bool demand = op.kind == OpKind::kDemandRead;

@@ -300,9 +300,14 @@ class IoServer {
   // and recording per-volume outcomes.
   Status RetrySync(uint32_t tseg, uint32_t volume,
                    const std::function<Status()>& attempt);
-  // Checks `buf` against the recorded CRC of `source` (ok when none known).
-  Status VerifyCrc(uint32_t source, std::span<const uint8_t> buf,
-                   uint32_t volume);
+  // Checks `crc`, the value the tertiary read reported for the bytes it
+  // delivered, against the recorded CRC of `source` (ok when none known).
+  Status VerifyCrc(uint32_t source, uint32_t crc, uint32_t volume);
+  // The segment-sized buffer a transfer moves through. One image is reused
+  // across transfers; a new one is allocated only while another holder
+  // still references it (a completion callback re-entering the pipeline
+  // while the outer op still owns the image).
+  std::shared_ptr<std::vector<uint8_t>> TransferImage();
   Status Enqueue(PendingOp op);
   Status EnqueueRead(PendingOp op);
   // Issues queued ops while the device window has room.
@@ -362,6 +367,7 @@ class IoServer {
   Histogram copyout_latency_us_;  // Issue-to-device-completion per copy-out.
   Tracer tracer_;
   SpanTracer* spans_ = nullptr;
+  std::shared_ptr<std::vector<uint8_t>> transfer_image_;
 
   std::deque<PendingOp> queue_;            // Enqueued, not yet issued.
   std::multiset<SimTime> outstanding_;     // Completion times of issued ops.

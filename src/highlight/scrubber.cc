@@ -20,7 +20,8 @@ void Scrubber::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
   stats_.crcs_restamped.BindTo(*registry, "scrub.crcs_restamped");
 }
 
-Status Scrubber::ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf) {
+Status Scrubber::ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf,
+                               uint32_t* crc) {
   const uint32_t volume = amap_->VolumeOfTseg(tseg);
   const uint64_t offset = amap_->ByteOffsetOnVolume(tseg);
   Status s = OkStatus();
@@ -30,7 +31,7 @@ Status Scrubber::ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf) {
                      static_cast<uint64_t>(try_no - 1));
       clock_->Advance(retry_.BackoffFor(try_no - 1));
     }
-    s = footprint_->Read(static_cast<int>(volume), offset, buf);
+    s = footprint_->Read(static_cast<int>(volume), offset, buf, crc);
     if (s.ok() || s.code() != ErrorCode::kIoError) {
       return s;
     }
@@ -38,11 +39,11 @@ Status Scrubber::ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf) {
   return s;
 }
 
-bool Scrubber::VerifyImage(uint32_t tseg,
-                           std::span<const uint8_t> image) const {
+bool Scrubber::VerifyImage(uint32_t tseg, std::span<const uint8_t> image,
+                           uint32_t crc) const {
   uint32_t expect = 0;
   if (tsegs_->CrcOf(tseg, &expect)) {
-    return Crc32(image) == expect;
+    return crc == expect;
   }
   // No recorded CRC (catalog is empty right after a remount): fall back to
   // the segment's own summary checksums. A replica's blocks carry the
@@ -62,17 +63,18 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
   }
   const uint32_t volume = amap_->VolumeOfTseg(tseg);
   std::vector<uint8_t> image(amap_->SegBytes());
-  Status read = ReadWithRetry(tseg, image);
+  uint32_t crc = 0;
+  Status read = ReadWithRetry(tseg, image, &crc);
   stats_.segments_scrubbed++;
   const bool had_crc = [&] {
     uint32_t unused;
     return tsegs_->CrcOf(tseg, &unused);
   }();
-  if (read.ok() && VerifyImage(tseg, image)) {
+  if (read.ok() && VerifyImage(tseg, image, crc)) {
     if (!had_crc) {
       stats_.crcs_restamped++;
     }
-    tsegs_->SetCrc(tseg, Crc32(image));
+    tsegs_->SetCrc(tseg, crc);
     lost_.erase(tseg);
     return Outcome::kClean;
   }
@@ -98,14 +100,15 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
   }
   for (uint32_t candidate : candidates) {
     std::vector<uint8_t> good(amap_->SegBytes());
-    if (!ReadWithRetry(candidate, good).ok() ||
-        !VerifyImage(candidate, good)) {
+    uint32_t good_crc = 0;
+    if (!ReadWithRetry(candidate, good, &good_crc).ok() ||
+        !VerifyImage(candidate, good, good_crc)) {
       continue;
     }
     Status repaired = footprint_->RepairWrite(
         static_cast<int>(volume), amap_->ByteOffsetOnVolume(tseg), good);
     if (repaired.ok()) {
-      tsegs_->SetCrc(tseg, Crc32(good));
+      tsegs_->SetCrc(tseg, good_crc);
       lost_.erase(tseg);
       stats_.repairs++;
       tracer_.Record(TraceEvent::kScrubRepair, tseg, candidate);
@@ -119,11 +122,12 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
   // WAN, when a multi-site deployment has wired one in.
   if (remote_source_) {
     Result<std::vector<uint8_t>> remote = remote_source_(tseg);
-    if (remote.ok() && VerifyImage(tseg, *remote)) {
+    const uint32_t remote_crc = remote.ok() ? Crc32(*remote) : 0;
+    if (remote.ok() && VerifyImage(tseg, *remote, remote_crc)) {
       Status repaired = footprint_->RepairWrite(
           static_cast<int>(volume), amap_->ByteOffsetOnVolume(tseg), *remote);
       if (repaired.ok()) {
-        tsegs_->SetCrc(tseg, Crc32(*remote));
+        tsegs_->SetCrc(tseg, remote_crc);
         lost_.erase(tseg);
         stats_.repairs++;
         stats_.remote_repairs++;

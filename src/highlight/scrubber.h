@@ -92,12 +92,16 @@ class Scrubber {
 
   Result<Outcome> ScrubOne(uint32_t tseg);
   void Tally(Outcome outcome, Report& report);
-  // Whole-segment read with the retry policy's bounded backoff.
-  Status ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf);
-  // True when `image` matches the recorded CRC of `tseg`, or — with no CRC
-  // recorded — when the image's partial segments parse cleanly against the
-  // media's own summary checksums.
-  bool VerifyImage(uint32_t tseg, std::span<const uint8_t> image) const;
+  // Whole-segment read with the retry policy's bounded backoff; on success
+  // `crc` holds Crc32 of the bytes read (the fused value Footprint::Read
+  // reports).
+  Status ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf, uint32_t* crc);
+  // True when `crc`, the CRC of `image`, matches the recorded CRC of
+  // `tseg`, or — with no CRC recorded — when the image's partial segments
+  // parse cleanly against the media's own summary checksums. Callers stamp
+  // the same `crc` on success instead of checksumming the image again.
+  bool VerifyImage(uint32_t tseg, std::span<const uint8_t> image,
+                   uint32_t crc) const;
 
   Footprint* footprint_;
   TsegTable* tsegs_;

@@ -29,9 +29,10 @@ Result<uint64_t> Footprint::VolumeCapacity(int volume) const {
   return m.jukebox->volume(m.slot).nominal_capacity();
 }
 
-Status Footprint::Read(int volume, uint64_t offset, std::span<uint8_t> out) {
+Status Footprint::Read(int volume, uint64_t offset, std::span<uint8_t> out,
+                       uint32_t* crc) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
-  return m.jukebox->Read(m.slot, offset, out);
+  return m.jukebox->Read(m.slot, offset, out, crc);
 }
 
 Status Footprint::Write(int volume, uint64_t offset,
@@ -42,9 +43,10 @@ Status Footprint::Write(int volume, uint64_t offset,
 
 Result<SimTime> Footprint::ScheduleRead(SimTime earliest, int volume,
                                         uint64_t offset,
-                                        std::span<uint8_t> out) {
+                                        std::span<uint8_t> out,
+                                        uint32_t* crc) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
-  return m.jukebox->ScheduleRead(earliest, m.slot, offset, out);
+  return m.jukebox->ScheduleRead(earliest, m.slot, offset, out, crc);
 }
 
 Result<SimTime> Footprint::ScheduleWrite(SimTime earliest, int volume,

@@ -31,13 +31,18 @@ class Footprint {
   // Capacity of a volume in bytes (nominal; compression may reduce it).
   Result<uint64_t> VolumeCapacity(int volume) const;
 
-  // Synchronous extent I/O (advances the simulation clock).
-  Status Read(int volume, uint64_t offset, std::span<uint8_t> out);
+  // Synchronous extent I/O (advances the simulation clock). Reads take the
+  // optional `crc` out-param of Volume::Read: on success it holds Crc32 of
+  // exactly the bytes delivered into `out`, injected corruption included,
+  // computed in the same pass that copies them.
+  Status Read(int volume, uint64_t offset, std::span<uint8_t> out,
+              uint32_t* crc = nullptr);
   Status Write(int volume, uint64_t offset, std::span<const uint8_t> data);
 
   // Asynchronous extent I/O for the I/O server's write-behind pipeline.
   Result<SimTime> ScheduleRead(SimTime earliest, int volume, uint64_t offset,
-                               std::span<uint8_t> out);
+                               std::span<uint8_t> out,
+                               uint32_t* crc = nullptr);
   Result<SimTime> ScheduleWrite(SimTime earliest, int volume, uint64_t offset,
                                 std::span<const uint8_t> data);
 

@@ -155,8 +155,8 @@ Result<SimTime> Jukebox::Transfer(SimTime earliest, int slot, uint64_t offset,
 }
 
 Result<SimTime> Jukebox::ScheduleRead(SimTime earliest, int slot,
-                                      uint64_t offset,
-                                      std::span<uint8_t> out) {
+                                      uint64_t offset, std::span<uint8_t> out,
+                                      uint32_t* crc) {
   if (slot < 0 || slot >= num_slots()) {
     return OutOfRange(profile_.name + ": no slot " + std::to_string(slot));
   }
@@ -180,7 +180,7 @@ Result<SimTime> Jukebox::ScheduleRead(SimTime earliest, int slot,
     return IoError(profile_.name + ": injected read failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  Status media = slots_[slot]->Read(offset, out);
+  Status media = slots_[slot]->Read(offset, out, crc);
   if (!media.ok()) {
     if (media.code() == ErrorCode::kIoError) {
       // A latent sector error is discovered only after the full transfer.
@@ -240,8 +240,10 @@ Result<SimTime> Jukebox::ScheduleWrite(SimTime earliest, int slot,
   return end;
 }
 
-Status Jukebox::Read(int slot, uint64_t offset, std::span<uint8_t> out) {
-  ASSIGN_OR_RETURN(SimTime end, ScheduleRead(clock_->Now(), slot, offset, out));
+Status Jukebox::Read(int slot, uint64_t offset, std::span<uint8_t> out,
+                     uint32_t* crc) {
+  ASSIGN_OR_RETURN(SimTime end,
+                   ScheduleRead(clock_->Now(), slot, offset, out, crc));
   clock_->AdvanceTo(end);
   return OkStatus();
 }

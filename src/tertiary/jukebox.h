@@ -54,8 +54,10 @@ class Jukebox {
   }
 
   // Synchronous transfers: mount (swapping media if needed), seek, transfer;
-  // the clock is advanced to completion.
-  Status Read(int slot, uint64_t offset, std::span<uint8_t> out);
+  // the clock is advanced to completion. Reads take the optional `crc`
+  // out-param of Volume::Read (Crc32 of the bytes delivered).
+  Status Read(int slot, uint64_t offset, std::span<uint8_t> out,
+              uint32_t* crc = nullptr);
   Status Write(int slot, uint64_t offset, std::span<const uint8_t> data);
 
   // Scrubber repair: overwrite an already-written extent in place (bypasses
@@ -67,7 +69,8 @@ class Jukebox {
   // than `earliest`, move the data now, and return the completion time
   // without touching the clock.
   Result<SimTime> ScheduleRead(SimTime earliest, int slot, uint64_t offset,
-                               std::span<uint8_t> out);
+                               std::span<uint8_t> out,
+                               uint32_t* crc = nullptr);
   Result<SimTime> ScheduleWrite(SimTime earliest, int slot, uint64_t offset,
                                 std::span<const uint8_t> data);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/crc32.h"
+
 namespace hl {
 
 Status Volume::CheckInjectedFault(FaultOp op, uint64_t offset,
@@ -23,11 +25,13 @@ Status Volume::CheckInjectedFault(FaultOp op, uint64_t offset,
   }
 }
 
-Status Volume::Read(uint64_t offset, std::span<uint8_t> out) const {
+Status Volume::Read(uint64_t offset, std::span<uint8_t> out,
+                    uint32_t* crc) const {
   if (offset + out.size() > nominal_capacity_) {
     return OutOfRange(label_ + ": read past end of medium");
   }
   RETURN_IF_ERROR(CheckInjectedFault(FaultOp::kRead, offset, out.size()));
+  uint32_t sum = 0;
   size_t done = 0;
   while (done < out.size()) {
     uint64_t pos = offset + done;
@@ -35,16 +39,28 @@ Status Volume::Read(uint64_t offset, std::span<uint8_t> out) const {
     uint64_t chunk_off = pos % kChunkSize;
     size_t take = static_cast<size_t>(
         std::min<uint64_t>(kChunkSize - chunk_off, out.size() - done));
+    std::span<uint8_t> dst = out.subspan(done, take);
     auto it = chunks_.find(chunk_index);
     if (it == chunks_.end()) {
-      std::memset(out.data() + done, 0, take);
+      std::memset(dst.data(), 0, take);
+      if (crc != nullptr) {
+        sum = Crc32(dst, sum);
+      }
     } else {
-      std::memcpy(out.data() + done, it->second.data() + chunk_off, take);
+      std::span<const uint8_t> src(it->second.data() + chunk_off, take);
+      if (crc != nullptr) {
+        sum = Crc32Copy(dst, src, sum);
+      } else {
+        std::memcpy(dst.data(), src.data(), take);
+      }
     }
     done += take;
   }
-  if (faults_ != nullptr) {
-    faults_->MaybeCorruptRead(out, offset);
+  const bool corrupted =
+      faults_ != nullptr && faults_->MaybeCorruptRead(out, offset);
+  if (crc != nullptr) {
+    // Injected bit flips are part of what was delivered.
+    *crc = corrupted ? Crc32(out) : sum;
   }
   return OkStatus();
 }

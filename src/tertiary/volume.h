@@ -45,8 +45,11 @@ class Volume {
   void MarkFull() { marked_full_ = true; }
 
   // Reads `out.size()` bytes at `offset`. Unwritten regions read as zero
-  // (within nominal capacity).
-  Status Read(uint64_t offset, std::span<uint8_t> out) const;
+  // (within nominal capacity). With `crc` set, a successful read also
+  // reports Crc32 of exactly the bytes delivered into `out`, computed while
+  // they are copied; injected corruption (read_corrupt_p) is included.
+  Status Read(uint64_t offset, std::span<uint8_t> out,
+              uint32_t* crc = nullptr) const;
 
   // Writes the extent; fails with kEndOfMedium if it would cross the actual
   // capacity, in which case NOTHING is written (the drive reports the error

@@ -6,6 +6,7 @@
 #include "blockdev/sim_disk.h"
 #include "highlight/highlight.h"
 #include "lfs/fsck.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace hl {
@@ -227,6 +228,91 @@ TEST_F(FailureInjectionTest, FailedDemandFetchLeavesNoReadaheadResidue) {
   ASSERT_TRUE(hl->DropCleanCacheLines().ok());
   EXPECT_EQ(hl->Internals().service.PendingPrefetches(), 0u);
   EXPECT_EQ(hl->Internals().service.stats().readaheads_wasted, pending);
+}
+
+TEST(FusedReadCrcTest, ReportedCrcDescribesDeliveredBytes) {
+  // The tertiary read checksums the image while it copies it, and every
+  // verifier compares that value instead of reading the image again. The
+  // contract: the CRC a read reports describes the bytes it delivered,
+  // injected corruption included.
+  HighLightConfig config;
+  config.disks.push_back({Rz57Profile(), 8 * 1024});
+  JukeboxProfile j = Hp6300MoProfile();
+  j.num_slots = 4;
+  j.volume_capacity_bytes = 16ull * 64 * kBlockSize;
+  config.jukeboxes.push_back({j, false, 16});
+  config.lfs.seg_size_blocks = 64;
+  config.lfs.cache_max_segments = 8;
+  config.async_read_pipeline = true;
+  SimClock clock;
+  auto made = HighLightFs::Create(config, &clock);
+  ASSERT_TRUE(made.ok());
+  std::unique_ptr<HighLightFs> hl = std::move(*made);
+  auto internals = hl->Internals();
+
+  Result<uint32_t> ino = hl->fs().Create("/f");
+  ASSERT_TRUE(ino.ok());
+  const auto data = Pattern(200 * 1024, 7);  // One segment.
+  ASSERT_TRUE(hl->fs().Write(*ino, 0, data).ok());
+  MigratorOptions opts;
+  opts.replicas = 1;
+  ASSERT_TRUE(internals.migrator.MigrateFiles({*ino}, opts).ok());
+  ASSERT_TRUE(hl->DropCleanCacheLines().ok());
+
+  uint32_t primary = kNoSegment;
+  for (uint32_t t = 0; t < internals.tseg_table.size(); ++t) {
+    if (internals.tseg_table.Get(t).flags & kSegReplica) {
+      primary = internals.tseg_table.Get(t).cache_tseg;
+      break;
+    }
+  }
+  ASSERT_NE(primary, kNoSegment);
+  uint32_t stamped = 0;
+  ASSERT_TRUE(internals.tseg_table.CrcOf(primary, &stamped));
+  const uint32_t volume = internals.address_map.VolumeOfTseg(primary);
+  const uint64_t offset = internals.address_map.ByteOffsetOnVolume(primary);
+  Result<Volume*> medium =
+      internals.footprint.GetVolume(static_cast<int>(volume));
+  ASSERT_TRUE(medium.ok());
+  std::vector<uint8_t> image(internals.address_map.SegBytes());
+
+  // No faults: the reported CRC is the image's, and the copy-out stamp.
+  uint32_t crc = 0;
+  ASSERT_TRUE((*medium)->Read(offset, image, &crc).ok());
+  EXPECT_EQ(crc, Crc32(image));
+  EXPECT_EQ(crc, stamped);
+
+  // Seat the primary's volume in a drive, so the fetch below tries the
+  // primary before its replica.
+  std::vector<uint8_t> sector(kBlockSize);
+  ASSERT_TRUE(
+      internals.footprint.Read(static_cast<int>(volume), 0, sector).ok());
+
+  // Every read of the medium now flips bits: the reported CRC follows the
+  // corrupted bytes, so it no longer matches the stamp.
+  FaultProfile corrupt;
+  corrupt.read_corrupt_p = 1.0;
+  (*medium)->fault_channel()->set_profile(corrupt);
+  ASSERT_TRUE((*medium)->Read(offset, image, &crc).ok());
+  EXPECT_EQ(crc, Crc32(image));
+  EXPECT_NE(crc, stamped);
+
+  // An async demand fetch rejects each corrupted attempt on the primary,
+  // then fails over to the replica, which installs the intact image.
+  const IoServer::Stats& io = internals.io_server.stats();
+  const uint64_t mismatches = io.crc_mismatches;
+  const uint64_t replica_reads = io.replica_reads;
+  const uint64_t failovers = io.failovers;
+  Result<FetchOutcome> fetched = hl->FetchSegment(primary);
+  ASSERT_TRUE(fetched.ok());
+  ASSERT_TRUE(fetched->status.ok()) << fetched->status.ToString();
+  EXPECT_EQ(io.crc_mismatches - mismatches,
+            static_cast<uint64_t>(RetryPolicy().max_attempts));
+  EXPECT_EQ(io.failovers - failovers, 1u);
+  EXPECT_EQ(io.replica_reads - replica_reads, 1u);
+  std::vector<uint8_t> out(data.size());
+  ASSERT_TRUE(hl->fs().Read(*ino, 0, out).ok());
+  EXPECT_EQ(out, data);
 }
 
 TEST_F(FailureInjectionTest, RepeatedFaultsDoNotWedgeTheSystem) {

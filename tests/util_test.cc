@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "sim/sim_clock.h"
@@ -61,8 +63,9 @@ TEST(ResultTest, AssignOrReturnPropagates) {
 }
 
 // The textbook bytewise CRC-32, one table lookup per byte: the reference
-// both production kernels are checked against.
-uint32_t Crc32Bytewise(std::span<const uint8_t> data, uint32_t seed = 0) {
+// every production kernel is checked against. Works on the raw register, so
+// a sweep over every prefix length costs one pass.
+uint32_t BytewiseStep(uint32_t reg, uint8_t byte) {
   static const std::array<uint32_t, 256> table = [] {
     std::array<uint32_t, 256> t{};
     for (uint32_t i = 0; i < 256; ++i) {
@@ -74,21 +77,16 @@ uint32_t Crc32Bytewise(std::span<const uint8_t> data, uint32_t seed = 0) {
     }
     return t;
   }();
-  uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (uint8_t byte : data) {
-    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return table[(reg ^ byte) & 0xFFu] ^ (reg >> 8);
 }
 
-// The dispatched entry point (PCLMULQDQ folding where the CPU has it) and
-// the portable slice-by-8 fallback.
-struct Crc32Path {
-  const char* name;
-  uint32_t (*fn)(std::span<const uint8_t>, uint32_t);
-};
-constexpr Crc32Path kCrc32Paths[] = {{"Crc32", Crc32},
-                                     {"Crc32Portable", Crc32Portable}};
+uint32_t Crc32Bytewise(std::span<const uint8_t> data, uint32_t seed = 0) {
+  uint32_t reg = ~seed;
+  for (uint8_t byte : data) {
+    reg = BytewiseStep(reg, byte);
+  }
+  return ~reg;
+}
 
 std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -99,58 +97,109 @@ std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   return v;
 }
 
+constexpr uint8_t kPoison = 0xA5;
+
+// Runs `k.copy` from `src` into a poisoned buffer at byte offset `dst_at`
+// and checks the result: the returned CRC is `want`, the copied bytes equal
+// `src`, and every byte outside the destination still holds the poison.
+// Guard bands are 128 bytes, wider than any kernel's widest store.
+void ExpectCopy(const Crc32Kernel& k, std::span<const uint8_t> src,
+                size_t dst_at, uint32_t seed, uint32_t want) {
+  constexpr size_t kGuard = 128;
+  std::vector<uint8_t> buf(kGuard + dst_at + src.size() + kGuard, kPoison);
+  std::span<uint8_t> dst(buf.data() + kGuard + dst_at, src.size());
+  ASSERT_EQ(k.copy(dst, src, seed), want)
+      << k.name << " copy, length " << src.size();
+  ASSERT_TRUE(std::equal(src.begin(), src.end(), dst.begin()))
+      << k.name << " copy, length " << src.size();
+  const auto poisoned = [](uint8_t b) { return b == kPoison; };
+  ASSERT_TRUE(std::all_of(buf.data(), dst.data(), poisoned))
+      << k.name << " wrote before dst, length " << src.size();
+  ASSERT_TRUE(
+      std::all_of(dst.data() + dst.size(), buf.data() + buf.size(), poisoned))
+      << k.name << " wrote past dst, length " << src.size();
+}
+
+// Every length 0-2100 at every start offset 0-63, both functions: covers
+// the slice-by-8 tail, every 16 B / 64 B / 256 B fold boundary, and the
+// 256 B threshold where the 512-bit tier hands off to the 128-bit one.
+void ExpectMatchesAtEveryLengthAndOffset(const Crc32Kernel& k) {
+  constexpr size_t kMaxLen = 2100;
+  const std::vector<uint8_t> buf = RandomBytes(kMaxLen + 64, 1);
+  for (size_t offset = 0; offset < 64; ++offset) {
+    uint32_t reg = ~0u;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      std::span<const uint8_t> data(buf.data() + offset, len);
+      const uint32_t want = ~reg;
+      ASSERT_EQ(k.crc(data, 0), want)
+          << k.name << " offset " << offset << " length " << len;
+      ExpectCopy(k, data, (offset * 7 + 3) % 64, 0, want);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+      if (len < kMaxLen) {
+        reg = BytewiseStep(reg, buf[offset + len]);
+      }
+    }
+  }
+}
+
+void ExpectMatchesOnBlockAndSegmentSizes(const Crc32Kernel& k) {
+  const std::vector<uint8_t> buf = RandomBytes((1 << 20) + 64, 2);
+  for (size_t len : {size_t{4096}, size_t{256} << 10, size_t{1} << 20}) {
+    for (size_t offset : {0, 1, 8, 15, 63}) {
+      std::span<const uint8_t> data(buf.data() + offset, len);
+      const uint32_t seed = static_cast<uint32_t>(len + offset);
+      const uint32_t want = Crc32Bytewise(data, seed);
+      EXPECT_EQ(k.crc(data, seed), want)
+          << k.name << " offset " << offset << " length " << len;
+      ExpectCopy(k, data, offset, seed, want);
+    }
+  }
+}
+
+// Every split point up to 1040 bytes, so both halves cross or stop short of
+// the 16 B, 64 B and 256 B fold boundaries in every combination.
+void ExpectChainedCallsMatchOneShot(const Crc32Kernel& k) {
+  const std::vector<uint8_t> buf = RandomBytes(1040, 3);
+  const std::span<const uint8_t> all(buf);
+  const uint32_t want = Crc32Bytewise(all);
+  std::vector<uint8_t> dst(all.size());
+  for (size_t split = 0; split <= all.size(); ++split) {
+    ASSERT_EQ(k.crc(all.subspan(split), k.crc(all.first(split), 0)), want)
+        << k.name << " split at " << split;
+    std::fill(dst.begin(), dst.end(), kPoison);
+    const std::span<uint8_t> out(dst);
+    const uint32_t head = k.copy(out.first(split), all.first(split), 0);
+    ASSERT_EQ(k.copy(out.subspan(split), all.subspan(split), head), want)
+        << k.name << " copy split at " << split;
+    ASSERT_EQ(dst, buf) << k.name << " copy split at " << split;
+  }
+}
+
+// The dispatched entry points, checked like any tier.
+constexpr Crc32Kernel kDispatched{"dispatched", nullptr, Crc32, Crc32Copy};
+
 TEST(Crc32Test, KnownVector) {
   // CRC-32("123456789") = 0xCBF43926 (IEEE).
   const char* s = "123456789";
   std::span<const uint8_t> data(reinterpret_cast<const uint8_t*>(s), 9);
   EXPECT_EQ(Crc32Bytewise(data), 0xCBF43926u);
-  for (const Crc32Path& path : kCrc32Paths) {
-    EXPECT_EQ(path.fn(data, 0), 0xCBF43926u) << path.name;
-  }
+  EXPECT_EQ(Crc32(data), 0xCBF43926u);
+  std::array<uint8_t, 9> copy{};
+  EXPECT_EQ(Crc32Copy(copy, data), 0xCBF43926u);
 }
 
 TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndOffset) {
-  const std::vector<uint8_t> buf = RandomBytes(1100 + 16, 1);
-  for (size_t offset = 0; offset < 16; ++offset) {
-    for (size_t len = 0; len <= 1100; ++len) {
-      std::span<const uint8_t> data(buf.data() + offset, len);
-      const uint32_t want = Crc32Bytewise(data);
-      for (const Crc32Path& path : kCrc32Paths) {
-        ASSERT_EQ(path.fn(data, 0), want)
-            << path.name << " offset " << offset << " length " << len;
-      }
-    }
-  }
+  ExpectMatchesAtEveryLengthAndOffset(kDispatched);
 }
 
 TEST(Crc32Test, MatchesBytewiseOnBlockAndSegmentSizes) {
-  const std::vector<uint8_t> buf = RandomBytes((1 << 20) + 16, 2);
-  for (size_t len : {size_t{4096}, size_t{256} << 10, size_t{1} << 20}) {
-    for (size_t offset : {0, 1, 8, 15}) {
-      std::span<const uint8_t> data(buf.data() + offset, len);
-      const uint32_t seed = static_cast<uint32_t>(len + offset);
-      const uint32_t want = Crc32Bytewise(data, seed);
-      for (const Crc32Path& path : kCrc32Paths) {
-        EXPECT_EQ(path.fn(data, seed), want)
-            << path.name << " offset " << offset << " length " << len;
-      }
-    }
-  }
+  ExpectMatchesOnBlockAndSegmentSizes(kDispatched);
 }
 
 TEST(Crc32Test, ChainedCallsMatchOneShot) {
-  // Every split point up to 520 bytes, so both halves cross or stop short
-  // of the 16 B and 64 B fold boundaries in every combination.
-  const std::vector<uint8_t> buf = RandomBytes(520, 3);
-  const std::span<const uint8_t> all(buf);
-  const uint32_t want = Crc32Bytewise(all);
-  for (size_t split = 0; split <= all.size(); ++split) {
-    for (const Crc32Path& path : kCrc32Paths) {
-      ASSERT_EQ(path.fn(all.subspan(split), path.fn(all.first(split), 0)),
-                want)
-          << path.name << " split at " << split;
-    }
-  }
+  ExpectChainedCallsMatchOneShot(kDispatched);
 }
 
 TEST(Crc32Test, EmptyIsZero) {
@@ -163,6 +212,49 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   data[1234] ^= 0x01;
   EXPECT_NE(before, Crc32(data));
 }
+
+TEST(Crc32Test, TiersListedFastestFirst) {
+  // Crc32 and Crc32Copy dispatch to the first supported entry, so the
+  // order is the preference order, and the portable floor always runs.
+  const auto tiers = Crc32Kernels();
+  ASSERT_EQ(tiers.size(), 3u);
+  EXPECT_STREQ(tiers[0].name, "vpclmul512");
+  EXPECT_STREQ(tiers[1].name, "pclmul128");
+  EXPECT_STREQ(tiers[2].name, "slice8");
+  EXPECT_TRUE(tiers[2].supported());
+}
+
+// Each tier run directly, whatever the dispatcher picks on this host. A tier
+// the CPU cannot run is skipped with the missing CPUID feature named, so a
+// test log shows which tiers were actually exercised.
+class Crc32KernelTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    if (!kernel().supported()) {
+      GTEST_SKIP() << kernel().name << " needs " << kernel().missing_feature
+                   << ", which this CPU lacks";
+    }
+  }
+  const Crc32Kernel& kernel() const { return Crc32Kernels()[GetParam()]; }
+};
+
+TEST_P(Crc32KernelTest, MatchesBytewiseAtEveryLengthAndOffset) {
+  ExpectMatchesAtEveryLengthAndOffset(kernel());
+}
+
+TEST_P(Crc32KernelTest, MatchesBytewiseOnBlockAndSegmentSizes) {
+  ExpectMatchesOnBlockAndSegmentSizes(kernel());
+}
+
+TEST_P(Crc32KernelTest, ChainedCallsMatchOneShot) {
+  ExpectChainedCallsMatchOneShot(kernel());
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, Crc32KernelTest,
+                         ::testing::Range<size_t>(0, Crc32Kernels().size()),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return std::string(Crc32Kernels()[info.param].name);
+                         });
 
 TEST(SerializeTest, RoundTripsScalars) {
   std::vector<uint8_t> buf(64);

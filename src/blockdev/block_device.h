@@ -37,6 +37,19 @@ class BlockDevice {
   virtual Status WriteBlocks(uint32_t block, uint32_t count,
                              std::span<const uint8_t> data) = 0;
 
+  // The device's own bytes for [block, block + count), or an empty span
+  // when it has none to lend (the default, and any invalid range). A caller
+  // may fill them and then commit with WriteBlocks() of that same span,
+  // which moves no data but is otherwise an ordinary write: range check,
+  // fault draw, service time and counters. Only that WriteBlocks counts as
+  // a write; the bytes change when filled, so a failed commit leaves
+  // whatever was filled in place.
+  virtual std::span<uint8_t> InPlaceBytes(uint32_t block, uint32_t count) {
+    (void)block;
+    (void)count;
+    return {};
+  }
+
   // Flushes any volatile state (a no-op for the simulated devices, but part
   // of the contract mount code relies on).
   virtual Status Flush() { return OkStatus(); }

@@ -79,6 +79,15 @@ Status ConcatDriver::WriteBlocks(uint32_t block, uint32_t count,
   return OkStatus();
 }
 
+std::span<uint8_t> ConcatDriver::InPlaceBytes(uint32_t block, uint32_t count) {
+  Result<std::vector<Extent>> extents = Split(block, count);
+  if (!extents.ok() || extents->size() != 1) {
+    return {};
+  }
+  const Extent& e = extents->front();
+  return components_[e.component]->InPlaceBytes(e.local_block, e.count);
+}
+
 Status ConcatDriver::Flush() {
   for (BlockDevice* dev : components_) {
     RETURN_IF_ERROR(dev->Flush());

@@ -28,6 +28,9 @@ class ConcatDriver : public BlockDevice {
                     std::span<uint8_t> out) override;
   Status WriteBlocks(uint32_t block, uint32_t count,
                      std::span<const uint8_t> data) override;
+  // Forwards to the component holding the whole range; a range that
+  // straddles two components has no single image and gets an empty span.
+  std::span<uint8_t> InPlaceBytes(uint32_t block, uint32_t count) override;
   Status Flush() override;
 
   // On-line growth: appends a component at the top of the address space

@@ -112,6 +112,17 @@ Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
     return InvalidArgument(name_ + ": write buffer size mismatch");
   }
   uint64_t offset = static_cast<uint64_t>(block) * kBlockSize;
+  // Bytes lent out by InPlaceBytes for exactly this range are already in
+  // place; any other overlap with the range would be a memcpy between
+  // overlapping buffers.
+  uint8_t* dst = data_.get() + offset;
+  const bool in_place = data.data() == dst;
+  const auto src_at = reinterpret_cast<uintptr_t>(data.data());
+  const auto dst_at = reinterpret_cast<uintptr_t>(dst);
+  if (!in_place && src_at < dst_at + data.size() &&
+      dst_at < src_at + data.size()) {
+    return InvalidArgument(name_ + ": write source overlaps its destination");
+  }
   FaultOutcome fault = FaultOutcome::kNone;
   if (fail_ops_ > 0) {
     --fail_ops_;
@@ -120,14 +131,17 @@ Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
     fault = faults_->Decide(FaultOp::kWrite, offset, data.size());
   }
   if (fault != FaultOutcome::kNone) {
-    // A failed write still costs the seek and the rotation; no data lands.
+    // A failed write still costs the seek and the rotation; no data lands
+    // (bytes a caller filled in place stay as filled).
     SimTime dur = ServiceTime(offset, data.size(), /*is_write=*/true);
     (void)(bus_ ? spindle_.ScheduleWith(*bus_, earliest, dur)
                 : spindle_.Schedule(earliest, dur));
     return IoError(name_ + ": injected write failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  std::memcpy(data_.get() + offset, data.data(), data.size());
+  if (!in_place) {
+    std::memcpy(dst, data.data(), data.size());
+  }
   if (faults_ != nullptr) {
     faults_->NoteWrite(offset, data.size());
   }
@@ -137,6 +151,14 @@ Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
   ++writes_;
   bytes_written_ += data.size();
   return end;
+}
+
+std::span<uint8_t> SimDisk::InPlaceBytes(uint32_t block, uint32_t count) {
+  if (!CheckRange(block, count).ok()) {
+    return {};
+  }
+  return {data_.get() + static_cast<uint64_t>(block) * kBlockSize,
+          static_cast<size_t>(count) * kBlockSize};
 }
 
 Status SimDisk::ReadBlocks(uint32_t block, uint32_t count,

@@ -1,11 +1,12 @@
 // SimDisk: an in-memory disk with an analytic timing model.
 //
-// Data are byte-accurate (a zero-filled in-memory image), while service time is
-// computed from the DiskProfile: per-op overhead + seek (function of arm
-// travel distance) + rotational latency + transfer. The disk serializes its
-// operations through a Resource and optionally shares a bus Resource, which is
-// how the benchmarks reproduce the paper's SCSI-bus and disk-arm contention
-// observations.
+// Data are byte-accurate (a zero-filled in-memory image, which InPlaceBytes
+// lends out so a fetch can land in a cache line without a second copy),
+// while service time is computed from the DiskProfile: per-op overhead +
+// seek (function of arm travel distance) + rotational latency + transfer.
+// The disk serializes its operations through a Resource and optionally
+// shares a bus Resource, which is how the benchmarks reproduce the paper's
+// SCSI-bus and disk-arm contention observations.
 //
 // Asynchronous use: Schedule{Read,Write}At() performs the data movement
 // immediately (the simulation has no real concurrency) but reserves device
@@ -46,10 +47,14 @@ class SimDisk : public BlockDevice {
                     std::span<uint8_t> out) override;
   Status WriteBlocks(uint32_t block, uint32_t count,
                      std::span<const uint8_t> data) override;
+  // That range of the in-memory image (empty for an invalid range).
+  std::span<uint8_t> InPlaceBytes(uint32_t block, uint32_t count) override;
 
   // Async variants: data moves now, device time is reserved from
   // max(earliest, device free) and the completion time is returned. The
   // caller is responsible for advancing the clock when it decides to wait.
+  // A write handed the image's own bytes for its range skips the copy; one
+  // whose bytes partly overlap that range is rejected.
   Result<SimTime> ScheduleReadAt(SimTime earliest, uint32_t block,
                                  uint32_t count, std::span<uint8_t> out);
   Result<SimTime> ScheduleWriteAt(SimTime earliest, uint32_t block,

@@ -38,9 +38,9 @@ struct MigrationRequest {
   // Block-range mode (section 5.2): migrate only the block ranges not read
   // since this cutoff; files modified since then are skipped as unstable.
   // Mutually exclusive with `policy`.
-  std::optional<SimTime> cold_cutoff;
+  std::optional<SimTime> cold_cutoff{};
   // Per-request migrator options (default: the config's options).
-  std::optional<MigratorOptions> options;
+  std::optional<MigratorOptions> options{};
 };
 
 // One serviced demand recall. `delay_us` is the request's end-to-end stall:

@@ -134,6 +134,21 @@ std::shared_ptr<std::vector<uint8_t>> IoServer::TransferImage() {
   return transfer_image_;
 }
 
+std::span<uint8_t> IoServer::FetchTarget(
+    uint32_t disk_seg, std::shared_ptr<std::vector<uint8_t>>* image) {
+  if (disk_seg != kNoSegment) {
+    std::span<uint8_t> line =
+        raw_disk_->InPlaceBytes(DiskSegFirstBlock(disk_seg), seg_size_blocks_);
+    if (!line.empty()) {
+      return line;
+    }
+  }
+  if (*image == nullptr) {
+    *image = TransferImage();
+  }
+  return std::span<uint8_t>(**image);
+}
+
 Status IoServer::VerifyCrc(uint32_t source, uint32_t crc, uint32_t volume) {
   uint32_t expect = 0;
   if (!crc_lookup_ || !crc_lookup_(source, &expect)) {
@@ -166,8 +181,8 @@ Status IoServer::ReadTertiaryCopy(uint32_t source, std::span<uint8_t> buf) {
 
 Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
   const uint64_t seg_bytes = amap_->SegBytes();
-  const std::shared_ptr<std::vector<uint8_t>> image = TransferImage();
-  std::span<uint8_t> buf(*image);
+  std::shared_ptr<std::vector<uint8_t>> image;
+  std::span<uint8_t> buf = FetchTarget(disk_seg, &image);
 
   SpanScope fetch(spans_, "fetch", "io");
   fetch.Annotate("tseg", std::to_string(tseg));
@@ -200,8 +215,9 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
     fetch.Annotate("served_from", std::to_string(served_from));
   }
 
-  // Memory copy out of the transfer buffer, then a raw write to the cache
-  // line (the paper's extra-copies path).
+  // The paper's extra-copies path: a memory copy (charged; on the host the
+  // image already sits in the line unless the line could not be lent) and a
+  // raw write to the cache line.
   SpanScope install(spans_, "install", "io");
   install.Annotate("disk_seg", std::to_string(disk_seg));
   SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
@@ -846,10 +862,7 @@ Status IoServer::ScheduleTertiaryCopy(uint32_t source, std::span<uint8_t> buf,
 Status IoServer::IssueRead(PendingOp& op) {
   stats_.ops_issued++;
   const uint64_t seg_bytes = amap_->SegBytes();
-  if (!op.image) {
-    op.image = TransferImage();
-  }
-  std::span<uint8_t> buf(op.image->data(), op.image->size());
+  const std::span<uint8_t> buf = FetchTarget(op.disk_seg, &op.image);
   const bool demand = op.kind == OpKind::kDemandRead;
 
   SpanScope issue(spans_, op.ctx.span,
@@ -888,16 +901,17 @@ Status IoServer::IssueRead(PendingOp& op) {
 
   SimTime ready = end_time;
   if (op.disk_seg != kNoSegment) {
-    // Install into the cache line now (memory copy + raw disk write — the
-    // paper's extra-copies path); the line is usable once both the disk
-    // write and the tertiary transfer have completed.
+    // Install into the cache line now: the paper's extra-copies path, a
+    // memory copy (charged; on the host the image already sits in the line
+    // unless the line could not be lent) and a raw disk write. The line is
+    // usable once both the disk write and the tertiary transfer completed.
     SpanScope install(spans_, "install", "io");
     install.Annotate("disk_seg", std::to_string(op.disk_seg));
     const SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
     clock_->Advance(copy);
     const SimTime t0 = clock_->Now();
     Status wrote = raw_disk_->WriteBlocks(DiskSegFirstBlock(op.disk_seg),
-                                          seg_size_blocks_, *op.image);
+                                          seg_size_blocks_, buf);
     if (!wrote.ok()) {
       return DeliverRead(op, wrote, 0);
     }

@@ -20,8 +20,9 @@
 // checkpoints use.
 //
 // Time is attributed to the phases Table 4 reports: "footprint" (tertiary
-// transfers including swaps/seeks), "ioserver" (raw disk copies + memory
-// copies), and "queuing" (request handling), via the shared PhaseAccumulator.
+// transfers including swaps/seeks), "ioserver" (raw disk copies + the
+// modelled memory copies), and "queuing" (request handling), via the shared
+// PhaseAccumulator.
 
 #ifndef HIGHLIGHT_HIGHLIGHT_IO_SERVER_H_
 #define HIGHLIGHT_HIGHLIGHT_IO_SERVER_H_
@@ -55,11 +56,16 @@ class IoServer {
            const AddressMap* amap, SimClock* clock, uint32_t reserved_blocks,
            uint32_t seg_size_blocks);
 
-  // Demand fetch: copies tertiary segment `tseg` into disk segment
-  // `disk_seg` (tertiary read + raw disk write + a memory copy). When a
-  // replica resolver is installed, the read is served from the "closest"
-  // copy — a replica whose volume is already in a drive beats a primary
-  // that needs a media swap (section 5.4).
+  // Demand fetch: brings tertiary segment `tseg` into disk segment
+  // `disk_seg`. Sim time charges the paper's path — tertiary read, a memory
+  // copy and a raw disk write — while the host reads the image straight
+  // into the line's bytes (BlockDevice::InPlaceBytes) and commits them with
+  // the raw write; a line with no in-place bytes goes through the transfer
+  // image. A failed fetch or install leaves the line's bytes undefined (it
+  // is not mapped until the fetch succeeds). When a replica resolver is
+  // installed, the read is served from the "closest" copy — a replica whose
+  // volume is already in a drive beats a primary that needs a media swap
+  // (section 5.4).
   Status FetchSegment(uint32_t tseg, uint32_t disk_seg);
 
   // Maps a primary tseg to its replica tsegs (empty = no replicas).
@@ -140,17 +146,18 @@ class IoServer {
   using ReadDone = std::function<void(Status, SimTime ready_at)>;
 
   // Queues a demand read of `tseg`, installed into cache line `install_seg`
-  // at issue time (memory copy + raw disk write, the synchronous FetchSegment
-  // costs). If a read for `tseg` is already queued it is promoted to demand
-  // class and this waiter rides it. Never stalls the caller; pair with
-  // EnsureReadIssued() to force the op onto the device.
+  // at issue time with the synchronous FetchSegment costs and the same
+  // in-place landing. If a read for `tseg` is already queued it is promoted
+  // to demand class and this waiter rides it (a promoted read-ahead then
+  // lands in the line, leaving its own buffer unfilled). Never stalls the
+  // caller; pair with EnsureReadIssued() to force the op onto the device.
   Status EnqueueDemandRead(uint32_t tseg, uint32_t install_seg, ReadDone done);
 
   // Queues a prefetch-class read. `install_seg` == kNoSegment buffers the
   // image into `image` only (sequential read-ahead); otherwise the segment
-  // installs into that cache line at issue time. Prefetch reads are lazy:
-  // they wait in the queue until a demand issue or drain sweeps them up,
-  // which is what lets them ride a mounted volume for free.
+  // lands in and installs into that cache line at issue time. Prefetch
+  // reads are lazy: they wait in the queue until a demand issue or drain
+  // sweeps them up, which is what lets them ride a mounted volume for free.
   Status EnqueuePrefetchRead(uint32_t tseg, uint32_t install_seg,
                              std::shared_ptr<std::vector<uint8_t>> image,
                              ReadDone done);
@@ -272,13 +279,14 @@ class IoServer {
     uint32_t tseg = kNoSegment;
     uint32_t disk_seg = kNoSegment;
     Completion done;
-    // Read ops: transfer buffer (owned, or a read-ahead's shared image) and
-    // the waiters a coalesced transfer fans out to.
-    std::shared_ptr<std::vector<uint8_t>> image;
-    std::vector<ReadDone> readers;
+    // Read ops: the buffer a read with no in-place cache line lands in (a
+    // read-ahead's shared image, else the transfer image) and the waiters
+    // a coalesced transfer fans out to.
+    std::shared_ptr<std::vector<uint8_t>> image{};
+    std::vector<ReadDone> readers{};
     // Enqueue-time span context; the issue-time span is begun under it so
     // write-behind work stays causally attached to whoever queued it.
-    TraceContext ctx;
+    TraceContext ctx{};
     uint64_t seq = 0;          // FIFO tiebreaker for the async issue policy.
     SimTime enqueued_at = 0;
   };
@@ -308,6 +316,10 @@ class IoServer {
   // still references it (a completion callback re-entering the pipeline
   // while the outer op still owns the image).
   std::shared_ptr<std::vector<uint8_t>> TransferImage();
+  // Where a fetch lands: cache line `disk_seg`'s own bytes when the raw
+  // disk lends them, else `*image` (set to the transfer image if null).
+  std::span<uint8_t> FetchTarget(uint32_t disk_seg,
+                                 std::shared_ptr<std::vector<uint8_t>>* image);
   Status Enqueue(PendingOp op);
   Status EnqueueRead(PendingOp op);
   // Issues queued ops while the device window has room.

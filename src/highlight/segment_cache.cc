@@ -65,21 +65,30 @@ Status SegmentCache::Init() {
       continue;
     }
     pool_.push_back(seg);
-    if ((u.flags & kSegCached) && u.cache_tseg != kNoSegment) {
-      // Rebuild the directory from the ifile after a mount.
+    if ((u.flags & kSegCached) && (u.flags & kSegStaging) &&
+        u.cache_tseg != kNoSegment) {
+      // A staging line interrupted mid-copy-out still holds the ONLY copy
+      // of its segment: restore it, pinned, or eviction would lose the data.
       LineInfo line;
       line.tseg = u.cache_tseg;
       line.disk_seg = seg;
       line.fetch_time = u.write_time;
       line.last_access = u.write_time;
-      // A staging line interrupted mid-copy-out still holds the ONLY copy
-      // of its segment: restore the pin or eviction would lose the data.
-      line.staging = (u.flags & kSegStaging) != 0;
-      line.dirty = line.staging;
+      line.staging = true;
+      line.dirty = true;
       EmplaceLine(line);
-    } else {
-      free_.push_back(seg);
+      continue;
     }
+    if (u.flags & kSegCached) {
+      // A clean line's tag is only as new as the last checkpoint, while
+      // fetches rewrite lines in place without logging: after a crash the
+      // tag may name a segment whose bytes were since replaced. The
+      // tertiary copy is authoritative, so drop the line instead.
+      RETURN_IF_ERROR(
+          fs_->SetSegFlags(seg, kSegClean, kSegCached | kSegStaging));
+      RETURN_IF_ERROR(fs_->SetSegCacheTag(seg, kNoSegment));
+    }
+    free_.push_back(seg);
   }
   if (pool_.empty()) {
     return InvalidArgument("file system has no cache-eligible segments");

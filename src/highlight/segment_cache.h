@@ -42,8 +42,10 @@ class SegmentCache {
   // the ifile stays authoritative across mounts).
   SegmentCache(Lfs* fs, CacheReplacement policy, uint64_t rng_seed = 1);
 
-  // Discovers the cache-eligible disk segments (call once after mkfs/mount;
-  // on mount it also rebuilds the directory from the ifile's cache tags).
+  // Discovers the cache-eligible disk segments (call once after mkfs/mount).
+  // On mount it restores the staging lines from the ifile's cache tags and
+  // frees every clean line, clearing its tag: a clean line's bytes may be
+  // newer than its checkpointed tag, and its tertiary copy is authoritative.
   Status Init();
 
   // Cache directory lookup: disk segment caching `tseg`, or kNoSegment.

@@ -213,5 +213,55 @@ TEST(GrandIntegrationTest, EverythingTogether) {
                                                         : report.errors[0]);
 }
 
+// Crash-like remount after a fetch that reused a checkpointed cache line.
+// Fetches rewrite lines in place without logging, so the ifile's tags are
+// only as new as the last checkpoint: after the crash /a's tag names the
+// line that now holds /c's bytes. A clean line must not be trusted then —
+// the tertiary copy is authoritative, so /a re-fetches and reads back.
+TEST(CrashRemountTest, CleanCacheLineIsNotTrustedAfterCrash) {
+  for (bool checkpoint_before_remount : {false, true}) {
+    SCOPED_TRACE(checkpoint_before_remount ? "checkpointed" : "crash");
+    SimClock clock;
+    HighLightConfig config;
+    config.disks.push_back({Rz57Profile(), 8 * 1024});
+    config.jukeboxes.push_back({SmallMo(4, 16, 64), false, 16});
+    config.lfs.seg_size_blocks = 64;
+    config.lfs.cache_max_segments = 2;
+    auto made = HighLightFs::Create(config, &clock);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    std::unique_ptr<HighLightFs> hl = std::move(*made);
+
+    const std::vector<std::string> paths = {"/a", "/b", "/c"};
+    for (size_t i = 0; i < paths.size(); ++i) {
+      Result<uint32_t> ino = hl->fs().Create(paths[i]);
+      ASSERT_TRUE(ino.ok());
+      ASSERT_TRUE(hl->fs().Write(*ino, 0, Pattern(200 * 1024, i + 1)).ok());
+      ASSERT_TRUE(hl->fs().Sync().ok());
+      ASSERT_TRUE(hl->Migrate(MigrationRequest{.path = paths[i]}).ok());
+    }
+    ASSERT_TRUE(hl->DropCleanCacheLines().ok());
+
+    std::vector<uint8_t> out(200 * 1024);
+    const auto read = [&](size_t i) {
+      Result<uint32_t> ino = hl->fs().LookupPath(paths[i]);
+      ASSERT_TRUE(ino.ok());
+      Result<size_t> n = hl->fs().Read(*ino, 0, out);
+      ASSERT_TRUE(n.ok()) << n.status().ToString();
+      EXPECT_TRUE(out == Pattern(200 * 1024, i + 1)) << paths[i];
+    };
+    read(0);
+    read(1);
+    ASSERT_TRUE(hl->fs().Checkpoint().ok());
+    read(2);  // Evicts /a's line (LRU) and fetches /c into it.
+    if (checkpoint_before_remount) {
+      ASSERT_TRUE(hl->fs().Checkpoint().ok());
+    }
+    ASSERT_TRUE(hl->Remount().ok());
+    for (size_t i = 0; i < paths.size(); ++i) {
+      read(i);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hl

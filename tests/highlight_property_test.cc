@@ -165,12 +165,16 @@ TEST_P(HighLightFuzzTest, RandomHierarchyOpsMatchModel) {
     }
   }
 
-  // Full final verification, including after a cache drop and remount.
+  // Full final verification: before the remount, after it through whatever
+  // cache lines it kept, and cold after a cache drop.
   for (const auto& [path, ref] : model) {
     verify(path);
   }
   ASSERT_TRUE(hl->fs().Checkpoint().ok());
   ASSERT_TRUE(hl->Remount().ok());
+  for (const auto& [path, ref] : model) {
+    verify(path);
+  }
   ASSERT_TRUE(hl->DropCleanCacheLines().ok());
   for (const auto& [path, ref] : model) {
     verify(path);

@@ -175,16 +175,27 @@ TEST_F(CacheFixture, RetagMovesLineToNewTseg) {
 }
 
 TEST_F(CacheFixture, DirectoryRebuiltFromIfileTags) {
+  uint32_t clean_line = kNoSegment;
   {
     SegmentCache cache(fs_.get(), CacheReplacement::kLru);
     ASSERT_TRUE(cache.Init().ok());
-    ASSERT_TRUE(cache.AllocLine(33, false).ok());
+    ASSERT_TRUE(cache.AllocLine(33, /*staging=*/true).ok());
+    Result<uint32_t> clean = cache.AllocLine(34, /*staging=*/false);
+    ASSERT_TRUE(clean.ok());
+    clean_line = *clean;
   }
-  // A fresh cache instance (as after remount) discovers the line.
+  // A fresh cache instance (as after remount) restores the staging line,
+  // pinned, and frees the clean one: its tag may predate a later in-place
+  // fetch into the line, and the tertiary copy is authoritative.
   SegmentCache cache2(fs_.get(), CacheReplacement::kLru);
   ASSERT_TRUE(cache2.Init().ok());
   EXPECT_NE(cache2.Lookup(33), kNoSegment);
+  EXPECT_EQ(cache2.Lookup(34), kNoSegment);
   EXPECT_EQ(cache2.Used(), 1u);
+  EXPECT_EQ(cache2.Eject(33).code(), ErrorCode::kBusy);
+  const SegUsage& u = fs_->GetSegUsage(clean_line);
+  EXPECT_FALSE(u.flags & kSegCached);
+  EXPECT_EQ(u.cache_tseg, kNoSegment);
 }
 
 TEST_F(CacheFixture, TsegTableLoadsStoresAndAccounts) {

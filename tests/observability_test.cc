@@ -36,17 +36,6 @@ const SpanRecord* FindByName(const SpanTracer::CompletedView& spans,
   return nullptr;
 }
 
-std::vector<const SpanRecord*> ChildrenOf(
-    const SpanTracer::CompletedView& spans, SpanId parent) {
-  std::vector<const SpanRecord*> kids;
-  for (const SpanRecord& s : spans) {
-    if (s.parent == parent) {
-      kids.push_back(&s);
-    }
-  }
-  return kids;
-}
-
 // --- SpanTracer unit behavior -------------------------------------------
 
 TEST(SpanTracerTest, NestingAndImplicitContext) {

@@ -15,16 +15,9 @@
 //   federation_scale --smoke    small population for CI
 //                               (bench/baselines/federation_scale_smoke.json)
 //
-// Both modes are bit-deterministic: same seed, same json.
-//
-// --parallel_shards additionally runs every shard on its own SimClock and
-// lets the stager execute each round's per-shard batches on worker threads
-// (StagerScheduler::SetShardClock). The deterministic merge keeps every
-// compared value byte-identical to the serial run — scripts/check.sh diffs
-// both modes against the same committed smoke baseline. Shards keep their
-// own span tracers in this mode (no cross-thread SharedSpans), so only the
-// non-compared trace/timeline sections differ. Wall-clock throughput lands
-// in the report's "info" section as sim_ops_per_sec.
+// Both modes are bit-deterministic: same seed, same json. Wall-clock
+// throughput lands in the report's non-compared "info" section as
+// sim_ops_per_sec.
 
 #include <chrono>
 #include <cstring>
@@ -82,25 +75,24 @@ JukeboxProfile SmallJukebox() {
 }
 
 // One shard of the disk farm: a small HighLight instance whose tertiary
-// pool holds `files_per_shard` migrated one-segment files. `shared_spans`
-// may be null (--parallel_shards): the shard then owns its tracer, since a
-// shared core would be written from several worker threads at once.
+// pool holds `files_per_shard` migrated one-segment files, tracing into
+// `shared_spans` through a "shardN." view.
 std::unique_ptr<HighLightFs> BuildShard(SimClock* clock,
                                         const ScaleParams& params,
                                         uint32_t shard,
                                         SpanTracer* shared_spans) {
-  HighLightConfig::Builder builder;
-  builder.AddDisk(Rz57Profile(), 16 * 1024)
-      .AddJukebox(SmallJukebox(), /*write_once=*/false,
-                  /*segs_per_volume=*/20)
-      .SegSizeBlocks(64)
-      .CacheMaxSegments(params.cache_lines)
-      .AsyncReadPipeline(true)
-      .TimeseriesCadence(0);  // One timeline, N shards: no sampling.
-  if (shared_spans != nullptr) {
-    builder.SharedSpans(shared_spans, "shard" + std::to_string(shard) + ".");
-  }
-  HighLightConfig config = DieOr(builder.Build(), "shard config");
+  HighLightConfig config = DieOr(
+      HighLightConfig::Builder()
+          .AddDisk(Rz57Profile(), 16 * 1024)
+          .AddJukebox(SmallJukebox(), /*write_once=*/false,
+                      /*segs_per_volume=*/20)
+          .SegSizeBlocks(64)
+          .CacheMaxSegments(params.cache_lines)
+          .AsyncReadPipeline(true)
+          .TimeseriesCadence(0)  // One timeline, N shards: no sampling.
+          .SharedSpans(shared_spans, "shard" + std::to_string(shard) + ".")
+          .Build(),
+      "shard config");
   auto hl = DieOr(HighLightFs::Create(config, clock), "shard create");
 
   MigratorOptions data_only;
@@ -137,12 +129,9 @@ uint64_t HistPercentile(const MetricsSnapshot& snap, const std::string& name,
 int main(int argc, char** argv) {
   using namespace hl;
   bool smoke = false;
-  bool parallel = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--parallel_shards") == 0) {
-      parallel = true;
     }
   }
   const ScaleParams& scale = smoke ? kSmoke : kFull;
@@ -157,27 +146,11 @@ int main(int argc, char** argv) {
   // One observability plane over the whole federation: every shard traces
   // into the hub's core tracer through a "shardN." view, so the stager's
   // dispatch and the shard fetches it drives are one causal span tree.
-  // (--parallel_shards severs that sharing: each shard gets its own clock
-  // and tracer, registered with the hub all the same.)
   ObservabilityHub hub(&clock);
-  std::vector<std::unique_ptr<SimClock>> shard_clocks;
   std::vector<std::unique_ptr<HighLightFs>> shards;
   std::vector<std::vector<uint32_t>> fetchable(kShards);
   for (uint32_t s = 0; s < kShards; ++s) {
-    SimClock* build_clock = &clock;
-    if (parallel) {
-      // Chained handoff: each shard's private clock starts where the
-      // previous build left the coordination clock, so build-phase
-      // timestamps match the serial single-clock run exactly.
-      shard_clocks.push_back(std::make_unique<SimClock>());
-      build_clock = shard_clocks.back().get();
-      build_clock->AdvanceTo(clock.Now());
-    }
-    shards.push_back(
-        BuildShard(build_clock, scale, s, parallel ? nullptr : &hub.spans()));
-    if (parallel) {
-      clock.AdvanceTo(build_clock->Now());
-    }
+    shards.push_back(BuildShard(&clock, scale, s, &hub.spans()));
     fetchable[s] = shards.back()->FetchableSegments();
     if (fetchable[s].empty()) {
       bench::Die(Status(ErrorCode::kInternal, "shard has no tertiary pool"),
@@ -194,11 +167,8 @@ int main(int argc, char** argv) {
   stager_config.fair_share_quantum = 8;
   stager_config.drive_tokens = 2;  // Shared drive farm: 2 of 4 shards/round.
   StagerScheduler stager(&clock, stager_config);
-  for (uint32_t s = 0; s < kShards; ++s) {
-    stager.AddShard(shards[s].get());
-    if (parallel) {
-      stager.SetShardClock(static_cast<int>(s), shard_clocks[s].get());
-    }
+  for (const auto& shard : shards) {
+    stager.AddShard(shard.get());
   }
   stager.SetSpans(&hub.spans());
   stager.SetTracer(Tracer(&hub.trace()));
@@ -348,7 +318,6 @@ int main(int argc, char** argv) {
   }
   // Wall-clock facts go in the non-compared "info" section: host speed is
   // nondeterministic, and these must never perturb the bit-identity gate.
-  report.Info("parallel_shards", static_cast<uint64_t>(parallel ? 1 : 0));
   report.Info("wall_seconds", wall_seconds);
   report.Info("sim_ops_per_sec",
               wall_seconds > 0.0
@@ -377,7 +346,6 @@ int main(int argc, char** argv) {
   table.AddRow({"cache hits", std::to_string(snap.Value("stager.cache_hits"))});
   table.AddRow({"drive waits",
                 std::to_string(snap.Value("stager.drive_waits"))});
-  table.AddRow({"dispatch mode", parallel ? "parallel shards" : "serial"});
   table.AddRow(
       {"sim ops/sec (wall)",
        bench::Fmt("%.0f", wall_seconds > 0.0

@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
     // transient drive faults (retried through), then a media scribble on a
     // replicated segment — the scrub pass detects it, repairs it from the
     // replica, and rebuilds the post-remount CRC catalog along the way.
-    hl->Internals().jukebox(0).FailNextOps(2);
+    hl->Internals().jukebox(0).fault_channel()->FailNextOps(2);
     uint32_t f0 = Check(hl->fs().LookupPath("/proj/file0"), "lookup");
     std::vector<uint8_t> buf(4096);
     Check(hl->fs().Read(f0, 0, buf).status(), "faulted read");

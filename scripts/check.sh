@@ -66,21 +66,12 @@ python3 scripts/bench_diff.py "$smoke_dir"/BENCH_engine_ops.json \
 # Federation gate: the central stager drives 4 shards through the
 # FetchBackend seam under a seeded Zipf/diurnal population; the smoke
 # population's headline values (tail delays, throughput, fair-share
-# counters) must match the committed baseline bit-for-bit.
-echo "==> federation gate (stager smoke vs baseline)"
+# counters) must match the committed baseline bit-for-bit. The run must
+# also sustain the committed sim-ops/sec wall-clock floor, so an engine
+# slowdown cannot hide behind bit-identical simulated output.
+echo "==> federation gate (stager smoke vs baseline + ops floor)"
 cmake --build --preset default --target federation_scale -j "$jobs" >/dev/null
 (cd "$smoke_dir" && "$OLDPWD"/build/bench/federation_scale --smoke >/dev/null)
-python3 scripts/bench_diff.py "$smoke_dir"/BENCH_federation_scale_smoke.json \
-  bench/baselines/federation_scale_smoke.json
-
-# Parallel-determinism gate: the same smoke population with every shard on
-# its own timeline (--parallel_shards) must produce byte-identical headline
-# values — both modes are diffed against the same committed baseline. The
-# run must also sustain the committed sim-ops/sec wall-clock floor, so an
-# engine slowdown cannot hide behind bit-identical simulated output.
-echo "==> parallel-shards gate (determinism + ops floor)"
-(cd "$smoke_dir" && \
-  "$OLDPWD"/build/bench/federation_scale --smoke --parallel_shards >/dev/null)
 python3 scripts/bench_diff.py "$smoke_dir"/BENCH_federation_scale_smoke.json \
   bench/baselines/federation_scale_smoke.json
 python3 - "$smoke_dir"/BENCH_federation_scale_smoke.json \
@@ -89,7 +80,7 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 rate = float(doc["info"]["sim_ops_per_sec"])
 floor = float(open(sys.argv[2]).read().split()[0])
-print(f"  federation_scale --parallel_shards: {rate:.0f} sim-ops/s "
+print(f"  federation_scale --smoke: {rate:.0f} sim-ops/s "
       f"(committed floor: {floor:.0f})")
 sys.exit(0 if rate >= floor else 1)
 EOF

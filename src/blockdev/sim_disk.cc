@@ -77,13 +77,9 @@ Result<SimTime> SimDisk::ScheduleReadAt(SimTime earliest, uint32_t block,
     return InvalidArgument(name_ + ": read buffer size mismatch");
   }
   uint64_t offset = static_cast<uint64_t>(block) * kBlockSize;
-  FaultOutcome fault = FaultOutcome::kNone;
-  if (fail_ops_ > 0) {
-    --fail_ops_;
-    fault = FaultOutcome::kTransient;
-  } else if (faults_ != nullptr) {
-    fault = faults_->Decide(FaultOp::kRead, offset, out.size());
-  }
+  const FaultOutcome fault =
+      faults_ != nullptr ? faults_->Decide(FaultOp::kRead, offset, out.size())
+                         : FaultOutcome::kNone;
   if (fault != FaultOutcome::kNone) {
     // A failed read still costs the seek and the rotation.
     SimTime dur = ServiceTime(offset, out.size(), /*is_write=*/false);
@@ -123,13 +119,10 @@ Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
       dst_at < src_at + data.size()) {
     return InvalidArgument(name_ + ": write source overlaps its destination");
   }
-  FaultOutcome fault = FaultOutcome::kNone;
-  if (fail_ops_ > 0) {
-    --fail_ops_;
-    fault = FaultOutcome::kTransient;
-  } else if (faults_ != nullptr) {
-    fault = faults_->Decide(FaultOp::kWrite, offset, data.size());
-  }
+  const FaultOutcome fault =
+      faults_ != nullptr
+          ? faults_->Decide(FaultOp::kWrite, offset, data.size())
+          : FaultOutcome::kNone;
   if (fault != FaultOutcome::kNone) {
     // A failed write still costs the seek and the rotation; no data lands
     // (bytes a caller filled in place stay as filled).

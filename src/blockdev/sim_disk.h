@@ -61,16 +61,6 @@ class SimDisk : public BlockDevice {
                                   uint32_t count,
                                   std::span<const uint8_t> data);
 
-  // Fault injection for robustness tests: fail the next `n` operations.
-  // A thin shim over the fault channel when one is attached.
-  void FailNextOps(int n) {
-    if (faults_ != nullptr) {
-      faults_->FailNextOps(n);
-    } else {
-      fail_ops_ = n;
-    }
-  }
-
   // Routes this disk's operations through "disk.<name>" in `injector`.
   // Injected failures still charge full service time: the arm sought and
   // the platters turned before the error surfaced.
@@ -109,7 +99,6 @@ class SimDisk : public BlockDevice {
   std::unique_ptr<uint8_t[], FreeDeleter> data_;
   uint64_t arm_byte_pos_ = 0;
 
-  int fail_ops_ = 0;
   FaultChannel* faults_ = nullptr;
   Counter reads_;
   Counter writes_;

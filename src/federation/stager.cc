@@ -1,7 +1,5 @@
 #include "federation/stager.h"
 
-#include <algorithm>
-#include <thread>
 #include <utility>
 
 namespace hl {
@@ -35,24 +33,7 @@ int StagerScheduler::AddShard(FetchBackend* backend) {
   quarantined_.push_back(false);
   site_of_.push_back(-1);
   failover_peer_.push_back(-1);
-  shard_clocks_.push_back(nullptr);
   return static_cast<int>(shards_.size()) - 1;
-}
-
-void StagerScheduler::SetShardClock(int shard, SimClock* clock) {
-  shard_clocks_.at(shard) = clock;
-}
-
-bool StagerScheduler::ParallelDispatch() const {
-  if (shards_.empty()) {
-    return false;
-  }
-  for (SimClock* c : shard_clocks_) {
-    if (c == nullptr) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void StagerScheduler::SetShardSite(int shard, int site) {
@@ -130,8 +111,7 @@ void StagerScheduler::UpdateQueueGauge() {
   stats_.queue_depth.Set(static_cast<int64_t>(PendingRequests()));
 }
 
-Status StagerScheduler::SubmitFetch(const std::string& tenant, int shard,
-                                    uint32_t tseg) {
+Status StagerScheduler::Admit(int shard) {
   if (shard < 0 || static_cast<size_t>(shard) >= shards_.size()) {
     return Status(ErrorCode::kInvalidArgument, "stager: no such shard");
   }
@@ -139,6 +119,12 @@ Status StagerScheduler::SubmitFetch(const std::string& tenant, int shard,
     stats_.rejected++;
     return Status(ErrorCode::kBusy, "stager: admission queue full");
   }
+  return OkStatus();
+}
+
+Status StagerScheduler::SubmitFetch(const std::string& tenant, int shard,
+                                    uint32_t tseg) {
+  RETURN_IF_ERROR(Admit(shard));
   auto [it, inserted] = tenant_index_.try_emplace(tenant, tenants_.size());
   if (inserted) {
     tenants_.push_back(Tenant{tenant, {}});
@@ -162,13 +148,7 @@ Status StagerScheduler::SubmitFetch(const std::string& tenant, int shard,
 
 Status StagerScheduler::SubmitMigration(const std::string& tenant, int shard,
                                         MigrationRequest request) {
-  if (shard < 0 || static_cast<size_t>(shard) >= shards_.size()) {
-    return Status(ErrorCode::kInvalidArgument, "stager: no such shard");
-  }
-  if (PendingRequests() >= config_.max_queue) {
-    stats_.rejected++;
-    return Status(ErrorCode::kBusy, "stager: admission queue full");
-  }
+  RETURN_IF_ERROR(Admit(shard));
   migrations_.push_back(MigrationItem{shard, tenant, std::move(request)});
   stats_.migration_admitted++;
   UpdateQueueGauge();
@@ -176,13 +156,7 @@ Status StagerScheduler::SubmitMigration(const std::string& tenant, int shard,
 }
 
 Status StagerScheduler::SubmitScrub(int shard, uint32_t max_segments) {
-  if (shard < 0 || static_cast<size_t>(shard) >= shards_.size()) {
-    return Status(ErrorCode::kInvalidArgument, "stager: no such shard");
-  }
-  if (PendingRequests() >= config_.max_queue) {
-    stats_.rejected++;
-    return Status(ErrorCode::kBusy, "stager: admission queue full");
-  }
+  RETURN_IF_ERROR(Admit(shard));
   scrubs_.push_back(ScrubItem{shard, max_segments});
   stats_.scrub_admitted++;
   UpdateQueueGauge();
@@ -225,331 +199,174 @@ int StagerScheduler::RouteShard(int shard, const std::vector<size_t>& load) {
 }
 
 Status StagerScheduler::Pump() {
-  if (DemandBacklog() > 0) {
-    // --- Demand round: fair-share selection into per-shard batches. -------
-    struct Picked {
-      DemandRequest req;
-      size_t tenant = 0;     // Index into tenants_.
-      bool failover = false;  // Routed to a cross-site peer this round.
-    };
-    size_t nshards = shards_.size();
-    std::vector<std::vector<Picked>> batches(nshards);
-    std::vector<size_t> load(nshards, 0);
-    // The round's active set: shards holding one of the farm's drive
-    // tokens. Filled first-come in tenant-rotation order, so the rotation
-    // moves the tokens across shards round over round.
-    std::vector<bool> active(nshards, false);
-    size_t active_count = 0;
-    size_t ntenants = tenants_.size();
-    for (size_t i = 0; i < ntenants; ++i) {
-      size_t tenant_idx = (rr_tenant_ + i) % ntenants;
-      Tenant& tenant = tenants_[tenant_idx];
-      uint64_t quantum = config_.fair_share_quantum;
-      while (quantum > 0 && !tenant.fifo.empty()) {
-        const uint64_t failovers_before = stats_.failover_fetches.value();
-        int target = RouteShard(tenant.fifo.front().shard, load);
-        const bool failed_over =
-            stats_.failover_fetches.value() != failovers_before;
-        if (!active[target]) {
-          if (config_.drive_tokens != 0 &&
-              active_count >= config_.drive_tokens) {
-            // No drive available for this shard this round. Stop taking
-            // from this tenant so its per-tenant FIFO order holds.
-            stats_.drive_waits++;
-            break;
-          }
-          active[target] = true;
-          active_count++;
-        }
-        if (batches[target].size() >= config_.max_batch) {
-          break;  // Shard's round batch is full; keep FIFO order.
-        }
-        DemandRequest req = tenant.fifo.front();
-        tenant.fifo.pop_front();
-        req.shard = target;
-        batches[target].push_back(Picked{req, tenant_idx, failed_over});
-        load[target]++;
-        quantum--;
-      }
+  if (DemandBacklog() == 0) {
+    starved_rounds_ = 0;  // An idle-of-demand round serves maintenance.
+    if (migrations_.empty() && scrubs_.empty()) {
+      return OkStatus();
     }
-    if (!ParallelDispatch()) {
-      // Dispatch each shard's batch through its elevator pipeline.
-      for (size_t s = 0; s < nshards; ++s) {
-        if (batches[s].empty()) {
-          continue;
-        }
-        // Coalesce duplicate tsegs within the batch: the backend sees each
-        // segment once; every request still gets an outcome.
-        std::vector<uint32_t> unique;
-        std::vector<size_t> slot_of(batches[s].size());
-        for (size_t i = 0; i < batches[s].size(); ++i) {
-          uint32_t tseg = batches[s][i].req.tseg;
-          size_t slot = unique.size();
-          for (size_t u = 0; u < unique.size(); ++u) {
-            if (unique[u] == tseg) {
-              slot = u;
-              break;
-            }
-          }
-          if (slot == unique.size()) {
-            unique.push_back(tseg);
-          } else {
-            stats_.coalesced++;
-          }
-          slot_of[i] = slot;
-        }
-        for (uint32_t tseg : unique) {
-          if (shards_[s]->SegmentCached(tseg)) {
-            stats_.cache_hits++;
-          }
-        }
-        // The dispatch span parents the whole batch: it is a child of the
-        // first request's admit root, the shard's fetch spans nest under it
-        // via the shared implicit-context stack (FetchBatch is synchronous),
-        // and every request's fanout leaf below references it — so a
-        // coalesced recall's requests all share this one parent.
-        SpanScope dispatch(spans_, batches[s][0].req.admit_span,
-                           "stager_dispatch", "stager");
-        dispatch.Annotate("shard", std::to_string(s));
-        dispatch.Annotate("requests", std::to_string(batches[s].size()));
-        dispatch.Annotate("segments", std::to_string(unique.size()));
-        SimTime dispatched_at = clock_->Now();
-        ASSIGN_OR_RETURN(std::vector<FetchOutcome> outcomes,
-                         shards_[s]->FetchBatch(unique));
-        stats_.batches_dispatched++;
-        for (size_t i = 0; i < batches[s].size(); ++i) {
-          const Picked& picked = batches[s][i];
-          const FetchOutcome& out = outcomes[slot_of[i]];
-          if (spans_ != nullptr) {
-            SpanId fan = spans_->AddComplete("stager_fanout", "stager",
-                                             dispatch.id(), dispatched_at,
-                                             clock_->Now());
-            spans_->Annotate(fan, "tenant", tenants_[picked.tenant].name);
-            spans_->Annotate(fan, "tseg", std::to_string(picked.req.tseg));
-            if (picked.failover) {
-              spans_->Annotate(fan, "failover", "1");
-            }
-            if (!out.status.ok()) {
-              spans_->Annotate(fan, "error", out.status.ToString());
-            }
-          }
-          if (!out.status.ok()) {
-            stats_.fetch_errors++;
-            continue;
-          }
-          SimTime wait = dispatched_at - picked.req.submitted_at;
-          queue_wait_us_.Observe(wait);
-          fetch_delay_us_.Observe(wait + out.delay_us);
-          stats_.demand_served++;
-          served_[tenants_[picked.tenant].name]++;
-        }
-      }
-    } else {
-      // Parallel dispatch (see the header's "Parallel shard timelines").
-      // Plan: coalesce and probe caches for every shard up front, in shard
-      // order — pure state, same counter totals as the serial loop.
-      const SimTime round_start = clock_->Now();
-      std::vector<std::vector<uint32_t>> unique(nshards);
-      std::vector<std::vector<size_t>> slot_of(nshards);
-      for (size_t s = 0; s < nshards; ++s) {
-        if (batches[s].empty()) {
-          continue;
-        }
-        slot_of[s].resize(batches[s].size());
-        for (size_t i = 0; i < batches[s].size(); ++i) {
-          uint32_t tseg = batches[s][i].req.tseg;
-          size_t slot = unique[s].size();
-          for (size_t u = 0; u < unique[s].size(); ++u) {
-            if (unique[s][u] == tseg) {
-              slot = u;
-              break;
-            }
-          }
-          if (slot == unique[s].size()) {
-            unique[s].push_back(tseg);
-          } else {
-            stats_.coalesced++;
-          }
-          slot_of[s][i] = slot;
-        }
-        for (uint32_t tseg : unique[s]) {
-          if (shards_[s]->SegmentCached(tseg)) {
-            stats_.cache_hits++;
-          }
-        }
-      }
-      // Execute: every dispatched shard's batch runs concurrently on its
-      // own clock, synced to the round start first. Only the shard's own
-      // state (and its clock) is touched from the worker thread.
-      struct ShardRun {
-        std::vector<FetchOutcome> outcomes;
-        Status status;
-        SimTime duration = 0;
-      };
-      std::vector<ShardRun> runs(nshards);
-      {
-        std::vector<std::thread> workers;
-        for (size_t s = 0; s < nshards; ++s) {
-          if (batches[s].empty()) {
-            continue;
-          }
-          workers.emplace_back([this, s, round_start, &unique, &runs] {
-            SimClock* sc = shard_clocks_[s];
-            if (sc->Now() < round_start) {
-              sc->AdvanceTo(round_start);
-            }
-            const SimTime t0 = sc->Now();
-            Result<std::vector<FetchOutcome>> r =
-                shards_[s]->FetchBatch(unique[s]);
-            runs[s].status = r.status();
-            if (r.ok()) {
-              runs[s].outcomes = std::move(*r);
-            }
-            runs[s].duration = sc->Now() - t0;
-          });
-        }
-        for (std::thread& w : workers) {
-          w.join();
-        }
-      }
-      // Merge: replay the serial accounting order. Shard s's batch counts
-      // as dispatched at round_start + the durations of the shards before
-      // it, exactly where the serial loop would have placed it.
-      for (size_t s = 0; s < nshards; ++s) {
-        if (batches[s].empty()) {
-          continue;
-        }
-        RETURN_IF_ERROR(runs[s].status);
-        const SimTime dispatched_at = clock_->Now();
-        const SimTime batch_end = dispatched_at + runs[s].duration;
-        // Advance before accounting: in the serial loop the clock reaches
-        // batch_end inside FetchBatch, before any Observe() — tick hooks
-        // crossing boundaries in this window must see pre-batch state.
-        clock_->AdvanceTo(batch_end);
-        SpanId dispatch = kNoSpan;
-        if (spans_ != nullptr) {
-          dispatch = spans_->AddComplete("stager_dispatch", "stager",
-                                         batches[s][0].req.admit_span,
-                                         dispatched_at, batch_end);
-          spans_->Annotate(dispatch, "shard", std::to_string(s));
-          spans_->Annotate(dispatch, "requests",
-                           std::to_string(batches[s].size()));
-          spans_->Annotate(dispatch, "segments",
-                           std::to_string(unique[s].size()));
-        }
-        stats_.batches_dispatched++;
-        for (size_t i = 0; i < batches[s].size(); ++i) {
-          const Picked& picked = batches[s][i];
-          const FetchOutcome& out = runs[s].outcomes[slot_of[s][i]];
-          if (spans_ != nullptr) {
-            SpanId fan = spans_->AddComplete("stager_fanout", "stager",
-                                             dispatch, dispatched_at,
-                                             batch_end);
-            spans_->Annotate(fan, "tenant", tenants_[picked.tenant].name);
-            spans_->Annotate(fan, "tseg", std::to_string(picked.req.tseg));
-            if (picked.failover) {
-              spans_->Annotate(fan, "failover", "1");
-            }
-            if (!out.status.ok()) {
-              spans_->Annotate(fan, "error", out.status.ToString());
-            }
-          }
-          if (!out.status.ok()) {
-            stats_.fetch_errors++;
-            continue;
-          }
-          SimTime wait = dispatched_at - picked.req.submitted_at;
-          queue_wait_us_.Observe(wait);
-          fetch_delay_us_.Observe(wait + out.delay_us);
-          stats_.demand_served++;
-          served_[tenants_[picked.tenant].name]++;
-        }
-      }
-    }
-    if (ntenants > 0) {
-      rr_tenant_ = (rr_tenant_ + 1) % ntenants;
-    }
-    // Admission-priority aging: maintenance that waited through enough
-    // consecutive demand rounds is promoted to run within this one, so a
-    // sustained demand flood can no longer starve migration and scrub
-    // forever. Strict priority (aging_rounds == 0) never promotes.
-    if (!migrations_.empty() || !scrubs_.empty()) {
-      starved_rounds_++;
-      if (config_.aging_rounds != 0 &&
-          starved_rounds_ >= config_.aging_rounds) {
-        starved_rounds_ = 0;
-        stats_.aging_promotions++;
-        if (!migrations_.empty()) {
-          MigrationItem item = std::move(migrations_.front());
-          migrations_.pop_front();
-          ASSIGN_OR_RETURN(MigrationReport report, RunMigration(item));
-          (void)report;
-          stats_.migration_runs++;
-        } else {
-          ScrubItem item = scrubs_.front();
-          scrubs_.pop_front();
-          ASSIGN_OR_RETURN(uint32_t scanned, RunScrub(item));
-          (void)scanned;
-          stats_.scrub_steps++;
-        }
-      }
-    }
+    Status status = RunMaintenance();
     UpdateQueueGauge();
-    return OkStatus();
+    return status;
   }
-  starved_rounds_ = 0;  // An idle-of-demand round serves maintenance.
+  // --- Demand round: fair-share selection into per-shard batches. ---------
+  struct Picked {
+    DemandRequest req;
+    size_t tenant = 0;      // Index into tenants_.
+    bool failover = false;  // Routed to a cross-site peer this round.
+  };
+  size_t nshards = shards_.size();
+  std::vector<std::vector<Picked>> batches(nshards);
+  std::vector<size_t> load(nshards, 0);
+  // The round's active set: shards holding one of the farm's drive tokens.
+  // Filled first-come in tenant-rotation order, so the rotation moves the
+  // tokens across shards round over round.
+  std::vector<bool> active(nshards, false);
+  size_t active_count = 0;
+  size_t ntenants = tenants_.size();
+  for (size_t i = 0; i < ntenants; ++i) {
+    size_t tenant_idx = (rr_tenant_ + i) % ntenants;
+    Tenant& tenant = tenants_[tenant_idx];
+    uint64_t quantum = config_.fair_share_quantum;
+    while (quantum > 0 && !tenant.fifo.empty()) {
+      const uint64_t failovers_before = stats_.failover_fetches.value();
+      int target = RouteShard(tenant.fifo.front().shard, load);
+      const bool failed_over =
+          stats_.failover_fetches.value() != failovers_before;
+      if (!active[target]) {
+        if (config_.drive_tokens != 0 &&
+            active_count >= config_.drive_tokens) {
+          // No drive available for this shard this round. Stop taking from
+          // this tenant so its per-tenant FIFO order holds.
+          stats_.drive_waits++;
+          break;
+        }
+        active[target] = true;
+        active_count++;
+      }
+      if (batches[target].size() >= config_.max_batch) {
+        break;  // Shard's round batch is full; keep FIFO order.
+      }
+      DemandRequest req = tenant.fifo.front();
+      tenant.fifo.pop_front();
+      req.shard = target;
+      batches[target].push_back(Picked{req, tenant_idx, failed_over});
+      load[target]++;
+      quantum--;
+    }
+  }
+  // Dispatch each shard's batch through its elevator pipeline. The round
+  // has already left the tenant FIFOs, so a failed batch does not end it:
+  // its requests count as fetch errors, the remaining shards still
+  // dispatch, and the first batch error is returned once the round is done.
+  Status first_error;
+  for (size_t s = 0; s < nshards; ++s) {
+    if (batches[s].empty()) {
+      continue;
+    }
+    // Coalesce duplicate tsegs within the batch: the backend sees each
+    // segment once; every request still gets an outcome.
+    std::vector<uint32_t> unique;
+    std::vector<size_t> slot_of(batches[s].size());
+    for (size_t i = 0; i < batches[s].size(); ++i) {
+      uint32_t tseg = batches[s][i].req.tseg;
+      size_t slot = unique.size();
+      for (size_t u = 0; u < unique.size(); ++u) {
+        if (unique[u] == tseg) {
+          slot = u;
+          break;
+        }
+      }
+      if (slot == unique.size()) {
+        unique.push_back(tseg);
+      } else {
+        stats_.coalesced++;
+      }
+      slot_of[i] = slot;
+    }
+    for (uint32_t tseg : unique) {
+      if (shards_[s]->SegmentCached(tseg)) {
+        stats_.cache_hits++;
+      }
+    }
+    // The dispatch span parents the whole batch: it is a child of the first
+    // request's admit root, the shard's fetch spans nest under it via the
+    // shared implicit-context stack (FetchBatch is synchronous), and every
+    // request's fanout leaf below references it — so a coalesced recall's
+    // requests all share this one parent.
+    SpanScope dispatch(spans_, batches[s][0].req.admit_span,
+                       "stager_dispatch", "stager");
+    dispatch.Annotate("shard", std::to_string(s));
+    dispatch.Annotate("requests", std::to_string(batches[s].size()));
+    dispatch.Annotate("segments", std::to_string(unique.size()));
+    SimTime dispatched_at = clock_->Now();
+    Result<std::vector<FetchOutcome>> outcomes =
+        shards_[s]->FetchBatch(unique);
+    stats_.batches_dispatched++;
+    if (!outcomes.ok() && first_error.ok()) {
+      first_error = outcomes.status();
+    }
+    for (size_t i = 0; i < batches[s].size(); ++i) {
+      const Picked& picked = batches[s][i];
+      const Status& status =
+          outcomes.ok() ? (*outcomes)[slot_of[i]].status : outcomes.status();
+      if (spans_ != nullptr) {
+        SpanId fan = spans_->AddComplete("stager_fanout", "stager",
+                                         dispatch.id(), dispatched_at,
+                                         clock_->Now());
+        spans_->Annotate(fan, "tenant", tenants_[picked.tenant].name);
+        spans_->Annotate(fan, "tseg", std::to_string(picked.req.tseg));
+        if (picked.failover) {
+          spans_->Annotate(fan, "failover", "1");
+        }
+        if (!status.ok()) {
+          spans_->Annotate(fan, "error", status.ToString());
+        }
+      }
+      if (!status.ok()) {
+        stats_.fetch_errors++;
+        continue;
+      }
+      SimTime wait = dispatched_at - picked.req.submitted_at;
+      queue_wait_us_.Observe(wait);
+      fetch_delay_us_.Observe(wait + (*outcomes)[slot_of[i]].delay_us);
+      stats_.demand_served++;
+      served_[tenants_[picked.tenant].name]++;
+    }
+  }
+  rr_tenant_ = (rr_tenant_ + 1) % ntenants;
+  // Admission-priority aging: maintenance that waited through enough
+  // consecutive demand rounds is promoted to run within this one, so a
+  // sustained demand flood can no longer starve migration and scrub
+  // forever. Strict priority (aging_rounds == 0) never promotes.
+  if (!migrations_.empty() || !scrubs_.empty()) {
+    starved_rounds_++;
+    if (config_.aging_rounds != 0 &&
+        starved_rounds_ >= config_.aging_rounds) {
+      starved_rounds_ = 0;
+      stats_.aging_promotions++;
+      Status status = RunMaintenance();
+      if (first_error.ok()) {
+        first_error = status;
+      }
+    }
+  }
+  UpdateQueueGauge();
+  return first_error;
+}
+
+Status StagerScheduler::RunMaintenance() {
   if (!migrations_.empty()) {
     MigrationItem item = std::move(migrations_.front());
     migrations_.pop_front();
-    ASSIGN_OR_RETURN(MigrationReport report, RunMigration(item));
-    (void)report;
+    RETURN_IF_ERROR(shards_[item.shard]->Migrate(item.request).status());
     stats_.migration_runs++;
-    UpdateQueueGauge();
     return OkStatus();
   }
-  if (!scrubs_.empty()) {
-    ScrubItem item = scrubs_.front();
-    scrubs_.pop_front();
-    ASSIGN_OR_RETURN(uint32_t scanned, RunScrub(item));
-    (void)scanned;
-    stats_.scrub_steps++;
-    UpdateQueueGauge();
-    return OkStatus();
-  }
+  ScrubItem item = scrubs_.front();
+  scrubs_.pop_front();
+  RETURN_IF_ERROR(shards_[item.shard]->ScrubStep(item.max_segments).status());
+  stats_.scrub_steps++;
   return OkStatus();
-}
-
-Result<MigrationReport> StagerScheduler::RunMigration(
-    const MigrationItem& item) {
-  if (!ParallelDispatch()) {
-    return shards_[item.shard]->Migrate(item.request);
-  }
-  // Run on the shard's own timeline, then charge the coordination clock
-  // with the measured duration — the same amount a serial run would have
-  // advanced it. Shard clocks never run ahead of the coordination clock,
-  // so the sync below only moves forward.
-  SimClock* sc = shard_clocks_[item.shard];
-  if (sc->Now() < clock_->Now()) {
-    sc->AdvanceTo(clock_->Now());
-  }
-  const SimTime t0 = sc->Now();
-  Result<MigrationReport> report = shards_[item.shard]->Migrate(item.request);
-  clock_->AdvanceTo(clock_->Now() + (sc->Now() - t0));
-  return report;
-}
-
-Result<uint32_t> StagerScheduler::RunScrub(const ScrubItem& item) {
-  if (!ParallelDispatch()) {
-    return shards_[item.shard]->ScrubStep(item.max_segments);
-  }
-  SimClock* sc = shard_clocks_[item.shard];
-  if (sc->Now() < clock_->Now()) {
-    sc->AdvanceTo(clock_->Now());
-  }
-  const SimTime t0 = sc->Now();
-  Result<uint32_t> scanned = shards_[item.shard]->ScrubStep(item.max_segments);
-  clock_->AdvanceTo(clock_->Now() + (sc->Now() - t0));
-  return scanned;
 }
 
 Status StagerScheduler::RunUntilIdle() {

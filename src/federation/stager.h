@@ -121,35 +121,11 @@ class StagerScheduler {
   // requests all share one parent.
   void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
-  // --- Parallel shard timelines (opt-in) -----------------------------------
-  //
-  // Give every shard its own SimClock (all carrying the same absolute
-  // timeline) and Pump() runs each demand round's per-shard batches on
-  // worker threads instead of one after another. The round splits into
-  // plan (queue policy, coalescing, cache probes — pure state, serial),
-  // execute (each dispatched shard's FetchBatch on its own clock, first
-  // advanced to the round's start time; threads join at a barrier), and
-  // merge (in shard order, shard s's batch is accounted as if dispatched
-  // at round_start + the summed durations of earlier shards' batches, with
-  // histograms and counters updated in the exact serial order, and the
-  // coordination clock advanced by the round's total duration). Because
-  // FetchOutcome::delay_us is a duration — shift-invariant under the
-  // per-shard clock offset — the merged values are byte-identical to a
-  // serial run's; scripts/check.sh proves it against the committed
-  // federation baseline. Maintenance (migration passes, scrub steps) runs
-  // on the owning shard's clock and transfers its measured duration to the
-  // coordination clock.
-  //
-  // Requirements: a clock for every shard (parallel dispatch stays off
-  // until all are set), and shards must not share mutable state — in
-  // particular each shard needs its own SpanTracer (no SharedSpans into
-  // one hub core). Span trees and timelines become per-shard; the
-  // scheduler's own dispatch/fanout spans are recorded at merge time.
-  void SetShardClock(int shard, SimClock* clock);
-  // True when every shard has a clock and demand rounds run threaded.
-  bool ParallelDispatch() const;
-
   // --- Admission -----------------------------------------------------------
+  //
+  // All three classes share one check: an unknown shard is kInvalidArgument
+  // (nothing queued, nothing counted); a full queue is kBusy and counts one
+  // stager.rejected.
 
   Status SubmitFetch(const std::string& tenant, int shard, uint32_t tseg);
   Status SubmitMigration(const std::string& tenant, int shard,
@@ -161,7 +137,10 @@ class StagerScheduler {
   // One scheduling round: dispatches demand batches under fair-share and
   // drive tokens; with no demand backlog, runs one migration pass; with
   // neither, one scrub increment. Advances the SimClock by whatever device
-  // time the dispatched work costs.
+  // time the dispatched work costs. A shard whose FetchBatch fails does not
+  // cut the round short: its requests count as stager.fetch_errors, the
+  // other shards still dispatch, and Pump returns the first such error
+  // after the round completes.
   Status Pump();
   // Pumps until the admission queue is empty.
   Status RunUntilIdle();
@@ -203,10 +182,11 @@ class StagerScheduler {
   int RouteShard(int shard, const std::vector<size_t>& round_load);
   size_t DemandBacklog() const;
   void UpdateQueueGauge();
-  // Maintenance dispatch: on the shard's own clock when parallel dispatch
-  // is on (duration transferred to the coordination clock), else direct.
-  Result<MigrationReport> RunMigration(const MigrationItem& item);
-  Result<uint32_t> RunScrub(const ScrubItem& item);
+  // The admission check every Submit* runs first.
+  Status Admit(int shard);
+  // Pops and runs one maintenance item: the head migration pass, or with
+  // none queued the head scrub increment. At least one must be queued.
+  Status RunMaintenance();
 
   // True when `shard`'s home site is down (quarantined or unreachable).
   bool ShardSiteDown(int shard) const;
@@ -214,7 +194,6 @@ class StagerScheduler {
   SimClock* clock_;
   StagerConfig config_;
   std::vector<FetchBackend*> shards_;
-  std::vector<SimClock*> shard_clocks_;  // Any nullptr = serial dispatch.
   std::vector<int> replica_of_;
   std::vector<bool> quarantined_;
   std::vector<int> site_of_;        // -1 = no site assigned.

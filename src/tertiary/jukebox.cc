@@ -165,13 +165,9 @@ Result<SimTime> Jukebox::ScheduleRead(SimTime earliest, int slot,
           FaultOutcome::kLoadTimeout) {
     return ChargeFailedLoad(slot, /*for_write=*/false, earliest);
   }
-  FaultOutcome fault = FaultOutcome::kNone;
-  if (fail_ops_ > 0) {
-    --fail_ops_;
-    fault = FaultOutcome::kTransient;
-  } else if (faults_ != nullptr) {
-    fault = faults_->Decide(FaultOp::kRead, offset, out.size());
-  }
+  const FaultOutcome fault =
+      faults_ != nullptr ? faults_->Decide(FaultOp::kRead, offset, out.size())
+                         : FaultOutcome::kNone;
   if (fault != FaultOutcome::kNone) {
     // The drive mounts, seeks and transfers before the failure surfaces.
     RETURN_IF_ERROR(
@@ -207,13 +203,10 @@ Result<SimTime> Jukebox::ScheduleWrite(SimTime earliest, int slot,
           FaultOutcome::kLoadTimeout) {
     return ChargeFailedLoad(slot, /*for_write=*/true, earliest);
   }
-  FaultOutcome fault = FaultOutcome::kNone;
-  if (fail_ops_ > 0) {
-    --fail_ops_;
-    fault = FaultOutcome::kTransient;
-  } else if (faults_ != nullptr) {
-    fault = faults_->Decide(FaultOp::kWrite, offset, data.size());
-  }
+  const FaultOutcome fault =
+      faults_ != nullptr
+          ? faults_->Decide(FaultOp::kWrite, offset, data.size())
+          : FaultOutcome::kNone;
   if (fault != FaultOutcome::kNone) {
     // The drive mounts, seeks and transfers before the failure surfaces.
     RETURN_IF_ERROR(

@@ -102,16 +102,6 @@ class Jukebox {
     return t;
   }
 
-  // Simulated-failure hook for robustness tests. A thin shim over the
-  // drive-level fault channel when one is attached.
-  void FailNextOps(int n) {
-    if (faults_ != nullptr) {
-      faults_->FailNextOps(n);
-    } else {
-      fail_ops_ = n;
-    }
-  }
-
   // Routes drive transfers through "jukebox.<name>" and each volume's media
   // through "volume.<label>" in `injector`. Injected drive faults and latent
   // media errors charge full mount/seek/transfer time; robot-load timeouts
@@ -151,7 +141,6 @@ class Jukebox {
   std::vector<Drive> drives_;
   std::vector<uint64_t> insertions_;
 
-  int fail_ops_ = 0;
   FaultChannel* faults_ = nullptr;
   SpanTracer* spans_ = nullptr;
   std::string span_track_;  // "jukebox.<name>", cached for the hot path.

@@ -7,6 +7,7 @@
 
 #include "blockdev/concat_driver.h"
 #include "blockdev/sim_disk.h"
+#include "util/fault_injector.h"
 
 namespace hl {
 namespace {
@@ -22,6 +23,7 @@ std::vector<uint8_t> Pattern(size_t n, uint8_t seed) {
 class SimDiskTest : public ::testing::Test {
  protected:
   SimClock clock_;
+  FaultInjector faults_{&clock_};
   SimDisk disk_{"d0", 1024, Rz57Profile(), &clock_};
 };
 
@@ -99,7 +101,8 @@ TEST_F(SimDiskTest, SequentialFasterThanScattered) {
 }
 
 TEST_F(SimDiskTest, InjectedFaultSurfaces) {
-  disk_.FailNextOps(1);
+  disk_.AttachFaults(&faults_);
+  disk_.fault_channel()->FailNextOps(1);
   std::vector<uint8_t> buf(kBlockSize);
   EXPECT_EQ(disk_.ReadBlocks(0, 1, buf).code(), ErrorCode::kIoError);
   EXPECT_TRUE(disk_.ReadBlocks(0, 1, buf).ok());  // Next op succeeds.

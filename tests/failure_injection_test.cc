@@ -51,7 +51,7 @@ TEST_F(FailureInjectionTest, JukeboxFailureDuringDemandFetchSurfaces) {
 
   // The drive keeps failing past the retry budget (3 attempts): the read
   // fails cleanly...
-  hl_->Internals().jukebox(0).FailNextOps(3);
+  hl_->Internals().jukebox(0).fault_channel()->FailNextOps(3);
   std::vector<uint8_t> out(data.size());
   Result<size_t> n = hl_->fs().Read(*ino, 0, out);
   ASSERT_FALSE(n.ok());
@@ -76,7 +76,7 @@ TEST_F(FailureInjectionTest, TransientJukeboxFaultIsRetriedThrough) {
 
   // Two transient faults stay inside the 3-attempt budget: the application
   // never sees them, but the backoff costs simulated time.
-  hl_->Internals().jukebox(0).FailNextOps(2);
+  hl_->Internals().jukebox(0).fault_channel()->FailNextOps(2);
   const SimTime before = clock_.Now();
   const uint64_t retries_before = hl_->Internals().io_server.stats().retries;
   std::vector<uint8_t> out(data.size());
@@ -93,7 +93,7 @@ TEST_F(FailureInjectionTest, JukeboxFailureDuringCopyOutSurfaces) {
   ASSERT_TRUE(ino.ok());
   ASSERT_TRUE(hl_->fs().Write(*ino, 0, Pattern(128 * 1024, 2)).ok());
   // Outlast the retry budget so the failure surfaces to the caller.
-  hl_->Internals().jukebox(0).FailNextOps(3);
+  hl_->Internals().jukebox(0).fault_channel()->FailNextOps(3);
   Result<MigrationReport> r = hl_->Migrate(MigrationRequest{.path = "/f"});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kIoError);
@@ -123,7 +123,7 @@ TEST_F(FailureInjectionTest, DiskFailureDuringSyncSurfaces) {
   // Small enough (100 KB < one 256 KB segment) that nothing auto-flushes
   // before the injected fault.
   ASSERT_TRUE(hl_->fs().Write(*ino, 0, Pattern(100 * 1024, 3)).ok());
-  hl_->Internals().disk(0).FailNextOps(1);
+  hl_->Internals().disk(0).fault_channel()->FailNextOps(1);
   Status s = hl_->fs().Sync();
   EXPECT_EQ(s.code(), ErrorCode::kIoError);
   // Dirty data survived the failed flush; a later sync lands them.
@@ -198,7 +198,7 @@ TEST_F(FailureInjectionTest, FailedDemandFetchLeavesNoReadaheadResidue) {
   // Exhaust the retry budget: the demand fetch of the first segment fails
   // before any read-ahead is ever issued. (128 KB stays inside one
   // segment's data blocks.)
-  hl->Internals().jukebox(0).FailNextOps(3);
+  hl->Internals().jukebox(0).fault_channel()->FailNextOps(3);
   std::vector<uint8_t> out(128 * 1024);
   Result<size_t> n = hl->fs().Read(*ino, 0, out);
   ASSERT_FALSE(n.ok());
@@ -325,7 +325,7 @@ TEST_F(FailureInjectionTest, RepeatedFaultsDoNotWedgeTheSystem) {
 
   std::vector<uint8_t> out(data.size());
   for (int round = 0; round < 5; ++round) {
-    hl_->Internals().jukebox(0).FailNextOps(1);
+    hl_->Internals().jukebox(0).fault_channel()->FailNextOps(1);
     (void)hl_->fs().Read(*ino, 0, out);  // May fail; must not wedge.
     Result<size_t> n = hl_->fs().Read(*ino, 0, out);
     ASSERT_TRUE(n.ok()) << "round " << round;

@@ -1,6 +1,7 @@
 // Federation stager tests: class priority (demand > migration > scrub),
 // per-tenant fair share under a hot tenant, drive-token contention across
 // the shared farm, duplicate-recall coalescing, admission-bound rejection,
+// unknown-shard admission, a failed shard batch inside a demand round,
 // quarantine steering onto a replica shard (against real HighLight shards),
 // and population-generator determinism.
 
@@ -13,6 +14,7 @@
 #include "federation/stager.h"
 #include "highlight/highlight.h"
 #include "util/rng.h"
+#include "util/span.h"
 #include "workload/population.h"
 
 namespace hl {
@@ -20,6 +22,7 @@ namespace {
 
 // A deterministic scripted shard: every fetch costs a fixed slice of sim
 // time; batches, migrations, and scrub steps are recorded for inspection.
+// A non-OK `batch_error` makes FetchBatch fail whole (after recording it).
 class FakeShard : public FetchBackend {
  public:
   FakeShard(SimClock* clock, uint32_t nsegs, SimTime fetch_cost_us)
@@ -44,6 +47,9 @@ class FakeShard : public FetchBackend {
   Result<std::vector<FetchOutcome>> FetchBatch(
       const std::vector<uint32_t>& tsegs) override {
     batches.push_back(tsegs);
+    if (!batch_error.ok()) {
+      return batch_error;
+    }
     std::vector<FetchOutcome> outcomes;
     for (uint32_t tseg : tsegs) {
       clock_->Advance(fetch_cost_us_);
@@ -66,6 +72,7 @@ class FakeShard : public FetchBackend {
 
   std::vector<std::vector<uint32_t>> batches;
   std::vector<uint32_t> fetched;
+  Status batch_error = OkStatus();
   int migrations = 0;
   int scrubs = 0;
 
@@ -207,6 +214,94 @@ TEST(StagerSchedulerTest, AdmissionBoundRejectsWithBusy) {
   // Service drains the queue and admission reopens.
   ASSERT_TRUE(stager.RunUntilIdle().ok());
   EXPECT_TRUE(stager.SubmitFetch("alice", 0, 2).ok());
+}
+
+TEST(StagerSchedulerTest, UnknownShardIsRejectedByEveryClass) {
+  SimClock clock;
+  FakeShard shard(&clock, 8, 1000);
+  StagerScheduler stager(&clock);
+  stager.AddShard(&shard);
+
+  const int past_end = static_cast<int>(stager.NumShards());
+  for (int bad : {-1, past_end}) {
+    EXPECT_EQ(stager.SubmitFetch("alice", bad, 0).code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(stager.SubmitMigration("ops", bad, MigrationRequest{}).code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(stager.SubmitScrub(bad, 4).code(),
+              ErrorCode::kInvalidArgument);
+  }
+  // Nothing was queued, and a bad shard is not an admission-bound refusal.
+  EXPECT_EQ(stager.PendingRequests(), 0u);
+  EXPECT_TRUE(stager.Tenants().empty());
+  MetricsSnapshot snap = stager.Metrics();
+  EXPECT_EQ(snap.Value("stager.rejected"), 0u);
+  EXPECT_EQ(snap.Value("stager.demand_admitted"), 0u);
+  EXPECT_EQ(snap.Value("stager.migration_admitted"), 0u);
+  EXPECT_EQ(snap.Value("stager.scrub_admitted"), 0u);
+}
+
+// Every admitted recall is served, failed, or still queued. Only valid
+// while no maintenance is queued (PendingRequests counts it too).
+void ExpectDemandConserved(StagerScheduler& stager) {
+  MetricsSnapshot snap = stager.Metrics();
+  EXPECT_EQ(snap.Value("stager.demand_admitted"),
+            snap.Value("stager.demand_served") +
+                snap.Value("stager.fetch_errors") + stager.PendingRequests());
+}
+
+TEST(StagerSchedulerTest, FailedBatchFinishesTheDemandRound) {
+  SimClock clock;
+  FakeShard shard0(&clock, 8, 1000);
+  FakeShard shard1(&clock, 8, 1000);
+  shard0.batch_error = Status(ErrorCode::kIoError, "drive jammed");
+  SpanTracer spans(&clock, 256);
+  StagerScheduler stager(&clock);
+  stager.AddShard(&shard0);
+  stager.AddShard(&shard1);
+  stager.SetSpans(&spans);
+
+  ASSERT_TRUE(stager.SubmitFetch("alice", 0, 1).ok());
+  ASSERT_TRUE(stager.SubmitFetch("bob", 1, 2).ok());
+  EXPECT_EQ(stager.Pump().code(), ErrorCode::kIoError);
+  ExpectDemandConserved(stager);
+
+  // Shard 0's failure did not cost shard 1 its dispatch, and the failed
+  // request is accounted for rather than dropped.
+  EXPECT_EQ(shard0.batches.size(), 1u);
+  EXPECT_EQ(shard1.fetched, std::vector<uint32_t>{2});
+  EXPECT_EQ(stager.PendingRequests(), 0u);
+  MetricsSnapshot snap = stager.Metrics();
+  EXPECT_EQ(snap.Value("stager.demand_served"), 1u);
+  EXPECT_EQ(snap.Value("stager.fetch_errors"), 1u);
+  EXPECT_EQ(snap.Value("stager.queue_depth"), 0u);
+  EXPECT_EQ(stager.ServedFor("alice"), 0u);
+  EXPECT_EQ(stager.ServedFor("bob"), 1u);
+
+  // The failed request's fan-out leaf carries the batch error.
+  int errored_fanouts = 0;
+  for (const SpanRecord& span : spans.Completed()) {
+    if (span.name != "stager_fanout") {
+      continue;
+    }
+    for (const auto& [key, value] : span.args) {
+      if (key == "error") {
+        errored_fanouts++;
+        EXPECT_NE(value.find("drive jammed"), std::string::npos);
+      }
+    }
+  }
+  EXPECT_EQ(errored_fanouts, 1);
+
+  // The round finished, so the tenant rotation moved on: bob now leads.
+  shard0.batch_error = OkStatus();
+  ASSERT_TRUE(stager.SubmitFetch("alice", 1, 3).ok());
+  ASSERT_TRUE(stager.SubmitFetch("bob", 1, 4).ok());
+  ASSERT_TRUE(stager.Pump().ok());
+  ExpectDemandConserved(stager);
+  ASSERT_EQ(shard1.batches.size(), 2u);
+  EXPECT_EQ(shard1.batches[1], (std::vector<uint32_t>{4, 3}));
+  EXPECT_EQ(stager.PendingRequests(), 0u);
 }
 
 TEST(StagerSchedulerTest, AgingPromotesStarvedMaintenanceUnderDemandFlood) {

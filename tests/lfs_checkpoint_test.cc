@@ -5,6 +5,7 @@
 
 #include "blockdev/sim_disk.h"
 #include "lfs/lfs.h"
+#include "util/fault_injector.h"
 #include "util/rng.h"
 
 namespace hl {
@@ -37,6 +38,7 @@ class LfsCheckpointTest : public ::testing::Test {
   }
 
   SimClock clock_;
+  FaultInjector faults_{&clock_};
   LfsParams params_;
   std::unique_ptr<SimDisk> disk_;
   std::unique_ptr<Lfs> fs_;
@@ -138,7 +140,8 @@ TEST_F(LfsCheckpointTest, CheckpointAfterFailedFlushStillConsistent) {
   Result<uint32_t> ino = fs_->Create("/f");
   ASSERT_TRUE(ino.ok());
   ASSERT_TRUE(fs_->Write(*ino, 0, Pattern(100 * 1024, 1)).ok());
-  disk_->FailNextOps(1);
+  disk_->AttachFaults(&faults_);
+  disk_->fault_channel()->FailNextOps(1);
   EXPECT_FALSE(fs_->Sync().ok());  // Injected failure.
   // The next checkpoint succeeds and the data are durable.
   ASSERT_TRUE(fs_->Checkpoint().ok());

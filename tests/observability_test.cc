@@ -205,7 +205,7 @@ TEST_F(ObservabilityFsTest, RetriesNestUnderFetchInOneDemandTree) {
   ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
 
   // Two transient drive faults: retried through within one demand fetch.
-  hl_->Internals().jukebox(0).FailNextOps(2);
+  hl_->Internals().jukebox(0).fault_channel()->FailNextOps(2);
   hl_->spans().Clear();
   std::vector<uint8_t> out(4096);
   ASSERT_TRUE(hl_->fs().Read(*ino, 0, out).ok());

@@ -11,6 +11,11 @@
 //     the delayed pipeline holds.
 //  D. Prefetch — namespace-unit prefetch on a multi-segment unit vs none
 //     (section 5.3): demand faults and elapsed read time.
+//  E. Granularity — whole-file vs block-range migration of a DB relation
+//     with a hot tail (section 5.2).
+//
+// Every table cell is also written to BENCH_ablation_policies.json, pinned
+// to bench/baselines/ablation_policies.json by scripts/check.sh.
 
 #include "bench/bench_util.h"
 #include "highlight/highlight.h"
@@ -38,7 +43,7 @@ std::unique_ptr<HighLightFs> Build(SimClock& clock,
 
 // --- A: migration ranking ----------------------------------------------------
 
-void RankingAblation() {
+void RankingAblation(bench::JsonReport& json) {
   bench::Title("Ablation A: migration ranking policy (STP vs age vs size)");
   bench::Note("population: 40 files, sizes 64KB-2MB, skewed access; after "
               "migrating ~24 MB, a re-reference trace hits recently-used "
@@ -95,6 +100,11 @@ void RankingAblation() {
       DieOr(hl->fs().Read(ino, 0, buf), "trace read");
     }
     uint64_t fetches = hl->Internals().service.stats().demand_fetches - fetches_before;
+    const std::string key = std::string("ranking.") + policy_name + ".";
+    json.Value(key + "demand_fetches", fetches);
+    json.Value(key + "trace_us", clock.Now() - t0);
+    json.Value(key + "bytes_fetched",
+               hl->Internals().io_server.stats().bytes_fetched.value());
     table.AddRow({policy_name, bench::Fmt("%.0f", static_cast<double>(fetches)),
                   bench::Seconds(clock.Now() - t0),
                   bench::Fmt("%.1f MB",
@@ -109,7 +119,7 @@ void RankingAblation() {
 
 // --- B: cache replacement ------------------------------------------------------
 
-void ReplacementAblation() {
+void ReplacementAblation(bench::JsonReport& json) {
   bench::Title("Ablation B: segment-cache replacement policy");
   bench::Note("64 tertiary segments re-referenced with skewed popularity "
               "through an 8-line cache");
@@ -152,6 +162,10 @@ void ReplacementAblation() {
     double hit_rate =
         static_cast<double>(st.hits) /
         static_cast<double>(st.hits + st.misses ? st.hits + st.misses : 1);
+    const std::string key = std::string("replacement.") + n.name + ".";
+    json.Value(key + "hit_pct", 100.0 * hit_rate);
+    json.Value(key + "evictions", st.evictions);
+    json.Value(key + "elapsed_us", clock.Now() - t0);
     table.AddRow({n.name, bench::Fmt("%.1f%%", 100.0 * hit_rate),
                   bench::Fmt("%.0f", static_cast<double>(st.evictions)),
                   bench::Seconds(clock.Now() - t0)});
@@ -161,7 +175,7 @@ void ReplacementAblation() {
 
 // --- C: immediate vs delayed tertiary writes ------------------------------------
 
-void DelayedWriteAblation() {
+void DelayedWriteAblation(bench::JsonReport& json) {
   bench::Title("Ablation C: immediate vs delayed tertiary writes "
                "(section 5.4)");
   bench::Table table({"Mode", "stage+copy time", "peak pending segs",
@@ -184,6 +198,12 @@ void DelayedWriteAblation() {
     uint32_t peak_pending = hl->Internals().migrator.PendingSegments();
     Die(hl->Internals().migrator.FlushStaging(), "flush");
     SimTime elapsed = clock.Now() - t0;
+    const std::string key =
+        std::string("copyout.") + (delayed ? "delayed" : "immediate") + ".";
+    json.Value(key + "elapsed_us", elapsed);
+    json.Value(key + "peak_pending_segs", uint64_t{peak_pending});
+    json.Value(key + "kb_per_s",
+               bench::KBpsValue(report.bytes_migrated, elapsed));
     table.AddRow({delayed ? "delayed" : "immediate", bench::Seconds(elapsed),
                   bench::Fmt("%.0f", static_cast<double>(peak_pending)),
                   bench::KBps(report.bytes_migrated, elapsed)});
@@ -195,7 +215,7 @@ void DelayedWriteAblation() {
 
 // --- D: prefetch ------------------------------------------------------------------
 
-void PrefetchAblation() {
+void PrefetchAblation(bench::JsonReport& json) {
   bench::Title("Ablation D: namespace-unit prefetch on cache miss "
                "(section 5.3)");
   bench::Table table({"Prefetch", "demand faults", "read time"});
@@ -238,6 +258,11 @@ void PrefetchAblation() {
       uint32_t ino = DieOr(hl->fs().LookupPath(path), "lookup");
       DieOr(hl->fs().Read(ino, 0, buf), "read");
     }
+    const std::string key =
+        std::string("prefetch.") + (prefetch ? "on" : "off") + ".";
+    json.Value(key + "demand_faults",
+               hl->Internals().block_map.stats().demand_faults.value());
+    json.Value(key + "read_us", clock.Now() - t0);
     table.AddRow({prefetch ? "on (next 2 segs)" : "off",
                   bench::Fmt("%.0f",
                              static_cast<double>(
@@ -249,7 +274,7 @@ void PrefetchAblation() {
 
 // --- E: whole-file vs block-range migration (section 5.2) -----------------------
 
-void GranularityAblation() {
+void GranularityAblation(bench::JsonReport& json) {
   bench::Title("Ablation E: whole-file vs block-range migration on a DB "
                "file (section 5.2)");
   bench::Note("a 24 MB relation whose last 512 pages are hot; after "
@@ -305,6 +330,13 @@ void GranularityAblation() {
         }
       }
     }
+    const std::string key = std::string("granularity.") +
+                            (block_range ? "block_range" : "whole_file") +
+                            ".";
+    json.Value(key + "query_us", clock.Now() - t0);
+    json.Value(key + "demand_fetches",
+               hl->Internals().service.stats().demand_fetches - fetches0);
+    json.Value(key + "bytes_on_disk", on_disk);
     table.AddRow({block_range ? "block-range (cold only)" : "whole-file",
                   bench::Seconds(clock.Now() - t0),
                   bench::Fmt("%.0f", static_cast<double>(
@@ -323,10 +355,12 @@ void GranularityAblation() {
 }  // namespace hl
 
 int main() {
-  hl::RankingAblation();
-  hl::ReplacementAblation();
-  hl::DelayedWriteAblation();
-  hl::PrefetchAblation();
-  hl::GranularityAblation();
+  hl::bench::JsonReport json("ablation_policies");
+  hl::RankingAblation(json);
+  hl::ReplacementAblation(json);
+  hl::DelayedWriteAblation(json);
+  hl::PrefetchAblation(json);
+  hl::GranularityAblation(json);
+  json.Write();
   return 0;
 }

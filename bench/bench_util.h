@@ -9,6 +9,7 @@
 #define HIGHLIGHT_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "util/span.h"
 #include "util/status.h"
 #include "util/timeseries.h"
-#include "util/trace.h"
 
 namespace hl::bench {
 
@@ -110,6 +110,28 @@ inline std::vector<uint8_t> Payload(size_t n, uint64_t seed) {
   return v;
 }
 
+// Accounting-anomaly gate: a tseg live-byte delta that was dropped or
+// clamped means the simulation's accounting broke, so the run fails rather
+// than publish numbers built on it. Matches every deployment's counters,
+// plain ("tseg.underflow_clamped") or hub-namespaced ("shard0.tseg...").
+inline void CheckTsegAccounting(const MetricsSnapshot& snap,
+                                const std::string& what) {
+  static const std::string kAnomalies[] = {"tseg.accounting_dropped",
+                                           "tseg.underflow_clamped",
+                                           "tseg.overflow_clamped"};
+  for (const auto& [name, value] : snap.counters) {
+    for (const std::string& anomaly : kAnomalies) {
+      const bool match = name == anomaly || name.ends_with("." + anomaly);
+      if (match && value != 0) {
+        std::fprintf(stderr, "FATAL %s: %s = %llu (must stay 0)\n",
+                     what.c_str(), name.c_str(),
+                     static_cast<unsigned long long>(value));
+        std::exit(1);
+      }
+    }
+  }
+}
+
 // Machine-readable companion to the printed tables: each bench writes
 // BENCH_<name>.json holding its headline values (throughput, elapsed times)
 // plus one full MetricsRegistry snapshot per configuration it ran. The
@@ -144,14 +166,11 @@ class JsonReport {
     info_.emplace_back(key, Quoted(s));
   }
 
-  // Embeds a registry snapshot under metrics.<label>.
+  // Embeds a registry snapshot under metrics.<label>, after the snapshot
+  // passes CheckTsegAccounting.
   void Snapshot(const std::string& label, const MetricsSnapshot& snap) {
+    CheckTsegAccounting(snap, name_ + " " + label);
     snapshots_.emplace_back(label, snap.ToJson(4));
-  }
-
-  // Embeds the ring's full surviving event window under trace.<label>.
-  void Trace(const std::string& label, const TraceRing& ring) {
-    traces_.emplace_back(label, ring.ToJson(ring.capacity()));
   }
 
   // Accumulates one Perfetto timeline process per call: the configuration's
@@ -201,13 +220,6 @@ class JsonReport {
       w.Raw(body);
     }
     w.EndObject();
-    w.Key("trace");
-    w.BeginObject();
-    for (const auto& [label, body] : traces_) {
-      w.Key(label);
-      w.Raw(body);
-    }
-    w.EndObject();
     w.EndObject();
 
     std::string path = "BENCH_" + name_ + ".json";
@@ -246,7 +258,6 @@ class JsonReport {
   std::vector<std::pair<std::string, std::string>> values_;
   std::vector<std::pair<std::string, std::string>> info_;
   std::vector<std::pair<std::string, std::string>> snapshots_;
-  std::vector<std::pair<std::string, std::string>> traces_;
   std::string timeline_events_;
   std::string timeline_doc_;
   int timeline_pids_ = 0;

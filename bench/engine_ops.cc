@@ -39,6 +39,7 @@
 #include "highlight/address_map.h"
 #include "highlight/tseg_table.h"
 #include "lfs/lfs.h"
+#include "tests/tseg_reference.h"
 #include "util/rng.h"
 #include "util/span.h"
 
@@ -135,7 +136,7 @@ void BM_MigrationPass_Linear(benchmark::State& state) {
   uint64_t now = 0;
   for (auto _ : state) {
     MigrationPassOp(*f, excl, now, [&](const std::set<uint32_t>& e) {
-      return f->table->NextFreshTsegLinear(e);
+      return NextFreshTsegLinear(*f->table, *f->amap, e);
     });
   }
   state.SetItemsProcessed(state.iterations());
@@ -170,7 +171,7 @@ void BM_DemandFault_Linear(benchmark::State& state) {
   for (auto _ : state) {
     uint32_t tseg = static_cast<uint32_t>(rng.Below(kTsegs));
     benchmark::DoNotOptimize(f->table->IsReplica(tseg));
-    benchmark::DoNotOptimize(f->table->ReplicasOfLinear(tseg));
+    benchmark::DoNotOptimize(ReplicasOfLinear(*f->table, tseg));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -224,7 +225,7 @@ void BM_ScrubSweep_Linear(benchmark::State& state) {
   uint32_t tseg = 0;
   for (auto _ : state) {
     ScrubOp(*f, tseg,
-            [&](uint32_t p) { return f->table->ReplicasOfLinear(p); });
+            [&](uint32_t p) { return ReplicasOfLinear(*f->table, p); });
     tseg = (tseg + 1) % kTsegs;
   }
   state.SetItemsProcessed(state.iterations());
@@ -246,8 +247,8 @@ BENCHMARK(BM_Aggregates_Indexed);
 void BM_Aggregates_Linear(benchmark::State& state) {
   static TableFixture* f = new TableFixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f->table->TotalLiveBytesLinear());
-    benchmark::DoNotOptimize(f->table->DirtyTsegCountLinear());
+    benchmark::DoNotOptimize(TotalLiveBytesLinear(*f->table));
+    benchmark::DoNotOptimize(DirtyTsegCountLinear(*f->table));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -342,7 +343,7 @@ double TimedMigrationLoop(bool indexed, uint32_t iterations, int reps) {
     for (uint32_t i = 0; i < iterations; ++i) {
       MigrationPassOp(f, excl, now, [&](const std::set<uint32_t>& e) {
         return indexed ? f.table->NextFreshTseg(e)
-                       : f.table->NextFreshTsegLinear(e);
+                       : NextFreshTsegLinear(*f.table, *f.amap, e);
       });
     }
     std::chrono::duration<double> dt =
@@ -412,15 +413,15 @@ int RunDeterministicGate() {
       std::set<uint32_t> excl = {static_cast<uint32_t>(rng.Below(64))};
       uint32_t pref = static_cast<uint32_t>(rng.Below(64));
       if (f.table->NextFreshTseg(excl, pref) !=
-          f.table->NextFreshTsegLinear(excl, pref)) {
+          NextFreshTsegLinear(*f.table, *f.amap, excl, pref)) {
         agree_next = 0;
       }
       uint32_t primary = static_cast<uint32_t>(rng.Below(kTsegs));
-      if (f.table->ReplicasOf(primary) != f.table->ReplicasOfLinear(primary)) {
+      if (f.table->ReplicasOf(primary) != ReplicasOfLinear(*f.table, primary)) {
         agree_replicas = 0;
       }
-      if (f.table->TotalLiveBytes() != f.table->TotalLiveBytesLinear() ||
-          f.table->DirtyTsegCount() != f.table->DirtyTsegCountLinear()) {
+      if (f.table->TotalLiveBytes() != TotalLiveBytesLinear(*f.table) ||
+          f.table->DirtyTsegCount() != DirtyTsegCountLinear(*f.table)) {
         agree_aggregates = 0;
       }
     }

@@ -157,8 +157,7 @@ int main(int argc, char** argv) {
                  "setup");
     }
     hub.Register("shard" + std::to_string(s), &shards.back()->metrics(),
-                 &shards.back()->trace(), &shards.back()->spans(),
-                 &shards.back()->timeseries());
+                 &shards.back()->spans(), &shards.back()->timeseries());
   }
 
   StagerConfig stager_config;
@@ -171,8 +170,7 @@ int main(int argc, char** argv) {
     stager.AddShard(shard.get());
   }
   stager.SetSpans(&hub.spans());
-  stager.SetTracer(Tracer(&hub.trace()));
-  hub.Register("stager", &stager.metrics(), nullptr, nullptr, nullptr);
+  hub.Register("stager", &stager.metrics(), nullptr, nullptr);
 
   // Federation-level series + SLOs the hub watches each sampling instant.
   hub.AddSeries("stager.queue_depth", [&stager] {
@@ -326,7 +324,6 @@ int main(int argc, char** argv) {
   report.Snapshot("stager", snap);
   report.Snapshot("shard0", shards[0]->Metrics());
   report.Snapshot("hub", hub.MergedSnapshot());
-  report.Trace("hub", hub.trace());
   report.TimelineDocument(hub.MergedTimelineJson());
   bench::CheckSpansQuiescent(hub.spans(), "federation_scale");
   for (uint32_t s = 0; s < kShards; ++s) {

@@ -6,7 +6,9 @@
 // Three synthetic environments (workstation / supercomputing / Sequoia, per
 // the trace studies the paper cites) are replayed against four migration
 // policies under a high/low-water-mark regime. Reported: read latency, slow
-// (tertiary-stalled) reads, demand fetches and media swaps.
+// (tertiary-stalled) reads, demand fetches and media swaps. Every table
+// cell is also written to BENCH_policy_trace_bench.json, pinned to
+// bench/baselines/policy_trace_bench.json by scripts/check.sh.
 
 #include "bench/bench_util.h"
 #include "highlight/highlight.h"
@@ -43,7 +45,8 @@ std::unique_ptr<MigrationPolicy> MakePolicy(const std::string& name) {
   return std::make_unique<NamespacePolicy>("/");
 }
 
-void RunEnvironment(const std::string& env_name, const Trace& trace) {
+void RunEnvironment(const std::string& env_name, const Trace& trace,
+                    bench::JsonReport& report) {
   bench::Title("Policy comparison on the " + env_name + " trace (" +
                bench::Fmt("%.0f MB written, ",
                           static_cast<double>(trace.TotalBytesWritten()) /
@@ -59,6 +62,13 @@ void RunEnvironment(const std::string& env_name, const Trace& trace) {
     auto policy = MakePolicy(policy_name);
     TraceReplayer replayer(hl.get(), policy.get());
     ReplayStats stats = DieOr(replayer.Replay(trace), "replay");
+    const std::string key = env_name + "." + policy_name + ".";
+    report.Value(key + "mean_read_ms", stats.MeanReadLatencyMs());
+    report.Value(key + "max_read_us", stats.max_read_latency);
+    report.Value(key + "slow_reads", stats.slow_reads);
+    report.Value(key + "demand_fetches", stats.demand_fetches);
+    report.Value(key + "media_swaps", stats.media_swaps);
+    report.Value(key + "bytes_migrated", stats.bytes_migrated);
     table.AddRow({policy_name,
                   bench::Fmt("%.1f ms", stats.MeanReadLatencyMs()),
                   bench::Seconds(stats.max_read_latency),
@@ -87,8 +97,10 @@ int main() {
   ws.projects = 8;
   ws.files_per_project = 16;
   ws.mean_file_bytes = 768 * 1024;  // ~96 MB total: real pressure.
-  RunEnvironment("workstation", GenerateWorkstationTrace(ws));
-  RunEnvironment("supercomputing", GenerateSupercomputingTrace({}));
-  RunEnvironment("sequoia", GenerateSequoiaTrace({}));
+  bench::JsonReport report("policy_trace_bench");
+  RunEnvironment("workstation", GenerateWorkstationTrace(ws), report);
+  RunEnvironment("supercomputing", GenerateSupercomputingTrace({}), report);
+  RunEnvironment("sequoia", GenerateSequoiaTrace({}), report);
+  report.Write();
   return 0;
 }

@@ -231,14 +231,13 @@ int main(int argc, char** argv) {
   stager.SetFailoverPeer(kShardB, kShardA);
   stager.SetSiteHealthProvider(&repl);
   stager.SetSpans(&hub.spans());
-  stager.SetTracer(Tracer(&hub.trace()));
 
-  hub.Register("siteA", &site_a->metrics(), &site_a->trace(),
-               &site_a->spans(), &site_a->timeseries());
-  hub.Register("siteB", &site_b->metrics(), &site_b->trace(),
-               &site_b->spans(), &site_b->timeseries());
-  hub.Register("stager", &stager.metrics(), nullptr, nullptr, nullptr);
-  hub.Register("replicator", &repl.metrics(), nullptr, nullptr, nullptr);
+  hub.Register("siteA", &site_a->metrics(), &site_a->spans(),
+               &site_a->timeseries());
+  hub.Register("siteB", &site_b->metrics(), &site_b->spans(),
+               &site_b->timeseries());
+  hub.Register("stager", &stager.metrics(), nullptr, nullptr);
+  hub.Register("replicator", &repl.metrics(), nullptr, nullptr);
 
   // Federation-level series + the SLO watch over them: fetch-delay tail,
   // admission queue depth, the dead site's replication lag, and bytes on
@@ -450,7 +449,6 @@ int main(int argc, char** argv) {
   report.Snapshot("replicator", repl_snap);
   report.Snapshot("stager", stager_snap);
   report.Snapshot("hub", hub.MergedSnapshot());
-  report.Trace("hub", hub.trace());
   report.TimelineDocument(hub.MergedTimelineJson());
   bench::CheckSpansQuiescent(hub.spans(), "site_disaster");
 

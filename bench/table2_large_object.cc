@@ -225,7 +225,6 @@ std::vector<PhaseResult> RunHighLight(bool migrate_to_cache,
   ops.sync = [&] { return hl->fs().Sync(); };
   auto results = RunPhases(ops, clock);
   report.Snapshot(label, hl->Metrics());
-  report.Trace(label, hl->trace());
   report.Timeline(label, hl->spans(), &hl->timeseries());
   return results;
 }

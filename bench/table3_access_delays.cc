@@ -118,7 +118,6 @@ Delay MeasureHighLight(size_t bytes, bool drop_cache,
     DieOr(hl->fs().Read(ino, off, out), "read");
   });
   report.Snapshot(label, hl->Metrics());
-  report.Trace(label, hl->trace());
   report.Timeline(label, hl->spans(), &hl->timeseries());
   return d;
 }
@@ -184,7 +183,6 @@ BatchStats MeasureBatchedFaults(bool async, size_t k,
   stats.mean_delay_s =
       static_cast<double>(total) / results.size() / kUsPerSec;
   report.Snapshot(label, hl->Metrics());
-  report.Trace(label, hl->trace());
   report.Timeline(label, hl->spans(), &hl->timeseries());
   return stats;
 }

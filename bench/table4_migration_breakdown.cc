@@ -74,7 +74,6 @@ int main() {
              bench::KBpsValue(report.bytes_migrated, elapsed));
   json.Value("segments_completed", uint64_t{report.segments_completed});
   json.Snapshot("migration", hl->Metrics());
-  json.Trace("migration", hl->trace());
   json.Timeline("migration", hl->spans(), &hl->timeseries());
   json.Write();
   return 0;

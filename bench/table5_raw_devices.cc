@@ -39,7 +39,7 @@ double RawDiskRate(const DiskProfile& profile, bool is_write,
 double RawMoRate(bool is_write, MetricsRegistry* registry) {
   SimClock clock;
   Jukebox jukebox(Hp6300MoProfile(), &clock);
-  jukebox.AttachMetrics(registry, Tracer());
+  jukebox.AttachMetrics(registry);
   std::vector<uint8_t> buf(1 << 20, 0xCD);
   // Prime the drive so the swap is not measured (the paper measured steady
   // transfers).

@@ -78,7 +78,6 @@ ConfigResult RunConfig(const std::optional<DiskProfile>& staging,
     result.contention_kbps =
         bench::KBpsValue(mr.bytes_migrated, clock.Now() - t0);
     report.Snapshot(label + "_contention", hl->Metrics());
-    report.Trace(label + "_contention", hl->trace());
     report.Timeline(label + "_contention", hl->spans(), &hl->timeseries());
   }
 
@@ -103,7 +102,6 @@ ConfigResult RunConfig(const std::optional<DiskProfile>& staging,
     result.overall_kbps =
         bench::KBpsValue(mr.bytes_migrated, stage_elapsed + drain);
     report.Snapshot(label + "_no_contention", hl->Metrics());
-    report.Trace(label + "_no_contention", hl->trace());
     report.Timeline(label + "_no_contention", hl->spans(), &hl->timeseries());
   }
   return result;
@@ -145,7 +143,6 @@ ModeResult RunMode(bool write_behind, bench::JsonReport& report) {
   result.fsck_clean = CheckFs(hl->fs()).clean();
   const std::string mode = write_behind ? "write_behind" : "synchronous";
   report.Snapshot(mode, hl->Metrics());
-  report.Trace(mode, hl->trace());
   report.Timeline(mode, hl->spans(), &hl->timeseries());
   return result;
 }

@@ -9,13 +9,13 @@
 //
 // Run: ./build/examples/hlfs_inspect
 //   --metrics   append the unified metrics registry as JSON
-//   --trace     append the structured event trace as JSON
 //   --health    exercise the fault path (injected transients, a media
 //               scribble, a scrub pass) and dump device/volume health,
 //               fault-channel state, and the retry/scrub counters
 //   --spans     corrupt the preferred copy of a replicated segment, demand-
 //               fetch it (CRC mismatch -> retries -> failover -> install),
-//               and print the causal span tree plus the slowest spans
+//               and print the causal span tree (instants included) plus
+//               the slowest spans
 //   --timeline  dump the time-series telemetry and write the combined
 //               span + counter timeline as TRACE_hlfs_inspect.json
 //               (loadable in ui.perfetto.dev or chrome://tracing)
@@ -187,7 +187,6 @@ void DumpStructures(HighLightFs& hl) {
 
 int main(int argc, char** argv) {
   bool dump_metrics = false;
-  bool dump_trace = false;
   bool dump_health = false;
   bool dump_spans = false;
   bool dump_timeline = false;
@@ -197,8 +196,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--metrics") == 0) {
       dump_metrics = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      dump_trace = true;
     } else if (std::strcmp(argv[i], "--health") == 0) {
       dump_health = true;
     } else if (std::strcmp(argv[i], "--spans") == 0) {
@@ -213,7 +210,7 @@ int main(int argc, char** argv) {
       json = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--metrics] [--trace] [--health] [--spans] "
+                   "usage: %s [--metrics] [--health] [--spans] "
                    "[--timeline] [--queue] [--sites] [--json]\n",
                    argv[0]);
       return 2;
@@ -224,7 +221,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (json &&
-      (dump_trace || dump_health || dump_spans || dump_timeline || dump_queue)) {
+      (dump_health || dump_spans || dump_timeline || dump_queue)) {
     std::fprintf(stderr,
                  "--json supports only --metrics and --sites; the other dumps "
                  "are human-readable\n");
@@ -664,11 +661,6 @@ int main(int argc, char** argv) {
     } else {
       std::printf("\n=== metrics ===\n%s\n", hl->Metrics().ToJson().c_str());
     }
-  }
-  if (dump_trace) {
-    // Full surviving window (explicit cap = everything the ring still holds).
-    std::printf("\n=== trace ===\n%s\n",
-                hl->trace().ToJson(hl->trace().capacity()).c_str());
   }
   if (json) {
     jdoc.EndObject();

@@ -40,7 +40,10 @@ fi
 # Paper tables: every table bench (2-6) runs end to end and its headline
 # values must match the committed baseline bit-for-bit — observation and
 # engine-speed work must never perturb the simulation. Table 3 also covers
-# the async read pipeline's batched-fault scenario.
+# the async read pipeline's batched-fault scenario. Every bench that embeds
+# a registry snapshot (tables 2-6, federation_scale, site_disaster) exits
+# non-zero when a tseg accounting-anomaly counter (accounting_dropped,
+# underflow_clamped, overflow_clamped) is not 0.
 echo "==> paper tables 2-6 vs baselines"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -51,6 +54,18 @@ for t in $tables; do
   (cd "$smoke_dir" && "$OLDPWD"/build/bench/"$t" >/dev/null)
   python3 scripts/bench_diff.py "$smoke_dir"/BENCH_"$t".json \
     bench/baselines/"$t".json
+done
+
+# Ablation and policy-trace pins: the section-5 ablations and the
+# environment-trace policy study write every table cell EXPERIMENTS.md
+# quotes to BENCH json, which must match the committed baselines.
+echo "==> ablations + policy traces vs baselines"
+pinned="ablation_policies policy_trace_bench"
+cmake --build --preset default --target $pinned -j "$jobs" >/dev/null
+for b in $pinned; do
+  (cd "$smoke_dir" && "$OLDPWD"/build/bench/"$b" >/dev/null)
+  python3 scripts/bench_diff.py "$smoke_dir"/BENCH_"$b".json \
+    bench/baselines/"$b".json
 done
 
 # Engine-ops gate: the TsegTable bookkeeping indices must agree with their

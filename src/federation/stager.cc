@@ -173,8 +173,6 @@ int StagerScheduler::RouteShard(int shard, const std::vector<size_t>& load) {
     if (peer >= 0 && static_cast<size_t>(peer) < shards_.size() &&
         !quarantined_[peer] && !ShardSiteDown(peer)) {
       stats_.failover_fetches++;
-      tracer_.Record(TraceEvent::kFailover, static_cast<uint64_t>(shard),
-                     static_cast<uint64_t>(peer));
       return peer;
     }
     // No healthy peer site: fall through — the home shard is still the
@@ -229,9 +227,16 @@ Status StagerScheduler::Pump() {
     uint64_t quantum = config_.fair_share_quantum;
     while (quantum > 0 && !tenant.fifo.empty()) {
       const uint64_t failovers_before = stats_.failover_fetches.value();
-      int target = RouteShard(tenant.fifo.front().shard, load);
+      const DemandRequest& front = tenant.fifo.front();
+      int target = RouteShard(front.shard, load);
       const bool failed_over =
           stats_.failover_fetches.value() != failovers_before;
+      if (failed_over && spans_ != nullptr) {
+        // The routing decision belongs to the request's own tree.
+        spans_->InstantChildOf(front.admit_span, "site_failover", "stager",
+                               "shard", static_cast<uint64_t>(front.shard),
+                               "peer", static_cast<uint64_t>(target));
+      }
       if (!active[target]) {
         if (config_.drive_tokens != 0 &&
             active_count >= config_.drive_tokens) {

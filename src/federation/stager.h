@@ -35,7 +35,6 @@
 #include "util/metrics.h"
 #include "util/span.h"
 #include "util/status.h"
-#include "util/trace.h"
 
 namespace hl {
 
@@ -109,8 +108,7 @@ class StagerScheduler {
   void SetSiteHealthProvider(const SiteHealthProvider* provider) {
     site_health_ = provider;
   }
-  // Routes failover/steering decisions into a trace ring (kFailover events).
-  void SetTracer(Tracer tracer) { tracer_ = tracer; }
+  void SetTracer(Tracer tracer) { SetSpans(tracer); }  // hlbench only.
   // Causal tracing. Point this at the federation's shared tracer (the
   // ObservabilityHub core) to get one span tree across the stager and the
   // shards it drives: SubmitFetch records a closed "stager_admit" root,
@@ -118,7 +116,8 @@ class StagerScheduler {
   // first admit span — the shard's own fetch spans nest under it through
   // the shared implicit-context stack — and every request in the batch gets
   // a "stager_fanout" leaf under the dispatch, so a coalesced recall's
-  // requests all share one parent.
+  // requests all share one parent. A recall routed to a cross-site peer
+  // records a "site_failover" instant (shard, peer).
   void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
   // --- Admission -----------------------------------------------------------
@@ -200,7 +199,6 @@ class StagerScheduler {
   std::vector<int> failover_peer_;  // -1 = no cross-site peer.
   std::set<int> quarantined_sites_;
   const SiteHealthProvider* site_health_ = nullptr;
-  Tracer tracer_;
   SpanTracer* spans_ = nullptr;
   uint64_t starved_rounds_ = 0;  // Demand rounds maintenance has waited.
 

@@ -21,7 +21,8 @@ Result<uint32_t> BlockMapDriver::ResolveTertiary(uint32_t daddr,
           " (only staging lines are writable)");
     }
     stats_.demand_faults++;
-    tracer_.Record(TraceEvent::kDemandFault, tseg, daddr);
+    RecordInstant(spans_, "demand_fault", "blockmap", "tseg", tseg, "daddr",
+                  daddr);
     if (!fetch_handler_) {
       return Internal("no demand-fetch handler installed");
     }
@@ -37,8 +38,7 @@ Result<uint32_t> BlockMapDriver::ResolveTertiary(uint32_t daddr,
          amap_->OffsetInTseg(daddr);
 }
 
-void BlockMapDriver::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void BlockMapDriver::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }

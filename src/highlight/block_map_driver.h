@@ -18,7 +18,7 @@
 #include "highlight/segment_cache.h"
 #include "util/metrics.h"
 #include "util/status.h"
-#include "util/trace.h"
+#include "util/span.h"
 
 namespace hl {
 
@@ -56,9 +56,11 @@ class BlockMapDriver : public BlockDevice {
   };
   const Stats& stats() const { return stats_; }
 
-  // Re-homes counters into `registry` under "blockmap.*" and emits
-  // demand_fault trace events through `tracer`.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Re-homes counters into `registry` under "blockmap.*".
+  void AttachMetrics(MetricsRegistry* registry);
+  // Records a demand_fault instant (tseg, daddr) on the "blockmap" track
+  // per read of an uncached tertiary address. Null disables.
+  void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
  private:
   // Resolves a tertiary address to the disk address of its cached copy,
@@ -73,7 +75,7 @@ class BlockMapDriver : public BlockDevice {
   std::function<Status(uint32_t)> fetch_handler_;
   std::string name_ = "highlight-blockmap";
   Stats stats_;
-  Tracer tracer_;
+  SpanTracer* spans_ = nullptr;
 };
 
 }  // namespace hl

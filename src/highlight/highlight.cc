@@ -69,7 +69,6 @@ Result<std::unique_ptr<HighLightFs>> HighLightFs::Create(
   }
   auto hl = std::unique_ptr<HighLightFs>(new HighLightFs());
   hl->clock_ = clock;
-  hl->trace_ = std::make_unique<TraceRing>(clock);
   hl->spans_ =
       config.shared_spans != nullptr
           ? std::make_unique<SpanTracer>(config.shared_spans,
@@ -78,9 +77,11 @@ Result<std::unique_ptr<HighLightFs>> HighLightFs::Create(
   hl->timeseries_ = std::make_unique<TimeSeriesSampler>(
       config.timeseries_cadence_us, config.timeseries_capacity);
   hl->faults_ = std::make_unique<FaultInjector>(clock, config.fault_seed);
-  hl->faults_->AttachMetrics(&hl->metrics_, Tracer(hl->trace_.get()));
+  hl->faults_->AttachMetrics(&hl->metrics_);
+  hl->faults_->SetSpans(hl->spans_.get());
   hl->health_ = std::make_unique<HealthRegistry>(config.health);
-  hl->health_->AttachMetrics(&hl->metrics_, Tracer(hl->trace_.get()));
+  hl->health_->AttachMetrics(&hl->metrics_);
+  hl->health_->SetSpans(hl->spans_.get());
   hl->retry_policy_ = config.retry;
   if (config.shared_bus) {
     hl->bus_.emplace("scsi0");
@@ -109,8 +110,7 @@ Result<std::unique_ptr<HighLightFs>> HighLightFs::Create(
   for (const auto& spec : config.jukeboxes) {
     hl->jukeboxes_.push_back(std::make_unique<Jukebox>(
         spec.profile, clock, bus, spec.write_once));
-    hl->jukeboxes_.back()->AttachMetrics(&hl->metrics_,
-                                         Tracer(hl->trace_.get()));
+    hl->jukeboxes_.back()->AttachMetrics(&hl->metrics_);
     hl->jukeboxes_.back()->AttachFaults(hl->faults_.get());
     hl->jukeboxes_.back()->SetSpans(hl->spans_.get());
     jukeboxes.push_back(hl->jukeboxes_.back().get());
@@ -163,7 +163,7 @@ Result<std::unique_ptr<HighLightFs>> HighLightFs::Create(
       hl->concat_.get(), hl->footprint_.get(), hl->amap_.get(), clock,
       kDefaultReservedBlocks, params.seg_size_blocks);
   hl->io_server_->set_async_reads(hl->async_read_pipeline_);
-  hl->io_server_->AttachMetrics(&hl->metrics_, Tracer(hl->trace_.get()));
+  hl->io_server_->AttachMetrics(&hl->metrics_);
   hl->io_server_->set_retry_policy(hl->retry_policy_);
   hl->io_server_->SetHealth(hl->health_.get());
   hl->io_server_->SetSpans(hl->spans_.get());
@@ -229,13 +229,13 @@ HighLightFs::~HighLightFs() {
 }
 
 Status HighLightFs::WireFsComponents() {
-  const Tracer tracer(trace_.get());
   cache_ = std::make_unique<SegmentCache>(fs_.get(), cache_replacement_);
   RETURN_IF_ERROR(cache_->Init());
-  cache_->AttachMetrics(&metrics_, tracer);
+  cache_->AttachMetrics(&metrics_);
   cache_->SetSpans(spans_.get());
   blockmap_->SetCache(cache_.get());
-  blockmap_->AttachMetrics(&metrics_, tracer);
+  blockmap_->AttachMetrics(&metrics_);
+  blockmap_->SetSpans(spans_.get());
 
   tsegs_ = std::make_unique<TsegTable>(fs_.get(), amap_.get());
   RETURN_IF_ERROR(tsegs_->Load());
@@ -266,7 +266,7 @@ Status HighLightFs::WireFsComponents() {
 
   service_ = std::make_unique<ServiceProcess>(cache_.get(), io_server_.get(),
                                               clock_);
-  service_->AttachMetrics(&metrics_, tracer);
+  service_->AttachMetrics(&metrics_);
   service_->SetSpans(spans_.get());
   service_->set_sequential_readahead(sequential_readahead_);
   service_->set_async_read_pipeline(async_read_pipeline_);
@@ -286,7 +286,7 @@ Status HighLightFs::WireFsComponents() {
   migrator_ = std::make_unique<Migrator>(fs_.get(), blockmap_.get(),
                                          cache_.get(), io_server_.get(),
                                          tsegs_.get(), amap_.get(), clock_);
-  migrator_->AttachMetrics(&metrics_, tracer);
+  migrator_->AttachMetrics(&metrics_);
   migrator_->SetHealth(health_.get());
   migrator_->SetSpans(spans_.get());
   // A remount mid-delayed-copyout leaves staging lines whose segments the
@@ -296,13 +296,15 @@ Status HighLightFs::WireFsComponents() {
   tertiary_cleaner_ = std::make_unique<TertiaryCleaner>(
       fs_.get(), blockmap_.get(), migrator_.get(), cache_.get(),
       service_.get(), tsegs_.get(), amap_.get(), footprint_.get());
-  tertiary_cleaner_->AttachMetrics(&metrics_, tracer);
+  tertiary_cleaner_->AttachMetrics(&metrics_);
+  tertiary_cleaner_->SetSpans(spans_.get());
 
   scrubber_ = std::make_unique<Scrubber>(footprint_.get(), tsegs_.get(),
                                          amap_.get(), clock_);
   scrubber_->SetHealth(health_.get());
   scrubber_->set_retry_policy(retry_policy_);
-  scrubber_->AttachMetrics(&metrics_, tracer);
+  scrubber_->AttachMetrics(&metrics_);
+  scrubber_->SetSpans(spans_.get());
 
   access_tracker_ = std::make_unique<AccessRangeTracker>();
   fs_->SetReadObserver([tracker = access_tracker_.get(),
@@ -312,7 +314,8 @@ Status HighLightFs::WireFsComponents() {
   });
 
   cleaner_ = std::make_unique<Cleaner>(fs_.get());
-  cleaner_->AttachMetrics(&metrics_, tracer);
+  cleaner_->AttachMetrics(&metrics_);
+  cleaner_->SetSpans(spans_.get());
   fs_->SetNoSpaceHandler([cleaner = cleaner_.get()]() {
     Result<uint32_t> done = cleaner->Clean(8);
     return done.ok() && *done > 0;
@@ -345,7 +348,7 @@ Status HighLightFs::Remount() {
   fs_.reset();
   LfsParams params;  // Geometry is re-read from the superblock.
   ASSIGN_OR_RETURN(fs_, Lfs::Mount(blockmap_.get(), clock_, params));
-  trace_->Record(TraceEvent::kRemount, 0, 0);
+  spans_->Instant("remount", "highlight");
   return WireFsComponents();
 }
 

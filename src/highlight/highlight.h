@@ -47,7 +47,6 @@
 #include "util/metrics.h"
 #include "util/span.h"
 #include "util/timeseries.h"
-#include "util/trace.h"
 
 namespace hl {
 
@@ -263,18 +262,19 @@ class HighLightFs : public FetchBackend, public SiteStore {
   Status Remount();
 
   // The unified observability surface. All component counters live in one
-  // registry; the trace ring records structured events stamped with SimClock
-  // time. Metrics() refreshes the derived gauges (per-device busy time,
+  // registry. Metrics() refreshes the derived gauges (per-device busy time,
   // cache hit rate, prefetch accuracy, LFS/migrator lifetime totals) and
   // returns a consistent snapshot.
   MetricsRegistry& metrics() { return metrics_; }
-  TraceRing& trace() { return *trace_; }
   MetricsSnapshot Metrics();
 
   // Causal span tracer shared by every daemon and device: one span tree per
-  // demand fetch / migration, exportable as a Perfetto timeline. Survives
-  // Remount (rebuilt components re-attach to it).
+  // demand fetch / migration, plus instants for the moments in between
+  // (faults, CRC mismatches, health changes, remounts), exportable as a
+  // Perfetto timeline. Survives Remount (rebuilt components re-attach to
+  // it).
   SpanTracer& spans() { return *spans_; }
+  SpanTracer& trace() { return *spans_; }  // hlbench only.
   // Time-series telemetry: gauges sampled on a fixed sim-time cadence via
   // the clock's tick hook (cadence 0 in the config disables sampling).
   TimeSeriesSampler& timeseries() { return *timeseries_; }
@@ -352,7 +352,6 @@ class HighLightFs : public FetchBackend, public SiteStore {
   bool sequential_readahead_ = false;
   bool async_read_pipeline_ = false;
   MetricsRegistry metrics_;
-  std::unique_ptr<TraceRing> trace_;
   std::unique_ptr<SpanTracer> spans_;
   std::unique_ptr<TimeSeriesSampler> timeseries_;
   SimClock::TickHookId tick_hook_id_ = 0;

@@ -27,8 +27,7 @@ IoServer::IoServer(BlockDevice* raw_disk, Footprint* footprint,
       reserved_blocks_(reserved_blocks),
       seg_size_blocks_(seg_size_blocks) {}
 
-void IoServer::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void IoServer::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }
@@ -108,8 +107,6 @@ Status IoServer::RetrySync(uint32_t tseg, uint32_t volume,
       retry.Annotate("backoff_us", std::to_string(backoff));
       stats_.retries++;
       stats_.retry_backoff_us += backoff;
-      tracer_.Record(TraceEvent::kRetry, tseg,
-                     static_cast<uint64_t>(try_no - 1));
       clock_->Advance(backoff);
     }
     s = attempt();
@@ -159,7 +156,8 @@ Status IoServer::VerifyCrc(uint32_t source, uint32_t crc, uint32_t volume) {
     return OkStatus();
   }
   stats_.crc_mismatches++;
-  tracer_.Record(TraceEvent::kCrcMismatch, source, volume);
+  RecordInstant(spans_, "crc_mismatch", "io", "tseg", source, "volume",
+                volume);
   return Corruption("tseg " + std::to_string(source) +
                     ": CRC mismatch on fetched image");
 }
@@ -196,8 +194,8 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
     SpanScope failover;  // Each extra source tried is a failover child.
     if (i > 0) {
       stats_.failovers++;
-      tracer_.Record(TraceEvent::kFailover, tseg, candidates[i]);
       failover = SpanScope(spans_, "failover", "io");
+      failover.Annotate("tseg", std::to_string(tseg));
       failover.Annotate("source", std::to_string(candidates[i]));
     }
     last = ReadTertiaryCopy(candidates[i], buf);
@@ -219,6 +217,7 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
   // image already sits in the line unless the line could not be lent) and a
   // raw write to the cache line.
   SpanScope install(spans_, "install", "io");
+  install.Annotate("tseg", std::to_string(tseg));
   install.Annotate("disk_seg", std::to_string(disk_seg));
   SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
   clock_->Advance(copy);
@@ -231,7 +230,6 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
   stats_.segments_fetched++;
   stats_.bytes_fetched += seg_bytes;
   fetch_latency_us_.Observe(clock_->Now() - fetch_start);
-  tracer_.Record(TraceEvent::kSegFetch, tseg, disk_seg);
   return OkStatus();
 }
 
@@ -242,6 +240,7 @@ Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
 
   SpanScope span(spans_, "copyout", "io");
   span.Annotate("tseg", std::to_string(tseg));
+  span.Annotate("disk_seg", std::to_string(disk_seg));
   SimTime t0 = clock_->Now();
   RETURN_IF_ERROR(raw_disk_->ReadBlocks(DiskSegFirstBlock(disk_seg),
                                         seg_size_blocks_, buf));
@@ -259,7 +258,8 @@ Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
   });
   if (write.code() == ErrorCode::kEndOfMedium) {
     stats_.end_of_medium_events++;
-    tracer_.Record(TraceEvent::kEndOfMedium, tseg, volume);
+    RecordInstant(spans_, "end_of_medium", "io", "tseg", tseg, "volume",
+                  volume);
     return write;
   }
   RETURN_IF_ERROR(write);
@@ -269,7 +269,6 @@ Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
 
   stats_.segments_copied_out++;
   stats_.bytes_copied_out += seg_bytes;
-  tracer_.Record(TraceEvent::kCopyOut, tseg, disk_seg);
   return OkStatus();
 }
 
@@ -333,7 +332,8 @@ Status IoServer::TryIssue() {
     const SimTime stall =
         oldest > clock_->Now() ? oldest - clock_->Now() : 0;
     stats_.queue_stall_us += stall;
-    tracer_.Record(TraceEvent::kQueueStall, queue_.size(), stall);
+    RecordInstant(spans_, "queue_stall", "io", "depth", queue_.size(),
+                  "stall_us", stall);
     clock_->AdvanceTo(oldest);
     while (WindowHasRoom() && PickIndex() < queue_.size()) {
       RETURN_IF_ERROR(IssueNext());
@@ -459,6 +459,7 @@ Status IoServer::IssueOne(PendingOp& op) {
                                                    : "issue_copyout",
                   "io");
   issue.Annotate("tseg", std::to_string(op.tseg));
+  issue.Annotate("disk_seg", std::to_string(op.disk_seg));
 
   // The staging-line read and memory copy still run synchronously — they
   // contend for the disk arm (the reason delayed copy-out exists at all).
@@ -493,13 +494,13 @@ Status IoServer::IssueOne(PendingOp& op) {
     const SimTime backoff = retry_.BackoffFor(try_no);
     stats_.retries++;
     stats_.retry_backoff_us += backoff;
-    tracer_.Record(TraceEvent::kRetry, op.tseg,
-                   static_cast<uint64_t>(try_no));
     if (spans_ != nullptr) {
       // The backoff happens in the device's future, not on the caller's
       // clock — record it as a pre-timed span on the issue branch.
-      spans_->AddComplete("retry", "io", issue.id(), earliest,
-                          earliest + backoff);
+      const SpanId retry = spans_->AddComplete("retry", "io", issue.id(),
+                                               earliest, earliest + backoff);
+      spans_->Annotate(retry, "tseg", std::to_string(op.tseg));
+      spans_->Annotate(retry, "attempt", std::to_string(try_no));
     }
     earliest += backoff;
     end = footprint_->ScheduleWrite(earliest, static_cast<int>(volume),
@@ -508,7 +509,8 @@ Status IoServer::IssueOne(PendingOp& op) {
   if (!end.ok()) {
     if (end.status().code() == ErrorCode::kEndOfMedium) {
       stats_.end_of_medium_events++;
-      tracer_.Record(TraceEvent::kEndOfMedium, op.tseg, volume);
+      RecordInstant(spans_, "end_of_medium", "io", "tseg", op.tseg, "volume",
+                    volume);
     } else if (health_ != nullptr && Retryable(end.status())) {
       health_->RecordVolumeFailure(volume);
     }
@@ -530,9 +532,6 @@ Status IoServer::IssueOne(PendingOp& op) {
   stats_.segments_copied_out++;
   stats_.bytes_copied_out += seg_bytes;
   copyout_latency_us_.Observe(*end - issue_start);
-  tracer_.Record(op.kind == OpKind::kReplicaWrite ? TraceEvent::kReplicaWrite
-                                                  : TraceEvent::kCopyOut,
-                 op.tseg, op.disk_seg);
   return Deliver(op, OkStatus());
 }
 
@@ -578,31 +577,31 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
   uint32_t read_crc = 0;
   Result<SimTime> end = footprint_->ScheduleRead(
       clock_->Now(), static_cast<int>(volume), offset, buf, &read_crc);
-  if (!end.ok()) {
-    if (done) {
-      done(end.status(), 0);
-    }
-    return end.status();
-  }
   // The data moved synchronously even though device time completes later,
   // so the image can be verified now; a corrupted prefetch is dropped here
-  // rather than poisoning a cache line at install time.
-  Status crc = VerifyCrc(source, read_crc, volume);
-  if (!crc.ok()) {
-    if (health_ != nullptr) {
+  // rather than poisoning a cache line at install time. Either way the read
+  // reports to the volume's health like every other tertiary read.
+  const Status s =
+      end.ok() ? VerifyCrc(source, read_crc, volume) : end.status();
+  if (health_ != nullptr) {
+    if (s.ok()) {
+      health_->RecordVolumeSuccess(volume);
+    } else if (Retryable(s)) {
       health_->RecordVolumeFailure(volume);
     }
+  }
+  if (!s.ok()) {
     if (done) {
-      done(crc, 0);
+      done(s, 0);
     }
-    return crc;
+    return s;
   }
   if (spans_ != nullptr) {
     spans_->AddComplete("tertiary_read", "tertiary", span.id(), t0, *end);
   }
   phases_.Add(phase_footprint_, *end - t0);
   stats_.prefetches_scheduled++;
-  tracer_.Record(TraceEvent::kPrefetch, tseg, *end - t0);
+  span.Annotate("device_us", std::to_string(*end - t0));
   if (done) {
     done(OkStatus(), *end);
   }
@@ -691,7 +690,8 @@ Status IoServer::EnqueueDemandRead(uint32_t tseg, uint32_t install_seg,
     }
     op.readers.push_back(std::move(done));
     stats_.reads_coalesced++;
-    tracer_.Record(TraceEvent::kReadCoalesce, tseg, op.readers.size());
+    RecordInstant(spans_, "read_coalesce", "io", "tseg", tseg, "waiters",
+                  op.readers.size());
     return reads_held_ ? OkStatus() : TryIssue();
   }
   PendingOp op;
@@ -714,8 +714,8 @@ Status IoServer::EnqueuePrefetchRead(uint32_t tseg, uint32_t install_seg,
     // Already on its way (whatever the class): ride the queued transfer.
     queue_[idx].readers.push_back(std::move(done));
     stats_.reads_coalesced++;
-    tracer_.Record(TraceEvent::kReadCoalesce, tseg,
-                   queue_[idx].readers.size());
+    RecordInstant(spans_, "read_coalesce", "io", "tseg", tseg, "waiters",
+                  queue_[idx].readers.size());
     return OkStatus();
   }
   PendingOp op;
@@ -749,7 +749,8 @@ Status IoServer::EnsureReadIssued(uint32_t tseg) {
     const SimTime oldest = *outstanding_.begin();
     const SimTime stall = oldest > clock_->Now() ? oldest - clock_->Now() : 0;
     stats_.queue_stall_us += stall;
-    tracer_.Record(TraceEvent::kQueueStall, queue_.size(), stall);
+    RecordInstant(spans_, "queue_stall", "io", "depth", queue_.size(),
+                  "stall_us", stall);
     clock_->AdvanceTo(oldest);
   }
 }
@@ -821,11 +822,11 @@ Status IoServer::ScheduleTertiaryCopy(uint32_t source, std::span<uint8_t> buf,
       const SimTime backoff = retry_.BackoffFor(try_no - 1);
       stats_.retries++;
       stats_.retry_backoff_us += backoff;
-      tracer_.Record(TraceEvent::kRetry, source,
-                     static_cast<uint64_t>(try_no - 1));
       if (spans_ != nullptr) {
-        spans_->AddComplete("retry", "io", parent_span, earliest,
-                            earliest + backoff);
+        const SpanId retry = spans_->AddComplete(
+            "retry", "io", parent_span, earliest, earliest + backoff);
+        spans_->Annotate(retry, "tseg", std::to_string(source));
+        spans_->Annotate(retry, "attempt", std::to_string(try_no - 1));
       }
       earliest += backoff;
     }
@@ -880,8 +881,8 @@ Status IoServer::IssueRead(PendingOp& op) {
     SpanScope failover;  // Each extra source tried is a failover child.
     if (i > 0) {
       stats_.failovers++;
-      tracer_.Record(TraceEvent::kFailover, op.tseg, candidates[i]);
       failover = SpanScope(spans_, "failover", "io");
+      failover.Annotate("tseg", std::to_string(op.tseg));
       failover.Annotate("source", std::to_string(candidates[i]));
     }
     last = ScheduleTertiaryCopy(candidates[i], buf, issue.id(), &end_time);
@@ -906,6 +907,7 @@ Status IoServer::IssueRead(PendingOp& op) {
     // unless the line could not be lent) and a raw disk write. The line is
     // usable once both the disk write and the tertiary transfer completed.
     SpanScope install(spans_, "install", "io");
+    install.Annotate("tseg", std::to_string(op.tseg));
     install.Annotate("disk_seg", std::to_string(op.disk_seg));
     const SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
     clock_->Advance(copy);
@@ -919,7 +921,6 @@ Status IoServer::IssueRead(PendingOp& op) {
     ready = std::max(ready, clock_->Now());
     stats_.segments_fetched++;
     stats_.bytes_fetched += seg_bytes;
-    tracer_.Record(TraceEvent::kSegFetch, op.tseg, op.disk_seg);
   }
   outstanding_.insert(end_time);
   pipeline_busy_until_ = std::max(pipeline_busy_until_, end_time);
@@ -928,7 +929,7 @@ Status IoServer::IssueRead(PendingOp& op) {
     fetch_latency_us_.Observe(ready - op.enqueued_at);
   } else {
     stats_.prefetches_scheduled++;
-    tracer_.Record(TraceEvent::kPrefetch, op.tseg, end_time - issue_start);
+    issue.Annotate("device_us", std::to_string(end_time - issue_start));
   }
   return DeliverRead(op, OkStatus(), ready);
 }

@@ -44,7 +44,6 @@
 #include "util/metrics.h"
 #include "util/span.h"
 #include "util/status.h"
-#include "util/trace.h"
 
 namespace hl {
 
@@ -253,15 +252,15 @@ class IoServer {
   };
   const Stats& stats() const { return stats_; }
 
-  // Re-homes counters into `registry` under "io.*", binds the fetch/copy-out
-  // latency histograms, and emits seg_fetch / copyout / replica_write /
-  // queue_stall / end_of_medium trace events through `tracer`.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Re-homes counters into `registry` under "io.*" and binds the
+  // fetch/copy-out latency histograms.
+  void AttachMetrics(MetricsRegistry* registry);
 
   // Causal span tracing on the "io" lane: fetch with retry / failover /
   // install children, sync + queued copy-outs (queued ops capture the
   // enqueuer's TraceContext so issue-time spans keep their causal parent),
-  // prefetch reads and drains. Null disables.
+  // prefetch reads and drains; crc_mismatch, end_of_medium, queue_stall and
+  // read_coalesce instants. Null disables.
   void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
   // Extra per-byte CPU cost of the user-space staging copies (tertiary <->
@@ -377,7 +376,6 @@ class IoServer {
   Stats stats_;
   Histogram fetch_latency_us_;    // Demand-fetch wall time.
   Histogram copyout_latency_us_;  // Issue-to-device-completion per copy-out.
-  Tracer tracer_;
   SpanTracer* spans_ = nullptr;
   std::shared_ptr<std::vector<uint8_t>> transfer_image_;
 

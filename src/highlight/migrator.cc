@@ -7,8 +7,7 @@
 
 namespace hl {
 
-void Migrator::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void Migrator::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }
@@ -384,7 +383,6 @@ Result<uint32_t> Migrator::RetargetSegment(uint32_t old_tseg) {
   staged_.erase(old_tseg);
   staged_.emplace(new_tseg, std::move(updated));
   ++retargets_;
-  tracer_.Record(TraceEvent::kRetarget, old_tseg, new_tseg);
   return new_tseg;
 }
 
@@ -513,8 +511,8 @@ Status Migrator::MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
   }
   if (migrated_any) {
     report.files_migrated++;
-    tracer_.Record(TraceEvent::kMigrateFile, ino,
-                   report.blocks_migrated - blocks_before);
+    span.Annotate("blocks",
+                  std::to_string(report.blocks_migrated - blocks_before));
   }
   return OkStatus();
 }

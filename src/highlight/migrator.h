@@ -34,7 +34,6 @@
 #include "util/health.h"
 #include "util/metrics.h"
 #include "util/span.h"
-#include "util/trace.h"
 
 namespace hl {
 
@@ -145,9 +144,8 @@ class Migrator {
 
   const MigrationReport& lifetime_report() const { return lifetime_; }
 
-  // Re-homes counters into `registry` under "migrator.*" and emits
-  // migrate_file / retarget trace events through `tracer`.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Re-homes counters into `registry` under "migrator.*".
+  void AttachMetrics(MetricsRegistry* registry);
 
   // Span tracing on the "migrator" lane: ranking, per-file staging, segment
   // completion, retargets and the flush barrier each open a span, so the
@@ -226,7 +224,6 @@ class Migrator {
   MigrationReport lifetime_;
   Counter retargets_;
   Counter volumes_retired_;
-  Tracer tracer_;
   SpanTracer* spans_ = nullptr;
   // First error a pipeline completion callback could not return to its
   // caller; FlushStaging reports (and clears) it.

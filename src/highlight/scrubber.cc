@@ -7,8 +7,7 @@
 
 namespace hl {
 
-void Scrubber::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void Scrubber::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }
@@ -27,8 +26,8 @@ Status Scrubber::ReadWithRetry(uint32_t tseg, std::span<uint8_t> buf,
   Status s = OkStatus();
   for (int try_no = 1; try_no <= retry_.max_attempts; ++try_no) {
     if (try_no > 1) {
-      tracer_.Record(TraceEvent::kRetry, tseg,
-                     static_cast<uint64_t>(try_no - 1));
+      RecordInstant(spans_, "scrub_retry", "scrub", "tseg", tseg, "attempt",
+                    static_cast<uint64_t>(try_no - 1));
       clock_->Advance(retry_.BackoffFor(try_no - 1));
     }
     s = footprint_->Read(static_cast<int>(volume), offset, buf, crc);
@@ -80,7 +79,8 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
   }
 
   stats_.corruptions_detected++;
-  tracer_.Record(TraceEvent::kCrcMismatch, tseg, volume);
+  RecordInstant(spans_, "crc_mismatch", "scrub", "tseg", tseg, "volume",
+                volume);
   if (health_ != nullptr) {
     health_->RecordVolumeFailure(volume);
   }
@@ -111,7 +111,8 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
       tsegs_->SetCrc(tseg, good_crc);
       lost_.erase(tseg);
       stats_.repairs++;
-      tracer_.Record(TraceEvent::kScrubRepair, tseg, candidate);
+      RecordInstant(spans_, "scrub_repair", "scrub", "tseg", tseg, "source",
+                    candidate);
       return Outcome::kRepaired;
     }
     // WORM media (or a dying drive) refuse the rewrite; other copies would
@@ -131,14 +132,16 @@ Result<Scrubber::Outcome> Scrubber::ScrubOne(uint32_t tseg) {
         lost_.erase(tseg);
         stats_.repairs++;
         stats_.remote_repairs++;
-        tracer_.Record(TraceEvent::kScrubRepair, tseg, kRemoteRepairSource);
+        RecordInstant(spans_, "scrub_repair", "scrub", "tseg", tseg, "source",
+                      kRemoteRepairSource);
         return Outcome::kRepaired;
       }
     }
   }
   lost_.insert(tseg);
   stats_.unrecoverable_losses++;
-  tracer_.Record(TraceEvent::kScrubLoss, tseg, volume);
+  RecordInstant(spans_, "scrub_loss", "scrub", "tseg", tseg, "volume",
+                volume);
   return Outcome::kLost;
 }
 

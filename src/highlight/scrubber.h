@@ -26,7 +26,7 @@
 #include "util/fault_injector.h"
 #include "util/health.h"
 #include "util/metrics.h"
-#include "util/trace.h"
+#include "util/span.h"
 
 namespace hl {
 
@@ -84,8 +84,11 @@ class Scrubber {
   };
   const Stats& stats() const { return stats_; }
 
-  // Binds scrub.* counters and routes scrub_repair / scrub_loss events.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Binds scrub.* counters into `registry`.
+  void AttachMetrics(MetricsRegistry* registry);
+  // Records scrub_retry / crc_mismatch / scrub_repair / scrub_loss instants
+  // on the "scrub" track. Null disables.
+  void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
  private:
   enum class Outcome { kSkipped, kClean, kRepaired, kLost };
@@ -113,7 +116,7 @@ class Scrubber {
   uint32_t cursor_ = 0;  // Next tseg ScrubStep examines.
   std::set<uint32_t> lost_;
   Stats stats_;
-  Tracer tracer_;
+  SpanTracer* spans_ = nullptr;
 };
 
 }  // namespace hl

@@ -224,7 +224,8 @@ Result<uint32_t> SegmentCache::AllocLine(uint32_t tseg, bool staging,
   EmplaceLine(line);
   if (staging) {
     ++staged_lines_;
-    tracer_.Record(TraceEvent::kCacheStage, tseg, disk_seg);
+    RecordInstant(spans_, "cache_stage", "cache", "tseg", tseg, "disk_seg",
+                  disk_seg);
   }
   if (counted_prefetch) {
     ++prefetches_installed_;
@@ -275,7 +276,7 @@ Status SegmentCache::Eject(uint32_t tseg) {
   RetirePrefetchedOnDrop(*line);
   SpanScope span(spans_, "evict", "cache");
   span.Annotate("tseg", std::to_string(tseg));
-  tracer_.Record(TraceEvent::kCacheEvict, tseg, disk_seg);
+  span.Annotate("disk_seg", std::to_string(disk_seg));
   EraseLine(tseg);
   free_.push_back(disk_seg);
   RETURN_IF_ERROR(
@@ -393,8 +394,7 @@ SegmentCache::Stats SegmentCache::Snapshot() const {
   return s;
 }
 
-void SegmentCache::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void SegmentCache::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }

@@ -25,7 +25,6 @@
 #include "util/rng.h"
 #include "util/span.h"
 #include "util/status.h"
-#include "util/trace.h"
 
 namespace hl {
 
@@ -134,12 +133,12 @@ class SegmentCache {
   };
   Stats Snapshot() const;
 
-  // Re-homes counters into `registry` under "cache.*" and emits cache_evict /
-  // cache_stage trace events through `tracer`.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Re-homes counters into `registry` under "cache.*".
+  void AttachMetrics(MetricsRegistry* registry);
 
   // Span tracing on the "cache" lane: evictions become spans nested under
-  // whoever forced them (a demand fetch or a staging alloc). Null disables.
+  // whoever forced them (a demand fetch or a staging alloc), and pinning a
+  // staging line records a cache_stage instant. Null disables.
   void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
  private:
@@ -182,7 +181,6 @@ class SegmentCache {
   Counter inflight_waits_;
   Counter inflight_completed_;
   Counter inflight_aborted_;
-  Tracer tracer_;
   SpanTracer* spans_ = nullptr;
 };
 

@@ -6,8 +6,7 @@
 
 namespace hl {
 
-void ServiceProcess::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void ServiceProcess::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }
@@ -230,6 +229,7 @@ void ServiceProcess::MaybeReadahead(uint32_t tseg) {
   }
   SpanScope span(spans_, "readahead", "service");
   span.Annotate("tseg", std::to_string(next));
+  span.Annotate("trigger", std::to_string(tseg));
   auto image = std::make_shared<std::vector<uint8_t>>(io_->SegBytes());
   Status s;
   if (async_reads_) {
@@ -260,14 +260,12 @@ void ServiceProcess::MaybeReadahead(uint32_t tseg) {
     return;
   }
   stats_.readaheads_issued++;
-  tracer_.Record(TraceEvent::kReadahead, next, tseg);
 }
 
 Result<std::vector<ServiceProcess::BatchFetchResult>>
 ServiceProcess::DemandFetchBatch(const std::vector<uint32_t>& tsegs) {
   SpanScope span(spans_, "fetch_batch", "service");
   span.Annotate("requests", std::to_string(tsegs.size()));
-  tracer_.Record(TraceEvent::kFetchBatch, tsegs.size());
   const SimTime t0 = clock_->Now();
   std::vector<BatchFetchResult> out(tsegs.size());
   for (size_t i = 0; i < tsegs.size(); ++i) {

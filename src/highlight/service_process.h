@@ -22,7 +22,6 @@
 #include "util/metrics.h"
 #include "util/span.h"
 #include "util/status.h"
-#include "util/trace.h"
 
 namespace hl {
 
@@ -104,9 +103,9 @@ class ServiceProcess {
   };
   const Stats& stats() const { return stats_; }
 
-  // Re-homes counters into `registry` under "service.*", binds the demand
-  // latency histogram, and emits readahead trace events through `tracer`.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Re-homes counters into `registry` under "service.*" and binds the demand
+  // latency histogram.
+  void AttachMetrics(MetricsRegistry* registry);
 
   // Causal span tracing: DemandFetch opens the root "demand_fetch" span
   // every downstream cache/IO/device span nests under. Null disables.
@@ -148,7 +147,6 @@ class ServiceProcess {
   uint64_t fetch_time_samples_ = 0;
   Stats stats_;
   Histogram demand_latency_us_;  // End-to-end demand-fetch wall time.
-  Tracer tracer_;
   SpanTracer* spans_ = nullptr;
 };
 

@@ -6,8 +6,7 @@
 
 namespace hl {
 
-void TertiaryCleaner::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void TertiaryCleaner::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }
@@ -169,7 +168,8 @@ Result<uint64_t> TertiaryCleaner::CleanVolume(uint32_t volume) {
 
   stats_.volumes_cleaned++;
   stats_.blocks_moved += moved;
-  tracer_.Record(TraceEvent::kCleanVolume, volume, moved);
+  RecordInstant(spans_, "clean_volume", "tcleaner", "volume", volume,
+                "moved_blocks", moved);
   HL_LOG(kInfo, "tcleaner",
          "cleaned volume " + std::to_string(volume) + ": moved " +
              std::to_string(moved) + " live blocks, reclaimed " +

@@ -25,7 +25,7 @@
 #include "lfs/lfs.h"
 #include "tertiary/footprint.h"
 #include "util/metrics.h"
-#include "util/trace.h"
+#include "util/span.h"
 
 namespace hl {
 
@@ -62,9 +62,11 @@ class TertiaryCleaner {
   };
   const Stats& stats() const { return stats_; }
 
-  // Re-homes counters into `registry` under "tcleaner.*" and emits
-  // clean_volume trace events through `tracer`.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Re-homes counters into `registry` under "tcleaner.*".
+  void AttachMetrics(MetricsRegistry* registry);
+  // Records a clean_volume instant (volume, live blocks moved) on the
+  // "tcleaner" track per volume reclaimed. Null disables.
+  void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
  private:
   // Live fraction of a volume: live bytes / written capacity.
@@ -79,7 +81,7 @@ class TertiaryCleaner {
   const AddressMap* amap_;
   Footprint* footprint_;
   Stats stats_;
-  Tracer tracer_;
+  SpanTracer* spans_ = nullptr;
 };
 
 }  // namespace hl

@@ -299,64 +299,4 @@ uint32_t TsegTable::NextFreshTseg(const std::set<uint32_t>& full_volumes,
   return kNoSegment;
 }
 
-uint32_t TsegTable::NextFreshTsegLinear(
-    const std::set<uint32_t>& full_volumes, uint32_t preferred_volume) const {
-  auto scan_volume = [&](uint32_t volume) -> uint32_t {
-    if (full_volumes.count(volume) > 0) {
-      return kNoSegment;
-    }
-    uint32_t first = amap_->FirstTsegOfVolume(volume);
-    for (uint32_t s = 0; s < amap_->segs_per_volume(); ++s) {
-      uint32_t tseg = first + s;
-      if (entries_[tseg].flags & kSegClean) {
-        return tseg;
-      }
-    }
-    return kNoSegment;
-  };
-  if (preferred_volume != kNoSegment &&
-      preferred_volume < amap_->num_volumes()) {
-    uint32_t tseg = scan_volume(preferred_volume);
-    if (tseg != kNoSegment) {
-      return tseg;
-    }
-  }
-  for (uint32_t volume = 0; volume < amap_->num_volumes(); ++volume) {
-    uint32_t tseg = scan_volume(volume);
-    if (tseg != kNoSegment) {
-      return tseg;
-    }
-  }
-  return kNoSegment;
-}
-
-std::vector<uint32_t> TsegTable::ReplicasOfLinear(uint32_t primary) const {
-  std::vector<uint32_t> out;
-  for (uint32_t t = 0; t < entries_.size(); ++t) {
-    if ((entries_[t].flags & kSegReplica) &&
-        entries_[t].cache_tseg == primary) {
-      out.push_back(t);
-    }
-  }
-  return out;
-}
-
-uint64_t TsegTable::TotalLiveBytesLinear() const {
-  uint64_t total = 0;
-  for (const SegUsage& u : entries_) {
-    total += u.live_bytes;
-  }
-  return total;
-}
-
-uint32_t TsegTable::DirtyTsegCountLinear() const {
-  uint32_t n = 0;
-  for (const SegUsage& u : entries_) {
-    if (!(u.flags & kSegClean)) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 }  // namespace hl

@@ -15,8 +15,8 @@
 //   - a primary -> replicas multimap behind ReplicasOf, maintained by
 //     SetReplicaOf and by flag clears through SetFlags,
 //   - incrementally-maintained total-live-bytes / dirty-count aggregates.
-// The O(n) linear-scan forms survive as *Linear reference methods: the
-// property test and bench/engine_ops.cc check the indices against them.
+// The O(n) linear-scan forms live in tests/tseg_reference.h: the property
+// test and bench/engine_ops.cc check the indices against them.
 
 #ifndef HIGHLIGHT_HIGHLIGHT_TSEG_TABLE_H_
 #define HIGHLIGHT_HIGHLIGHT_TSEG_TABLE_H_
@@ -104,16 +104,6 @@ class TsegTable {
   // Aggregates (reporting): incrementally maintained, O(1).
   uint64_t TotalLiveBytes() const { return total_live_bytes_; }
   uint32_t DirtyTsegCount() const { return dirty_count_; }
-
-  // O(n) linear-scan reference implementations of the indexed queries
-  // above — the pre-index code paths, kept for the index property test and
-  // the engine_ops benchmark's indexed-vs-linear comparison. Production
-  // code must not call these.
-  uint32_t NextFreshTsegLinear(const std::set<uint32_t>& full_volumes,
-                               uint32_t preferred_volume = kNoSegment) const;
-  std::vector<uint32_t> ReplicasOfLinear(uint32_t primary) const;
-  uint64_t TotalLiveBytesLinear() const;
-  uint32_t DirtyTsegCountLinear() const;
 
   // In-core CRC32 catalog, stamped at copy-out and checked on every fetch.
   // Deliberately NOT persisted: the tsegfile's on-media format is frozen, so

@@ -7,8 +7,7 @@
 
 namespace hl {
 
-void Cleaner::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void Cleaner::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }
@@ -110,7 +109,8 @@ Status Cleaner::CleanOne(uint32_t seg) {
   (void)sb;
   RETURN_IF_ERROR(fs_->MarkSegmentClean(seg));
   stats_.segments_cleaned++;
-  tracer_.Record(TraceEvent::kCleanPass, seg, stats_.blocks_live);
+  RecordInstant(spans_, "clean_pass", "cleaner", "seg", seg, "live_blocks",
+                stats_.blocks_live);
   return OkStatus();
 }
 

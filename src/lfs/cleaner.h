@@ -14,7 +14,7 @@
 
 #include "lfs/lfs.h"
 #include "util/metrics.h"
-#include "util/trace.h"
+#include "util/span.h"
 
 namespace hl {
 
@@ -45,9 +45,11 @@ class Cleaner {
   };
   const Stats& stats() const { return stats_; }
 
-  // Re-homes counters into `registry` under "cleaner.*" and emits clean_pass
-  // trace events through `tracer`.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Re-homes counters into `registry` under "cleaner.*".
+  void AttachMetrics(MetricsRegistry* registry);
+  // Records a clean_pass instant (segment, live blocks so far) on the
+  // "cleaner" track per segment cleaned. Null disables.
+  void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
  private:
   // Candidate segments ordered best-first under the active policy.
@@ -57,7 +59,7 @@ class Cleaner {
   Lfs* fs_;
   CleanerPolicy policy_;
   Stats stats_;
-  Tracer tracer_;
+  SpanTracer* spans_ = nullptr;
 };
 
 }  // namespace hl

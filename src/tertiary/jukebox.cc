@@ -39,8 +39,7 @@ void Jukebox::SetSpans(SpanTracer* spans) {
   span_track_ = "jukebox." + profile_.name;
 }
 
-void Jukebox::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void Jukebox::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }
@@ -79,8 +78,6 @@ Result<int> Jukebox::EnsureMounted(int slot, bool for_write, SimTime earliest,
   drive.loaded_slot = slot;
   drive.head_pos = 0;
   ++media_swaps_;
-  tracer_.Record(TraceEvent::kVolumeSwitch, static_cast<uint64_t>(slot),
-                 static_cast<uint64_t>(chosen));
   if (spans_ != nullptr) {
     // The swap occupies robot + drive in the device's future; parent it to
     // whatever span is open on the caller's stack right now.

@@ -24,7 +24,6 @@
 #include "util/metrics.h"
 #include "util/span.h"
 #include "util/status.h"
-#include "util/trace.h"
 
 namespace hl {
 
@@ -84,9 +83,8 @@ class Jukebox {
   // Per-volume insertion counts (tape wear, section 6.5 footnote).
   uint64_t insertions(int slot) const { return insertions_[slot]; }
 
-  // Re-homes counters into `registry` under "jukebox.<name>.*" and emits
-  // volume_switch trace events through `tracer`.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Re-homes counters into `registry` under "jukebox.<name>.*".
+  void AttachMetrics(MetricsRegistry* registry);
 
   // Device-lane span tracing: media swaps and transfers are recorded as
   // pre-timed spans on the "jukebox.<name>" track, parented to whatever
@@ -148,7 +146,6 @@ class Jukebox {
   Counter bytes_read_;
   Counter bytes_written_;
   Counter mounted_transfers_;
-  Tracer tracer_;
 };
 
 }  // namespace hl

@@ -147,8 +147,8 @@ FaultOutcome FaultChannel::Emit(FaultOutcome outcome) {
     case FaultOutcome::kNone:
       return outcome;
   }
-  parent_->tracer_.Record(TraceEvent::kFaultInjected, id_,
-                          static_cast<uint64_t>(outcome));
+  RecordInstant(parent_->spans_, "fault_injected", "faults", "channel", id_,
+                "outcome", static_cast<uint64_t>(outcome));
   return outcome;
 }
 
@@ -196,8 +196,8 @@ bool FaultChannel::MaybeCorruptRead(std::span<uint8_t> buf, uint64_t offset) {
     buf[rng_.Below(buf.size())] ^= static_cast<uint8_t>(1u << rng_.Below(8));
   }
   ++parent_->stats_.corruptions;
-  parent_->tracer_.Record(TraceEvent::kFaultInjected, id_,
-                          static_cast<uint64_t>(FaultOutcome::kMediaError));
+  RecordInstant(parent_->spans_, "fault_injected", "faults", "channel", id_,
+                "outcome", static_cast<uint64_t>(FaultOutcome::kMediaError));
   return true;
 }
 
@@ -271,8 +271,7 @@ std::vector<std::string> FaultInjector::ChannelNames() const {
   return names;
 }
 
-void FaultInjector::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void FaultInjector::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }

@@ -27,7 +27,7 @@
 #include "sim/sim_clock.h"
 #include "util/metrics.h"
 #include "util/rng.h"
-#include "util/trace.h"
+#include "util/span.h"
 
 namespace hl {
 
@@ -175,9 +175,11 @@ class FaultInjector {
   };
   const Stats& stats() const { return stats_; }
 
-  // Binds fault.* counters into `registry` and routes kFaultInjected trace
-  // events into `tracer`.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Binds fault.* counters into `registry`.
+  void AttachMetrics(MetricsRegistry* registry);
+  // Records a fault_injected instant (channel, outcome) on the "faults"
+  // track for every injected fault. Null disables.
+  void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
  private:
   friend class FaultChannel;
@@ -187,7 +189,7 @@ class FaultInjector {
   uint32_t next_id_ = 0;
   std::map<std::string, std::unique_ptr<FaultChannel>> channels_;
   Stats stats_;
-  Tracer tracer_;
+  SpanTracer* spans_ = nullptr;
 };
 
 }  // namespace hl

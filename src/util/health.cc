@@ -68,9 +68,9 @@ void HealthRegistry::Transition(const std::string& entity, Entry& e,
       quarantined_volumes_.erase(volume);
     }
   }
-  tracer_.Record(TraceEvent::kHealthChange,
-                 is_volume ? volume : ~static_cast<uint64_t>(0),
-                 static_cast<uint64_t>(next));
+  RecordInstant(spans_, "health_change", "health", "volume",
+                is_volume ? volume : ~static_cast<uint64_t>(0), "state",
+                static_cast<uint64_t>(next));
 }
 
 void HealthRegistry::RecordFailure(const std::string& entity) {
@@ -151,8 +151,7 @@ HealthRegistry::Entries() const {
   return {entries_.begin(), entries_.end()};
 }
 
-void HealthRegistry::AttachMetrics(MetricsRegistry* registry, Tracer tracer) {
-  tracer_ = tracer;
+void HealthRegistry::AttachMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) {
     return;
   }

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "util/metrics.h"
-#include "util/trace.h"
+#include "util/span.h"
 
 namespace hl {
 
@@ -83,8 +83,11 @@ class HealthRegistry {
   };
   const Stats& stats() const { return stats_; }
 
-  // Binds health.* counters and routes kHealthChange trace events.
-  void AttachMetrics(MetricsRegistry* registry, Tracer tracer);
+  // Binds health.* counters into `registry`.
+  void AttachMetrics(MetricsRegistry* registry);
+  // Records a health_change instant (volume, state) on the "health" track
+  // at every state transition. Null disables.
+  void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
  private:
   void Transition(const std::string& entity, Entry& e, HealthState next);
@@ -93,7 +96,7 @@ class HealthRegistry {
   std::map<std::string, Entry> entries_;
   std::set<uint32_t> quarantined_volumes_;
   Stats stats_;
-  Tracer tracer_;
+  SpanTracer* spans_ = nullptr;
 };
 
 }  // namespace hl

@@ -7,7 +7,6 @@ namespace hl {
 ObservabilityHub::ObservabilityHub(SimClock* clock, Config config)
     : clock_(clock),
       config_(config),
-      ring_(clock, config.trace_capacity),
       spans_(clock, config.span_capacity),
       sampler_(config.sample_cadence_us, config.series_capacity) {}
 
@@ -19,13 +18,11 @@ ObservabilityHub::~ObservabilityHub() {
 
 void ObservabilityHub::Register(std::string label,
                                 const MetricsRegistry* metrics,
-                                const TraceRing* trace,
                                 const SpanTracer* spans,
                                 TimeSeriesSampler* sampler) {
   Deployment d;
   d.label = std::move(label);
   d.metrics = metrics;
-  d.trace = trace;
   d.spans = spans;
   d.sampler = sampler;
   deployments_.push_back(std::move(d));
@@ -83,8 +80,8 @@ void ObservabilityHub::EvaluateSlos() {
                                             : v < s.rule.threshold;
     if (breach != s.in_breach) {
       s.in_breach = breach;
-      ring_.Record(breach ? TraceEvent::kSloBreach : TraceEvent::kSloClear,
-                   i, static_cast<uint64_t>(v));
+      spans_.Instant(breach ? "slo_breach" : "slo_clear", "slo", "rule", i,
+                     "value", static_cast<uint64_t>(v));
       if (breach) {
         s.breaches++;
       }

@@ -1,7 +1,7 @@
 // ObservabilityHub: one observability plane over a federation.
 //
 // A federated deployment is N shards and M sites, each with its own
-// MetricsRegistry, TraceRing, SpanTracer and TimeSeriesSampler — useful per
+// MetricsRegistry, SpanTracer and TimeSeriesSampler — useful per
 // deployment, useless for explaining a cross-site p99: the stager queue
 // wait lives in one registry, the WAN failover in another, and no span tree
 // connects them. The hub closes that gap three ways:
@@ -18,8 +18,9 @@
 //     tracer/sampler as separate processes).
 //  3. It watches SLOs over its own time series: each registered rule is
 //     evaluated once per cadence sample, breach/clear transitions are
-//     recorded into the hub trace ring at exact sim times, and in-breach
-//     time accrues into slo.<name>.breach_us / breach_seconds metrics.
+//     recorded as slo_breach / slo_clear instants on the core tracer's
+//     "slo" track at exact sim times, and in-breach time accrues into
+//     slo.<name>.breach_us / breach_seconds metrics.
 //
 // Like every observability surface here, the hub only *reads* the clock:
 // bench tables are bit-identical with the hub installed or absent.
@@ -29,13 +30,13 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/sim_clock.h"
 #include "util/metrics.h"
 #include "util/span.h"
 #include "util/timeseries.h"
-#include "util/trace.h"
 
 namespace hl {
 
@@ -54,7 +55,6 @@ class ObservabilityHub {
     SimTime sample_cadence_us = kUsPerSec;
     size_t series_capacity = 4096;
     size_t span_capacity = 65536;
-    size_t trace_capacity = 4096;
   };
 
   explicit ObservabilityHub(SimClock* clock) : ObservabilityHub(clock, Config{}) {}
@@ -67,7 +67,7 @@ class ObservabilityHub {
   // (HighLightConfig::Builder::SharedSpans, StagerScheduler::SetSpans...).
   SpanTracer& spans() { return spans_; }
   const SpanTracer& spans() const { return spans_; }
-  TraceRing& trace() { return ring_; }
+  SpanTracer& trace() { return spans_; }  // hlbench only.
   MetricsRegistry& metrics() { return metrics_; }
   TimeSeriesSampler& timeseries() { return sampler_; }
   const TimeSeriesSampler& timeseries() const { return sampler_; }
@@ -78,15 +78,20 @@ class ObservabilityHub {
   // the namespacing order in MergedSnapshot and the process order in
   // MergedTimelineJson, so keep it deterministic.
   void Register(std::string label, const MetricsRegistry* metrics,
-                const TraceRing* trace, const SpanTracer* spans,
-                TimeSeriesSampler* sampler);
+                const SpanTracer* spans, TimeSeriesSampler* sampler);
+  // hlbench only: the retired event-ring slot, ignored.
+  void Register(std::string label, const MetricsRegistry* metrics,
+                const SpanTracer* /*ring*/, const SpanTracer* spans,
+                TimeSeriesSampler* sampler) {
+    Register(std::move(label), metrics, spans, sampler);
+  }
 
   // Adds a probe to the hub's own sampler (federation-level series the SLO
   // watcher can evaluate: "stager.queue_depth", "wan.inflight_bytes", ...).
   void AddSeries(std::string name, TimeSeriesSampler::Probe probe);
 
-  // Registers an SLO rule; returns its index (the `a` argument of the
-  // slo_breach / slo_clear trace events). Binds slo.<name>.breaches,
+  // Registers an SLO rule; returns its index (the `rule` argument of the
+  // slo_breach / slo_clear instants). Binds slo.<name>.breaches,
   // slo.<name>.breach_us counters and a slo.<name>.breach_seconds gauge
   // into the hub registry.
   size_t AddSlo(SloRule rule);
@@ -120,7 +125,6 @@ class ObservabilityHub {
   struct Deployment {
     std::string label;
     const MetricsRegistry* metrics = nullptr;
-    const TraceRing* trace = nullptr;
     const SpanTracer* spans = nullptr;
     TimeSeriesSampler* sampler = nullptr;
   };
@@ -137,7 +141,6 @@ class ObservabilityHub {
   SimClock* clock_;
   Config config_;
   MetricsRegistry metrics_;
-  TraceRing ring_;
   SpanTracer spans_;
   TimeSeriesSampler sampler_;
   std::vector<Deployment> deployments_;

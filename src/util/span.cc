@@ -96,6 +96,9 @@ void SpanTracer::Annotate(SpanId id, std::string_view key,
     delegate_->Annotate(id, key, value);
     return;
   }
+  if (id == kNoSpan) {
+    return;  // Never match an instant in the window.
+  }
   SpanRecord* rec = FindOpen(id);
   if (rec == nullptr) {
     // Recently completed (AddComplete) spans are annotated after the fact;
@@ -177,6 +180,30 @@ SpanId SpanTracer::AddComplete(std::string_view name, std::string_view track,
   SpanId id = rec.id;
   Retire(std::move(rec));
   return id;
+}
+
+void SpanTracer::InstantChildOf(SpanId parent, std::string_view name,
+                                std::string_view track,
+                                std::string_view a_key, uint64_t a,
+                                std::string_view b_key, uint64_t b) {
+  if (delegate_ != nullptr) {
+    delegate_->InstantChildOf(parent, name, PrefixTrack(track), a_key, a,
+                              b_key, b);
+    return;
+  }
+  SpanRecord rec;
+  rec.parent = parent;
+  rec.begin_us = clock_ != nullptr ? clock_->Now() : 0;
+  rec.end_us = rec.begin_us;
+  rec.name = ViewOf(InternId(name));
+  rec.track = ViewOf(InternId(track));
+  if (!a_key.empty()) {
+    rec.args.emplace_back(ViewOf(InternId(a_key)), std::to_string(a));
+  }
+  if (!b_key.empty()) {
+    rec.args.emplace_back(ViewOf(InternId(b_key)), std::to_string(b));
+  }
+  Retire(std::move(rec));
 }
 
 std::vector<SpanRecord> SpanTracer::Slowest(size_t n) const {
@@ -280,8 +307,9 @@ std::string RenderSpanForest(const SpanTracer::CompletedView& spans) {
       [&](const SpanRecord* s, int depth) {
         out += std::string(static_cast<size_t>(depth) * 2, ' ');
         out += std::string(s->name) + " [" + std::string(s->track) + "] " +
-               std::to_string(s->duration_us()) + "us @" +
-               std::to_string(s->begin_us);
+               (s->instant() ? std::string("instant")
+                             : std::to_string(s->duration_us()) + "us") +
+               " @" + std::to_string(s->begin_us);
         for (const auto& [k, v] : s->args) {
           out += " " + std::string(k) + "=" + v;
         }
@@ -317,14 +345,22 @@ void AppendPerfettoSpanEvents(const SpanTracer& spans, int pid,
             "\"}},\n";
   }
   for (const SpanRecord& s : spans.Completed()) {
-    *out += "  {\"ph\": \"X\", \"name\": \"" + JsonEscape(std::string(s.name)) +
+    // A span is a complete event; an instant is a thread-scoped instant
+    // event on its track's lane, carrying its parent span instead of an id.
+    *out += std::string(s.instant() ? "  {\"ph\": \"i\", \"s\": \"t\""
+                                    : "  {\"ph\": \"X\"") +
+            ", \"name\": \"" + JsonEscape(std::string(s.name)) +
             "\", \"cat\": \"" + JsonEscape(std::string(s.track)) +
-            "\", \"ts\": " + std::to_string(s.begin_us) +
-            ", \"dur\": " + std::to_string(s.duration_us()) +
-            ", \"pid\": " + std::to_string(pid) +
-            ", \"tid\": " + std::to_string(tids[s.track]) +
-            ", \"args\": {\"span_id\": " + std::to_string(s.id) +
-            ", \"parent\": " + std::to_string(s.parent);
+            "\", \"ts\": " + std::to_string(s.begin_us);
+    if (!s.instant()) {
+      *out += ", \"dur\": " + std::to_string(s.duration_us());
+    }
+    *out += ", \"pid\": " + std::to_string(pid) +
+            ", \"tid\": " + std::to_string(tids[s.track]) + ", \"args\": {";
+    if (!s.instant()) {
+      *out += "\"span_id\": " + std::to_string(s.id) + ", ";
+    }
+    *out += "\"parent\": " + std::to_string(s.parent);
     for (const auto& [k, v] : s.args) {
       *out += ", \"" + JsonEscape(std::string(k)) + "\": \"" + JsonEscape(v) +
               "\"";

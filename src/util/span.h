@@ -1,11 +1,14 @@
-// Causal span tracing for the storage hierarchy.
+// Causal span tracing for the storage hierarchy — the system's one event
+// recorder.
 //
-// Where the TraceRing records flat point events ("a fetch happened"), the
-// SpanTracer records *intervals with ancestry*: a demand fetch is one span
-// whose children are the retry backoffs, the failover to a replica, the
-// media swap on the jukebox lane and the final cache-line install — one
+// The SpanTracer records *intervals with ancestry*: a demand fetch is one
+// span whose children are the retry backoffs, the failover to a replica,
+// the media swap on the jukebox lane and the final cache-line install — one
 // navigable tree per tertiary access, which is exactly the decomposition
 // the paper's tables 2-6 are about (robot vs. seek vs. transfer vs. cache).
+// Moments that have no duration of their own (a CRC mismatch, an injected
+// fault, an SLO breach) are *instants*: zero-duration records parented to
+// the innermost open span, so they land inside the tree they interrupted.
 //
 // The simulation is single-threaded, so context propagation is implicit: a
 // stack of open spans makes every Begin() a child of the innermost open
@@ -20,9 +23,7 @@
 // that table, so opening/closing a span allocates nothing once the working
 // set of names is warm. Completed records live in a fixed ring (not a deque
 // of heap-owning records), and per-span args use inline SmallVec storage.
-// JSON/Perfetto rendering reads the interned views back at export time, so
-// TRACE_*.json / BENCH_*.json output is byte-identical to the pre-interning
-// format.
+// JSON/Perfetto rendering reads the interned views back at export time.
 //
 // Observation never perturbs the simulation: the tracer only *reads* the
 // SimClock. Bench tables are bit-identical with tracing on or off.
@@ -74,10 +75,14 @@ struct SpanRecord {
   SimTime duration_us() const {
     return end_us >= begin_us ? end_us - begin_us : 0;
   }
+  // Instants carry no id of their own (nothing nests under or annotates a
+  // point in time), which is what tells them apart from spans.
+  bool instant() const { return id == kNoSpan; }
 };
 
-// Bounded collector of completed spans (oldest dropped beyond `capacity`)
-// plus the stack of currently-open spans. Single-threaded; no locking.
+// Bounded collector of completed spans and instants (oldest dropped beyond
+// `capacity`) plus the stack of currently-open spans. Single-threaded; no
+// locking.
 //
 // A tracer can also be constructed as a *view* over another tracer: every
 // operation forwards to the delegate with the view's track prefix applied,
@@ -116,6 +121,21 @@ class SpanTracer {
   // Returns the new span's id, usable with Annotate.
   SpanId AddComplete(std::string_view name, std::string_view track,
                      SpanId parent, SimTime begin_us, SimTime end_us);
+  // Records a zero-duration instant at the current sim time on `track`,
+  // parented to the innermost open span, with up to two named integer args
+  // (an empty key omits its arg). It joins the completed window like a
+  // span and is evicted the same way.
+  void Instant(std::string_view name, std::string_view track,
+               std::string_view a_key = {}, uint64_t a = 0,
+               std::string_view b_key = {}, uint64_t b = 0) {
+    InstantChildOf(current(), name, track, a_key, a, b_key, b);
+  }
+  // An instant under an explicit parent: a decision taken on behalf of a
+  // queued request joins that request's tree (asynchronous hand-off).
+  void InstantChildOf(SpanId parent, std::string_view name,
+                      std::string_view track, std::string_view a_key = {},
+                      uint64_t a = 0, std::string_view b_key = {},
+                      uint64_t b = 0);
 
   // Interns `s` into the root tracer's string table, returning its small
   // integer id — the MetricsRegistry slot pattern. Begin/Annotate intern
@@ -153,7 +173,7 @@ class SpanTracer {
     }
     return open_.empty() && stack_.empty();
   }
-  // Lifetime count of completed spans, including dropped ones.
+  // Lifetime count of completed spans and instants, including dropped ones.
   uint64_t total_spans() const {
     return delegate_ != nullptr ? delegate_->total_spans() : total_;
   }
@@ -208,7 +228,8 @@ class SpanTracer {
     const SpanTracer* t_;
   };
 
-  // The surviving window of completed spans, oldest completion first.
+  // The surviving window of completed spans and instants, oldest
+  // completion first.
   CompletedView Completed() const { return CompletedView(root()); }
   // The `n` longest completed spans, slowest first.
   std::vector<SpanRecord> Slowest(size_t n) const;
@@ -313,14 +334,28 @@ class SpanScope {
   SpanId id_ = kNoSpan;
 };
 
+// Null-safe SpanTracer::Instant: components built without a tracer record
+// into the void at zero cost.
+inline void RecordInstant(SpanTracer* tracer, std::string_view name,
+                          std::string_view track, std::string_view a_key = {},
+                          uint64_t a = 0, std::string_view b_key = {},
+                          uint64_t b = 0) {
+  if (tracer != nullptr) {
+    tracer->Instant(name, track, a_key, a, b_key, b);
+  }
+}
+
+using Tracer = SpanTracer*;  // hlbench only.
+
 // Text rendering of the completed-span forest: children indented under
 // parents, durations and args inline (the hlfs_inspect --spans view).
 std::string RenderSpanForest(const SpanTracer::CompletedView& spans);
 
 // Chrome/Perfetto trace-event export. AppendPerfettoSpanEvents emits one
-// complete-event ("ph":"X", ts/dur in sim-µs) per span plus process_name /
-// thread_name metadata, one thread lane per distinct track, under process
-// `pid`; PerfettoTraceJson wraps accumulated events into the final
+// complete-event ("ph":"X", ts/dur in sim-µs) per span and one thread-scoped
+// instant event ("ph":"i") per instant, plus process_name / thread_name
+// metadata, one thread lane per distinct track, under process `pid`;
+// PerfettoTraceJson wraps accumulated events into the final
 // {"traceEvents": [...]} document chrome://tracing and ui.perfetto.dev load.
 void AppendPerfettoSpanEvents(const SpanTracer& spans, int pid,
                               const std::string& process_name,

@@ -230,6 +230,72 @@ TEST_F(FailureInjectionTest, FailedDemandFetchLeavesNoReadaheadResidue) {
   EXPECT_EQ(hl->Internals().service.stats().readaheads_wasted, pending);
 }
 
+TEST(ReadaheadHealthTest, SynchronousReadaheadReportsVolumeHealth) {
+  // The synchronous read-ahead is a tertiary read like any other: a good
+  // one counts for its volume's health, and a failed one against it.
+  HighLightConfig config;
+  config.disks.push_back({Rz57Profile(), 8 * 1024});
+  JukeboxProfile j = Hp6300MoProfile();
+  j.num_slots = 4;
+  j.volume_capacity_bytes = 16ull * 64 * kBlockSize;
+  config.jukeboxes.push_back({j, false, 16});
+  config.lfs.seg_size_blocks = 64;
+  config.lfs.cache_max_segments = 8;
+  config.sequential_readahead = true;
+  SimClock clock;
+  auto made = HighLightFs::Create(config, &clock);
+  ASSERT_TRUE(made.ok());
+  std::unique_ptr<HighLightFs> hl = std::move(*made);
+
+  Result<uint32_t> ino = hl->fs().Create("/f");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(hl->fs().Write(*ino, 0, Pattern(512 * 1024, 17)).ok());
+  ASSERT_TRUE(hl->Migrate(MigrationRequest{.path = "/f"}).ok());
+  ASSERT_TRUE(hl->DropCleanCacheLines().ok());
+  auto refs = hl->fs().CollectFileBlocks(*ino);
+  ASSERT_TRUE(refs.ok());
+  uint32_t first = kNoSegment;
+  for (const BlockRef& r : *refs) {
+    if (r.lbn == 0) {
+      first = hl->Internals().address_map.TsegOf(r.daddr);
+    }
+  }
+  ASSERT_NE(first, kNoSegment);
+  const uint32_t ahead = first + 1;  // The segment the read-ahead chases.
+  const AddressMap& amap = hl->Internals().address_map;
+  const HealthRegistry& health = hl->Internals().health;
+  const std::string ahead_key =
+      HealthRegistry::VolumeKey(amap.VolumeOfTseg(ahead));
+
+  // A good read-ahead: the demand fetch and the read-ahead each report one
+  // success.
+  const uint64_t successes = health.stats().successes_recorded;
+  std::vector<uint8_t> out(128 * 1024);
+  ASSERT_TRUE(hl->fs().Read(*ino, 0, out).ok());
+  ASSERT_EQ(hl->Internals().service.stats().readaheads_issued, 1u);
+  EXPECT_EQ(health.stats().successes_recorded, successes + 2);
+
+  // A read-ahead into a latent sector error reports the failure against
+  // the read-ahead target's volume.
+  ASSERT_TRUE(hl->DropCleanCacheLines().ok());
+  hl->fs().FlushBufferCache();
+  Result<Volume*> vol =
+      hl->Internals().footprint.GetVolume(
+          static_cast<int>(amap.VolumeOfTseg(ahead)));
+  ASSERT_TRUE(vol.ok());
+  FaultChannel* channel =
+      hl->Internals().faults.Find("volume." + (*vol)->label());
+  ASSERT_NE(channel, nullptr);
+  channel->AddLatentError(amap.ByteOffsetOnVolume(ahead) + 4096, 512);
+  const HealthRegistry::Entry* before = health.Find(ahead_key);
+  ASSERT_NE(before, nullptr);
+  const uint64_t failures = before->failures_total;
+  ASSERT_TRUE(hl->fs().Read(*ino, 0, out).ok());
+  EXPECT_EQ(hl->Internals().service.stats().failed_prefetches, 1u);
+  EXPECT_EQ(health.Find(ahead_key)->failures_total, failures + 1);
+  EXPECT_EQ(health.stats().failures_recorded, 1u);
+}
+
 TEST(FusedReadCrcTest, ReportedCrcDescribesDeliveredBytes) {
   // The tertiary read checksums the image while it copies it, and every
   // verifier compares that value instead of reading the image again. The

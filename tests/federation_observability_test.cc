@@ -2,8 +2,8 @@
 // stager / shard / WAN / replicator boundaries, and the ObservabilityHub's
 // SLO watcher. The contract under test is that one demand fetch — even one
 // that coalesces waiters or fails over to a dead site's peer — renders as a
-// single connected span tree, and that SLO breach/clear transitions land in
-// the hub trace ring at bit-exact sim times.
+// single connected span tree, and that SLO breach/clear transitions land on
+// the hub timeline as instants at bit-exact sim times.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "util/observability_hub.h"
 #include "util/rng.h"
 #include "util/span.h"
-#include "util/trace.h"
 #include "util/wan_link.h"
 
 namespace hl {
@@ -341,8 +340,8 @@ TEST(FederationObservabilityTest, CrossSiteFailoverIsOneConnectedTree) {
   stager.SetFailoverPeer(q, p);
   stager.SetSiteHealthProvider(&repl);
   stager.SetSpans(&hub.spans());
-  hub.Register("siteA", &site_a->metrics(), nullptr, nullptr, nullptr);
-  hub.Register("siteB", &site_b->metrics(), nullptr, nullptr, nullptr);
+  hub.Register("siteA", &site_a->metrics(), nullptr, nullptr);
+  hub.Register("siteB", &site_b->metrics(), nullptr, nullptr);
   hub.InstallTickHook();
 
   std::vector<uint32_t> pool = site_a->FetchableSegments();
@@ -359,8 +358,8 @@ TEST(FederationObservabilityTest, CrossSiteFailoverIsOneConnectedTree) {
   const auto& done = hub.spans().Completed();
   ASSERT_FALSE(done.empty());
 
-  // Exactly one root — the stager admission — and every other span chains
-  // up to it: one causal tree from admission to peer install.
+  // Exactly one root — the stager admission — and every other span and
+  // instant chains up to it: one causal tree from admission to peer install.
   std::map<SpanId, const SpanRecord*> by_id;
   for (const SpanRecord& s : done) {
     by_id[s.id] = &s;
@@ -375,6 +374,17 @@ TEST(FederationObservabilityTest, CrossSiteFailoverIsOneConnectedTree) {
     }
   }
   EXPECT_EQ(roots, 1u);
+
+  // The routing decision is an instant inside the request's own tree.
+  const SpanRecord* admit = FindByName(done, "stager_admit");
+  const SpanRecord* routed = FindByName(done, "site_failover");
+  ASSERT_NE(admit, nullptr);
+  ASSERT_NE(routed, nullptr);
+  EXPECT_TRUE(routed->instant());
+  EXPECT_EQ(routed->parent, admit->id);
+  EXPECT_EQ(routed->track, "stager");
+  EXPECT_TRUE(HasArg(*routed, "shard", std::to_string(p)));
+  EXPECT_TRUE(HasArg(*routed, "peer", std::to_string(q)));
 
   // The fan-out leaf is marked as a failover, and the peer site's service /
   // install spans sit inside the tree on their prefixed lanes.
@@ -429,23 +439,30 @@ TEST(ObservabilityHubTest, SloBreachAndClearFireAtExactSimTimes) {
   clock.Advance(5 * kUsPerSec);
   EXPECT_TRUE(hub.SloInBreach(idx));
 
-  std::vector<TraceRecord> slo_events;
-  for (const TraceRecord& r : hub.trace().Recent(hub.trace().capacity())) {
-    if (r.event == TraceEvent::kSloBreach || r.event == TraceEvent::kSloClear) {
-      slo_events.push_back(r);
+  std::vector<const SpanRecord*> slo_events;
+  for (const SpanRecord& s : hub.spans().Completed()) {
+    if (s.instant() && s.track == "slo") {
+      slo_events.push_back(&s);
     }
   }
   ASSERT_EQ(slo_events.size(), 3u);
-  EXPECT_EQ(slo_events[0].event, TraceEvent::kSloBreach);
-  EXPECT_EQ(slo_events[0].time, 1'234'567u);
-  EXPECT_EQ(slo_events[0].a, idx);
-  EXPECT_EQ(slo_events[0].b, 20u);
-  EXPECT_EQ(slo_events[1].event, TraceEvent::kSloClear);
-  EXPECT_EQ(slo_events[1].time, 2'234'566u);
-  EXPECT_EQ(slo_events[1].b, 4u);
-  EXPECT_EQ(slo_events[2].event, TraceEvent::kSloBreach);
-  EXPECT_EQ(slo_events[2].time, 7'234'566u);
-  EXPECT_EQ(slo_events[2].b, 99u);
+  EXPECT_EQ(slo_events[0]->name, "slo_breach");
+  EXPECT_EQ(slo_events[0]->begin_us, 1'234'567u);
+  EXPECT_EQ(slo_events[0]->duration_us(), 0u);
+  EXPECT_TRUE(HasArg(*slo_events[0], "rule", std::to_string(idx)));
+  EXPECT_TRUE(HasArg(*slo_events[0], "value", "20"));
+  EXPECT_EQ(slo_events[1]->name, "slo_clear");
+  EXPECT_EQ(slo_events[1]->begin_us, 2'234'566u);
+  EXPECT_TRUE(HasArg(*slo_events[1], "value", "4"));
+  EXPECT_EQ(slo_events[2]->name, "slo_breach");
+  EXPECT_EQ(slo_events[2]->begin_us, 7'234'566u);
+  EXPECT_TRUE(HasArg(*slo_events[2], "value", "99"));
+
+  // The merged timeline carries each transition as a Perfetto instant.
+  const std::string timeline = hub.MergedTimelineJson();
+  EXPECT_NE(timeline.find("{\"ph\": \"i\", \"s\": \"t\", \"name\": "
+                          "\"slo_breach\", \"cat\": \"slo\", \"ts\": 1234567,"),
+            std::string::npos);
 
   // Breach time accrues one cadence interval per in-breach sample: two
   // breach samples so far.
@@ -460,7 +477,7 @@ TEST(ObservabilityHubTest, SloBreachAndClearFireAtExactSimTimes) {
   Counter fetches;
   fetches.BindTo(shard, "service.demand_fetches");
   fetches++;
-  hub.Register("shard0", &shard, nullptr, nullptr, nullptr);
+  hub.Register("shard0", &shard, nullptr, nullptr);
   MetricsSnapshot merged = hub.MergedSnapshot();
   EXPECT_EQ(merged.Value("slo.q.breaches"), 2u);
   EXPECT_EQ(merged.Value("shard0.service.demand_fetches"), 1u);

@@ -1,13 +1,13 @@
-// Unit tests for the unified metrics/trace layer: handle semantics (detached
+// Unit tests for the unified metrics layer: handle semantics (detached
 // counting, BindTo folding, name-keyed slot sharing), histogram bucketing,
-// trace ring wraparound, and the registry's behavior across a HighLightFs
-// Remount (counters accumulate because slots are keyed by name).
+// and the registry's behavior across a HighLightFs Remount (counters
+// accumulate because slots are keyed by name).
 
 #include <gtest/gtest.h>
 
 #include "highlight/highlight.h"
 #include "util/metrics.h"
-#include "util/trace.h"
+#include "util/span.h"
 
 namespace hl {
 namespace {
@@ -138,58 +138,6 @@ TEST(RegistryTest, SnapshotRatioAndJson) {
   EXPECT_NE(json.find("\"lat\""), std::string::npos);
 }
 
-TEST(TraceRingTest, WraparoundKeepsNewestOldestFirst) {
-  SimClock clock;
-  TraceRing ring(&clock, /*capacity=*/4);
-  for (uint64_t i = 0; i < 6; ++i) {
-    clock.Advance(10);
-    ring.Record(TraceEvent::kSegFetch, i, 0);
-  }
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.total_recorded(), 6u);
-  std::vector<TraceRecord> recent = ring.Recent(10);
-  ASSERT_EQ(recent.size(), 4u);
-  // Records 0 and 1 were overwritten; the survivors are 2..5, oldest first.
-  for (size_t i = 0; i < recent.size(); ++i) {
-    EXPECT_EQ(recent[i].a, i + 2);
-  }
-  EXPECT_LT(recent.front().time, recent.back().time);
-  // CountOf is a lifetime counter (all 6 recorded events); WindowCountOf
-  // scans only the 4 surviving ring entries.
-  EXPECT_EQ(ring.CountOf(TraceEvent::kSegFetch), 6u);
-  EXPECT_EQ(ring.WindowCountOf(TraceEvent::kSegFetch), 4u);
-  ring.Clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.CountOf(TraceEvent::kSegFetch), 0u);
-}
-
-TEST(TraceRingTest, RecentTruncatesToRequestedCount) {
-  SimClock clock;
-  TraceRing ring(&clock, 8);
-  for (uint64_t i = 0; i < 5; ++i) {
-    ring.Record(TraceEvent::kCopyOut, i, i * 2);
-  }
-  std::vector<TraceRecord> recent = ring.Recent(2);
-  ASSERT_EQ(recent.size(), 2u);
-  EXPECT_EQ(recent[0].a, 3u);
-  EXPECT_EQ(recent[1].a, 4u);
-}
-
-TEST(TracerTest, DefaultConstructedIsNoOp) {
-  Tracer tracer;
-  EXPECT_FALSE(tracer.enabled());
-  tracer.Record(TraceEvent::kCacheEvict, 1, 2);  // Must not crash.
-}
-
-TEST(TraceRingTest, JsonNamesAreStable) {
-  SimClock clock;
-  TraceRing ring(&clock, 8);
-  ring.Record(TraceEvent::kVolumeSwitch, 1, 2);
-  std::string json = ring.ToJson(ring.capacity());
-  EXPECT_NE(json.find("\"volume_switch\""), std::string::npos);
-}
-
 // End-to-end: the assembled system's registry, and its behavior across a
 // simulated crash + remount.
 class MetricsRemountTest : public ::testing::Test {
@@ -230,8 +178,7 @@ TEST_F(MetricsRemountTest, MigrationMovesRegistryCounters) {
   EXPECT_GT(snap.Value("disk.disk0.writes"), 0u);
   EXPECT_GT(snap.Value("jukebox.HP6300-MO.bytes_written"), 0u);
   EXPECT_GT(snap.Value("footprint.media_swaps"), 0u);
-  EXPECT_GT(hl_->trace().CountOf(TraceEvent::kCopyOut), 0u);
-  EXPECT_GT(hl_->trace().CountOf(TraceEvent::kVolumeSwitch), 0u);
+  EXPECT_GT(snap.Value("jukebox.HP6300-MO.media_swaps"), 0u);
 }
 
 TEST_F(MetricsRemountTest, CountersAccumulateAcrossRemount) {
@@ -245,7 +192,13 @@ TEST_F(MetricsRemountTest, CountersAccumulateAcrossRemount) {
   // Rebuilt components re-bind to the same name-keyed slots: nothing lost.
   MetricsSnapshot after_remount = hl_->Metrics();
   EXPECT_EQ(after_remount.Value("io.segments_copied_out"), copyouts);
-  EXPECT_EQ(hl_->trace().CountOf(TraceEvent::kRemount), 1u);
+  size_t remounts = 0;
+  for (const SpanRecord& s : hl_->spans().Completed()) {
+    if (s.instant() && s.name == "remount") {
+      ++remounts;
+    }
+  }
+  EXPECT_EQ(remounts, 1u);
 
   WriteAndMigrate("/b");
   MetricsSnapshot after = hl_->Metrics();
@@ -264,8 +217,7 @@ TEST_F(MetricsRemountTest, DemandFaultCountsMissAndHitOnReRead) {
   MetricsSnapshot snap = hl_->Metrics();
   EXPECT_GT(snap.Value("cache.misses"), 0u);
   EXPECT_GT(snap.Value("blockmap.demand_faults"), 0u);
-  EXPECT_GT(hl_->trace().CountOf(TraceEvent::kDemandFault), 0u);
-  EXPECT_GT(hl_->trace().CountOf(TraceEvent::kSegFetch), 0u);
+  EXPECT_GT(snap.Value("io.segments_fetched"), 0u);
 
   // Re-reading the now-cached data is a hit.
   hl_->fs().FlushBufferCache();

@@ -109,6 +109,117 @@ TEST(SpanTracerTest, NullTracerScopesAreFree) {
   EXPECT_FALSE(static_cast<bool>(scope));
 }
 
+// --- Instants ---------------------------------------------------------------
+
+TEST(SpanTracerTest, InstantIsAZeroDurationChildOfTheOpenSpan) {
+  SimClock clock;
+  SpanTracer tracer(&clock, 16);
+  tracer.Instant("remount", "highlight");  // Nothing open: a root.
+  SpanId outer = tracer.Begin("fetch", "io");
+  clock.Advance(5);
+  tracer.Instant("crc_mismatch", "io", "tseg", 7, "volume", 2);
+  clock.Advance(3);
+  tracer.End(outer);
+
+  ASSERT_EQ(tracer.Completed().size(), 3u);
+  EXPECT_EQ(tracer.total_spans(), 3u);
+  const SpanRecord* remount = FindByName(tracer.Completed(), "remount");
+  const SpanRecord* crc = FindByName(tracer.Completed(), "crc_mismatch");
+  ASSERT_NE(remount, nullptr);
+  ASSERT_NE(crc, nullptr);
+  EXPECT_TRUE(remount->instant());
+  EXPECT_EQ(remount->parent, kNoSpan);
+  EXPECT_TRUE(remount->args.empty());
+  EXPECT_TRUE(crc->instant());
+  EXPECT_EQ(crc->parent, outer);
+  EXPECT_EQ(crc->begin_us, 5u);
+  EXPECT_EQ(crc->end_us, 5u);
+  EXPECT_EQ(crc->duration_us(), 0u);
+  EXPECT_EQ(crc->track, "io");
+  ASSERT_EQ(crc->args.size(), 2u);
+  EXPECT_EQ(crc->args[0].first, "tseg");
+  EXPECT_EQ(crc->args[0].second, "7");
+  EXPECT_EQ(crc->args[1].first, "volume");
+  EXPECT_EQ(crc->args[1].second, "2");
+  EXPECT_FALSE(FindByName(tracer.Completed(), "fetch")->instant());
+  EXPECT_TRUE(tracer.quiescent());  // An instant never joins the stack.
+
+  // No span id to annotate: kNoSpan never reaches an instant.
+  tracer.Annotate(kNoSpan, "k", "v");
+  EXPECT_EQ(crc->args.size(), 2u);
+
+  // An explicit parent overrides the implicit stack.
+  tracer.InstantChildOf(outer, "site_failover", "stager", "shard", 1);
+  EXPECT_EQ(tracer.Completed().back().parent, outer);
+}
+
+TEST(SpanTracerTest, NullTracerInstantIsNoOp) {
+  RecordInstant(nullptr, "fault_injected", "faults", "channel", 1, "outcome",
+                2);  // Must not crash.
+  SimClock clock;
+  SpanTracer tracer(&clock, 4);
+  RecordInstant(&tracer, "fault_injected", "faults", "channel", 1);
+  ASSERT_EQ(tracer.Completed().size(), 1u);
+  EXPECT_EQ(tracer.Completed().front().args.size(), 1u);
+}
+
+TEST(SpanTracerTest, InstantsAreEvictedLikeSpans) {
+  SimClock clock;
+  SpanTracer tracer(&clock, 4);
+  for (int i = 0; i < 5; ++i) {
+    tracer.End(tracer.Begin("s" + std::to_string(i), "t"));
+    tracer.Instant("i" + std::to_string(i), "t");
+  }
+  EXPECT_EQ(tracer.total_spans(), 10u);
+  ASSERT_EQ(tracer.Completed().size(), 4u);  // Oldest six dropped.
+  EXPECT_EQ(tracer.Completed().front().name, "s3");
+  EXPECT_EQ(tracer.Completed().back().name, "i4");
+  EXPECT_TRUE(tracer.Completed().back().instant());
+}
+
+TEST(SpanTracerTest, InstantExportsAsPerfettoInstantOnItsTrack) {
+  SimClock clock;
+  SpanTracer core(&clock, 16);
+  SpanTracer site(&core, "siteA.");  // Views prefix instant tracks too.
+  SpanId fetch = site.Begin("fetch", "io");
+  clock.Advance(40);
+  site.Instant("crc_mismatch", "io", "tseg", 9, "volume", 1);
+  site.Instant("fault_injected", "faults", "channel", 3, "outcome", 1);
+  site.End(fetch);
+
+  std::string events;
+  AppendPerfettoSpanEvents(core, 2, "federation", &events);
+  // Lanes in first-appearance order: siteA.io (the instant's completion
+  // precedes its parent's), then siteA.faults.
+  EXPECT_NE(events.find("{\"ph\": \"i\", \"s\": \"t\", \"name\": "
+                        "\"crc_mismatch\", \"cat\": \"siteA.io\", \"ts\": 40, "
+                        "\"pid\": 2, \"tid\": 1, \"args\": {\"parent\": " +
+                        std::to_string(fetch) +
+                        ", \"tseg\": \"9\", \"volume\": \"1\"}}"),
+            std::string::npos)
+      << events;
+  EXPECT_NE(events.find("\"name\": \"fault_injected\", \"cat\": "
+                        "\"siteA.faults\", \"ts\": 40, \"pid\": 2, "
+                        "\"tid\": 2,"),
+            std::string::npos)
+      << events;
+  EXPECT_NE(events.find("{\"ph\": \"X\", \"name\": \"fetch\", \"cat\": "
+                        "\"siteA.io\", \"ts\": 0, \"dur\": 40, \"pid\": 2, "
+                        "\"tid\": 1, \"args\": {\"span_id\": "),
+            std::string::npos)
+      << events;
+  EXPECT_EQ(events.find("\"dur\": 0"), std::string::npos)
+      << "an instant carries no duration";
+
+  // The text forest nests instants under their span.
+  const std::string forest = RenderSpanForest(core.Completed());
+  EXPECT_NE(forest.find("fetch [siteA.io] 40us @0\n"
+                        "  crc_mismatch [siteA.io] instant @40 tseg=9 "
+                        "volume=1\n"),
+            std::string::npos)
+      << forest;
+}
+
 // Interned strings must survive ring recycling (records reference the
 // intern table, not the slots they were first written to), the steady-state
 // tracer must stop allocating, and serialization must round-trip
@@ -295,17 +406,27 @@ TEST_F(ObservabilityFsTest, CrcFailoverShowsAsChildOfFetch) {
   const SpanRecord* retry = FindByName(spans, "retry");
   ASSERT_NE(retry, nullptr);
   EXPECT_EQ(retry->parent, fetch->id);
-  // One tree: everything descends from the lone demand_fetch root.
+  // The mismatch itself is an instant inside the fetch it failed.
+  const SpanRecord* crc = FindByName(spans, "crc_mismatch");
+  ASSERT_NE(crc, nullptr);
+  EXPECT_TRUE(crc->instant());
+  EXPECT_EQ(crc->parent, fetch->id);
+  // One tree: every span descends from the lone demand_fetch root.
   const SpanRecord* demand = FindByName(spans, "demand_fetch");
   ASSERT_NE(demand, nullptr);
   EXPECT_EQ(fetch->parent, demand->id);
   size_t roots = 0;
   for (const SpanRecord& s : spans) {
-    if (s.parent == kNoSpan) {
+    if (s.parent == kNoSpan && !s.instant()) {
       ++roots;
     }
   }
   EXPECT_EQ(roots, 1u);
+  // The block map's demand_fault instant marks the moment that tree began.
+  const SpanRecord* fault = FindByName(spans, "demand_fault");
+  ASSERT_NE(fault, nullptr);
+  EXPECT_TRUE(fault->instant());
+  EXPECT_EQ(fault->begin_us, demand->begin_us);
 }
 
 TEST_F(ObservabilityFsTest, WriteBehindIssueSpansInheritEnqueueContext) {

@@ -12,6 +12,7 @@
 #include "highlight/address_map.h"
 #include "highlight/tseg_table.h"
 #include "lfs/lfs.h"
+#include "tseg_reference.h"
 #include "util/rng.h"
 
 namespace hl {
@@ -121,7 +122,7 @@ TEST_F(TsegIndexTest, AccountingAnomaliesAreCountedAndClamped) {
   EXPECT_EQ(table_->Get(42).live_bytes, UINT32_MAX);
   EXPECT_EQ(table_->stats().overflow_clamped.value(), 1u);
   EXPECT_EQ(table_->TotalLiveBytes(), static_cast<uint64_t>(UINT32_MAX));
-  EXPECT_EQ(table_->TotalLiveBytes(), table_->TotalLiveBytesLinear());
+  EXPECT_EQ(table_->TotalLiveBytes(), TotalLiveBytesLinear(*table_));
 }
 
 TEST_F(TsegIndexTest, ReplicaIndexFollowsFlagClearsAndRepointing) {
@@ -129,7 +130,7 @@ TEST_F(TsegIndexTest, ReplicaIndexFollowsFlagClearsAndRepointing) {
   table_->SetReplicaOf(6, 90);
   table_->SetReplicaOf(17, 90);
   EXPECT_EQ(table_->ReplicasOf(90), (std::vector<uint32_t>{5, 6, 17}));
-  EXPECT_EQ(table_->ReplicasOf(90), table_->ReplicasOfLinear(90));
+  EXPECT_EQ(table_->ReplicasOf(90), ReplicasOfLinear(*table_, 90));
 
   // Re-pointing a replica moves it between primaries.
   table_->SetReplicaOf(5, 91);
@@ -139,8 +140,8 @@ TEST_F(TsegIndexTest, ReplicaIndexFollowsFlagClearsAndRepointing) {
   // Clearing the replica flag (tertiary-cleaner release) removes it.
   table_->SetFlags(6, kSegClean, kSegDirty | kSegReplica);
   EXPECT_EQ(table_->ReplicasOf(90), (std::vector<uint32_t>{17}));
-  EXPECT_EQ(table_->ReplicasOf(90), table_->ReplicasOfLinear(90));
-  EXPECT_EQ(table_->ReplicasOf(91), table_->ReplicasOfLinear(91));
+  EXPECT_EQ(table_->ReplicasOf(90), ReplicasOfLinear(*table_, 90));
+  EXPECT_EQ(table_->ReplicasOf(91), ReplicasOfLinear(*table_, 91));
 }
 
 TEST_F(TsegIndexTest, CleanCountTracksAllocationAndReclaim) {
@@ -236,14 +237,14 @@ TEST_F(TsegIndexTest, IndexedQueriesMatchLinearReferenceUnderRandomOps) {
                              ? static_cast<uint32_t>(rng.Below(10))
                              : kNoSegment;
     ASSERT_EQ(table_->NextFreshTseg(excl, preferred),
-              table_->NextFreshTsegLinear(excl, preferred))
+              NextFreshTsegLinear(*table_, *amap_, excl, preferred))
         << "op " << op;
-    ASSERT_EQ(table_->TotalLiveBytes(), table_->TotalLiveBytesLinear())
+    ASSERT_EQ(table_->TotalLiveBytes(), TotalLiveBytesLinear(*table_))
         << "op " << op;
-    ASSERT_EQ(table_->DirtyTsegCount(), table_->DirtyTsegCountLinear())
+    ASSERT_EQ(table_->DirtyTsegCount(), DirtyTsegCountLinear(*table_))
         << "op " << op;
     uint32_t primary = static_cast<uint32_t>(rng.Below(100));
-    ASSERT_EQ(table_->ReplicasOf(primary), table_->ReplicasOfLinear(primary))
+    ASSERT_EQ(table_->ReplicasOf(primary), ReplicasOfLinear(*table_, primary))
         << "op " << op;
     uint32_t volume = static_cast<uint32_t>(rng.Below(10));
     uint32_t clean = 0;

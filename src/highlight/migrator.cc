@@ -66,12 +66,10 @@ Status Migrator::FinishPseg() {
     // addresses. Re-dirty the blocks so the next sync re-homes them on disk
     // (superseding the dangling tertiary pointers).
     for (const auto& ba : image.blocks) {
-      std::vector<uint8_t> bytes(
-          image.bytes.begin() +
-              static_cast<size_t>(ba.daddr - image.base_daddr) * kBlockSize,
-          image.bytes.begin() +
-              static_cast<size_t>(ba.daddr - image.base_daddr + 1) *
-                  kBlockSize);
+      std::span<const uint8_t> block = image.bytes.subspan(
+          static_cast<size_t>(ba.daddr - image.base_daddr) * kBlockSize,
+          kBlockSize);
+      std::vector<uint8_t> bytes(block.begin(), block.end());
       Result<DInode> inode = fs_->GetInode(ba.ino);
       uint32_t version = inode.ok() ? inode->version : 0;
       (void)fs_->RewriteBlocks(
@@ -400,9 +398,9 @@ Result<uint32_t> Migrator::StageBlock(uint32_t ino, uint32_t version,
         continue;
       }
       builder_ = std::make_unique<SegmentBuilder>(
-          amap_->TsegBase(cur_tseg_) + cur_offset_, spb - cur_offset_,
-          kNoSegment, static_cast<uint32_t>(clock_->Now() / kUsPerSec),
-          staging_serial_++);
+          &arena_, amap_->TsegBase(cur_tseg_) + cur_offset_,
+          spb - cur_offset_, kNoSegment,
+          static_cast<uint32_t>(clock_->Now() / kUsPerSec), staging_serial_++);
     }
     if (builder_->CanAddBlock(ino)) {
       return builder_->AddBlock(ino, version, lbn, bytes);
@@ -422,9 +420,9 @@ Status Migrator::StageInode(uint32_t ino, const MigratorOptions& opts) {
         continue;
       }
       builder_ = std::make_unique<SegmentBuilder>(
-          amap_->TsegBase(cur_tseg_) + cur_offset_, spb - cur_offset_,
-          kNoSegment, static_cast<uint32_t>(clock_->Now() / kUsPerSec),
-          staging_serial_++);
+          &arena_, amap_->TsegBase(cur_tseg_) + cur_offset_,
+          spb - cur_offset_, kNoSegment,
+          static_cast<uint32_t>(clock_->Now() / kUsPerSec), staging_serial_++);
     }
     if (builder_->CanAddInode()) {
       ASSIGN_OR_RETURN(DInode inode, fs_->GetInode(ino));

@@ -212,6 +212,7 @@ class Migrator {
   uint32_t cur_tseg_ = kNoSegment;
   uint32_t cur_offset_ = 0;  // Blocks used in the staging segment.
   std::unique_ptr<SegmentBuilder> builder_;
+  std::vector<uint8_t> arena_;  // builder_'s staging image arena.
   uint64_t staging_serial_ = 1;
 
   // Full volumes plus (when health is wired) quarantined ones — the set

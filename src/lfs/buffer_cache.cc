@@ -1,6 +1,8 @@
 #include "lfs/buffer_cache.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace hl {
 
@@ -33,31 +35,37 @@ void BufferCache::LinkFront(uint32_t s) {
   }
 }
 
-bool BufferCache::Lookup(uint32_t daddr, std::span<uint8_t> out) {
+std::span<const uint8_t> BufferCache::Find(uint32_t daddr) {
   auto it = entries_.find(daddr);
   if (it == entries_.end()) {
     ++misses_;
-    return false;
+    return {};
   }
   ++hits_;
   if (head_ != it->second) {
     Unlink(it->second);
     LinkFront(it->second);
   }
-  const std::vector<uint8_t>& data = slots_[it->second].data;
+  return slots_[it->second].data;
+}
+
+bool BufferCache::Lookup(uint32_t daddr, std::span<uint8_t> out) {
+  std::span<const uint8_t> data = Find(daddr);
+  if (data.empty()) {
+    return false;
+  }
   std::memcpy(out.data(), data.data(), std::min(out.size(), data.size()));
   return true;
 }
 
-void BufferCache::Insert(uint32_t daddr, std::span<const uint8_t> block) {
+uint32_t BufferCache::SlotFor(uint32_t daddr) {
   auto it = entries_.find(daddr);
   if (it != entries_.end()) {
-    slots_[it->second].data.assign(block.begin(), block.end());
     if (head_ != it->second) {
       Unlink(it->second);
       LinkFront(it->second);
     }
-    return;
+    return it->second;
   }
   while (entries_.size() >= capacity_ && tail_ != kNil) {
     uint32_t victim = tail_;
@@ -66,7 +74,7 @@ void BufferCache::Insert(uint32_t daddr, std::span<const uint8_t> block) {
     free_.push_back(victim);  // Buffer retained for reuse.
   }
   if (capacity_ == 0) {
-    return;
+    return kNil;
   }
   uint32_t s;
   if (!free_.empty()) {
@@ -77,9 +85,23 @@ void BufferCache::Insert(uint32_t daddr, std::span<const uint8_t> block) {
     slots_.emplace_back();
   }
   slots_[s].daddr = daddr;
-  slots_[s].data.assign(block.begin(), block.end());
   LinkFront(s);
   entries_[daddr] = s;
+  return s;
+}
+
+void BufferCache::Insert(uint32_t daddr, std::span<const uint8_t> block) {
+  uint32_t s = SlotFor(daddr);
+  if (s != kNil) {
+    slots_[s].data.assign(block.begin(), block.end());
+  }
+}
+
+void BufferCache::Adopt(uint32_t daddr, std::vector<uint8_t> block) {
+  uint32_t s = SlotFor(daddr);
+  if (s != kNil) {
+    slots_[s].data = std::move(block);
+  }
 }
 
 void BufferCache::Invalidate(uint32_t daddr) {

@@ -10,7 +10,9 @@
 // doubly-linked recency list (indices, not node allocations): promotions
 // and evictions relink two integers, and an evicted slot's block buffer is
 // recycled for the next insert instead of freed — after warm-up the steady
-// state allocates nothing (see DESIGN.md "Engine performance").
+// state allocates nothing (see DESIGN.md "Engine performance"). The segment
+// writer hands each freshly written data buffer over with Adopt, so a block
+// enters the cache without a copy.
 
 #ifndef HIGHLIGHT_LFS_BUFFER_CACHE_H_
 #define HIGHLIGHT_LFS_BUFFER_CACHE_H_
@@ -30,8 +32,18 @@ class BufferCache {
   // Returns true and fills `out` on a hit; records nothing on a miss.
   bool Lookup(uint32_t daddr, std::span<uint8_t> out);
 
+  // Zero-copy Lookup: the cached bytes on a hit, an empty span on a miss,
+  // with the same hit/miss counts and LRU promotion. The view stays valid
+  // until the next Insert, Adopt, Invalidate or Flush.
+  std::span<const uint8_t> Find(uint32_t daddr);
+
   // Inserts (or refreshes) the block, evicting LRU entries as needed.
   void Insert(uint32_t daddr, std::span<const uint8_t> block);
+
+  // Insert that takes ownership of `block` instead of copying it: the
+  // slot's previous buffer is released. Hits, misses, LRU order and
+  // evictions are exactly Insert's.
+  void Adopt(uint32_t daddr, std::vector<uint8_t> block);
 
   // Drops one block (used when a block is reassigned a new address).
   void Invalidate(uint32_t daddr);
@@ -59,6 +71,9 @@ class BufferCache {
 
   void Unlink(uint32_t s);
   void LinkFront(uint32_t s);
+  // The slot that holds `daddr` after an insert, most recent in LRU order
+  // (evicting as needed); kNil when the cache has no capacity.
+  uint32_t SlotFor(uint32_t daddr);
 
   uint32_t capacity_;
   std::vector<Slot> slots_;        // Grows to capacity_, then recycles.

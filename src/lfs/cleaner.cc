@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/logging.h"
+#include "util/serialize.h"
 
 namespace hl {
 
@@ -62,40 +63,42 @@ std::vector<uint32_t> Cleaner::RankSegments() const {
 Status Cleaner::CleanOne(uint32_t seg) {
   ASSIGN_OR_RETURN(std::vector<ParsedPartial> partials,
                    fs_->ParseSegment(seg));
-  const Superblock& sb = fs_->superblock();
 
   std::vector<BlockRef> live_refs;
   std::vector<std::vector<uint8_t>> live_data;
+  std::vector<uint8_t> inode_block(kBlockSize);
 
   for (const ParsedPartial& p : partials) {
     // Reconstruct the block layout: data blocks follow the summary in FINFO
     // order, then inode blocks.
     uint32_t cursor = p.base_daddr + 1;
-    std::vector<uint8_t> block(kBlockSize);
     for (const FInfo& f : p.summary.finfos) {
       for (uint32_t lbn : f.lbns) {
         BlockRef ref{f.ino, f.version, lbn, cursor};
         stats_.blocks_examined++;
         if (fs_->IsLive(ref)) {
+          // Read into the buffer that will become the dirty block.
+          std::vector<uint8_t> block(kBlockSize);
           RETURN_IF_ERROR(fs_->device()->ReadBlocks(cursor, 1, block));
           live_refs.push_back(ref);
-          live_data.emplace_back(block.begin(), block.end());
+          live_data.push_back(std::move(block));
           stats_.blocks_live++;
         }
         ++cursor;
       }
     }
     // Inode blocks: any inode whose map entry still points here moves.
+    // Only each slot's ino field is read; RelocateInode checks the map.
     for (uint32_t inode_daddr : p.summary.inode_daddrs) {
-      RETURN_IF_ERROR(fs_->device()->ReadBlocks(inode_daddr, 1, block));
+      RETURN_IF_ERROR(fs_->device()->ReadBlocks(inode_daddr, 1, inode_block));
       for (uint32_t slot = 0; slot < kInodesPerBlock; ++slot) {
-        Result<DInode> d = DInode::Deserialize(std::span<const uint8_t>(
-            block.data() + slot * kInodeSize, kInodeSize));
-        if (!d.ok() || d->ino == kNoInode) {
+        std::span<const uint8_t> inode(
+            inode_block.data() + slot * kInodeSize, kInodeSize);
+        uint32_t ino = Reader(inode).GetU32();  // A DInode's first field.
+        if (ino == kNoInode) {
           continue;
         }
-        ASSIGN_OR_RETURN(bool moved,
-                         fs_->RelocateInode(d->ino, inode_daddr));
+        ASSIGN_OR_RETURN(bool moved, fs_->RelocateInode(ino, inode_daddr));
         if (moved) {
           stats_.inodes_relocated++;
         }
@@ -103,10 +106,10 @@ Status Cleaner::CleanOne(uint32_t seg) {
     }
   }
 
-  RETURN_IF_ERROR(fs_->RewriteBlocks(live_refs, live_data).status());
+  RETURN_IF_ERROR(
+      fs_->RewriteBlocks(live_refs, std::move(live_data)).status());
   // Push the relocations into the log, then retire the segment.
   RETURN_IF_ERROR(fs_->Sync());
-  (void)sb;
   RETURN_IF_ERROR(fs_->MarkSegmentClean(seg));
   stats_.segments_cleaned++;
   RecordInstant(spans_, "clean_pass", "cleaner", "seg", seg, "live_blocks",
@@ -115,6 +118,20 @@ Status Cleaner::CleanOne(uint32_t seg) {
 }
 
 Result<uint32_t> Cleaner::Clean(uint32_t max_segments) {
+  // The no-space handler reaches here when a pass's own Sync runs out of
+  // clean segments. A nested pass would clean behind the outer one's
+  // ranked list and parsed partials; refuse it, so the write that ran out
+  // of space gets kNoSpace instead.
+  if (cleaning_) {
+    return 0u;
+  }
+  cleaning_ = true;
+  Result<uint32_t> done = CleanPass(max_segments);
+  cleaning_ = false;
+  return done;
+}
+
+Result<uint32_t> Cleaner::CleanPass(uint32_t max_segments) {
   std::vector<uint32_t> ranked = RankSegments();
   uint32_t done = 0;
   for (uint32_t seg : ranked) {

@@ -155,8 +155,8 @@ class Lfs {
   uint32_t next_seg() const { return next_seg_; }
 
   // Parses the partial segments of a (disk) segment. Stops at the first
-  // invalid summary. Raw images pass through the buffer cache so repeated
-  // cleaning passes do not recharge device time unfairly.
+  // invalid summary. The segment is read once, into an image buffer reused
+  // across calls.
   Result<std::vector<ParsedPartial>> ParseSegment(uint32_t seg);
 
   // lfs_bmapv: current disk address of each (ino, lbn); kNoBlock when the
@@ -168,10 +168,11 @@ class Lfs {
 
   // lfs_markv: relocate still-live blocks by re-appending them to the log.
   // Skips any block whose current address no longer matches `ref.daddr`
-  // (superseded while the cleaner worked). Does not touch mtimes. Returns
-  // the number of blocks actually queued.
+  // (superseded while the cleaner worked). Does not touch mtimes. Each
+  // queued block's buffer moves into the dirty map. Returns the number of
+  // blocks actually queued.
   Result<size_t> RewriteBlocks(const std::vector<BlockRef>& refs,
-                               const std::vector<std::vector<uint8_t>>& data);
+                               std::vector<std::vector<uint8_t>> data);
 
   // Relocates an inode whose block lives in a segment being cleaned: if the
   // inode map still points into `expected_daddr`, the in-core inode is
@@ -328,13 +329,19 @@ class Lfs {
 
   // --- Block mapping ------------------------------------------------------------
   // Current address of a data or metadata lbn, kNoBlock if unallocated.
+  // Indirect pointers are read where they lie: in the dirty block, or in
+  // the buffer cache's copy.
   Result<uint32_t> Bmap(const DInode& inode, uint32_t lbn);
+  // The current address of `ref`'s block, kNoBlock when it is unreachable.
+  uint32_t CurrentAddress(const BlockRef& ref);
   // Points (ino, lbn) at new_daddr, loading/dirtying indirect blocks as
   // needed and adjusting segment usage for the old address.
   Status SetBmap(uint32_t ino, uint32_t lbn, uint32_t new_daddr);
-  // Reads a metadata block (indirect) for bmap traversal.
-  Result<std::vector<uint8_t>> ReadMetaBlock(uint32_t ino, uint32_t meta_lbn,
-                                             uint32_t daddr);
+  // Pointer `index` of metadata block `meta_lbn`: its dirty copy if there is
+  // one, else the block at `daddr` (kNoBlock when unallocated). A cache miss
+  // reads and caches the block.
+  Result<uint32_t> ReadMetaPtr(uint32_t ino, uint32_t meta_lbn,
+                               uint32_t daddr, uint32_t index);
   // Ensures a metadata block is present in the dirty map (loading or creating
   // it) and returns a pointer to its bytes.
   Result<std::vector<uint8_t>*> LoadMetaDirty(uint32_t ino, uint32_t meta_lbn);
@@ -350,11 +357,19 @@ class Lfs {
   // --- Write path -------------------------------------------------------------------
   std::vector<uint8_t>* FindDirtyBlock(uint32_t ino, uint32_t lbn);
   void PutDirtyBlock(uint32_t ino, uint32_t lbn, std::vector<uint8_t> data);
+  // Removes a dirty block from the dirty map and returns its buffer.
+  std::vector<uint8_t> TakeDirtyBlock(uint32_t ino, uint32_t lbn);
   Status FlushAll(bool for_checkpoint);
+  // Appends the files' dirty blocks and inodes to the log
+  // (AppendInodeSet); on any error, requeues the unwritten partial.
   Status FlushInodeSet(const std::vector<uint32_t>& inos, uint16_t ss_flags);
+  Status AppendInodeSet(const std::vector<uint32_t>& inos, uint16_t ss_flags);
   Result<uint32_t> PickCleanSegment(uint32_t after) const;
   Status AdvanceSegment();
-  Status WritePartial(SegmentBuilder& builder, uint16_t ss_flags);
+  Status WritePartial(SegmentBuilder& builder);
+  // Hands the unwritten partial's buffers back to the dirty map and
+  // re-dirties every inode it held.
+  void RequeuePartial();
   void AccountOldAddress(uint32_t daddr, int64_t delta);
   void AccountNewAddress(uint32_t daddr, int64_t delta);
 
@@ -403,6 +418,19 @@ class Lfs {
   std::unordered_map<uint32_t, std::map<uint32_t, std::vector<uint8_t>>>
       dirty_blocks_;
   uint64_t dirty_bytes_ = 0;
+
+  // The partial segment being assembled: dirty buffers that left the dirty
+  // map for it (in builder order) and the inodes it holds. Written partials
+  // hand the buffers to the buffer cache; unwritten ones hand them back.
+  struct HeldBlock {
+    uint32_t ino;
+    uint32_t lbn;
+    std::vector<uint8_t> bytes;
+  };
+  std::vector<HeldBlock> held_blocks_;
+  std::vector<uint32_t> held_inodes_;
+  std::vector<uint8_t> seg_arena_;    // The segment writer's image arena.
+  std::vector<uint8_t> parse_image_;  // ParseSegment's reused read buffer.
 
   BufferCache buffer_cache_;
   // Per-file sequential-read detector: ino -> next expected lbn.

@@ -57,42 +57,42 @@ Result<std::vector<ParsedPartial>> Lfs::ParseSegment(uint32_t seg) {
   }
   // One sequential read of the whole segment (how the real cleaner amortizes
   // its I/O), then parse in memory.
-  std::vector<uint8_t> image(
-      static_cast<size_t>(sb_.seg_size_blocks) * kBlockSize);
-  RETURN_IF_ERROR(
-      dev_->ReadBlocks(sb_.SegFirstBlock(seg), sb_.seg_size_blocks, image));
-  return ParsePartialsFromImage(image, sb_.SegFirstBlock(seg),
+  parse_image_.resize(static_cast<size_t>(sb_.seg_size_blocks) * kBlockSize);
+  RETURN_IF_ERROR(dev_->ReadBlocks(sb_.SegFirstBlock(seg),
+                                   sb_.seg_size_blocks, parse_image_));
+  return ParsePartialsFromImage(parse_image_, sb_.SegFirstBlock(seg),
                                 sb_.seg_size_blocks);
+}
+
+uint32_t Lfs::CurrentAddress(const BlockRef& ref) {
+  if (ref.ino >= imap_.size() || imap_[ref.ino].daddr == kNoBlock ||
+      imap_[ref.ino].version != ref.version) {
+    return kNoBlock;
+  }
+  Result<DInode*> inode = GetInodeRef(ref.ino);
+  if (!inode.ok()) {
+    return kNoBlock;
+  }
+  Result<uint32_t> daddr = Bmap(**inode, ref.lbn);
+  return daddr.ok() ? *daddr : kNoBlock;
 }
 
 std::vector<uint32_t> Lfs::BmapV(const std::vector<BlockRef>& refs) {
   std::vector<uint32_t> out;
   out.reserve(refs.size());
   for (const BlockRef& ref : refs) {
-    if (ref.ino >= imap_.size() || imap_[ref.ino].daddr == kNoBlock ||
-        imap_[ref.ino].version != ref.version) {
-      out.push_back(kNoBlock);
-      continue;
-    }
-    Result<DInode*> inode = GetInodeRef(ref.ino);
-    if (!inode.ok()) {
-      out.push_back(kNoBlock);
-      continue;
-    }
-    Result<uint32_t> daddr = Bmap(**inode, ref.lbn);
-    out.push_back(daddr.ok() ? *daddr : kNoBlock);
+    out.push_back(CurrentAddress(ref));
   }
   return out;
 }
 
 bool Lfs::IsLive(const BlockRef& ref) {
-  std::vector<uint32_t> cur = BmapV({ref});
-  return cur[0] != kNoBlock && cur[0] == ref.daddr;
+  uint32_t cur = CurrentAddress(ref);
+  return cur != kNoBlock && cur == ref.daddr;
 }
 
-Result<size_t> Lfs::RewriteBlocks(
-    const std::vector<BlockRef>& refs,
-    const std::vector<std::vector<uint8_t>>& data) {
+Result<size_t> Lfs::RewriteBlocks(const std::vector<BlockRef>& refs,
+                                  std::vector<std::vector<uint8_t>> data) {
   if (refs.size() != data.size()) {
     return InvalidArgument("RewriteBlocks: refs/data size mismatch");
   }
@@ -106,7 +106,7 @@ Result<size_t> Lfs::RewriteBlocks(
     if (!IsLive(ref)) {
       continue;
     }
-    PutDirtyBlock(ref.ino, ref.lbn, data[i]);
+    PutDirtyBlock(ref.ino, ref.lbn, std::move(data[i]));
     MarkInodeDirty(ref.ino);
     ++queued;
   }

@@ -1,6 +1,7 @@
 // Inode management and block mapping (bmap) for the LFS.
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -13,8 +14,8 @@ namespace hl {
 namespace {
 
 // Reads a 32-bit little-endian pointer out of an indirect block.
-uint32_t GetPtr(const std::vector<uint8_t>& block, uint32_t index) {
-  Reader r(std::span<const uint8_t>(block.data() + index * 4, 4));
+uint32_t GetPtr(std::span<const uint8_t> block, uint32_t index) {
+  Reader r(block.subspan(index * 4, 4));
   return r.GetU32();
 }
 
@@ -116,26 +117,18 @@ Result<uint32_t> Lfs::Bmap(const DInode& inode, uint32_t lbn) {
   }
   if (IsMetaLbn(lbn)) {
     uint32_t child = lbn - kLbnDindChildBase;
-    if (child >= kPtrsPerBlock || inode.dindirect == kNoBlock) {
+    if (child >= kPtrsPerBlock) {
       return static_cast<uint32_t>(kNoBlock);
     }
-    ASSIGN_OR_RETURN(
-        std::vector<uint8_t> root,
-        ReadMetaBlock(inode.ino, kLbnDoubleIndirect, inode.dindirect));
-    return GetPtr(root, child);
+    return ReadMetaPtr(inode.ino, kLbnDoubleIndirect, inode.dindirect, child);
   }
   // Data lbns.
   if (lbn < kNumDirect) {
     return inode.direct[lbn];
   }
   if (lbn < kNumDirect + kPtrsPerBlock) {
-    if (inode.indirect == kNoBlock) {
-      return static_cast<uint32_t>(kNoBlock);
-    }
-    ASSIGN_OR_RETURN(
-        std::vector<uint8_t> ind,
-        ReadMetaBlock(inode.ino, kLbnSingleIndirect, inode.indirect));
-    return GetPtr(ind, lbn - kNumDirect);
+    return ReadMetaPtr(inode.ino, kLbnSingleIndirect, inode.indirect,
+                       lbn - kNumDirect);
   }
   uint64_t beyond = static_cast<uint64_t>(lbn) - kNumDirect - kPtrsPerBlock;
   if (beyond >= static_cast<uint64_t>(kPtrsPerBlock) * kPtrsPerBlock) {
@@ -143,31 +136,31 @@ Result<uint32_t> Lfs::Bmap(const DInode& inode, uint32_t lbn) {
   }
   uint32_t child_index = static_cast<uint32_t>(beyond / kPtrsPerBlock);
   uint32_t entry = static_cast<uint32_t>(beyond % kPtrsPerBlock);
-  if (inode.dindirect == kNoBlock) {
-    return static_cast<uint32_t>(kNoBlock);
-  }
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> root,
-      ReadMetaBlock(inode.ino, kLbnDoubleIndirect, inode.dindirect));
-  uint32_t child_daddr = GetPtr(root, child_index);
-  if (child_daddr == kNoBlock) {
-    return static_cast<uint32_t>(kNoBlock);
-  }
-  ASSIGN_OR_RETURN(
-      std::vector<uint8_t> child,
-      ReadMetaBlock(inode.ino, DindChildLbn(child_index), child_daddr));
-  return GetPtr(child, entry);
+  ASSIGN_OR_RETURN(uint32_t child_daddr,
+                   ReadMetaPtr(inode.ino, kLbnDoubleIndirect, inode.dindirect,
+                               child_index));
+  return ReadMetaPtr(inode.ino, DindChildLbn(child_index), child_daddr, entry);
 }
 
-Result<std::vector<uint8_t>> Lfs::ReadMetaBlock(uint32_t ino,
-                                                uint32_t meta_lbn,
-                                                uint32_t daddr) {
+Result<uint32_t> Lfs::ReadMetaPtr(uint32_t ino, uint32_t meta_lbn,
+                                  uint32_t daddr, uint32_t index) {
+  // A dirty copy is current even when the block has no address yet: a flush
+  // that failed part-way can leave written blocks whose only pointers are
+  // in a never-written indirect block.
   if (std::vector<uint8_t>* dirty = FindDirtyBlock(ino, meta_lbn)) {
-    return *dirty;
+    return GetPtr(*dirty, index);
   }
-  std::vector<uint8_t> block(kBlockSize);
-  RETURN_IF_ERROR(ReadBlockThroughCache(daddr, block));
-  return block;
+  if (daddr == kNoBlock) {
+    return static_cast<uint32_t>(kNoBlock);
+  }
+  if (std::span<const uint8_t> cached = buffer_cache_.Find(daddr);
+      !cached.empty()) {
+    return GetPtr(cached, index);
+  }
+  std::array<uint8_t, kBlockSize> block{};
+  RETURN_IF_ERROR(dev_->ReadBlocks(daddr, 1, block));
+  buffer_cache_.Insert(daddr, block);
+  return GetPtr(block, index);
 }
 
 Result<std::vector<uint8_t>*> Lfs::LoadMetaDirty(uint32_t ino,

@@ -8,6 +8,11 @@
 // guarantees every partial segment is self-describing (an inode in a partial
 // segment points only at blocks in the same or earlier partial segments),
 // the property roll-forward recovery relies on.
+//
+// Each block is copied three times on its way to the log: caller -> dirty
+// buffer, dirty buffer -> segment arena (fused with the datasum CRC), arena
+// -> device. A buffer leaves the dirty map as it enters the builder; once
+// the partial is written the buffer itself moves into the buffer cache.
 
 #include <algorithm>
 #include <cassert>
@@ -41,6 +46,18 @@ void Lfs::PutDirtyBlock(uint32_t ino, uint32_t lbn,
   } else {
     it->second = std::move(data);
   }
+}
+
+std::vector<uint8_t> Lfs::TakeDirtyBlock(uint32_t ino, uint32_t lbn) {
+  auto it = dirty_blocks_.find(ino);
+  assert(it != dirty_blocks_.end());
+  auto node = it->second.extract(lbn);
+  assert(!node.empty());
+  dirty_bytes_ -= kBlockSize;
+  if (it->second.empty()) {
+    dirty_blocks_.erase(it);
+  }
+  return std::move(node.mapped());
 }
 
 Status Lfs::ReadBlockThroughCache(uint32_t daddr, std::span<uint8_t> out) {
@@ -171,15 +188,21 @@ Status Lfs::Write(uint32_t ino, uint64_t offset,
     size_t take = std::min<size_t>(kBlockSize - in_block, data.size() - done);
 
     std::vector<uint8_t>* dirty = FindDirtyBlock(ino, lbn);
+    if (dirty == nullptr && take == kBlockSize) {
+      // A whole block: the fresh dirty buffer is filled straight from the
+      // caller's bytes.
+      const uint8_t* src = data.data() + done;
+      PutDirtyBlock(ino, lbn, std::vector<uint8_t>(src, src + kBlockSize));
+      done += take;
+      continue;
+    }
     if (dirty == nullptr) {
       std::vector<uint8_t> block(kBlockSize, 0);
-      if (take != kBlockSize) {
-        // Partial block: read-modify-write against the current contents.
-        ASSIGN_OR_RETURN(DInode * inode, GetInodeRef(ino));
-        uint64_t blk_start = static_cast<uint64_t>(lbn) * kBlockSize;
-        if (blk_start < inode->size) {
-          RETURN_IF_ERROR(ReadFileDataBlock(*inode, lbn, block));
-        }
+      // Partial block: read-modify-write against the current contents.
+      ASSIGN_OR_RETURN(DInode * inode, GetInodeRef(ino));
+      uint64_t blk_start = static_cast<uint64_t>(lbn) * kBlockSize;
+      if (blk_start < inode->size) {
+        RETURN_IF_ERROR(ReadFileDataBlock(*inode, lbn, block));
       }
       PutDirtyBlock(ino, lbn, std::move(block));
       dirty = FindDirtyBlock(ino, lbn);
@@ -219,34 +242,14 @@ Status Lfs::FlushAll(bool for_checkpoint) {
   return status;
 }
 
-Status Lfs::WritePartial(SegmentBuilder& builder, uint16_t ss_flags) {
-  (void)ss_flags;
+Status Lfs::WritePartial(SegmentBuilder& builder) {
   // Serials are assigned at write time so an abandoned builder never leaves
   // a gap (roll-forward requires a contiguous serial chain).
   builder.set_serial(pseg_serial_);
   ASSIGN_OR_RETURN(SegmentBuilder::Image image, builder.Finish());
-  Status wrote =
-      dev_->WriteBlocks(image.base_daddr, image.num_blocks, image.bytes);
-  if (!wrote.ok()) {
-    // The device rejected the partial segment. The blocks were already
-    // unhooked from the dirty map and re-pointed at the (never-written)
-    // addresses — put them back so a later flush re-homes them; the stale
-    // pointers are overwritten then.
-    for (const auto& ba : image.blocks) {
-      std::vector<uint8_t> bytes(
-          image.bytes.begin() +
-              static_cast<size_t>(ba.daddr - image.base_daddr) * kBlockSize,
-          image.bytes.begin() +
-              static_cast<size_t>(ba.daddr - image.base_daddr + 1) *
-                  kBlockSize);
-      PutDirtyBlock(ba.ino, ba.lbn, std::move(bytes));
-      MarkInodeDirty(ba.ino);
-    }
-    for (const auto& ia : image.inodes) {
-      MarkInodeDirty(ia.ino);  // The inode map was not updated; just retry.
-    }
-    return wrote;
-  }
+  // On failure FlushInodeSet hands the held buffers back to the dirty map.
+  RETURN_IF_ERROR(
+      dev_->WriteBlocks(image.base_daddr, image.num_blocks, image.bytes));
   pseg_serial_++;  // Only a written partial segment consumes a serial.
   // The extra staging copies LFS performs before issuing one large write
   // (the paper's explanation for LFS sequential-write overhead).
@@ -260,14 +263,22 @@ Status Lfs::WritePartial(SegmentBuilder& builder, uint16_t ss_flags) {
     AccountNewAddress(ia.daddr, static_cast<int64_t>(kInodeSize));
   }
   // Freshly written blocks stay hot in the buffer cache under their new
-  // addresses, as they would in the 4.4BSD buffer cache.
-  for (uint32_t i = 1; i < image.num_blocks; ++i) {
-    buffer_cache_.Insert(
-        image.base_daddr + i,
-        std::span<const uint8_t>(
-            image.bytes.data() + static_cast<size_t>(i) * kBlockSize,
-            kBlockSize));
+  // addresses, as they would in the 4.4BSD buffer cache, inserted in address
+  // order: the data buffers move in, the inode blocks are copied from the
+  // image.
+  assert(held_blocks_.size() == image.blocks.size());
+  for (size_t i = 0; i < image.blocks.size(); ++i) {
+    buffer_cache_.Adopt(image.blocks[i].daddr,
+                        std::move(held_blocks_[i].bytes));
   }
+  for (uint32_t i = 1 + static_cast<uint32_t>(image.blocks.size());
+       i < image.num_blocks; ++i) {
+    buffer_cache_.Insert(image.base_daddr + i,
+                         image.bytes.subspan(
+                             static_cast<size_t>(i) * kBlockSize, kBlockSize));
+  }
+  held_blocks_.clear();
+  held_inodes_.clear();
   cur_offset_ += image.num_blocks;
   stats_.psegs_written++;
   stats_.summary_blocks_written++;
@@ -278,8 +289,35 @@ Status Lfs::WritePartial(SegmentBuilder& builder, uint16_t ss_flags) {
   return OkStatus();
 }
 
+void Lfs::RequeuePartial() {
+  // The blocks were unhooked from the dirty map and re-pointed at addresses
+  // that were never written; the stale pointers are overwritten when a
+  // later flush re-homes them. A dirty copy made since is newer: keep it.
+  for (HeldBlock& held : held_blocks_) {
+    if (dirty_blocks_[held.ino].try_emplace(held.lbn, std::move(held.bytes))
+            .second) {
+      dirty_bytes_ += kBlockSize;
+    }
+    MarkInodeDirty(held.ino);
+  }
+  for (uint32_t ino : held_inodes_) {
+    MarkInodeDirty(ino);  // The inode map was not updated; just retry.
+  }
+  held_blocks_.clear();
+  held_inodes_.clear();
+}
+
 Status Lfs::FlushInodeSet(const std::vector<uint32_t>& inos,
                           uint16_t ss_flags) {
+  Status status = AppendInodeSet(inos, ss_flags);
+  if (!status.ok()) {
+    RequeuePartial();
+  }
+  return status;
+}
+
+Status Lfs::AppendInodeSet(const std::vector<uint32_t>& inos,
+                           uint16_t ss_flags) {
   std::unique_ptr<SegmentBuilder> builder;
 
   auto ensure_builder = [&]() -> Status {
@@ -290,14 +328,14 @@ Status Lfs::FlushInodeSet(const std::vector<uint32_t>& inos,
       RETURN_IF_ERROR(AdvanceSegment());
     }
     builder = std::make_unique<SegmentBuilder>(
-        sb_.SegFirstBlock(cur_seg_) + cur_offset_,
+        &seg_arena_, sb_.SegFirstBlock(cur_seg_) + cur_offset_,
         sb_.seg_size_blocks - cur_offset_, next_seg_,
         static_cast<uint32_t>(NowSeconds()), /*serial=*/0, ss_flags);
     return OkStatus();
   };
   auto rotate = [&]() -> Status {
     if (builder != nullptr && !builder->empty()) {
-      Status s = WritePartial(*builder, ss_flags);
+      Status s = WritePartial(*builder);
       builder.reset();
       RETURN_IF_ERROR(s);
     } else {
@@ -306,6 +344,23 @@ Status Lfs::FlushInodeSet(const std::vector<uint32_t>& inos,
       RETURN_IF_ERROR(AdvanceSegment());
     }
     return ensure_builder();
+  };
+  // Moves dirty block (ino, lbn) into the partial and points the file at
+  // its new address.
+  auto append_block = [&](uint32_t ino, uint32_t lbn) -> Status {
+    RETURN_IF_ERROR(ensure_builder());
+    if (FindDirtyBlock(ino, lbn) == nullptr) {
+      return OkStatus();
+    }
+    while (!builder->CanAddBlock(ino)) {
+      RETURN_IF_ERROR(rotate());
+    }
+    ASSIGN_OR_RETURN(DInode * inode, GetInodeRef(ino));
+    ASSIGN_OR_RETURN(uint32_t daddr,
+                     builder->AddBlock(ino, inode->version, lbn,
+                                       *FindDirtyBlock(ino, lbn)));
+    held_blocks_.push_back(HeldBlock{ino, lbn, TakeDirtyBlock(ino, lbn)});
+    return SetBmap(ino, lbn, daddr);
   };
 
   for (uint32_t ino : inos) {
@@ -329,26 +384,7 @@ Status Lfs::FlushInodeSet(const std::vector<uint32_t>& inos,
 
     // Phase A: data blocks.
     for (uint32_t lbn : data_lbns) {
-      RETURN_IF_ERROR(ensure_builder());
-      std::vector<uint8_t>* bytes = FindDirtyBlock(ino, lbn);
-      if (bytes == nullptr) {
-        continue;
-      }
-      while (!builder->CanAddBlock(ino)) {
-        RETURN_IF_ERROR(rotate());
-      }
-      ASSIGN_OR_RETURN(DInode * inode, GetInodeRef(ino));
-      ASSIGN_OR_RETURN(uint32_t daddr,
-                       builder->AddBlock(ino, inode->version, lbn, *bytes));
-      RETURN_IF_ERROR(SetBmap(ino, lbn, daddr));
-    }
-    // Drop flushed data blocks from the dirty map.
-    if (auto it = dirty_blocks_.find(ino); it != dirty_blocks_.end()) {
-      for (uint32_t lbn : data_lbns) {
-        if (it->second.erase(lbn) > 0) {
-          dirty_bytes_ -= kBlockSize;
-        }
-      }
+      RETURN_IF_ERROR(append_block(ino, lbn));
     }
 
     // Phase B: metadata blocks, ascending = double-indirect children first,
@@ -370,29 +406,8 @@ Status Lfs::FlushInodeSet(const std::vector<uint32_t>& inos,
       }
       std::sort(meta_lbns.begin(), meta_lbns.end());
       for (uint32_t lbn : meta_lbns) {
-        RETURN_IF_ERROR(ensure_builder());
-        std::vector<uint8_t>* bytes = FindDirtyBlock(ino, lbn);
-        if (bytes == nullptr) {
-          continue;
-        }
-        while (!builder->CanAddBlock(ino)) {
-          RETURN_IF_ERROR(rotate());
-        }
-        ASSIGN_OR_RETURN(DInode * inode, GetInodeRef(ino));
-        ASSIGN_OR_RETURN(uint32_t daddr,
-                         builder->AddBlock(ino, inode->version, lbn, *bytes));
-        RETURN_IF_ERROR(SetBmap(ino, lbn, daddr));
+        RETURN_IF_ERROR(append_block(ino, lbn));
         meta_written.insert(lbn);
-      }
-      if (auto it = dirty_blocks_.find(ino); it != dirty_blocks_.end()) {
-        for (uint32_t lbn : meta_lbns) {
-          if (it->second.erase(lbn) > 0) {
-            dirty_bytes_ -= kBlockSize;
-          }
-        }
-        if (it->second.empty()) {
-          dirty_blocks_.erase(it);
-        }
       }
     }
 
@@ -403,11 +418,12 @@ Status Lfs::FlushInodeSet(const std::vector<uint32_t>& inos,
     }
     ASSIGN_OR_RETURN(DInode * inode, GetInodeRef(ino));
     RETURN_IF_ERROR(builder->AddInode(*inode).status());
+    held_inodes_.push_back(ino);
     dirty_inodes_.erase(ino);
   }
 
   if (builder != nullptr && !builder->empty()) {
-    RETURN_IF_ERROR(WritePartial(*builder, ss_flags));
+    RETURN_IF_ERROR(WritePartial(*builder));
   }
   return OkStatus();
 }

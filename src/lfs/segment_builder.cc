@@ -1,5 +1,6 @@
 #include "lfs/segment_builder.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -12,10 +13,11 @@ namespace {
 constexpr size_t kSummaryHeaderSize = 4 + 4 + 4 + 4 + 2 + 2 + 2 + 2 + 8 + 2;
 }  // namespace
 
-SegmentBuilder::SegmentBuilder(uint32_t base_daddr, uint32_t max_blocks,
+SegmentBuilder::SegmentBuilder(std::vector<uint8_t>* arena,
+                               uint32_t base_daddr, uint32_t max_blocks,
                                uint32_t next_seg, uint32_t create_time,
                                uint64_t serial, uint16_t flags)
-    : base_daddr_(base_daddr), max_blocks_(max_blocks) {
+    : arena_(arena), base_daddr_(base_daddr), max_blocks_(max_blocks) {
   summary_.next = next_seg;
   summary_.create = create_time;
   summary_.serial = serial;
@@ -41,7 +43,25 @@ size_t SegmentBuilder::SummaryBytesWith(uint32_t ino) const {
 }
 
 uint32_t SegmentBuilder::BlocksUsed() const {
-  return 1 + static_cast<uint32_t>(data_.size()) + NumInodeBlocks();
+  return 1 + static_cast<uint32_t>(blocks_.size()) + NumInodeBlocks();
+}
+
+std::span<uint8_t> SegmentBuilder::ArenaBlocks(uint32_t first,
+                                               uint32_t count) {
+  size_t end = static_cast<size_t>(first + count) * kBlockSize;
+  if (arena_->size() < end) {
+    // Capacity doubles (never past this partial's bound), so growth costs
+    // amortized O(1) per block; the size, and so the bytes ever touched,
+    // stops at the largest partial built.
+    if (arena_->capacity() < end) {
+      size_t bound = static_cast<size_t>(max_blocks_) * kBlockSize;
+      arena_->reserve(std::max(end, std::min(2 * arena_->capacity(), bound)));
+    }
+    arena_->resize(end);
+  }
+  return std::span<uint8_t>(
+      arena_->data() + static_cast<size_t>(first) * kBlockSize,
+      static_cast<size_t>(count) * kBlockSize);
 }
 
 bool SegmentBuilder::CanAddBlock(uint32_t ino) const {
@@ -87,9 +107,10 @@ Result<uint32_t> SegmentBuilder::AddBlock(uint32_t ino, uint32_t version,
     finfo = &summary_.finfos.back();
   }
   finfo->lbns.push_back(lbn);
-  uint32_t daddr = base_daddr_ + 1 + static_cast<uint32_t>(data_.size());
-  data_.push_back(PendingBlock{ino, lbn, {block.begin(), block.end()}});
-  return daddr;
+  uint32_t index = 1 + static_cast<uint32_t>(blocks_.size());
+  datasum_ = Crc32Copy(ArenaBlocks(index, 1), block, datasum_);
+  blocks_.push_back(BlockAssignment{ino, lbn, base_daddr_ + index});
+  return base_daddr_ + index;
 }
 
 Result<uint32_t> SegmentBuilder::AddInode(const DInode& inode) {
@@ -103,7 +124,8 @@ Result<uint32_t> SegmentBuilder::AddInode(const DInode& inode) {
   // the actual address is resolved in Finish(); we return a *predicted*
   // address that is corrected there. Callers use the Image assignments, so
   // record the block index for now.
-  return base_daddr_ + 1 + static_cast<uint32_t>(data_.size()) + block_index;
+  return base_daddr_ + 1 + static_cast<uint32_t>(blocks_.size()) +
+         block_index;
 }
 
 Result<SegmentBuilder::Image> SegmentBuilder::Finish() {
@@ -113,48 +135,35 @@ Result<SegmentBuilder::Image> SegmentBuilder::Finish() {
   finished_ = true;
   Image image;
   image.base_daddr = base_daddr_;
+  uint32_t ndata = static_cast<uint32_t>(blocks_.size());
   uint32_t ninode_blocks = NumInodeBlocks();
-  uint32_t total_blocks =
-      1 + static_cast<uint32_t>(data_.size()) + ninode_blocks;
+  uint32_t total_blocks = 1 + ndata + ninode_blocks;
   assert(total_blocks <= max_blocks_);
   image.num_blocks = total_blocks;
-  image.bytes.assign(static_cast<size_t>(total_blocks) * kBlockSize, 0);
 
-  // Data blocks.
-  size_t offset = kBlockSize;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    std::memcpy(image.bytes.data() + offset, data_[i].bytes.data(),
-                kBlockSize);
-    image.blocks.push_back(BlockAssignment{
-        data_[i].ino, data_[i].lbn,
-        base_daddr_ + 1 + static_cast<uint32_t>(i)});
-    offset += kBlockSize;
-  }
-
-  // Inode blocks.
-  uint32_t first_inode_block =
-      base_daddr_ + 1 + static_cast<uint32_t>(data_.size());
+  // Inode blocks: zeroed (an unused slot reads as kNoInode), filled, and
+  // folded into the datasum after the data blocks. 32 slots of 128 bytes
+  // fill a block, so inode i sits at byte i * kInodeSize.
+  uint32_t first_inode_block = base_daddr_ + 1 + ndata;
+  std::span<uint8_t> inode_bytes = ArenaBlocks(1 + ndata, ninode_blocks);
+  std::memset(inode_bytes.data(), 0, inode_bytes.size());
   for (size_t i = 0; i < inodes_.size(); ++i) {
-    uint32_t block_index = static_cast<uint32_t>(i) / kInodesPerBlock;
-    uint32_t slot = static_cast<uint32_t>(i) % kInodesPerBlock;
-    uint8_t* block_start =
-        image.bytes.data() +
-        (1 + data_.size() + block_index) * static_cast<size_t>(kBlockSize);
-    inodes_[i].Serialize(
-        std::span<uint8_t>(block_start + slot * kInodeSize, kInodeSize));
-    image.inodes.push_back(
-        InodeAssignment{inodes_[i].ino, first_inode_block + block_index});
+    inodes_[i].Serialize(inode_bytes.subspan(i * kInodeSize, kInodeSize));
+    image.inodes.push_back(InodeAssignment{
+        inodes_[i].ino,
+        first_inode_block + static_cast<uint32_t>(i / kInodesPerBlock)});
   }
+  datasum_ = Crc32(inode_bytes, datasum_);
   for (uint32_t b = 0; b < ninode_blocks; ++b) {
     summary_.inode_daddrs.push_back(first_inode_block + b);
   }
 
   image.summary_bytes = static_cast<uint32_t>(summary_.EncodedSize());
-  // Checksums: datasum over everything after the summary block.
-  summary_.datasum = Crc32(std::span<const uint8_t>(
-      image.bytes.data() + kBlockSize, image.bytes.size() - kBlockSize));
-  RETURN_IF_ERROR(summary_.SerializeToBlock(
-      std::span<uint8_t>(image.bytes.data(), kBlockSize)));
+  summary_.datasum = datasum_;
+  RETURN_IF_ERROR(summary_.SerializeToBlock(ArenaBlocks(0, 1)));
+  image.bytes = std::span<const uint8_t>(
+      arena_->data(), static_cast<size_t>(total_blocks) * kBlockSize);
+  image.blocks = std::move(blocks_);
   return image;
 }
 

@@ -13,6 +13,12 @@
 // blocks or the one-block summary (HighLight's 4 KB summary block can in
 // principle fill up — section 6.3 — and the builder is where that limit is
 // enforced).
+//
+// Each writer owns one arena, a byte buffer reused for every partial it
+// builds. AddBlock copies the block straight to its final place in the
+// arena and folds it into ss_datasum in the same pass (Crc32Copy); Finish
+// lays out only the inode blocks and the summary. The arena grows only as
+// far as the partials built in it need.
 
 #ifndef HIGHLIGHT_LFS_SEGMENT_BUILDER_H_
 #define HIGHLIGHT_LFS_SEGMENT_BUILDER_H_
@@ -28,17 +34,21 @@ namespace hl {
 
 class SegmentBuilder {
  public:
-  // `base_daddr` is the block address the summary block will occupy;
-  // `max_blocks` bounds the whole partial segment (summary included).
-  SegmentBuilder(uint32_t base_daddr, uint32_t max_blocks, uint32_t next_seg,
-                 uint32_t create_time, uint64_t serial, uint16_t flags = 0);
+  // `arena` is the writer's image buffer; it must outlive the builder and
+  // every Image it returns. `base_daddr` is the block address the summary
+  // block will occupy; `max_blocks` bounds the whole partial segment
+  // (summary included).
+  SegmentBuilder(std::vector<uint8_t>* arena, uint32_t base_daddr,
+                 uint32_t max_blocks, uint32_t next_seg, uint32_t create_time,
+                 uint64_t serial, uint16_t flags = 0);
 
   // True if a data block for (ino possibly new in this pseg) still fits.
   bool CanAddBlock(uint32_t ino) const;
   bool CanAddInode() const;
 
-  // Appends one data/metadata block for file `ino`; returns the address it
-  // will occupy. `lbn` may be a metadata encoding (indirect blocks).
+  // Appends one data/metadata block for file `ino`, copying it into the
+  // arena; returns the address it will occupy. `lbn` may be a metadata
+  // encoding (indirect blocks).
   Result<uint32_t> AddBlock(uint32_t ino, uint32_t version, uint32_t lbn,
                             std::span<const uint8_t> block);
 
@@ -46,7 +56,7 @@ class SegmentBuilder {
   // address of the inode block that will hold it.
   Result<uint32_t> AddInode(const DInode& inode);
 
-  bool empty() const { return data_.empty() && inodes_.empty(); }
+  bool empty() const { return blocks_.empty() && inodes_.empty(); }
   void set_serial(uint64_t serial) { summary_.serial = serial; }
   uint32_t BlocksUsed() const;  // Summary + data + inode blocks.
   uint32_t base_daddr() const { return base_daddr_; }
@@ -62,7 +72,9 @@ class SegmentBuilder {
   };
   struct Image {
     uint32_t base_daddr;
-    std::vector<uint8_t> bytes;  // Whole partial segment, summary first.
+    // Whole partial segment, summary first: a view of the arena, valid until
+    // the writer starts its next partial.
+    std::span<const uint8_t> bytes;
     std::vector<BlockAssignment> blocks;
     std::vector<InodeAssignment> inodes;
     uint32_t num_blocks;  // bytes.size() / kBlockSize.
@@ -79,17 +91,16 @@ class SegmentBuilder {
                                  kInodesPerBlock);
   }
   size_t SummaryBytesWith(uint32_t ino) const;
+  // Blocks [first, first + count) of the arena, growing it if needed.
+  std::span<uint8_t> ArenaBlocks(uint32_t first, uint32_t count);
 
+  std::vector<uint8_t>* arena_;
   uint32_t base_daddr_;
   uint32_t max_blocks_;
   SegSummary summary_;
-  struct PendingBlock {
-    uint32_t ino;
-    uint32_t lbn;
-    std::vector<uint8_t> bytes;
-  };
-  std::vector<PendingBlock> data_;
+  std::vector<BlockAssignment> blocks_;  // Data blocks, in address order.
   std::vector<DInode> inodes_;
+  uint32_t datasum_ = 0;  // CRC of the data blocks added so far.
   bool finished_ = false;
 };
 

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "blockdev/sim_disk.h"
+#include "lfs/buffer_cache.h"
 #include "lfs/lfs.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace hl {
 namespace {
@@ -269,6 +272,164 @@ TEST_F(LfsBasicTest, InodeMapGrowsOnDemand) {
     ASSERT_TRUE(ino.ok()) << i << ": " << ino.status().ToString();
   }
   ASSERT_TRUE((*fs)->Checkpoint().ok());
+}
+
+// Bmap reads indirect pointers where they lie. Each state of the single
+// indirect block, the double-indirect root and one of its children: dirty
+// (the dirty copy wins), cached (hits, no device read) and uncached
+// (exactly one device read and one miss per block, which it then caches).
+TEST_F(LfsBasicTest, BmapReadsIndirectPointersInPlace) {
+  constexpr uint32_t kSingleLbn = kNumDirect + 1;
+  constexpr uint32_t kChild = 1;
+  constexpr uint32_t kEntry = 5;
+  constexpr uint32_t kDoubleLbn =
+      kNumDirect + kPtrsPerBlock + kChild * kPtrsPerBlock + kEntry;
+  Result<uint32_t> ino = fs_->Create("/sparse");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(fs_->Write(*ino, uint64_t{kSingleLbn} * kBlockSize,
+                         Pattern(kBlockSize, 1))
+                  .ok());
+  ASSERT_TRUE(fs_->Write(*ino, uint64_t{kDoubleLbn} * kBlockSize,
+                         Pattern(kBlockSize, 2))
+                  .ok());
+  ASSERT_TRUE(fs_->Sync().ok());
+  Result<DInode> inode = fs_->GetInode(*ino);
+  ASSERT_TRUE(inode.ok());
+  BufferCache& cache = fs_->buffer_cache();
+  auto bmap = [&](uint32_t lbn) {
+    return fs_->BmapV({BlockRef{*ino, inode->version, lbn, 0}})[0];
+  };
+  auto block_at = [&](uint32_t daddr) {
+    std::vector<uint8_t> block(kBlockSize);
+    EXPECT_TRUE(disk_->ReadBlocks(daddr, 1, block).ok());
+    return block;
+  };
+  struct Cost {
+    uint64_t hits, misses, reads;
+  };
+  auto cost_of = [&](auto&& fn) {
+    Cost before{cache.hits(), cache.misses(), disk_->reads()};
+    fn();
+    return Cost{cache.hits() - before.hits, cache.misses() - before.misses,
+                disk_->reads() - before.reads};
+  };
+  auto expect_cost = [](Cost c, uint64_t hits, uint64_t misses,
+                        uint64_t reads) {
+    EXPECT_EQ(c.hits, hits);
+    EXPECT_EQ(c.misses, misses);
+    EXPECT_EQ(c.reads, reads);
+  };
+
+  // Cached: the flush left every indirect block in the buffer cache.
+  uint32_t single = 0;
+  uint32_t dbl = 0;
+  uint32_t child = 0;
+  expect_cost(cost_of([&] { single = bmap(kSingleLbn); }), 1, 0, 0);
+  expect_cost(cost_of([&] { dbl = bmap(kDoubleLbn); }), 2, 0, 0);
+  expect_cost(cost_of([&] { child = bmap(DindChildLbn(kChild)); }), 1, 0, 0);
+  EXPECT_TRUE(block_at(single) == Pattern(kBlockSize, 1));
+  EXPECT_TRUE(block_at(dbl) == Pattern(kBlockSize, 2));
+
+  // Uncached: one read and one miss per indirect block, then cached.
+  cache.Invalidate(inode->indirect);
+  expect_cost(cost_of([&] { EXPECT_EQ(bmap(kSingleLbn), single); }), 0, 1,
+              1);
+  expect_cost(cost_of([&] { EXPECT_EQ(bmap(kSingleLbn), single); }), 1, 0,
+              0);
+  cache.Invalidate(child);
+  expect_cost(cost_of([&] { EXPECT_EQ(bmap(kDoubleLbn), dbl); }), 1, 1, 1);
+  cache.Invalidate(inode->dindirect);
+  cache.Invalidate(child);
+  expect_cost(cost_of([&] { EXPECT_EQ(bmap(kDoubleLbn), dbl); }), 0, 2, 2);
+  expect_cost(cost_of([&] { EXPECT_EQ(bmap(kDoubleLbn), dbl); }), 2, 0, 0);
+
+  // Dirty: a dirty copy (here a relocation queued through RewriteBlocks,
+  // with one pointer changed) is read instead of the cache or the disk.
+  auto requeue_with_ptr = [&](uint32_t meta_lbn, uint32_t daddr,
+                              uint32_t index, uint32_t value) {
+    std::vector<uint8_t> content = block_at(daddr);
+    Writer(std::span<uint8_t>(content).subspan(index * 4, 4)).PutU32(value);
+    std::vector<std::vector<uint8_t>> data;
+    data.push_back(std::move(content));
+    Result<size_t> queued = fs_->RewriteBlocks(
+        {BlockRef{*ino, inode->version, meta_lbn, daddr}}, std::move(data));
+    ASSERT_TRUE(queued.ok());
+    ASSERT_EQ(*queued, 1u);
+  };
+  requeue_with_ptr(kLbnSingleIndirect, inode->indirect,
+                   kSingleLbn - kNumDirect, 111);
+  expect_cost(cost_of([&] { EXPECT_EQ(bmap(kSingleLbn), 111u); }), 0, 0, 0);
+  requeue_with_ptr(DindChildLbn(kChild), child, kEntry, 222);
+  expect_cost(cost_of([&] { EXPECT_EQ(bmap(kDoubleLbn), 222u); }), 1, 0, 0);
+  requeue_with_ptr(kLbnDoubleIndirect, inode->dindirect, kChild, 333);
+  expect_cost(cost_of([&] { EXPECT_EQ(bmap(DindChildLbn(kChild)), 333u); }),
+              0, 0, 0);
+  // The dirty child is found by its lbn whatever the root says.
+  expect_cost(cost_of([&] { EXPECT_EQ(bmap(kDoubleLbn), 222u); }), 0, 0, 0);
+}
+
+// Find and Adopt are Lookup and Insert without the copy: the same seeded op
+// sequence through both pairs gives the same hits, misses, residency (so
+// the same LRU order and evictions) and arena bytes.
+TEST(BufferCacheTest, FindAndAdoptMatchLookupAndInsert) {
+  constexpr uint32_t kCapacity = 64;
+  constexpr uint32_t kKeys = 160;
+  BufferCache copying(kCapacity);
+  BufferCache zero_copy(kCapacity);
+  Rng rng(5);
+  std::vector<uint8_t> out(kBlockSize);
+  auto block_for = [](uint32_t key, uint64_t stamp) {
+    std::vector<uint8_t> block(kBlockSize);
+    Writer w(block);
+    w.PutU32(key);
+    w.PutU64(stamp);
+    return block;
+  };
+  for (uint64_t op = 0; op < 20000; ++op) {
+    uint32_t key = static_cast<uint32_t>(rng.Below(kKeys));
+    switch (rng.Below(20)) {
+      case 0:
+        copying.Invalidate(key);
+        zero_copy.Invalidate(key);
+        break;
+      case 1:
+        if (rng.Below(50) == 0) {
+          copying.Flush();
+          zero_copy.Flush();
+        }
+        break;
+      case 2:
+      case 3:
+      case 4:
+      case 5:
+      case 6:
+      case 7: {
+        std::vector<uint8_t> block = block_for(key, op);
+        copying.Insert(key, block);
+        zero_copy.Adopt(key, std::move(block));
+        break;
+      }
+      default: {
+        bool hit = copying.Lookup(key, out);
+        std::span<const uint8_t> found = zero_copy.Find(key);
+        ASSERT_EQ(hit, !found.empty()) << "op " << op;
+        if (hit) {
+          ASSERT_TRUE(std::equal(found.begin(), found.end(), out.begin(),
+                                 out.end()))
+              << "op " << op;
+        }
+      }
+    }
+    ASSERT_EQ(copying.hits(), zero_copy.hits()) << "op " << op;
+    ASSERT_EQ(copying.misses(), zero_copy.misses()) << "op " << op;
+    ASSERT_EQ(copying.size(), zero_copy.size()) << "op " << op;
+    ASSERT_EQ(copying.arena_bytes(), zero_copy.arena_bytes()) << "op " << op;
+  }
+  EXPECT_GT(copying.hits(), 0u);
+  EXPECT_GT(copying.misses(), 0u);
+  for (uint32_t key = 0; key < kKeys; ++key) {
+    EXPECT_EQ(copying.Lookup(key, out), !zero_copy.Find(key).empty()) << key;
+  }
 }
 
 }  // namespace

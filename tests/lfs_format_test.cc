@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "lfs/format.h"
 #include "lfs/segment_builder.h"
+#include "util/crc32.h"
+#include "util/rng.h"
 
 namespace hl {
 namespace {
@@ -181,7 +186,9 @@ TEST(DirEntryFormatTest, RoundTrip) {
 // --- SegmentBuilder ----------------------------------------------------------
 
 TEST(SegmentBuilderTest, BuildsSelfDescribingPartial) {
-  SegmentBuilder b(1000, 256, /*next_seg=*/7, /*create=*/1, /*serial=*/3);
+  std::vector<uint8_t> arena;
+  SegmentBuilder b(&arena, 1000, 256, /*next_seg=*/7, /*create=*/1,
+                   /*serial=*/3);
   std::vector<uint8_t> blk(kBlockSize, 0x5A);
   Result<uint32_t> a0 = b.AddBlock(5, 1, 0, blk);
   Result<uint32_t> a1 = b.AddBlock(5, 1, 1, blk);
@@ -208,7 +215,8 @@ TEST(SegmentBuilderTest, BuildsSelfDescribingPartial) {
 }
 
 TEST(SegmentBuilderTest, RespectsBlockBudget) {
-  SegmentBuilder b(0, 3, kNoSegment, 0, 0);  // Summary + 2 blocks max.
+  std::vector<uint8_t> arena;
+  SegmentBuilder b(&arena, 0, 3, kNoSegment, 0, 0);  // Summary + 2 blocks.
   std::vector<uint8_t> blk(kBlockSize, 1);
   EXPECT_TRUE(b.AddBlock(1, 0, 0, blk).ok());
   EXPECT_TRUE(b.CanAddBlock(1));
@@ -218,7 +226,8 @@ TEST(SegmentBuilderTest, RespectsBlockBudget) {
 }
 
 TEST(SegmentBuilderTest, InodesPackIntoBlocks) {
-  SegmentBuilder b(0, 256, kNoSegment, 0, 0);
+  std::vector<uint8_t> arena;
+  SegmentBuilder b(&arena, 0, 256, kNoSegment, 0, 0);
   DInode inode;
   for (uint32_t i = 0; i < kInodesPerBlock + 1; ++i) {
     inode.ino = 100 + i;
@@ -236,7 +245,8 @@ TEST(SegmentBuilderTest, SummaryBlockLimitEnforced) {
   // Each distinct file costs 16 bytes of summary; with one block per file the
   // builder must stop before the 4 KB summary overflows, even though the
   // segment has room for more data blocks.
-  SegmentBuilder b(0, 2000, kNoSegment, 0, 0);
+  std::vector<uint8_t> arena;
+  SegmentBuilder b(&arena, 0, 2000, kNoSegment, 0, 0);
   std::vector<uint8_t> blk(kBlockSize, 2);
   uint32_t added = 0;
   for (uint32_t ino = 1; ino <= 400; ++ino) {
@@ -248,6 +258,139 @@ TEST(SegmentBuilderTest, SummaryBlockLimitEnforced) {
   }
   EXPECT_LT(added, 400u);   // The summary filled before 400 files fit.
   EXPECT_GT(added, 150u);   // But it held a healthy number.
+}
+
+// The builder assembles each partial in place in a reused arena. The
+// reference below is the assembly it replaced: a zero-filled image, each
+// data block copied in, inodes serialized into their blocks, then one CRC
+// over the body for ss_datasum.
+struct RefBlock {
+  uint32_t ino;
+  uint32_t version;
+  uint32_t lbn;
+  std::vector<uint8_t> bytes;
+};
+
+std::vector<uint8_t> ReferenceImage(uint32_t base, uint32_t next_seg,
+                                    uint32_t create, uint64_t serial,
+                                    const std::vector<RefBlock>& blocks,
+                                    const std::vector<DInode>& inodes,
+                                    uint32_t* datasum) {
+  uint32_t ninode_blocks = static_cast<uint32_t>(
+      (inodes.size() + kInodesPerBlock - 1) / kInodesPerBlock);
+  size_t total = 1 + blocks.size() + ninode_blocks;
+  std::vector<uint8_t> image(total * kBlockSize, 0);
+  SegSummary sum;
+  sum.next = next_seg;
+  sum.create = create;
+  sum.serial = serial;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    std::memcpy(image.data() + (1 + i) * kBlockSize, blocks[i].bytes.data(),
+                kBlockSize);
+    FInfo* finfo = nullptr;
+    for (FInfo& f : sum.finfos) {
+      if (f.ino == blocks[i].ino) {
+        finfo = &f;
+      }
+    }
+    if (finfo == nullptr) {
+      sum.finfos.push_back(FInfo{blocks[i].ino, blocks[i].version, {}});
+      finfo = &sum.finfos.back();
+    }
+    finfo->lbns.push_back(blocks[i].lbn);
+  }
+  for (size_t i = 0; i < inodes.size(); ++i) {
+    size_t block = 1 + blocks.size() + i / kInodesPerBlock;
+    inodes[i].Serialize(std::span<uint8_t>(
+        image.data() + block * kBlockSize + (i % kInodesPerBlock) * kInodeSize,
+        kInodeSize));
+  }
+  for (uint32_t b = 0; b < ninode_blocks; ++b) {
+    sum.inode_daddrs.push_back(
+        base + 1 + static_cast<uint32_t>(blocks.size()) + b);
+  }
+  sum.datasum = Crc32(std::span<const uint8_t>(image.data() + kBlockSize,
+                                               image.size() - kBlockSize));
+  *datasum = sum.datasum;
+  EXPECT_TRUE(
+      sum.SerializeToBlock(std::span<uint8_t>(image.data(), kBlockSize)).ok());
+  return image;
+}
+
+TEST(SegmentBuilderTest, ArenaPartialsMatchReferenceAssembly) {
+  std::vector<uint8_t> arena;
+  Rng rng(17);
+  size_t largest = 0;
+  for (int partial = 0; partial < 40; ++partial) {
+    // A near-full segment first, so every later partial reuses an arena
+    // holding stale bytes; every fifth partial has room for more blocks
+    // than its summary can describe and fills until the summary refuses.
+    const bool summary_bound = partial % 5 == 4;
+    const uint32_t max_blocks =
+        partial == 0 ? 256
+                     : (summary_bound ? 2000
+                                      : 2 + static_cast<uint32_t>(
+                                                rng.Below(120)));
+    const uint32_t base = 1000 + static_cast<uint32_t>(rng.Below(100000));
+    const uint32_t next_seg = static_cast<uint32_t>(rng.Below(64));
+    const uint32_t create = static_cast<uint32_t>(rng.Next());
+    const uint64_t serial = rng.Next();
+    SegmentBuilder builder(&arena, base, max_blocks, next_seg, create, serial);
+    std::vector<RefBlock> blocks;
+    std::vector<DInode> inodes;
+    uint32_t ino = 2;
+    while (true) {
+      // Runs of blocks per file (one block per file when filling the
+      // summary), with an inode now and then: inode blocks end partly full.
+      if (summary_bound || rng.Below(4) == 0) {
+        ++ino;
+      }
+      if (rng.Below(6) == 0 && builder.CanAddInode()) {
+        DInode inode;
+        inode.ino = ino;
+        inode.type = FileType::kRegular;
+        inode.size = rng.Next();
+        inode.version = static_cast<uint32_t>(rng.Below(5));
+        ASSERT_TRUE(builder.AddInode(inode).ok());
+        inodes.push_back(inode);
+      }
+      if (!builder.CanAddBlock(ino)) {
+        break;
+      }
+      RefBlock block{ino, 1, static_cast<uint32_t>(rng.Below(5000)),
+                     std::vector<uint8_t>(kBlockSize)};
+      for (size_t i = 0; i < kBlockSize; i += 8) {
+        uint64_t v = rng.Next();
+        std::memcpy(block.bytes.data() + i, &v, 8);
+      }
+      Result<uint32_t> daddr =
+          builder.AddBlock(block.ino, block.version, block.lbn, block.bytes);
+      ASSERT_TRUE(daddr.ok());
+      EXPECT_EQ(*daddr, base + 1 + blocks.size());
+      blocks.push_back(std::move(block));
+    }
+    if (summary_bound) {
+      EXPECT_LT(builder.BlocksUsed(), max_blocks);  // The summary filled.
+    }
+    Result<SegmentBuilder::Image> image = builder.Finish();
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    uint32_t datasum = 0;
+    std::vector<uint8_t> want =
+        ReferenceImage(base, next_seg, create, serial, blocks, inodes, &datasum);
+    ASSERT_EQ(image->num_blocks * kBlockSize, want.size());
+    ASSERT_TRUE(std::equal(image->bytes.begin(), image->bytes.end(),
+                           want.begin(), want.end()))
+        << "partial " << partial;
+    Result<SegSummary> sum = SegSummary::DeserializeFromBlock(
+        image->bytes.subspan(0, kBlockSize));
+    ASSERT_TRUE(sum.ok());
+    EXPECT_EQ(sum->datasum, datasum);
+    ASSERT_EQ(image->blocks.size(), blocks.size());
+    ASSERT_EQ(image->inodes.size(), inodes.size());
+    largest = std::max(largest, want.size());
+  }
+  // The arena grew only as far as the largest partial built in it.
+  EXPECT_EQ(arena.size(), largest);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "lfs/format.h"
 #include "lfs/lfs.h"
 #include "lfs/segment_builder.h"
+#include "tertiary/volume.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 
@@ -109,6 +110,34 @@ void BM_Memcpy_256K(benchmark::State& state) {
                           static_cast<int64_t>(src.size()));
 }
 BENCHMARK(BM_Memcpy_256K);
+
+// What a demand fetch runs instead of that copy: one read by reference of a
+// 256 KB segment (four chunk references, their stored CRCs joined by
+// Crc32Combine), and one combine of a 64 KB chunk's CRC on its own.
+void BM_VolumeShare_256K(benchmark::State& state) {
+  constexpr size_t kSeg = 256 << 10;
+  Volume volume("v", 4 * kSeg);
+  (void)volume.Write(kSeg, RandomBuffer(kSeg));
+  std::vector<ChunkRef> chunks;
+  for (auto _ : state) {
+    uint32_t crc = 0;
+    benchmark::DoNotOptimize(volume.ReadShared(kSeg, kSeg, &chunks, &crc));
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kSeg));
+}
+BENCHMARK(BM_VolumeShare_256K);
+
+void BM_Crc32Combine(benchmark::State& state) {
+  const std::vector<uint8_t> chunk = RandomBuffer(Chunk::kBytes);
+  const uint32_t chunk_crc = Crc32(chunk);
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32Combine(crc, chunk_crc, chunk.size());
+    benchmark::DoNotOptimize(crc);
+  }
+}
+BENCHMARK(BM_Crc32Combine);
 
 void BM_InodeSerialize(benchmark::State& state) {
   DInode inode;

@@ -8,9 +8,12 @@
 #define HIGHLIGHT_BLOCKDEV_BLOCK_DEVICE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
+#include <vector>
 
+#include "util/chunk.h"
 #include "util/status.h"
 
 namespace hl {
@@ -37,17 +40,22 @@ class BlockDevice {
   virtual Status WriteBlocks(uint32_t block, uint32_t count,
                              std::span<const uint8_t> data) = 0;
 
-  // The device's own bytes for [block, block + count), or an empty span
-  // when it has none to lend (the default, and any invalid range). A caller
-  // may fill them and then commit with WriteBlocks() of that same span,
-  // which moves no data but is otherwise an ordinary write: range check,
-  // fault draw, service time and counters. Only that WriteBlocks counts as
-  // a write; the bytes change when filled, so a failed commit leaves
-  // whatever was filled in place.
-  virtual std::span<uint8_t> InPlaceBytes(uint32_t block, uint32_t count) {
-    (void)block;
-    (void)count;
-    return {};
+  // Writes `count` blocks whose bytes are `chunks`, in order, sharing them
+  // where the device can hold references (count * kBlockSize must equal
+  // chunks.size() * Chunk::kBytes). SimDisk keeps the chunks as that range
+  // of its image, so the bytes never move. In every other respect it is
+  // WriteBlocks of the same bytes: range check, fault draw, service time,
+  // counters, and a failed write leaves the range as it was. This default,
+  // for devices that cannot hold references, copies the chunks into one
+  // buffer and calls WriteBlocks.
+  virtual Status WriteShared(uint32_t block, uint32_t count,
+                             std::span<const ChunkRef> chunks) {
+    std::vector<uint8_t> bytes(chunks.size() * Chunk::kBytes);
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      std::memcpy(bytes.data() + i * Chunk::kBytes, chunks[i]->bytes,
+                  Chunk::kBytes);
+    }
+    return WriteBlocks(block, count, bytes);
   }
 
   // Flushes any volatile state (a no-op for the simulated devices, but part

@@ -79,13 +79,14 @@ Status ConcatDriver::WriteBlocks(uint32_t block, uint32_t count,
   return OkStatus();
 }
 
-std::span<uint8_t> ConcatDriver::InPlaceBytes(uint32_t block, uint32_t count) {
-  Result<std::vector<Extent>> extents = Split(block, count);
-  if (!extents.ok() || extents->size() != 1) {
-    return {};
+Status ConcatDriver::WriteShared(uint32_t block, uint32_t count,
+                                 std::span<const ChunkRef> chunks) {
+  ASSIGN_OR_RETURN(std::vector<Extent> extents, Split(block, count));
+  if (extents.size() != 1) {
+    return BlockDevice::WriteShared(block, count, chunks);
   }
-  const Extent& e = extents->front();
-  return components_[e.component]->InPlaceBytes(e.local_block, e.count);
+  const Extent& e = extents.front();
+  return components_[e.component]->WriteShared(e.local_block, e.count, chunks);
 }
 
 Status ConcatDriver::Flush() {

@@ -29,8 +29,10 @@ class ConcatDriver : public BlockDevice {
   Status WriteBlocks(uint32_t block, uint32_t count,
                      std::span<const uint8_t> data) override;
   // Forwards to the component holding the whole range; a range that
-  // straddles two components has no single image and gets an empty span.
-  std::span<uint8_t> InPlaceBytes(uint32_t block, uint32_t count) override;
+  // straddles two components has no single image to share into, so it is
+  // copied through WriteBlocks (the BlockDevice default).
+  Status WriteShared(uint32_t block, uint32_t count,
+                     std::span<const ChunkRef> chunks) override;
   Status Flush() override;
 
   // On-line growth: appends a component at the top of the address space

@@ -1,6 +1,8 @@
 #include "blockdev/sim_disk.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <new>
 
 namespace hl {
@@ -88,7 +90,7 @@ Result<SimTime> SimDisk::ScheduleReadAt(SimTime earliest, uint32_t block,
     return IoError(name_ + ": injected read failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  std::memcpy(out.data(), data_.get() + offset, out.size());
+  CopyOut(block, count, out.data());
   if (faults_ != nullptr) {
     faults_->MaybeCorruptRead(out, offset);
   }
@@ -100,58 +102,114 @@ Result<SimTime> SimDisk::ScheduleReadAt(SimTime earliest, uint32_t block,
   return end;
 }
 
-Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
-                                         uint32_t count,
-                                         std::span<const uint8_t> data) {
+template <typename Land>
+Result<SimTime> SimDisk::ScheduleWriteVia(SimTime earliest, uint32_t block,
+                                          uint32_t count, size_t bytes,
+                                          Land land) {
   RETURN_IF_ERROR(CheckRange(block, count));
-  if (data.size() != static_cast<size_t>(count) * kBlockSize) {
+  if (bytes != static_cast<size_t>(count) * kBlockSize) {
     return InvalidArgument(name_ + ": write buffer size mismatch");
   }
   uint64_t offset = static_cast<uint64_t>(block) * kBlockSize;
-  // Bytes lent out by InPlaceBytes for exactly this range are already in
-  // place; any other overlap with the range would be a memcpy between
-  // overlapping buffers.
-  uint8_t* dst = data_.get() + offset;
-  const bool in_place = data.data() == dst;
-  const auto src_at = reinterpret_cast<uintptr_t>(data.data());
-  const auto dst_at = reinterpret_cast<uintptr_t>(dst);
-  if (!in_place && src_at < dst_at + data.size() &&
-      dst_at < src_at + data.size()) {
-    return InvalidArgument(name_ + ": write source overlaps its destination");
-  }
   const FaultOutcome fault =
-      faults_ != nullptr
-          ? faults_->Decide(FaultOp::kWrite, offset, data.size())
-          : FaultOutcome::kNone;
+      faults_ != nullptr ? faults_->Decide(FaultOp::kWrite, offset, bytes)
+                         : FaultOutcome::kNone;
   if (fault != FaultOutcome::kNone) {
-    // A failed write still costs the seek and the rotation; no data lands
-    // (bytes a caller filled in place stay as filled).
-    SimTime dur = ServiceTime(offset, data.size(), /*is_write=*/true);
+    // A failed write still costs the seek and the rotation; no data lands.
+    SimTime dur = ServiceTime(offset, bytes, /*is_write=*/true);
     (void)(bus_ ? spindle_.ScheduleWith(*bus_, earliest, dur)
                 : spindle_.Schedule(earliest, dur));
     return IoError(name_ + ": injected write failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  if (!in_place) {
-    std::memcpy(dst, data.data(), data.size());
-  }
+  land();
   if (faults_ != nullptr) {
-    faults_->NoteWrite(offset, data.size());
+    faults_->NoteWrite(offset, bytes);
   }
-  SimTime dur = ServiceTime(offset, data.size(), /*is_write=*/true);
+  SimTime dur = ServiceTime(offset, bytes, /*is_write=*/true);
   SimTime end = bus_ ? spindle_.ScheduleWith(*bus_, earliest, dur)
                      : spindle_.Schedule(earliest, dur);
   ++writes_;
-  bytes_written_ += data.size();
+  bytes_written_ += bytes;
   return end;
 }
 
-std::span<uint8_t> SimDisk::InPlaceBytes(uint32_t block, uint32_t count) {
-  if (!CheckRange(block, count).ok()) {
-    return {};
+Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
+                                         uint32_t count,
+                                         std::span<const uint8_t> data) {
+  return ScheduleWriteVia(earliest, block, count, data.size(), [&] {
+    Unshare(block, count);
+    std::memcpy(data_.get() + static_cast<uint64_t>(block) * kBlockSize,
+                data.data(), data.size());
+  });
+}
+
+Status SimDisk::WriteShared(uint32_t block, uint32_t count,
+                            std::span<const ChunkRef> chunks) {
+  ASSIGN_OR_RETURN(
+      SimTime end,
+      ScheduleWriteVia(clock_->Now(), block, count,
+                       chunks.size() * Chunk::kBytes, [&] {
+                         Unshare(block, count);
+                         for (size_t i = 0; i < chunks.size(); ++i) {
+                           shared_.emplace(
+                               block + static_cast<uint32_t>(i) * kChunkBlocks,
+                               chunks[i]);
+                         }
+                       }));
+  clock_->AdvanceTo(end);
+  return OkStatus();
+}
+
+std::map<uint32_t, ChunkRef>::const_iterator SimDisk::FirstShared(
+    uint32_t block) const {
+  auto it = shared_.upper_bound(block);
+  if (it != shared_.begin() && std::prev(it)->first + kChunkBlocks > block) {
+    --it;
   }
-  return {data_.get() + static_cast<uint64_t>(block) * kBlockSize,
-          static_cast<size_t>(count) * kBlockSize};
+  return it;
+}
+
+const Chunk* SimDisk::SharedChunkAt(uint32_t block) const {
+  auto it = FirstShared(block);
+  return it != shared_.end() && it->first <= block ? it->second.get()
+                                                   : nullptr;
+}
+
+void SimDisk::CopyOut(uint32_t block, uint32_t count, uint8_t* out) const {
+  const uint32_t end = block + count;
+  uint32_t at = block;
+  for (auto it = FirstShared(block); it != shared_.end() && it->first < end;
+       ++it) {
+    if (it->first > at) {  // Flat blocks ahead of this chunk.
+      std::memcpy(out + static_cast<size_t>(at - block) * kBlockSize,
+                  data_.get() + static_cast<uint64_t>(at) * kBlockSize,
+                  static_cast<size_t>(it->first - at) * kBlockSize);
+      at = it->first;
+    }
+    const uint32_t stop = std::min(it->first + kChunkBlocks, end);
+    std::memcpy(out + static_cast<size_t>(at - block) * kBlockSize,
+                it->second->bytes +
+                    static_cast<size_t>(at - it->first) * kBlockSize,
+                static_cast<size_t>(stop - at) * kBlockSize);
+    at = stop;
+  }
+  std::memcpy(out + static_cast<size_t>(at - block) * kBlockSize,
+              data_.get() + static_cast<uint64_t>(at) * kBlockSize,
+              static_cast<size_t>(end - at) * kBlockSize);
+}
+
+void SimDisk::Unshare(uint32_t block, uint32_t count) {
+  const uint32_t end = block + count;
+  auto it = FirstShared(block);
+  while (it != shared_.end() && it->first < end) {
+    if (it->first < block || it->first + kChunkBlocks > end) {
+      // Partly overwritten: the bytes the write leaves become flat ones.
+      std::memcpy(data_.get() + static_cast<uint64_t>(it->first) * kBlockSize,
+                  it->second->bytes, Chunk::kBytes);
+    }
+    it = shared_.erase(it);
+  }
 }
 
 Status SimDisk::ReadBlocks(uint32_t block, uint32_t count,

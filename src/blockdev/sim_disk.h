@@ -1,7 +1,7 @@
 // SimDisk: an in-memory disk with an analytic timing model.
 //
-// Data are byte-accurate (a zero-filled in-memory image, which InPlaceBytes
-// lends out so a fetch can land in a cache line without a second copy),
+// Data are byte-accurate (a zero-filled in-memory image, with any range
+// installed by WriteShared held as references to tertiary chunks instead),
 // while service time is computed from the DiskProfile: per-op overhead +
 // seek (function of arm travel distance) + rotational latency + transfer.
 // The disk serializes its operations through a Resource and optionally
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -47,14 +48,22 @@ class SimDisk : public BlockDevice {
                     std::span<uint8_t> out) override;
   Status WriteBlocks(uint32_t block, uint32_t count,
                      std::span<const uint8_t> data) override;
-  // That range of the in-memory image (empty for an invalid range).
-  std::span<uint8_t> InPlaceBytes(uint32_t block, uint32_t count) override;
+  // Holds the chunks as the range's bytes until a later write over them
+  // drops them (a chunk it covers whole) or copies them into the flat image
+  // (one it covers in part). Charged exactly as WriteBlocks.
+  Status WriteShared(uint32_t block, uint32_t count,
+                     std::span<const ChunkRef> chunks) override;
+
+  // Blocks whose bytes are currently shared chunks, and the chunk behind
+  // `block` (null where the flat image holds it).
+  uint32_t SharedBlocks() const {
+    return static_cast<uint32_t>(shared_.size()) * kChunkBlocks;
+  }
+  const Chunk* SharedChunkAt(uint32_t block) const;
 
   // Async variants: data moves now, device time is reserved from
   // max(earliest, device free) and the completion time is returned. The
   // caller is responsible for advancing the clock when it decides to wait.
-  // A write handed the image's own bytes for its range skips the copy; one
-  // whose bytes partly overlap that range is rejected.
   Result<SimTime> ScheduleReadAt(SimTime earliest, uint32_t block,
                                  uint32_t count, std::span<uint8_t> out);
   Result<SimTime> ScheduleWriteAt(SimTime earliest, uint32_t block,
@@ -81,7 +90,23 @@ class SimDisk : public BlockDevice {
   const DiskProfile& profile() const { return profile_; }
 
  private:
+  static constexpr uint32_t kChunkBlocks = Chunk::kBytes / kBlockSize;
+
   Status CheckRange(uint32_t block, uint32_t count) const;
+  // A write's checks, fault draw, service time and counters around `land`,
+  // which stores its `bytes` bytes.
+  template <typename Land>
+  Result<SimTime> ScheduleWriteVia(SimTime earliest, uint32_t block,
+                                   uint32_t count, size_t bytes, Land land);
+  // The first shared entry that covers `block` or starts after it.
+  std::map<uint32_t, ChunkRef>::const_iterator FirstShared(
+      uint32_t block) const;
+  // Copies [block, block + count) out of the image, shared chunks included.
+  void CopyOut(uint32_t block, uint32_t count, uint8_t* out) const;
+  // Makes [block, block + count) flat ahead of a write over it: a shared
+  // chunk the range covers whole is dropped, one it covers in part is first
+  // copied into the flat image.
+  void Unshare(uint32_t block, uint32_t count);
   // Computes service time for an op at `byte_offset` and updates arm state.
   SimTime ServiceTime(uint64_t byte_offset, uint64_t bytes, bool is_write);
 
@@ -97,6 +122,10 @@ class SimDisk : public BlockDevice {
     void operator()(uint8_t* p) const { std::free(p); }
   };
   std::unique_ptr<uint8_t[], FreeDeleter> data_;
+  // Ranges installed by WriteShared: chunk references keyed by the first
+  // block each covers (kChunkBlocks apiece, never overlapping). They shadow
+  // the flat image beneath them.
+  std::map<uint32_t, ChunkRef> shared_;
   uint64_t arm_byte_pos_ = 0;
 
   FaultChannel* faults_ = nullptr;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace hl {
@@ -526,16 +525,17 @@ Status HighLightFs::InstallSegmentImage(uint32_t tseg,
   }
   const uint32_t volume = amap_->VolumeOfTseg(tseg);
   const uint64_t offset = amap_->ByteOffsetOnVolume(tseg);
+  uint32_t crc = 0;
   Status wrote = footprint_->RepairWrite(static_cast<int>(volume), offset,
-                                         image);
+                                         image, &crc);
   if (wrote.code() == ErrorCode::kOutOfRange) {
     // Past the volume's high-water mark: the medium was erased (or is
     // virgin) — a disaster rebuild, not an in-place repair. The normal
     // write path lays the segment back down and re-extends the mark.
-    wrote = footprint_->Write(static_cast<int>(volume), offset, image);
+    wrote = footprint_->Write(static_cast<int>(volume), offset, image, &crc);
   }
   RETURN_IF_ERROR(wrote);
-  tsegs_->SetCrc(tseg, Crc32(image));
+  tsegs_->SetCrc(tseg, crc);
   return OkStatus();
 }
 

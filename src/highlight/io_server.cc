@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace hl {
@@ -131,19 +130,23 @@ std::shared_ptr<std::vector<uint8_t>> IoServer::TransferImage() {
   return transfer_image_;
 }
 
-std::span<uint8_t> IoServer::FetchTarget(
-    uint32_t disk_seg, std::shared_ptr<std::vector<uint8_t>>* image) {
-  if (disk_seg != kNoSegment) {
-    std::span<uint8_t> line =
-        raw_disk_->InPlaceBytes(DiskSegFirstBlock(disk_seg), seg_size_blocks_);
-    if (!line.empty()) {
-      return line;
-    }
+Result<SimTime> IoServer::ScheduleSourceRead(SimTime earliest,
+                                             uint32_t source, bool to_line,
+                                             FetchedImage* image,
+                                             uint32_t* crc) {
+  const int volume = static_cast<int>(amap_->VolumeOfTseg(source));
+  const uint64_t offset = amap_->ByteOffsetOnVolume(source);
+  const uint64_t seg_bytes = amap_->SegBytes();
+  image->chunks.clear();
+  if (to_line && footprint_->CanShare(volume, offset, seg_bytes)) {
+    return footprint_->ScheduleReadShared(earliest, volume, offset, seg_bytes,
+                                          &image->chunks, crc);
   }
-  if (*image == nullptr) {
-    *image = TransferImage();
+  if (image->bytes == nullptr) {
+    image->bytes = TransferImage();
   }
-  return std::span<uint8_t>(**image);
+  return footprint_->ScheduleRead(earliest, volume, offset, *image->bytes,
+                                  crc);
 }
 
 Status IoServer::VerifyCrc(uint32_t source, uint32_t crc, uint32_t volume) {
@@ -162,26 +165,43 @@ Status IoServer::VerifyCrc(uint32_t source, uint32_t crc, uint32_t volume) {
                     ": CRC mismatch on fetched image");
 }
 
-Status IoServer::ReadTertiaryCopy(uint32_t source, std::span<uint8_t> buf) {
+Status IoServer::ReadTertiaryCopy(uint32_t source, FetchedImage* image) {
   const uint32_t volume = amap_->VolumeOfTseg(source);
-  const uint64_t offset = amap_->ByteOffsetOnVolume(source);
   return RetrySync(source, volume, [&]() {
     SimTime t0 = clock_->Now();
     uint32_t crc = 0;
-    Status s = footprint_->Read(static_cast<int>(volume), offset, buf, &crc);
-    phases_.Add(phase_footprint_, clock_->Now() - t0);
-    if (s.ok()) {
-      s = VerifyCrc(source, crc, volume);
+    Result<SimTime> end =
+        ScheduleSourceRead(t0, source, /*to_line=*/true, image, &crc);
+    if (end.ok()) {
+      clock_->AdvanceTo(*end);
     }
-    return s;
+    phases_.Add(phase_footprint_, clock_->Now() - t0);
+    return end.ok() ? VerifyCrc(source, crc, volume) : end.status();
   });
 }
 
-Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
+Status IoServer::InstallFetched(uint32_t tseg, uint32_t disk_seg,
+                                const FetchedImage& image) {
   const uint64_t seg_bytes = amap_->SegBytes();
-  std::shared_ptr<std::vector<uint8_t>> image;
-  std::span<uint8_t> buf = FetchTarget(disk_seg, &image);
+  SpanScope install(spans_, "install", "io");
+  install.Annotate("tseg", std::to_string(tseg));
+  install.Annotate("disk_seg", std::to_string(disk_seg));
+  const SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
+  clock_->Advance(copy);
+  const SimTime t0 = clock_->Now();
+  const uint32_t first = DiskSegFirstBlock(disk_seg);
+  RETURN_IF_ERROR(
+      image.chunks.empty()
+          ? raw_disk_->WriteBlocks(first, seg_size_blocks_, *image.bytes)
+          : raw_disk_->WriteShared(first, seg_size_blocks_, image.chunks));
+  phases_.Add(phase_ioserver_, clock_->Now() - t0 + copy);
+  stats_.segments_fetched++;
+  stats_.bytes_fetched += seg_bytes;
+  return OkStatus();
+}
 
+Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
+  FetchedImage image;
   SpanScope fetch(spans_, "fetch", "io");
   fetch.Annotate("tseg", std::to_string(tseg));
   const SimTime fetch_start = clock_->Now();
@@ -198,7 +218,7 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
       failover.Annotate("tseg", std::to_string(tseg));
       failover.Annotate("source", std::to_string(candidates[i]));
     }
-    last = ReadTertiaryCopy(candidates[i], buf);
+    last = ReadTertiaryCopy(candidates[i], &image);
     if (last.ok()) {
       served_from = candidates[i];
       got = true;
@@ -212,23 +232,7 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
     stats_.replica_reads++;
     fetch.Annotate("served_from", std::to_string(served_from));
   }
-
-  // The paper's extra-copies path: a memory copy (charged; on the host the
-  // image already sits in the line unless the line could not be lent) and a
-  // raw write to the cache line.
-  SpanScope install(spans_, "install", "io");
-  install.Annotate("tseg", std::to_string(tseg));
-  install.Annotate("disk_seg", std::to_string(disk_seg));
-  SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
-  clock_->Advance(copy);
-  SimTime t0 = clock_->Now();
-  RETURN_IF_ERROR(raw_disk_->WriteBlocks(DiskSegFirstBlock(disk_seg),
-                                         seg_size_blocks_, buf));
-  phases_.Add(phase_ioserver_, clock_->Now() - t0 + copy);
-  install = SpanScope();  // Close before the fetch-level bookkeeping.
-
-  stats_.segments_fetched++;
-  stats_.bytes_fetched += seg_bytes;
+  RETURN_IF_ERROR(InstallFetched(tseg, disk_seg, image));
   fetch_latency_us_.Observe(clock_->Now() - fetch_start);
   return OkStatus();
 }
@@ -250,9 +254,10 @@ Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
 
   uint32_t volume = amap_->VolumeOfTseg(tseg);
   uint64_t offset = amap_->ByteOffsetOnVolume(tseg);
+  uint32_t crc = 0;
   Status write = RetrySync(tseg, volume, [&]() {
     SimTime w0 = clock_->Now();
-    Status s = footprint_->Write(volume, offset, buf);
+    Status s = footprint_->Write(volume, offset, buf, &crc);
     phases_.Add(phase_footprint_, clock_->Now() - w0);
     return s;
   });
@@ -264,7 +269,7 @@ Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
   }
   RETURN_IF_ERROR(write);
   if (crc_store_) {
-    crc_store_(tseg, Crc32(buf));
+    crc_store_(tseg, crc);
   }
 
   stats_.segments_copied_out++;
@@ -481,8 +486,9 @@ Status IoServer::IssueOne(PendingOp& op) {
   uint64_t offset = amap_->ByteOffsetOnVolume(op.tseg);
   t0 = clock_->Now();
   SimTime earliest = clock_->Now();
+  uint32_t crc = 0;
   Result<SimTime> end = footprint_->ScheduleWrite(
-      earliest, static_cast<int>(volume), offset, buf);
+      earliest, static_cast<int>(volume), offset, buf, &crc);
   // Pipeline retries delay the reissued op's start instead of stalling the
   // caller: the device sits out the backoff, the migrator keeps staging.
   for (int try_no = 1;
@@ -504,7 +510,7 @@ Status IoServer::IssueOne(PendingOp& op) {
     }
     earliest += backoff;
     end = footprint_->ScheduleWrite(earliest, static_cast<int>(volume),
-                                    offset, buf);
+                                    offset, buf, &crc);
   }
   if (!end.ok()) {
     if (end.status().code() == ErrorCode::kEndOfMedium) {
@@ -520,7 +526,7 @@ Status IoServer::IssueOne(PendingOp& op) {
     health_->RecordVolumeSuccess(volume);
   }
   if (crc_store_) {
-    crc_store_(op.tseg, Crc32(buf));
+    crc_store_(op.tseg, crc);
   }
   if (spans_ != nullptr) {
     spans_->AddComplete("tertiary_write", "tertiary", issue.id(), earliest,
@@ -807,11 +813,10 @@ Status IoServer::DeliverRead(PendingOp& op, const Status& s,
   return OkStatus();  // The callbacks own the error now.
 }
 
-Status IoServer::ScheduleTertiaryCopy(uint32_t source, std::span<uint8_t> buf,
-                                      uint64_t parent_span,
+Status IoServer::ScheduleTertiaryCopy(uint32_t source, bool to_line,
+                                      FetchedImage* image, uint64_t parent_span,
                                       SimTime* end_out) {
   const uint32_t volume = amap_->VolumeOfTseg(source);
-  const uint64_t offset = amap_->ByteOffsetOnVolume(source);
   const SimTime t0 = clock_->Now();
   SimTime earliest = t0;
   Status s = OkStatus();
@@ -831,8 +836,8 @@ Status IoServer::ScheduleTertiaryCopy(uint32_t source, std::span<uint8_t> buf,
       earliest += backoff;
     }
     uint32_t crc = 0;
-    Result<SimTime> end = footprint_->ScheduleRead(
-        earliest, static_cast<int>(volume), offset, buf, &crc);
+    Result<SimTime> end =
+        ScheduleSourceRead(earliest, source, to_line, image, &crc);
     // Data moves synchronously even though device time completes later, so
     // the image can be CRC-checked now; a corrupt read retries like an I/O
     // error.
@@ -862,8 +867,9 @@ Status IoServer::ScheduleTertiaryCopy(uint32_t source, std::span<uint8_t> buf,
 
 Status IoServer::IssueRead(PendingOp& op) {
   stats_.ops_issued++;
-  const uint64_t seg_bytes = amap_->SegBytes();
-  const std::span<uint8_t> buf = FetchTarget(op.disk_seg, &op.image);
+  const bool to_line = op.disk_seg != kNoSegment;
+  FetchedImage image;
+  image.bytes = op.image;
   const bool demand = op.kind == OpKind::kDemandRead;
 
   SpanScope issue(spans_, op.ctx.span,
@@ -885,7 +891,8 @@ Status IoServer::IssueRead(PendingOp& op) {
       failover.Annotate("tseg", std::to_string(op.tseg));
       failover.Annotate("source", std::to_string(candidates[i]));
     }
-    last = ScheduleTertiaryCopy(candidates[i], buf, issue.id(), &end_time);
+    last = ScheduleTertiaryCopy(candidates[i], to_line, &image, issue.id(),
+                                &end_time);
     if (last.ok()) {
       served_from = candidates[i];
       got = true;
@@ -901,26 +908,15 @@ Status IoServer::IssueRead(PendingOp& op) {
   }
 
   SimTime ready = end_time;
-  if (op.disk_seg != kNoSegment) {
-    // Install into the cache line now: the paper's extra-copies path, a
-    // memory copy (charged; on the host the image already sits in the line
-    // unless the line could not be lent) and a raw disk write. The line is
-    // usable once both the disk write and the tertiary transfer completed.
-    SpanScope install(spans_, "install", "io");
-    install.Annotate("tseg", std::to_string(op.tseg));
-    install.Annotate("disk_seg", std::to_string(op.disk_seg));
-    const SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
-    clock_->Advance(copy);
-    const SimTime t0 = clock_->Now();
-    Status wrote = raw_disk_->WriteBlocks(DiskSegFirstBlock(op.disk_seg),
-                                          seg_size_blocks_, buf);
+  if (to_line) {
+    // Install into the cache line now, with FetchSegment's charges. The
+    // line is usable once both the disk write and the tertiary transfer
+    // completed.
+    Status wrote = InstallFetched(op.tseg, op.disk_seg, image);
     if (!wrote.ok()) {
       return DeliverRead(op, wrote, 0);
     }
-    phases_.Add(phase_ioserver_, clock_->Now() - t0 + copy);
     ready = std::max(ready, clock_->Now());
-    stats_.segments_fetched++;
-    stats_.bytes_fetched += seg_bytes;
   }
   outstanding_.insert(end_time);
   pipeline_busy_until_ = std::max(pipeline_busy_until_, end_time);

@@ -39,6 +39,7 @@
 #include "lfs/format.h"
 #include "sim/sim_clock.h"
 #include "tertiary/footprint.h"
+#include "util/chunk.h"
 #include "util/fault_injector.h"
 #include "util/health.h"
 #include "util/metrics.h"
@@ -57,14 +58,17 @@ class IoServer {
 
   // Demand fetch: brings tertiary segment `tseg` into disk segment
   // `disk_seg`. Sim time charges the paper's path — tertiary read, a memory
-  // copy and a raw disk write — while the host reads the image straight
-  // into the line's bytes (BlockDevice::InPlaceBytes) and commits them with
-  // the raw write; a line with no in-place bytes goes through the transfer
-  // image. A failed fetch or install leaves the line's bytes undefined (it
-  // is not mapped until the fetch succeeds). When a replica resolver is
-  // installed, the read is served from the "closest" copy — a replica whose
-  // volume is already in a drive beats a primary that needs a media swap
-  // (section 5.4).
+  // copy and a raw disk write — while the host moves no bytes: the read
+  // takes references to the volume's chunks, their stored CRCs verify it,
+  // and the raw write installs the references (BlockDevice::WriteShared).
+  // A source volume that cannot share the extent (a fault profile that can
+  // corrupt reads, a segment that is not whole chunks) is read by copying
+  // through the transfer image instead, and a line no one disk holds (it
+  // straddles two) is copied in by the raw disk. A failed fetch or install
+  // leaves the line as it was (it is not mapped until the fetch succeeds).
+  // When a replica resolver is installed, the read is served from the
+  // "closest" copy — a replica whose volume is already in a drive beats a
+  // primary that needs a media swap (section 5.4).
   Status FetchSegment(uint32_t tseg, uint32_t disk_seg);
 
   // Maps a primary tseg to its replica tsegs (empty = no replicas).
@@ -146,10 +150,11 @@ class IoServer {
 
   // Queues a demand read of `tseg`, installed into cache line `install_seg`
   // at issue time with the synchronous FetchSegment costs and the same
-  // in-place landing. If a read for `tseg` is already queued it is promoted
-  // to demand class and this waiter rides it (a promoted read-ahead then
-  // lands in the line, leaving its own buffer unfilled). Never stalls the
-  // caller; pair with EnsureReadIssued() to force the op onto the device.
+  // install by reference. If a read for `tseg` is already queued it is
+  // promoted to demand class and this waiter rides it (a promoted
+  // read-ahead then installs into the line by reference, leaving its own
+  // buffer unfilled). Never stalls the caller; pair with EnsureReadIssued()
+  // to force the op onto the device.
   Status EnqueueDemandRead(uint32_t tseg, uint32_t install_seg, ReadDone done);
 
   // Queues a prefetch-class read. `install_seg` == kNoSegment buffers the
@@ -278,9 +283,9 @@ class IoServer {
     uint32_t tseg = kNoSegment;
     uint32_t disk_seg = kNoSegment;
     Completion done;
-    // Read ops: the buffer a read with no in-place cache line lands in (a
-    // read-ahead's shared image, else the transfer image) and the waiters
-    // a coalesced transfer fans out to.
+    // Read ops: the buffer a copying read lands in (a read-ahead's shared
+    // image, else the transfer image) and the waiters a coalesced transfer
+    // fans out to.
     std::shared_ptr<std::vector<uint8_t>> image{};
     std::vector<ReadDone> readers{};
     // Enqueue-time span context; the issue-time span is begun under it so
@@ -299,9 +304,28 @@ class IoServer {
   // Picks the closest copy of `tseg` (mounted replica beats unmounted
   // primary) and bumps the replica-read counter when a replica wins.
   uint32_t PickSource(uint32_t tseg);
+  // What a fetch's tertiary read delivered: the source volume's chunks when
+  // it could share them, else the bytes it copied into `bytes`.
+  struct FetchedImage {
+    std::vector<ChunkRef> chunks;
+    std::shared_ptr<std::vector<uint8_t>> bytes;
+  };
+  // One tertiary read of `source`, scheduled from `earliest`. A read bound
+  // for a cache line (`to_line`) from a volume that can share the extent
+  // takes references to its chunks; any other copies into image->bytes (the
+  // transfer image unless already set). `crc` reports the CRC of what was
+  // delivered either way.
+  Result<SimTime> ScheduleSourceRead(SimTime earliest, uint32_t source,
+                                     bool to_line, FetchedImage* image,
+                                     uint32_t* crc);
   // One source's read with retry/backoff, health recording and CRC
   // verification of the fetched image.
-  Status ReadTertiaryCopy(uint32_t source, std::span<uint8_t> buf);
+  Status ReadTertiaryCopy(uint32_t source, FetchedImage* image);
+  // The paper's extra-copies install of a fetched image into cache line
+  // `disk_seg`: the memory copy (charged) and the raw disk write, which
+  // shares the image's chunks when it holds them.
+  Status InstallFetched(uint32_t tseg, uint32_t disk_seg,
+                        const FetchedImage& image);
   // Runs `attempt` (a sync op advancing the clock itself) up to
   // retry_.max_attempts times, charging backoff to the clock between tries
   // and recording per-volume outcomes.
@@ -315,10 +339,6 @@ class IoServer {
   // still references it (a completion callback re-entering the pipeline
   // while the outer op still owns the image).
   std::shared_ptr<std::vector<uint8_t>> TransferImage();
-  // Where a fetch lands: cache line `disk_seg`'s own bytes when the raw
-  // disk lends them, else `*image` (set to the transfer image if null).
-  std::span<uint8_t> FetchTarget(uint32_t disk_seg,
-                                 std::shared_ptr<std::vector<uint8_t>>* image);
   Status Enqueue(PendingOp op);
   Status EnqueueRead(PendingOp op);
   // Issues queued ops while the device window has room.
@@ -338,9 +358,11 @@ class IoServer {
   // optional cache-line install, and completion fan-out to every waiter.
   Status IssueRead(PendingOp& op);
   // Async analog of ReadTertiaryCopy: reserves device time from now, moves
-  // the data immediately, returns the device completion via `end_out`.
-  Status ScheduleTertiaryCopy(uint32_t source, std::span<uint8_t> buf,
-                              uint64_t parent_span, SimTime* end_out);
+  // the data (or takes its references) immediately, returns the device
+  // completion via `end_out`.
+  Status ScheduleTertiaryCopy(uint32_t source, bool to_line,
+                              FetchedImage* image, uint64_t parent_span,
+                              SimTime* end_out);
   // Routes `s` to the op's completion callback if it has one, else returns
   // it to the issuing caller.
   Status Deliver(PendingOp& op, const Status& s);

@@ -36,9 +36,9 @@ Status Footprint::Read(int volume, uint64_t offset, std::span<uint8_t> out,
 }
 
 Status Footprint::Write(int volume, uint64_t offset,
-                        std::span<const uint8_t> data) {
+                        std::span<const uint8_t> data, uint32_t* crc) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
-  return m.jukebox->Write(m.slot, offset, data);
+  return m.jukebox->Write(m.slot, offset, data, crc);
 }
 
 Result<SimTime> Footprint::ScheduleRead(SimTime earliest, int volume,
@@ -51,9 +51,24 @@ Result<SimTime> Footprint::ScheduleRead(SimTime earliest, int volume,
 
 Result<SimTime> Footprint::ScheduleWrite(SimTime earliest, int volume,
                                          uint64_t offset,
-                                         std::span<const uint8_t> data) {
+                                         std::span<const uint8_t> data,
+                                         uint32_t* crc) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
-  return m.jukebox->ScheduleWrite(earliest, m.slot, offset, data);
+  return m.jukebox->ScheduleWrite(earliest, m.slot, offset, data, crc);
+}
+
+bool Footprint::CanShare(int volume, uint64_t offset, uint64_t len) const {
+  Result<Mapping> m = Map(volume);
+  return m.ok() && m->jukebox->volume(m->slot).CanShare(offset, len);
+}
+
+Result<SimTime> Footprint::ScheduleReadShared(SimTime earliest, int volume,
+                                              uint64_t offset, uint64_t len,
+                                              std::vector<ChunkRef>* out,
+                                              uint32_t* crc) {
+  ASSIGN_OR_RETURN(Mapping m, Map(volume));
+  return m.jukebox->ScheduleReadShared(earliest, m.slot, offset, len, out,
+                                       crc);
 }
 
 Result<bool> Footprint::VolumeMounted(int volume) const {
@@ -73,9 +88,9 @@ Result<bool> Footprint::VolumeFull(int volume) const {
 }
 
 Status Footprint::RepairWrite(int volume, uint64_t offset,
-                              std::span<const uint8_t> data) {
+                              std::span<const uint8_t> data, uint32_t* crc) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
-  return m.jukebox->Rewrite(m.slot, offset, data);
+  return m.jukebox->Rewrite(m.slot, offset, data, crc);
 }
 
 Status Footprint::EraseVolume(int volume) {

@@ -34,17 +34,32 @@ class Footprint {
   // Synchronous extent I/O (advances the simulation clock). Reads take the
   // optional `crc` out-param of Volume::Read: on success it holds Crc32 of
   // exactly the bytes delivered into `out`, injected corruption included,
-  // computed in the same pass that copies them.
+  // computed in the same pass that copies them. Writes take that of
+  // Volume::Write: Crc32 of the bytes stored, computed in the copy that
+  // stores them.
   Status Read(int volume, uint64_t offset, std::span<uint8_t> out,
               uint32_t* crc = nullptr);
-  Status Write(int volume, uint64_t offset, std::span<const uint8_t> data);
+  Status Write(int volume, uint64_t offset, std::span<const uint8_t> data,
+               uint32_t* crc = nullptr);
 
   // Asynchronous extent I/O for the I/O server's write-behind pipeline.
   Result<SimTime> ScheduleRead(SimTime earliest, int volume, uint64_t offset,
                                std::span<uint8_t> out,
                                uint32_t* crc = nullptr);
   Result<SimTime> ScheduleWrite(SimTime earliest, int volume, uint64_t offset,
-                                std::span<const uint8_t> data);
+                                std::span<const uint8_t> data,
+                                uint32_t* crc = nullptr);
+
+  // Read by reference (Jukebox::ScheduleReadShared): the same draws and
+  // device time as ScheduleRead, delivering the volume's chunks in `out`
+  // and the CRC joined from their stored values. Valid only where
+  // CanShare() holds; refused with kNotSupported, before any draw,
+  // elsewhere.
+  bool CanShare(int volume, uint64_t offset, uint64_t len) const;
+  Result<SimTime> ScheduleReadShared(SimTime earliest, int volume,
+                                     uint64_t offset, uint64_t len,
+                                     std::vector<ChunkRef>* out,
+                                     uint32_t* crc = nullptr);
 
   // True if the volume is currently loaded in a drive (a read costs no
   // media swap) — the "closest copy" signal for replica selection.
@@ -58,7 +73,7 @@ class Footprint {
   // Scrubber support: overwrite an already-written extent in place, even on
   // a volume marked full (the data is already there; only WORM media refuse).
   Status RepairWrite(int volume, uint64_t offset,
-                     std::span<const uint8_t> data);
+                     std::span<const uint8_t> data, uint32_t* crc = nullptr);
 
   // Tertiary-cleaner support: wipe a (non-WORM) volume for reuse.
   Status EraseVolume(int volume);

@@ -151,9 +151,10 @@ Result<SimTime> Jukebox::Transfer(SimTime earliest, int slot, uint64_t offset,
   return end;
 }
 
-Result<SimTime> Jukebox::ScheduleRead(SimTime earliest, int slot,
-                                      uint64_t offset, std::span<uint8_t> out,
-                                      uint32_t* crc) {
+template <typename MediaRead>
+Result<SimTime> Jukebox::ScheduleReadVia(SimTime earliest, int slot,
+                                         uint64_t offset, size_t bytes,
+                                         MediaRead media) {
   if (slot < 0 || slot >= num_slots()) {
     return OutOfRange(profile_.name + ": no slot " + std::to_string(slot));
   }
@@ -163,35 +164,58 @@ Result<SimTime> Jukebox::ScheduleRead(SimTime earliest, int slot,
     return ChargeFailedLoad(slot, /*for_write=*/false, earliest);
   }
   const FaultOutcome fault =
-      faults_ != nullptr ? faults_->Decide(FaultOp::kRead, offset, out.size())
+      faults_ != nullptr ? faults_->Decide(FaultOp::kRead, offset, bytes)
                          : FaultOutcome::kNone;
   if (fault != FaultOutcome::kNone) {
     // The drive mounts, seeks and transfers before the failure surfaces.
     RETURN_IF_ERROR(
-        Transfer(earliest, slot, offset, out.size(), /*is_write=*/false)
-            .status());
+        Transfer(earliest, slot, offset, bytes, /*is_write=*/false).status());
     return IoError(profile_.name + ": injected read failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  Status media = slots_[slot]->Read(offset, out, crc);
-  if (!media.ok()) {
-    if (media.code() == ErrorCode::kIoError) {
+  Status status = media(*slots_[slot]);
+  if (!status.ok()) {
+    if (status.code() == ErrorCode::kIoError) {
       // A latent sector error is discovered only after the full transfer.
       RETURN_IF_ERROR(
-          Transfer(earliest, slot, offset, out.size(), /*is_write=*/false)
+          Transfer(earliest, slot, offset, bytes, /*is_write=*/false)
               .status());
     }
-    return media;
+    return status;
   }
-  ASSIGN_OR_RETURN(SimTime end, Transfer(earliest, slot, offset, out.size(),
+  ASSIGN_OR_RETURN(SimTime end, Transfer(earliest, slot, offset, bytes,
                                          /*is_write=*/false));
-  bytes_read_ += out.size();
+  bytes_read_ += bytes;
   return end;
+}
+
+Result<SimTime> Jukebox::ScheduleRead(SimTime earliest, int slot,
+                                      uint64_t offset, std::span<uint8_t> out,
+                                      uint32_t* crc) {
+  return ScheduleReadVia(earliest, slot, offset, out.size(),
+                         [&](const Volume& volume) {
+                           return volume.Read(offset, out, crc);
+                         });
+}
+
+Result<SimTime> Jukebox::ScheduleReadShared(SimTime earliest, int slot,
+                                            uint64_t offset, uint64_t len,
+                                            std::vector<ChunkRef>* out,
+                                            uint32_t* crc) {
+  if (slot >= 0 && slot < num_slots() && !slots_[slot]->CanShare(offset, len)) {
+    return Status(ErrorCode::kNotSupported,
+                  profile_.name + ": extent cannot be read by reference");
+  }
+  return ScheduleReadVia(earliest, slot, offset, static_cast<size_t>(len),
+                         [&](const Volume& volume) {
+                           return volume.ReadShared(offset, len, out, crc);
+                         });
 }
 
 Result<SimTime> Jukebox::ScheduleWrite(SimTime earliest, int slot,
                                        uint64_t offset,
-                                       std::span<const uint8_t> data) {
+                                       std::span<const uint8_t> data,
+                                       uint32_t* crc) {
   if (slot < 0 || slot >= num_slots()) {
     return OutOfRange(profile_.name + ": no slot " + std::to_string(slot));
   }
@@ -215,7 +239,7 @@ Result<SimTime> Jukebox::ScheduleWrite(SimTime earliest, int slot,
   // Genuine media conditions (end-of-medium, WORM rewrite) surface before
   // any time is charged: the drive detects them at the start of the write.
   // Injected media faults (kIoError) cost the full transfer below.
-  Status media = slots_[slot]->Write(offset, data);
+  Status media = slots_[slot]->Write(offset, data, crc);
   if (!media.ok()) {
     if (media.code() == ErrorCode::kIoError) {
       RETURN_IF_ERROR(
@@ -239,19 +263,19 @@ Status Jukebox::Read(int slot, uint64_t offset, std::span<uint8_t> out,
 }
 
 Status Jukebox::Write(int slot, uint64_t offset,
-                      std::span<const uint8_t> data) {
+                      std::span<const uint8_t> data, uint32_t* crc) {
   ASSIGN_OR_RETURN(SimTime end,
-                   ScheduleWrite(clock_->Now(), slot, offset, data));
+                   ScheduleWrite(clock_->Now(), slot, offset, data, crc));
   clock_->AdvanceTo(end);
   return OkStatus();
 }
 
 Status Jukebox::Rewrite(int slot, uint64_t offset,
-                        std::span<const uint8_t> data) {
+                        std::span<const uint8_t> data, uint32_t* crc) {
   if (slot < 0 || slot >= num_slots()) {
     return OutOfRange(profile_.name + ": no slot " + std::to_string(slot));
   }
-  Status media = slots_[slot]->Rewrite(offset, data);
+  Status media = slots_[slot]->Rewrite(offset, data, crc);
   if (!media.ok()) {
     if (media.code() == ErrorCode::kIoError) {
       ASSIGN_OR_RETURN(SimTime failed_end,

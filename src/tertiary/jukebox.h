@@ -54,15 +54,18 @@ class Jukebox {
 
   // Synchronous transfers: mount (swapping media if needed), seek, transfer;
   // the clock is advanced to completion. Reads take the optional `crc`
-  // out-param of Volume::Read (Crc32 of the bytes delivered).
+  // out-param of Volume::Read (Crc32 of the bytes delivered), writes that
+  // of Volume::Write (Crc32 of the bytes stored).
   Status Read(int slot, uint64_t offset, std::span<uint8_t> out,
               uint32_t* crc = nullptr);
-  Status Write(int slot, uint64_t offset, std::span<const uint8_t> data);
+  Status Write(int slot, uint64_t offset, std::span<const uint8_t> data,
+               uint32_t* crc = nullptr);
 
   // Scrubber repair: overwrite an already-written extent in place (bypasses
   // the volume's full mark; WORM media refuse). Charges a normal write
   // transfer and advances the clock.
-  Status Rewrite(int slot, uint64_t offset, std::span<const uint8_t> data);
+  Status Rewrite(int slot, uint64_t offset, std::span<const uint8_t> data,
+                 uint32_t* crc = nullptr);
 
   // Asynchronous variants: reserve drive/robot/bus time beginning no earlier
   // than `earliest`, move the data now, and return the completion time
@@ -71,7 +74,18 @@ class Jukebox {
                                std::span<uint8_t> out,
                                uint32_t* crc = nullptr);
   Result<SimTime> ScheduleWrite(SimTime earliest, int slot, uint64_t offset,
-                                std::span<const uint8_t> data);
+                                std::span<const uint8_t> data,
+                                uint32_t* crc = nullptr);
+
+  // ScheduleRead by reference (Volume::ReadShared): the same fault draws
+  // and device time as a ScheduleRead of `len` bytes, with the volume's
+  // chunks in `out` instead of bytes copied out. Refused with
+  // kNotSupported, before any draw or charge, unless the volume can share
+  // the extent (Volume::CanShare).
+  Result<SimTime> ScheduleReadShared(SimTime earliest, int slot,
+                                     uint64_t offset, uint64_t len,
+                                     std::vector<ChunkRef>* out,
+                                     uint32_t* crc = nullptr);
 
   // Statistics.
   uint64_t media_swaps() const { return media_swaps_; }
@@ -124,6 +138,12 @@ class Jukebox {
 
   Result<SimTime> Transfer(SimTime earliest, int slot, uint64_t offset,
                            size_t bytes, bool is_write);
+
+  // ScheduleRead's drive side around `media`, the volume step that
+  // delivers `bytes` (a copy or references).
+  template <typename MediaRead>
+  Result<SimTime> ScheduleReadVia(SimTime earliest, int slot, uint64_t offset,
+                                  size_t bytes, MediaRead media);
 
   // The drive a swap for `slot` would target (write drive vs. LRU reader).
   int ChooseDrive(bool for_write) const;

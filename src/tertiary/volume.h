@@ -2,6 +2,10 @@
 //
 // Storage is sparse (64 KB chunks allocated on first write) so that simulated
 // multi-gigabyte tape libraries cost memory only for data actually written.
+// The chunks are refcounted and copy-on-write (util/chunk.h): ReadShared
+// hands out references instead of bytes, a write to a chunk someone else
+// still holds fills a fresh chunk, and every chunk carries the CRC of its
+// bytes.
 // Two behaviours from the paper are modeled here:
 //  * Uncertain capacity: compressing media may hold less than the nominal
 //    size; a write past `actual_capacity` fails with kEndOfMedium, at which
@@ -14,10 +18,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "util/chunk.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
 
@@ -51,18 +57,40 @@ class Volume {
   Status Read(uint64_t offset, std::span<uint8_t> out,
               uint32_t* crc = nullptr) const;
 
+  // True when ReadShared can serve [offset, offset + len): the extent is
+  // whole chunks, and the fault profile cannot corrupt a read (injected bit
+  // flips belong in the delivered bytes, and a shared chunk is not a copy).
+  bool CanShare(uint64_t offset, uint64_t len) const;
+
+  // Read by reference: `out` receives the chunks behind the extent, in
+  // order (an unwritten chunk reads as a shared zero chunk), and `crc` the
+  // Crc32 of their bytes, joined from the stored CRCs. Makes the same range
+  // check and fault draw as Read. Refused with kNotSupported, before any
+  // draw, when CanShare() is false.
+  Status ReadShared(uint64_t offset, uint64_t len, std::vector<ChunkRef>* out,
+                    uint32_t* crc = nullptr) const;
+
   // Writes the extent; fails with kEndOfMedium if it would cross the actual
   // capacity, in which case NOTHING is written (the drive reports the error
-  // and HighLight re-writes the whole segment on the next volume).
-  Status Write(uint64_t offset, std::span<const uint8_t> data);
+  // and HighLight re-writes the whole segment on the next volume). With
+  // `crc` set, a successful write also reports Crc32 of the bytes it
+  // stored, computed in the copy that stores them.
+  Status Write(uint64_t offset, std::span<const uint8_t> data,
+               uint32_t* crc = nullptr);
 
   // In-place repair of an already-written extent (scrubber support).
   // Bypasses the full mark — the medium already holds data here — but WORM
   // media still refuse, and the extent must lie below the high-water mark.
-  Status Rewrite(uint64_t offset, std::span<const uint8_t> data);
+  // `crc` as for Write.
+  Status Rewrite(uint64_t offset, std::span<const uint8_t> data,
+                 uint32_t* crc = nullptr);
 
   // Erase all contents (tertiary-cleaner support; invalid on WORM media).
+  // Chunks someone else still holds stay alive with their holders.
   Status Erase();
+
+  // The chunk holding byte `offset`, or null where nothing was written.
+  const Chunk* ChunkAt(uint64_t offset) const;
 
   // Media-level fault injection (latent sector errors, bit rot). The
   // channel outlives the volume's contents across erase cycles.
@@ -71,8 +99,9 @@ class Volume {
 
  private:
   Status CheckInjectedFault(FaultOp op, uint64_t offset, uint64_t len) const;
-  void CopyIn(uint64_t offset, std::span<const uint8_t> data);
-  static constexpr uint64_t kChunkSize = 64 * 1024;
+  // Stores `data` at `offset` (copy-on-write, stored CRCs kept current) and
+  // returns its Crc32.
+  uint32_t CopyIn(uint64_t offset, std::span<const uint8_t> data);
 
   std::string label_;
   uint64_t nominal_capacity_;
@@ -82,7 +111,7 @@ class Volume {
   uint64_t bytes_written_ = 0;
   uint64_t high_water_ = 0;
   FaultChannel* faults_ = nullptr;
-  std::map<uint64_t, std::vector<uint8_t>> chunks_;
+  std::map<uint64_t, std::shared_ptr<Chunk>> chunks_;  // Key: chunk index.
   // For WORM enforcement: written byte ranges, merged. Key = start, val = end.
   std::map<uint64_t, uint64_t> written_ranges_;
 

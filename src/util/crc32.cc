@@ -347,4 +347,47 @@ uint32_t Crc32Copy(std::span<uint8_t> dst, std::span<const uint8_t> src,
   return copy(dst, src, seed);
 }
 
+namespace {
+
+// a * b modulo the CRC polynomial, both in the reflected bit order the
+// register uses (bit 31 holds x^0). The loop walks a's terms from x^0 up
+// and stops after its highest one, so a low-degree `a` (x^0, the first
+// factor of every shift) costs one step.
+constexpr uint32_t MulModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (; a != 0; a <<= 1) {
+    product ^= b & (0u - (a >> 31));
+    b = (b >> 1) ^ (0xEDB88320u & (0u - (b & 1)));
+  }
+  return product;
+}
+
+// kPow2[k] = x^(2^k) modulo the polynomial.
+constexpr std::array<uint32_t, 64> BuildPow2() {
+  std::array<uint32_t, 64> pow2{};
+  pow2[0] = 1u << 30;  // x^1.
+  for (size_t k = 1; k < pow2.size(); ++k) {
+    pow2[k] = MulModP(pow2[k - 1], pow2[k - 1]);
+  }
+  return pow2;
+}
+
+constexpr std::array<uint32_t, 64> kPow2 = BuildPow2();
+
+}  // namespace
+
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b) {
+  // The pre- and post-inversions cancel: the register after A, shifted
+  // through len_b zero bytes, is XORed onto B's CRC. Shifting by n bytes is
+  // a multiply by x^(8n), built from the set bits of n (8n = 2^3 * n).
+  assert(len_b >> 61 == 0);  // 8 * len_b fits the table's 64 powers.
+  uint32_t shift = 1u << 31;  // x^0.
+  for (size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if (len_b & 1) {
+      shift = MulModP(shift, kPow2[k]);
+    }
+  }
+  return MulModP(shift, crc_a) ^ crc_b;
+}
+
 }  // namespace hl

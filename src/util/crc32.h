@@ -31,6 +31,13 @@ uint32_t Crc32(std::span<const uint8_t> data, uint32_t seed = 0);
 uint32_t Crc32Copy(std::span<uint8_t> dst, std::span<const uint8_t> src,
                    uint32_t seed = 0);
 
+// Crc32 of A followed by B, given crc_a = Crc32(A), crc_b = Crc32(B) and
+// len_b = B's length, without reading either: appending B multiplies A's
+// register by x^(8 * len_b) modulo the polynomial. Costs O(log len_b)
+// carry-less multiplies of 32-bit values, so a run of chunks whose CRCs
+// were stored when they were written is checked without hashing them again.
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b);
+
 // One kernel tier, exposed so tests and micro-benchmarks can run each tier
 // directly and say which ones this host ran.
 struct Crc32Kernel {

@@ -1,19 +1,17 @@
-// The in-place fetch contract: BlockDevice::InPlaceBytes lends a device's
-// own bytes, a tertiary fetch lands straight in its cache line, and the
-// install WriteBlocks of that span is an ordinary write in every respect but
-// the copy. A failed fetch or install maps nothing, and a line the raw disk
-// cannot lend (one straddling two components) falls back to the transfer
-// image.
+// Fetches into cache lines under faults and odd geometry: a failed fetch or
+// install maps nothing and leaves the line as it was, a corrupt read with no
+// replica installs nothing, a promoted read-ahead never buffers its unfilled
+// image, and a line straddling two disks (which no one disk can hold by
+// reference) is copied in and fetches exact. tests/shared_fetch_test.cc pins
+// the install-by-reference contract itself.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "blockdev/concat_driver.h"
 #include "blockdev/sim_disk.h"
 #include "highlight/highlight.h"
 #include "util/fault_injector.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace hl {
@@ -28,126 +26,7 @@ std::vector<uint8_t> Pattern(size_t n, uint64_t seed) {
   return v;
 }
 
-// --- SimDisk / ConcatDriver seam ---------------------------------------------
-
-TEST(InPlaceBytesTest, SimDiskLendsItsImageForValidRanges) {
-  SimClock clock;
-  SimDisk disk("d", 64, Rz57Profile(), &clock);
-  std::span<uint8_t> view = disk.InPlaceBytes(10, 2);
-  ASSERT_EQ(view.size(), 2u * kBlockSize);
-  const auto data = Pattern(2 * kBlockSize, 1);
-  std::copy(data.begin(), data.end(), view.begin());
-  std::vector<uint8_t> out(2 * kBlockSize);
-  ASSERT_TRUE(disk.ReadBlocks(10, 2, out).ok());
-  EXPECT_TRUE(out == data);
-
-  EXPECT_TRUE(disk.InPlaceBytes(63, 2).empty());  // Past the end.
-  EXPECT_TRUE(disk.InPlaceBytes(64, 1).empty());
-  EXPECT_TRUE(disk.InPlaceBytes(0, 0).empty());
-}
-
-TEST(InPlaceBytesTest, ConcatForwardsWithinOneComponentOnly) {
-  SimClock clock;
-  SimDisk a("a", 100, Rz57Profile(), &clock);
-  SimDisk b("b", 200, Rz58Profile(), &clock);
-  ConcatDriver cat("cat", {&a, &b});
-  EXPECT_EQ(cat.InPlaceBytes(90, 10).data(), a.InPlaceBytes(90, 10).data());
-  EXPECT_EQ(cat.InPlaceBytes(100, 4).data(), b.InPlaceBytes(0, 4).data());
-  EXPECT_EQ(cat.InPlaceBytes(250, 50).data(), b.InPlaceBytes(150, 50).data());
-  EXPECT_TRUE(cat.InPlaceBytes(98, 4).empty());  // Straddles a and b.
-  EXPECT_TRUE(cat.InPlaceBytes(299, 2).empty());
-  EXPECT_TRUE(cat.InPlaceBytes(300, 1).empty());
-
-  // A write of a lent span lands where the span points: in one component.
-  const auto data = Pattern(4 * kBlockSize, 2);
-  std::span<uint8_t> view = cat.InPlaceBytes(120, 4);
-  std::copy(data.begin(), data.end(), view.begin());
-  ASSERT_TRUE(cat.WriteBlocks(120, 4, view).ok());
-  std::vector<uint8_t> out(4 * kBlockSize);
-  ASSERT_TRUE(b.ReadBlocks(20, 4, out).ok());
-  EXPECT_TRUE(out == data);
-  EXPECT_EQ(b.writes(), 1u);
-  EXPECT_EQ(a.writes(), 0u);
-}
-
-// Two identical disks, each behind its own fault injector with the same
-// seed and some write failures: one takes copying writes, the other
-// in-place writes of the same bytes. Completion times, seeks, fault draws
-// and disk.* counters agree op for op.
-TEST(InPlaceBytesTest, InPlaceWriteChargesLikeACopyingWrite) {
-  SimClock clock;
-  FaultInjector copying_faults(&clock, 42);
-  FaultInjector in_place_faults(&clock, 42);
-  MetricsRegistry copying_metrics;
-  MetricsRegistry in_place_metrics;
-  SimDisk copying("d", 512, Rz57Profile(), &clock);
-  SimDisk in_place("d", 512, Rz57Profile(), &clock);
-  copying.AttachFaults(&copying_faults);
-  in_place.AttachFaults(&in_place_faults);
-  copying.AttachMetrics(&copying_metrics);
-  in_place.AttachMetrics(&in_place_metrics);
-  FaultProfile flaky;
-  flaky.write_transient_p = 0.3;
-  copying.fault_channel()->set_profile(flaky);
-  in_place.fault_channel()->set_profile(flaky);
-
-  Rng rng(7);
-  SimTime at = 0;
-  int failures = 0;
-  for (int op = 0; op < 40; ++op) {
-    const uint32_t count = 1 + static_cast<uint32_t>(rng.Below(16));
-    const uint32_t block = static_cast<uint32_t>(rng.Below(512 - count));
-    const auto data = Pattern(count * kBlockSize, op);
-    Result<SimTime> a = copying.ScheduleWriteAt(at, block, count, data);
-    std::span<uint8_t> view = in_place.InPlaceBytes(block, count);
-    ASSERT_EQ(view.size(), data.size());
-    std::copy(data.begin(), data.end(), view.begin());
-    Result<SimTime> b = in_place.ScheduleWriteAt(at, block, count, view);
-    ASSERT_EQ(a.ok(), b.ok()) << "op " << op;
-    if (a.ok()) {
-      EXPECT_EQ(*a, *b) << "op " << op;
-      std::span<uint8_t> landed = copying.InPlaceBytes(block, count);
-      EXPECT_TRUE(std::equal(landed.begin(), landed.end(), data.begin()));
-    } else {
-      ++failures;
-    }
-    at += 5'000;
-  }
-  EXPECT_GT(failures, 0);
-  EXPECT_LT(failures, 40);
-  EXPECT_EQ(copying.seeks(), in_place.seeks());
-  EXPECT_EQ(copying.busy_time(), in_place.busy_time());
-  const MetricsSnapshot a = copying_metrics.Snapshot();
-  const MetricsSnapshot b = in_place_metrics.Snapshot();
-  for (const char* counter :
-       {"disk.d.writes", "disk.d.bytes_written", "disk.d.seeks"}) {
-    EXPECT_EQ(a.Value(counter), b.Value(counter)) << counter;
-  }
-  EXPECT_GT(b.Value("disk.d.writes"), 0u);
-}
-
-TEST(InPlaceBytesTest, PartiallyOverlappingSourceIsRejected) {
-  SimClock clock;
-  SimDisk disk("d", 64, Rz57Profile(), &clock);
-  const auto data = Pattern(2 * kBlockSize, 3);
-  std::span<uint8_t> view = disk.InPlaceBytes(10, 2);
-  std::copy(data.begin(), data.end(), view.begin());
-
-  // One block off in either direction: the source overlaps the destination
-  // without being it, so the write is refused before it costs anything.
-  EXPECT_EQ(disk.WriteBlocks(11, 2, view).code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(disk.WriteBlocks(9, 2, view).code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(disk.writes(), 0u);
-  EXPECT_EQ(clock.Now(), 0u);
-
-  // A disjoint range of the same image is an ordinary copy.
-  ASSERT_TRUE(disk.WriteBlocks(20, 2, view).ok());
-  std::vector<uint8_t> out(2 * kBlockSize);
-  ASSERT_TRUE(disk.ReadBlocks(20, 2, out).ok());
-  EXPECT_TRUE(out == data);
-}
-
-// --- Fetches that land in the cache line --------------------------------------
+// --- Fetches into the cache line ---------------------------------------------
 
 // One deployment per pipeline (sync FetchSegment / async IssueRead), with
 // tertiary segments of 64 blocks and a small cache.
@@ -209,14 +88,13 @@ TEST_P(InPlaceFetchTest, FailedInstallWriteMapsNothingAndRefetchIsExact) {
   const uint32_t line = internals.cache.Lookup(tsegs[0]);
   ASSERT_NE(line, kNoSegment);
   ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
-  std::span<uint8_t> line_bytes = internals.disk(0).InPlaceBytes(
-      kDefaultReservedBlocks + line * 64, 64);
-  ASSERT_FALSE(line_bytes.empty());
-  std::fill(line_bytes.begin(), line_bytes.end(), 0);
+  const uint32_t line_first = kDefaultReservedBlocks + line * 64;
+  const std::vector<uint8_t> blank(64 * kBlockSize, 0);
+  ASSERT_TRUE(internals.disk(0).WriteBlocks(line_first, 64, blank).ok());
   const uint64_t fetched = internals.io_server.stats().segments_fetched;
 
-  // The tertiary read succeeds (and lands in the line); the raw-disk write
-  // that installs it fails on every try.
+  // The tertiary read succeeds; the raw-disk write that installs it fails
+  // on every try.
   FaultChannel* disk = internals.disk(0).fault_channel();
   FaultProfile failing;
   failing.write_transient_p = 1.0;
@@ -227,13 +105,14 @@ TEST_P(InPlaceFetchTest, FailedInstallWriteMapsNothingAndRefetchIsExact) {
   EXPECT_FALSE(hl_->SegmentCached(tsegs[0]));
   EXPECT_EQ(internals.cache.Lookup(tsegs[0]), kNoSegment);
   EXPECT_EQ(internals.io_server.stats().segments_fetched, fetched);
-  // The one visible consequence of landing in place: the aborted line holds
-  // the fetched image instead of its previous bytes (it is unmapped, so
-  // nothing reads them).
+  // A failed install writes nothing: the aborted line keeps its previous
+  // bytes, not the fetched image.
+  std::vector<uint8_t> line_bytes(64 * kBlockSize);
+  ASSERT_TRUE(internals.disk(0).ReadBlocks(line_first, 64, line_bytes).ok());
+  EXPECT_TRUE(line_bytes == blank);
   Result<std::vector<uint8_t>> image = hl_->ReadSegmentImage(tsegs[0]);
   ASSERT_TRUE(image.ok());
-  EXPECT_TRUE(std::equal(line_bytes.begin(), line_bytes.end(),
-                         image->begin()));
+  EXPECT_FALSE(line_bytes == *image);
 
   disk->set_profile(FaultProfile{});
   Result<FetchOutcome> again = hl_->FetchSegment(tsegs[0]);
@@ -331,8 +210,8 @@ TEST(InPlaceReadaheadTest, PromotedReadaheadNeverBuffersUnfilledImage) {
 // Reserved 16 blocks + 64-block segments over an 8192-block first disk: disk
 // segment 127 spans blocks [8144, 8208), across the boundary into the second
 // disk. With a two-line cache it is the second-to-last segment, so it is a
-// cache line; the raw disk cannot lend it, so fetches into it go through the
-// transfer image.
+// cache line; no one disk can hold it by reference, so installs into it are
+// copied through WriteBlocks.
 TEST(InPlaceStraddleTest, LineAcrossTwoDisksFallsBackAndFetchesExact) {
   for (bool async : {false, true}) {
     SCOPED_TRACE(async ? "async" : "sync");

@@ -1,0 +1,778 @@
+// Recall by reference: a demand fetch installs the source volume's chunks
+// into the cache line instead of copying them.
+//  * Crc32Combine joins stored CRCs exactly as Crc32 of the concatenation.
+//  * Every chunk's stored CRC describes its bytes after any mix of writes,
+//    and a shared read reports what a copying read of the extent would.
+//  * WriteShared is charged exactly as WriteBlocks of the same bytes, and
+//    ConcatDriver forwards it only within one component.
+//  * Copy-on-write holds both ways: volume writes leave an installed line
+//    alone, disk writes leave the volume alone, and a remount reads exact.
+//  * Fetches share on a default deployment, and each fallback (a volume that
+//    can corrupt reads, a segment that is not whole chunks, a line across
+//    two disks) copies and reads back exact.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <string>
+
+#include "blockdev/concat_driver.h"
+#include "blockdev/sim_disk.h"
+#include "highlight/highlight.h"
+#include "tertiary/volume.h"
+#include "util/crc32.h"
+#include "util/fault_injector.h"
+#include "util/metrics.h"
+#include "util/rng.h"
+
+namespace hl {
+namespace {
+
+constexpr size_t kChunk = Chunk::kBytes;
+constexpr uint32_t kChunkBlocks = Chunk::kBytes / kBlockSize;
+
+std::vector<uint8_t> Pattern(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> v(n);
+  for (auto& b : v) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return v;
+}
+
+std::vector<uint8_t> Concat(std::span<const ChunkRef> chunks) {
+  std::vector<uint8_t> out;
+  for (const ChunkRef& c : chunks) {
+    out.insert(out.end(), c->bytes, c->bytes + kChunk);
+  }
+  return out;
+}
+
+std::vector<ChunkRef> MakeChunks(size_t n, uint64_t seed) {
+  std::vector<ChunkRef> chunks;
+  for (size_t i = 0; i < n; ++i) {
+    auto chunk = std::make_shared<Chunk>();
+    const auto bytes = Pattern(kChunk, seed * 131 + i);
+    std::copy(bytes.begin(), bytes.end(), chunk->bytes);
+    chunk->crc = Crc32(bytes);
+    chunks.push_back(std::move(chunk));
+  }
+  return chunks;
+}
+
+// --- Crc32Combine ------------------------------------------------------------
+
+TEST(Crc32CombineTest, EqualsCrcOfConcatenationAtEvery4KSplit) {
+  for (uint64_t seed : {1, 2}) {
+    const auto buf = Pattern(1 << 20, seed);
+    const std::span<const uint8_t> all(buf);
+    const uint32_t whole = Crc32(all);
+    for (size_t split = 0; split <= buf.size(); split += 4096) {
+      const uint32_t a = Crc32(all.first(split));
+      const uint32_t b = Crc32(all.subspan(split));
+      EXPECT_EQ(Crc32Combine(a, b, buf.size() - split), whole)
+          << "seed " << seed << " split " << split;
+    }
+  }
+  // Byte-granular splits of a short buffer, and two empty halves.
+  const auto small = Pattern(97, 3);
+  for (size_t split = 0; split <= small.size(); ++split) {
+    const std::span<const uint8_t> s(small);
+    EXPECT_EQ(Crc32Combine(Crc32(s.first(split)), Crc32(s.subspan(split)),
+                           small.size() - split),
+              Crc32(s));
+  }
+  EXPECT_EQ(Crc32Combine(0, 0, 0), 0u);
+}
+
+// --- Volume chunks -----------------------------------------------------------
+
+// Every written chunk's stored CRC is Crc32 of its bytes.
+void ExpectStoredCrcsHold(const Volume& volume) {
+  for (uint64_t off = 0; off < volume.nominal_capacity(); off += kChunk) {
+    const Chunk* chunk = volume.ChunkAt(off);
+    if (chunk != nullptr) {
+      EXPECT_EQ(chunk->crc, Crc32(std::span<const uint8_t>(chunk->bytes)))
+          << "chunk at " << off;
+    }
+  }
+}
+
+// Seeded mixes of whole-chunk and partial writes, rewrites, erases and
+// shared reads, checked against a byte model of the volume. References a
+// shared read took keep the bytes they had, whatever the volume does next.
+TEST(VolumeChunkTest, StoredCrcsAndSharedReadsHoldOverSeededOpMixes) {
+  constexpr uint64_t kCapacity = 32 * kChunk;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Volume volume("v", kCapacity);
+    std::vector<uint8_t> model(kCapacity, 0);
+    struct Held {
+      std::vector<ChunkRef> chunks;
+      std::vector<uint8_t> bytes;
+    };
+    std::vector<Held> held;
+    Rng rng(seed);
+    for (int op = 0; op < 150; ++op) {
+      const uint64_t kind = rng.Below(10);
+      if (kind < 3) {  // Whole-chunk write.
+        const uint64_t n = 1 + rng.Below(4);
+        const uint64_t off = rng.Below(32 - n + 1) * kChunk;
+        const auto data = Pattern(n * kChunk, seed * 1000 + op);
+        uint32_t crc = 0;
+        ASSERT_TRUE(volume.Write(off, data, &crc).ok());
+        EXPECT_EQ(crc, Crc32(data));
+        std::copy(data.begin(), data.end(), model.begin() + off);
+      } else if (kind < 5) {  // Partial write at any byte.
+        const uint64_t len = 1 + rng.Below(3 * kChunk);
+        const uint64_t off = rng.Below(kCapacity - len + 1);
+        const auto data = Pattern(len, seed * 1000 + op);
+        uint32_t crc = 0;
+        ASSERT_TRUE(volume.Write(off, data, &crc).ok());
+        EXPECT_EQ(crc, Crc32(data));
+        std::copy(data.begin(), data.end(), model.begin() + off);
+      } else if (kind < 6) {  // Rewrite below the high-water mark.
+        if (volume.high_water() == 0) {
+          continue;
+        }
+        const uint64_t len = 1 + rng.Below(std::min<uint64_t>(
+                                     volume.high_water(), 2 * kChunk));
+        const uint64_t off = rng.Below(volume.high_water() - len + 1);
+        const auto data = Pattern(len, seed * 1000 + op);
+        uint32_t crc = 0;
+        ASSERT_TRUE(volume.Rewrite(off, data, &crc).ok());
+        EXPECT_EQ(crc, Crc32(data));
+        std::copy(data.begin(), data.end(), model.begin() + off);
+      } else if (kind < 7) {
+        if (rng.Below(3) == 0) {
+          ASSERT_TRUE(volume.Erase().ok());
+          std::fill(model.begin(), model.end(), 0);
+        }
+      } else {  // Shared read, compared with a copying read.
+        const uint64_t n = 1 + rng.Below(4);
+        const uint64_t off = rng.Below(32 - n + 1) * kChunk;
+        Held h;
+        uint32_t shared_crc = 0;
+        ASSERT_TRUE(volume.ReadShared(off, n * kChunk, &h.chunks, &shared_crc)
+                        .ok());
+        ASSERT_EQ(h.chunks.size(), n);
+        std::vector<uint8_t> copy(n * kChunk);
+        uint32_t copy_crc = 0;
+        ASSERT_TRUE(volume.Read(off, copy, &copy_crc).ok());
+        EXPECT_EQ(shared_crc, copy_crc);
+        h.bytes = Concat(h.chunks);
+        EXPECT_TRUE(h.bytes == copy);
+        EXPECT_TRUE(std::equal(copy.begin(), copy.end(), model.begin() + off));
+        for (uint64_t i = 0; i < n; ++i) {
+          const Chunk* mine = volume.ChunkAt(off + i * kChunk);
+          if (mine != nullptr) {
+            EXPECT_EQ(h.chunks[i].get(), mine);  // A reference, not a copy.
+          }
+        }
+        held.push_back(std::move(h));
+      }
+      ExpectStoredCrcsHold(volume);
+    }
+    std::vector<uint8_t> all(kCapacity);
+    ASSERT_TRUE(volume.Read(0, all).ok());
+    EXPECT_TRUE(all == model);
+    for (const Held& h : held) {
+      EXPECT_TRUE(Concat(h.chunks) == h.bytes);
+      for (const ChunkRef& c : h.chunks) {
+        EXPECT_EQ(c->crc, Crc32(std::span<const uint8_t>(c->bytes)));
+      }
+    }
+  }
+}
+
+TEST(VolumeChunkTest, SharingIsRefusedBeforeAnyDrawWhereItCannotRun) {
+  SimClock clock;
+  FaultInjector faults(&clock, 5);
+  Volume volume("v", 8 * kChunk);
+  volume.AttachFaults(faults.Channel("volume.v"));
+  ASSERT_TRUE(volume.Write(0, Pattern(4 * kChunk, 1)).ok());
+  std::vector<ChunkRef> out;
+  EXPECT_TRUE(volume.CanShare(kChunk, 2 * kChunk));
+  EXPECT_FALSE(volume.CanShare(kChunk / 2, kChunk));      // Unaligned start.
+  EXPECT_FALSE(volume.CanShare(0, 24 * kBlockSize));      // Not whole chunks.
+  EXPECT_EQ(volume.ReadShared(0, 24 * kBlockSize, &out).code(),
+            ErrorCode::kNotSupported);
+
+  // A profile that can corrupt reads rules sharing out, and the refusal
+  // draws nothing: the next copying read corrupts exactly as a twin's does.
+  FaultProfile corrupt;
+  corrupt.read_corrupt_p = 0.5;
+  volume.fault_channel()->set_profile(corrupt);
+  EXPECT_FALSE(volume.CanShare(0, kChunk));
+  EXPECT_EQ(volume.ReadShared(0, kChunk, &out).code(),
+            ErrorCode::kNotSupported);
+  FaultInjector twin_faults(&clock, 5);
+  Volume twin("v", 8 * kChunk);
+  twin.AttachFaults(twin_faults.Channel("volume.v"));
+  ASSERT_TRUE(twin.Write(0, Pattern(4 * kChunk, 1)).ok());
+  twin.fault_channel()->set_profile(corrupt);
+  for (int i = 0; i < 8; ++i) {
+    std::vector<uint8_t> a(kChunk);
+    std::vector<uint8_t> b(kChunk);
+    ASSERT_TRUE(volume.Read(0, a).ok());
+    ASSERT_TRUE(twin.Read(0, b).ok());
+    EXPECT_TRUE(a == b) << "read " << i;
+  }
+  EXPECT_EQ(faults.stats().corruptions, twin_faults.stats().corruptions);
+
+  // Past the end: the range check a copying read makes.
+  volume.fault_channel()->set_profile(FaultProfile{});
+  EXPECT_EQ(volume.ReadShared(6 * kChunk, 4 * kChunk, &out).code(),
+            ErrorCode::kOutOfRange);
+  // Unwritten chunks are shared zeros with the zero CRC.
+  uint32_t crc = 0;
+  ASSERT_TRUE(volume.ReadShared(4 * kChunk, 2 * kChunk, &out, &crc).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(crc, Crc32(std::vector<uint8_t>(2 * kChunk, 0)));
+  EXPECT_TRUE(Concat(out) == std::vector<uint8_t>(2 * kChunk, 0));
+}
+
+// --- WriteShared on the raw disk ---------------------------------------------
+
+// Two identical disks, each on its own clock behind its own fault injector
+// with the same seed and some write failures. One takes WriteBlocks of a
+// run of chunks' bytes, the other WriteShared of the chunks; ordinary
+// writes and reads land on both. Completion times, seeks, fault draws,
+// disk.* counters and every byte read agree op for op.
+TEST(SharedWriteTest, WriteSharedChargesLikeWriteBlocks) {
+  SimClock copying_clock;
+  SimClock sharing_clock;
+  FaultInjector copying_faults(&copying_clock, 42);
+  FaultInjector sharing_faults(&sharing_clock, 42);
+  MetricsRegistry copying_metrics;
+  MetricsRegistry sharing_metrics;
+  SimDisk copying("d", 512, Rz57Profile(), &copying_clock);
+  SimDisk sharing("d", 512, Rz57Profile(), &sharing_clock);
+  copying.AttachFaults(&copying_faults);
+  sharing.AttachFaults(&sharing_faults);
+  copying.AttachMetrics(&copying_metrics);
+  sharing.AttachMetrics(&sharing_metrics);
+  FaultProfile flaky;
+  flaky.write_transient_p = 0.3;
+  copying.fault_channel()->set_profile(flaky);
+  sharing.fault_channel()->set_profile(flaky);
+
+  Rng rng(7);
+  int shared_ok = 0;
+  int failures = 0;
+  for (int op = 0; op < 120; ++op) {
+    const uint64_t kind = rng.Below(3);
+    if (kind == 0) {  // A run of chunks at any block.
+      const uint32_t n = 1 + static_cast<uint32_t>(rng.Below(3));
+      const uint32_t count = n * kChunkBlocks;
+      const uint32_t block = static_cast<uint32_t>(rng.Below(512 - count + 1));
+      const std::vector<ChunkRef> chunks = MakeChunks(n, op);
+      Status a = copying.WriteBlocks(block, count, Concat(chunks));
+      Status b = sharing.WriteShared(block, count, chunks);
+      ASSERT_EQ(a.ok(), b.ok()) << "op " << op;
+      if (b.ok()) {
+        ++shared_ok;
+        EXPECT_EQ(sharing.SharedChunkAt(block), chunks[0].get());
+      } else {
+        ++failures;
+      }
+    } else if (kind == 1) {  // An ordinary write over whatever is there.
+      const uint32_t count = 1 + static_cast<uint32_t>(rng.Below(40));
+      const uint32_t block = static_cast<uint32_t>(rng.Below(512 - count + 1));
+      const auto data = Pattern(count * kBlockSize, 500 + op);
+      Status a = copying.WriteBlocks(block, count, data);
+      Status b = sharing.WriteBlocks(block, count, data);
+      ASSERT_EQ(a.ok(), b.ok()) << "op " << op;
+    } else {  // A read across flat and shared blocks.
+      const uint32_t count = 1 + static_cast<uint32_t>(rng.Below(80));
+      const uint32_t block = static_cast<uint32_t>(rng.Below(512 - count + 1));
+      std::vector<uint8_t> a(count * kBlockSize);
+      std::vector<uint8_t> b(count * kBlockSize);
+      ASSERT_TRUE(copying.ReadBlocks(block, count, a).ok());
+      ASSERT_TRUE(sharing.ReadBlocks(block, count, b).ok());
+      EXPECT_TRUE(a == b) << "op " << op;
+    }
+    ASSERT_EQ(copying_clock.Now(), sharing_clock.Now()) << "op " << op;
+    copying_clock.Advance(5'000);
+    sharing_clock.Advance(5'000);
+  }
+  EXPECT_GT(shared_ok, 0);
+  EXPECT_GT(failures, 0);
+  EXPECT_GT(sharing.SharedBlocks(), 0u);
+  EXPECT_EQ(copying.SharedBlocks(), 0u);
+  std::vector<uint8_t> a(512 * kBlockSize);
+  std::vector<uint8_t> b(512 * kBlockSize);
+  ASSERT_TRUE(copying.ReadBlocks(0, 512, a).ok());
+  ASSERT_TRUE(sharing.ReadBlocks(0, 512, b).ok());
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(copying.seeks(), sharing.seeks());
+  EXPECT_EQ(copying.busy_time(), sharing.busy_time());
+  EXPECT_EQ(copying_faults.stats().transients,
+            sharing_faults.stats().transients);
+  const MetricsSnapshot ma = copying_metrics.Snapshot();
+  const MetricsSnapshot mb = sharing_metrics.Snapshot();
+  for (const char* counter :
+       {"disk.d.writes", "disk.d.bytes_written", "disk.d.seeks",
+        "disk.d.reads", "disk.d.bytes_read"}) {
+    EXPECT_EQ(ma.Value(counter), mb.Value(counter)) << counter;
+  }
+}
+
+TEST(SharedWriteTest, WriteSharedChecksRangeAndSizeBeforeAnyCharge) {
+  SimClock clock;
+  SimDisk disk("d", 64, Rz57Profile(), &clock);
+  const std::vector<ChunkRef> one = MakeChunks(1, 1);
+  EXPECT_EQ(disk.WriteShared(56, 16, one).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(disk.WriteShared(64, 16, one).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(disk.WriteShared(0, 0, {}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(disk.WriteShared(0, 8, one).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(disk.writes(), 0u);
+  EXPECT_EQ(disk.SharedBlocks(), 0u);
+  EXPECT_EQ(clock.Now(), 0u);
+  ASSERT_TRUE(disk.WriteShared(48, 16, one).ok());
+  EXPECT_EQ(disk.SharedBlocks(), 16u);
+  EXPECT_EQ(disk.SharedChunkAt(63), one[0].get());
+  EXPECT_EQ(disk.SharedChunkAt(47), nullptr);
+}
+
+TEST(SharedWriteTest, ConcatForwardsSharedWriteWithinOneComponentOnly) {
+  SimClock clock;
+  SimDisk a("a", 100, Rz57Profile(), &clock);
+  SimDisk b("b", 200, Rz58Profile(), &clock);
+  ConcatDriver cat("cat", {&a, &b});
+  const std::vector<ChunkRef> first = MakeChunks(1, 1);
+  const std::vector<ChunkRef> second = MakeChunks(2, 2);
+  const std::vector<ChunkRef> straddler = MakeChunks(1, 3);
+
+  ASSERT_TRUE(cat.WriteShared(80, 16, first).ok());
+  EXPECT_EQ(a.SharedChunkAt(80), first[0].get());
+  ASSERT_TRUE(cat.WriteShared(116, 32, second).ok());
+  EXPECT_EQ(b.SharedChunkAt(16), second[0].get());
+  EXPECT_EQ(b.SharedChunkAt(47), second[1].get());
+  EXPECT_EQ(a.writes(), 1u);
+  EXPECT_EQ(b.writes(), 1u);
+
+  // Across the boundary no one component holds the range: it is copied,
+  // one write to each side, and the partly overwritten chunk on `a` turns
+  // into flat bytes.
+  ASSERT_TRUE(cat.WriteShared(92, 16, straddler).ok());
+  EXPECT_EQ(a.writes(), 2u);
+  EXPECT_EQ(b.writes(), 2u);
+  EXPECT_EQ(a.SharedBlocks(), 0u);
+  EXPECT_EQ(b.SharedBlocks(), 32u);
+  std::vector<uint8_t> out(16 * kBlockSize);
+  ASSERT_TRUE(cat.ReadBlocks(92, 16, out).ok());
+  EXPECT_TRUE(out == Concat(straddler));
+  std::vector<uint8_t> head(12 * kBlockSize);
+  ASSERT_TRUE(cat.ReadBlocks(80, 12, head).ok());
+  const std::vector<uint8_t> first_bytes = Concat(first);
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), first_bytes.begin()));
+
+  EXPECT_EQ(cat.WriteShared(299, 16, first).code(), ErrorCode::kOutOfRange);
+}
+
+// --- Copy-on-write, both ways ------------------------------------------------
+
+class CopyOnWriteTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kLine = 16;  // First block of the line.
+
+  void SetUp() override {
+    image_ = Pattern(4 * kChunk, 21);
+    ASSERT_TRUE(volume_.Write(kChunk, image_).ok());
+    std::vector<ChunkRef> chunks;
+    ASSERT_TRUE(volume_.ReadShared(kChunk, 4 * kChunk, &chunks).ok());
+    ASSERT_TRUE(disk_.WriteShared(kLine, 4 * kChunkBlocks, chunks).ok());
+    ASSERT_EQ(disk_.SharedBlocks(), 4 * kChunkBlocks);
+    ASSERT_EQ(disk_.SharedChunkAt(kLine), volume_.ChunkAt(kChunk));
+  }
+
+  std::vector<uint8_t> Line() {
+    std::vector<uint8_t> out(4 * kChunk);
+    EXPECT_TRUE(disk_.ReadBlocks(kLine, 4 * kChunkBlocks, out).ok());
+    return out;
+  }
+  std::vector<uint8_t> OnVolume() {
+    std::vector<uint8_t> out(4 * kChunk);
+    EXPECT_TRUE(volume_.Read(kChunk, out).ok());
+    return out;
+  }
+
+  SimClock clock_;
+  Volume volume_{"v", 8 * kChunk};
+  SimDisk disk_{"d", 512, Rz57Profile(), &clock_};
+  std::vector<uint8_t> image_;
+};
+
+TEST_F(CopyOnWriteTest, VolumeWritesLeaveTheInstalledLineUnchanged) {
+  // Whole chunks, a partial chunk, a rewrite and an erase: the volume
+  // changes every time, the line never does.
+  const auto other = Pattern(4 * kChunk, 22);
+  ASSERT_TRUE(volume_.Write(kChunk, other).ok());
+  EXPECT_TRUE(OnVolume() == other);
+  EXPECT_TRUE(Line() == image_);
+  EXPECT_NE(disk_.SharedChunkAt(kLine), volume_.ChunkAt(kChunk));
+
+  std::vector<ChunkRef> chunks;
+  ASSERT_TRUE(volume_.ReadShared(kChunk, 4 * kChunk, &chunks).ok());
+  ASSERT_TRUE(disk_.WriteShared(kLine, 4 * kChunkBlocks, chunks).ok());
+  ASSERT_TRUE(volume_.Write(kChunk + 1000, Pattern(300, 23)).ok());
+  ASSERT_TRUE(volume_.Rewrite(2 * kChunk + 5, Pattern(kChunk, 24)).ok());
+  EXPECT_TRUE(Line() == other);
+  EXPECT_FALSE(OnVolume() == other);
+
+  ASSERT_TRUE(volume_.Erase().ok());
+  EXPECT_TRUE(OnVolume() == std::vector<uint8_t>(4 * kChunk, 0));
+  EXPECT_TRUE(Line() == other);
+  for (uint32_t b = kLine; b < kLine + 4 * kChunkBlocks; b += kChunkBlocks) {
+    const Chunk* held = disk_.SharedChunkAt(b);
+    ASSERT_NE(held, nullptr);
+    EXPECT_EQ(held->crc, Crc32(std::span<const uint8_t>(held->bytes)));
+  }
+}
+
+TEST_F(CopyOnWriteTest, DiskWritesLeaveTheVolumeUnchanged) {
+  std::vector<uint8_t> expect = image_;
+  // Part of one chunk: that chunk turns flat, the others stay shared.
+  const auto part = Pattern(3 * kBlockSize, 31);
+  ASSERT_TRUE(disk_.WriteBlocks(kLine + kChunkBlocks + 5, 3, part).ok());
+  std::copy(part.begin(), part.end(),
+            expect.begin() + (kChunkBlocks + 5) * kBlockSize);
+  EXPECT_EQ(disk_.SharedBlocks(), 3 * kChunkBlocks);
+  EXPECT_EQ(disk_.SharedChunkAt(kLine + kChunkBlocks), nullptr);
+  EXPECT_TRUE(Line() == expect);
+  EXPECT_TRUE(OnVolume() == image_);
+
+  // A write across a chunk boundary and past the line's start.
+  const auto across = Pattern(24 * kBlockSize, 32);
+  ASSERT_TRUE(disk_.WriteBlocks(kLine - 4, 24, across).ok());
+  std::copy(across.begin() + 4 * kBlockSize, across.end(), expect.begin());
+  EXPECT_EQ(disk_.SharedBlocks(), 2 * kChunkBlocks);
+  EXPECT_TRUE(Line() == expect);
+  EXPECT_TRUE(OnVolume() == image_);
+
+  // The whole line.
+  const auto all = Pattern(4 * kChunk, 33);
+  ASSERT_TRUE(disk_.WriteBlocks(kLine, 4 * kChunkBlocks, all).ok());
+  EXPECT_EQ(disk_.SharedBlocks(), 0u);
+  EXPECT_TRUE(Line() == all);
+  EXPECT_TRUE(OnVolume() == image_);
+}
+
+// --- Fetches on a deployment -------------------------------------------------
+
+class SharedFetchTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void Create(uint32_t seg_blocks, uint32_t second_disk_blocks = 0,
+              uint32_t cache_lines = 8) {
+    HighLightConfig::Builder builder;
+    builder.AddDisk(Rz57Profile(), 8 * 1024);
+    if (second_disk_blocks != 0) {
+      builder.AddDisk(Rz57Profile(), second_disk_blocks);
+    }
+    Result<HighLightConfig> config = builder.AddJukebox(Hp6300MoProfile())
+                                         .SegSizeBlocks(seg_blocks)
+                                         .CacheMaxSegments(cache_lines)
+                                         .AsyncReadPipeline(GetParam())
+                                         .Build();
+    ASSERT_TRUE(config.ok()) << config.status().ToString();
+    auto made = HighLightFs::Create(*config, &clock_);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    hl_ = std::move(*made);
+  }
+
+  // Writes and migrates each file, then drops the cache.
+  void MigrateCold(const std::map<std::string, std::vector<uint8_t>>& files,
+                   const MigratorOptions& opts = {}) {
+    std::vector<uint32_t> inos;
+    for (const auto& [path, data] : files) {
+      Result<uint32_t> ino = hl_->fs().Create(path);
+      ASSERT_TRUE(ino.ok());
+      ASSERT_TRUE(hl_->fs().Write(*ino, 0, data).ok());
+      inos.push_back(*ino);
+    }
+    ASSERT_TRUE(hl_->Internals().migrator.MigrateFiles(inos, opts).ok());
+    ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  }
+
+  void ExpectReadsBack(
+      const std::map<std::string, std::vector<uint8_t>>& files) {
+    hl_->fs().FlushBufferCache();
+    for (const auto& [path, data] : files) {
+      Result<uint32_t> ino = hl_->fs().LookupPath(path);
+      ASSERT_TRUE(ino.ok()) << path;
+      std::vector<uint8_t> out(data.size());
+      ASSERT_TRUE(hl_->fs().Read(*ino, 0, out).ok()) << path;
+      EXPECT_TRUE(out == data) << path;
+    }
+  }
+
+  uint32_t LineFirstBlock(uint32_t line) const {
+    return kDefaultReservedBlocks +
+           line * hl_->fs().superblock().seg_size_blocks;
+  }
+
+  // True when every chunk of cache line `line` (on disk 0) is the very
+  // chunk the volume holds for `tseg`.
+  bool LineSharesVolumeChunks(uint32_t line, uint32_t tseg) {
+    auto internals = hl_->Internals();
+    Result<Volume*> volume = internals.footprint.GetVolume(
+        static_cast<int>(internals.address_map.VolumeOfTseg(tseg)));
+    const uint64_t offset = internals.address_map.ByteOffsetOnVolume(tseg);
+    const uint32_t seg_blocks = hl_->fs().superblock().seg_size_blocks;
+    bool all = volume.ok();
+    for (uint32_t b = 0; all && b < seg_blocks; b += kChunkBlocks) {
+      const Chunk* held =
+          internals.disk(0).SharedChunkAt(LineFirstBlock(line) + b);
+      all = held != nullptr &&
+            held == (*volume)->ChunkAt(offset + uint64_t{b} * kBlockSize);
+    }
+    return all;
+  }
+
+  SimClock clock_;
+  std::unique_ptr<HighLightFs> hl_;
+};
+
+// The default 1 MB segments: a demand fetch, in each pipeline, leaves the
+// line holding the volume's own chunks, and the file reads back from them.
+TEST_P(SharedFetchTest, DemandFetchSharesTheVolumeChunks) {
+  Create(HighLightConfig().lfs.seg_size_blocks);
+  const std::map<std::string, std::vector<uint8_t>> files = {
+      {"/f", Pattern(900 * 1024, 41)}};
+  MigrateCold(files);
+  const std::vector<uint32_t> tsegs = hl_->FetchableSegments();
+  ASSERT_EQ(tsegs.size(), 1u);
+  auto internals = hl_->Internals();
+  const uint64_t verified = internals.io_server.stats().crc_verified;
+  Result<FetchOutcome> fetched = hl_->FetchSegment(tsegs[0]);
+  ASSERT_TRUE(fetched.ok());
+  ASSERT_TRUE(fetched->status.ok()) << fetched->status.ToString();
+  const uint32_t line = internals.cache.Lookup(tsegs[0]);
+  ASSERT_NE(line, kNoSegment);
+  EXPECT_TRUE(LineSharesVolumeChunks(line, tsegs[0]));
+  EXPECT_EQ(internals.disk(0).SharedBlocks(),
+            hl_->fs().superblock().seg_size_blocks);
+  // Verified against the catalog from the stored CRCs.
+  EXPECT_EQ(internals.io_server.stats().crc_verified, verified + 1);
+  ExpectReadsBack(files);
+}
+
+// Volume writes, then disk writes, around shared lines; then a crash-like
+// remount re-fetches everything and reads it back exact.
+TEST_P(SharedFetchTest, CopyOnWriteBothWaysThenRemountReadsExact) {
+  Create(64);
+  std::map<std::string, std::vector<uint8_t>> files;
+  for (int i = 0; i < 3; ++i) {
+    files["/f" + std::to_string(i)] = Pattern(200 * 1024, 50 + i);
+  }
+  MigrateCold(files);
+  ExpectReadsBack(files);  // Fetches every segment into a line.
+  auto internals = hl_->Internals();
+  const std::vector<uint32_t> tsegs = hl_->FetchableSegments();
+  ASSERT_EQ(tsegs.size(), 3u);
+  std::map<uint32_t, std::vector<uint8_t>> images;
+  std::map<uint32_t, std::vector<uint8_t>> lines;
+  for (uint32_t tseg : tsegs) {
+    const uint32_t line = internals.cache.Lookup(tseg);
+    ASSERT_NE(line, kNoSegment);
+    ASSERT_TRUE(LineSharesVolumeChunks(line, tseg));
+    Result<std::vector<uint8_t>> image = hl_->ReadSegmentImage(tseg);
+    ASSERT_TRUE(image.ok());
+    images[tseg] = *image;
+    lines[tseg].resize(image->size());
+    ASSERT_TRUE(internals.disk(0)
+                    .ReadBlocks(LineFirstBlock(line), 64, lines[tseg])
+                    .ok());
+    EXPECT_TRUE(lines[tseg] == *image);
+  }
+  auto expect_lines_unchanged = [&] {
+    for (uint32_t tseg : tsegs) {
+      std::vector<uint8_t> now(lines[tseg].size());
+      ASSERT_TRUE(internals.disk(0)
+                      .ReadBlocks(LineFirstBlock(internals.cache.Lookup(tseg)),
+                                  64, now)
+                      .ok());
+      EXPECT_TRUE(now == lines[tseg]) << "tseg " << tseg;
+    }
+  };
+
+  // Volume side: a scrub-style rewrite of the first segment, a plain write
+  // of the second's own bytes, then an erase of the whole volume and a
+  // rebuild of every segment (what site recovery does).
+  const AddressMap& amap = internals.address_map;
+  const int volume = static_cast<int>(amap.VolumeOfTseg(tsegs[0]));
+  ASSERT_TRUE(internals.footprint
+                  .RepairWrite(volume, amap.ByteOffsetOnVolume(tsegs[0]),
+                               images[tsegs[0]])
+                  .ok());
+  EXPECT_FALSE(
+      LineSharesVolumeChunks(internals.cache.Lookup(tsegs[0]), tsegs[0]));
+  ASSERT_TRUE(internals.footprint
+                  .Write(volume, amap.ByteOffsetOnVolume(tsegs[1]),
+                         images[tsegs[1]])
+                  .ok());
+  expect_lines_unchanged();
+  for (uint32_t tseg : tsegs) {
+    ASSERT_EQ(static_cast<int>(amap.VolumeOfTseg(tseg)), volume);
+  }
+  ASSERT_TRUE(internals.footprint.EraseVolume(volume).ok());
+  expect_lines_unchanged();
+  ExpectReadsBack(files);  // Served from the lines.
+  for (uint32_t tseg : tsegs) {
+    ASSERT_TRUE(hl_->InstallSegmentImage(tseg, images[tseg]).ok());
+  }
+
+  // Disk side: with the lines dropped, overwrite one whole and another in
+  // part; the volume keeps every image.
+  std::vector<uint32_t> freed;
+  for (uint32_t tseg : tsegs) {
+    freed.push_back(internals.cache.Lookup(tseg));
+  }
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  ASSERT_TRUE(internals.disk(0)
+                  .WriteBlocks(LineFirstBlock(freed[0]), 64,
+                               Pattern(64 * kBlockSize, 60))
+                  .ok());
+  ASSERT_TRUE(internals.disk(0)
+                  .WriteBlocks(LineFirstBlock(freed[1]) + 20, 7,
+                               Pattern(7 * kBlockSize, 61))
+                  .ok());
+  for (uint32_t tseg : tsegs) {
+    Result<std::vector<uint8_t>> image = hl_->ReadSegmentImage(tseg);
+    ASSERT_TRUE(image.ok());
+    EXPECT_TRUE(*image == images[tseg]) << "tseg " << tseg;
+  }
+
+  ASSERT_TRUE(hl_->Remount().ok());
+  ExpectReadsBack(files);
+  EXPECT_GT(hl_->Internals().disk(0).SharedBlocks(), 0u);
+}
+
+// Fallback: a source volume whose profile can corrupt reads is read by
+// copying. With a replica on a clean volume, the corrupt primary is tried
+// and rejected on every attempt, and the replica's chunks are shared.
+TEST_P(SharedFetchTest, CorruptibleVolumeCopiesAndTheReplicaShares) {
+  Create(64);
+  const std::map<std::string, std::vector<uint8_t>> files = {
+      {"/f", Pattern(200 * 1024, 70)}};
+  MigratorOptions opts;
+  opts.replicas = 1;
+  MigrateCold(files, opts);
+  auto internals = hl_->Internals();
+  uint32_t primary = kNoSegment;
+  uint32_t replica = kNoSegment;
+  for (uint32_t t = 0; t < internals.tseg_table.size(); ++t) {
+    if (internals.tseg_table.Get(t).flags & kSegReplica) {
+      primary = internals.tseg_table.Get(t).cache_tseg;
+      replica = t;
+      break;
+    }
+  }
+  ASSERT_NE(primary, kNoSegment);
+  const uint32_t volume = internals.address_map.VolumeOfTseg(primary);
+  ASSERT_NE(internals.address_map.VolumeOfTseg(replica), volume);
+  Result<Volume*> medium =
+      internals.footprint.GetVolume(static_cast<int>(volume));
+  ASSERT_TRUE(medium.ok());
+  // Seat the primary's volume, so the fetch tries it first.
+  std::vector<uint8_t> sector(kBlockSize);
+  ASSERT_TRUE(
+      internals.footprint.Read(static_cast<int>(volume), 0, sector).ok());
+  FaultProfile corrupt;
+  corrupt.read_corrupt_p = 1.0;
+  (*medium)->fault_channel()->set_profile(corrupt);
+
+  const IoServer::Stats& io = internals.io_server.stats();
+  const uint64_t mismatches = io.crc_mismatches;
+  const uint64_t failovers = io.failovers;
+  Result<FetchOutcome> fetched = hl_->FetchSegment(primary);
+  ASSERT_TRUE(fetched.ok());
+  ASSERT_TRUE(fetched->status.ok()) << fetched->status.ToString();
+  EXPECT_EQ(io.crc_mismatches - mismatches,
+            static_cast<uint64_t>(RetryPolicy().max_attempts));
+  EXPECT_EQ(io.failovers - failovers, 1u);
+  const uint32_t line = internals.cache.Lookup(primary);
+  ASSERT_NE(line, kNoSegment);
+  EXPECT_TRUE(LineSharesVolumeChunks(line, replica));
+  ExpectReadsBack(files);
+}
+
+// Fallback: the only copy sits on a volume whose profile could corrupt a
+// read (though none fires): the fetch copies, installs flat bytes and reads
+// back exact.
+TEST_P(SharedFetchTest, CorruptibleOnlyCopyIsCopiedExact) {
+  Create(64);
+  const std::map<std::string, std::vector<uint8_t>> files = {
+      {"/f", Pattern(200 * 1024, 71)}};
+  MigrateCold(files);
+  auto internals = hl_->Internals();
+  const std::vector<uint32_t> tsegs = hl_->FetchableSegments();
+  ASSERT_EQ(tsegs.size(), 1u);
+  Result<Volume*> medium = internals.footprint.GetVolume(
+      static_cast<int>(internals.address_map.VolumeOfTseg(tsegs[0])));
+  ASSERT_TRUE(medium.ok());
+  FaultProfile rare;
+  rare.read_corrupt_p = 1e-12;
+  (*medium)->fault_channel()->set_profile(rare);
+  const uint64_t verified = internals.io_server.stats().crc_verified;
+  ExpectReadsBack(files);
+  EXPECT_NE(internals.cache.Lookup(tsegs[0]), kNoSegment);
+  EXPECT_EQ(internals.disk(0).SharedBlocks(), 0u);
+  EXPECT_EQ(internals.io_server.stats().crc_verified, verified + 1);
+}
+
+// Fallback: 24-block (96 KB) segments are not whole chunks, so every fetch
+// copies.
+TEST_P(SharedFetchTest, SegmentsOfPartChunksAreCopiedExact) {
+  Create(24);
+  std::map<std::string, std::vector<uint8_t>> files;
+  for (int i = 0; i < 3; ++i) {
+    files["/f" + std::to_string(i)] = Pattern(150 * 1024, 80 + i);
+  }
+  MigrateCold(files);
+  const uint64_t fetched = hl_->Internals().io_server.stats().segments_fetched;
+  ExpectReadsBack(files);
+  EXPECT_GT(hl_->Internals().io_server.stats().segments_fetched, fetched);
+  EXPECT_EQ(hl_->Internals().disk(0).SharedBlocks(), 0u);
+}
+
+// Fallback: disk segment 127 of 64 blocks spans [8144, 8208), across the
+// end of the 8192-block first disk. With two cache lines it is one of them
+// and segment 128, wholly on the second disk, the other. Installs into 127
+// are copied, 128 shares, and everything reads back exact.
+TEST_P(SharedFetchTest, LineAcrossTwoDisksIsCopiedExact) {
+  Create(64, /*second_disk_blocks=*/96, /*cache_lines=*/2);
+  ASSERT_EQ(hl_->fs().NumSegments(), 129u);
+  std::map<std::string, std::vector<uint8_t>> files = {
+      {"/f", Pattern(5 * 200 * 1024, 90)}};
+  MigrateCold(files);
+  auto internals = hl_->Internals();
+  const uint64_t fetched = internals.io_server.stats().segments_fetched;
+  ExpectReadsBack(files);
+  EXPECT_GE(internals.io_server.stats().segments_fetched, fetched + 5);
+  std::vector<uint32_t> lines;
+  for (const SegmentCache::LineInfo& line : internals.cache.Lines()) {
+    lines.push_back(line.disk_seg);
+  }
+  std::sort(lines.begin(), lines.end());
+  ASSERT_EQ(lines, (std::vector<uint32_t>{127, 128}));
+  for (uint32_t b = LineFirstBlock(127); b < 8 * 1024; ++b) {
+    EXPECT_EQ(internals.disk(0).SharedChunkAt(b), nullptr) << b;
+  }
+  EXPECT_EQ(internals.disk(0).SharedBlocks(), 0u);
+  // Disk 1 holds the straddler's last 16 blocks and all of segment 128.
+  EXPECT_EQ(internals.disk(1).SharedChunkAt(0), nullptr);
+  EXPECT_EQ(internals.disk(1).SharedBlocks(), 64u);
+  EXPECT_NE(internals.disk(1).SharedChunkAt(LineFirstBlock(128) - 8 * 1024),
+            nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(SyncAndAsync, SharedFetchTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "AsyncPipeline" : "SyncFetch";
+                         });
+
+}  // namespace
+}  // namespace hl

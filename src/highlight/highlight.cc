@@ -161,7 +161,6 @@ Result<std::unique_ptr<HighLightFs>> HighLightFs::Create(
   hl->io_server_ = std::make_unique<IoServer>(
       hl->concat_.get(), hl->footprint_.get(), hl->amap_.get(), clock,
       kDefaultReservedBlocks, params.seg_size_blocks);
-  hl->io_server_->set_async_reads(hl->async_read_pipeline_);
   hl->io_server_->AttachMetrics(&hl->metrics_);
   hl->io_server_->set_retry_policy(hl->retry_policy_);
   hl->io_server_->SetHealth(hl->health_.get());

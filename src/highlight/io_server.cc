@@ -1,6 +1,7 @@
 #include "highlight/io_server.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/logging.h"
 
@@ -71,9 +72,7 @@ std::vector<uint32_t> IoServer::SourceCandidates(uint32_t tseg) {
   // when every healthy copy fails they are still the last line of defense.
   auto rank = [&](uint32_t candidate) {
     const uint32_t volume = amap_->VolumeOfTseg(candidate);
-    Result<bool> mounted =
-        footprint_->VolumeMounted(static_cast<int>(volume));
-    int r = (mounted.ok() && *mounted) ? 0 : 1;
+    int r = VolumeMounted(volume) ? 0 : 1;
     if (health_ != nullptr &&
         health_->VolumeState(volume) == HealthState::kQuarantined) {
       r += 2;
@@ -91,6 +90,15 @@ uint32_t IoServer::PickSource(uint32_t tseg) {
     stats_.replica_reads++;
   }
   return source;
+}
+
+bool IoServer::VolumeMounted(uint32_t volume) const {
+  Result<bool> mounted = footprint_->VolumeMounted(static_cast<int>(volume));
+  return mounted.ok() && *mounted;
+}
+
+SimTime IoServer::CopyTime() const {
+  return kCpuCopyUsPerMb * amap_->SegBytes() / (1024 * 1024);
 }
 
 Status IoServer::RetrySync(uint32_t tseg, uint32_t volume,
@@ -121,6 +129,46 @@ Status IoServer::RetrySync(uint32_t tseg, uint32_t volume,
     }
   }
   return s;
+}
+
+Result<SimTime> IoServer::ScheduleWithRetry(
+    uint32_t tseg, uint32_t volume, const char* span, SpanId parent,
+    const std::function<Result<SimTime>(SimTime earliest)>& attempt) {
+  const SimTime t0 = clock_->Now();
+  SimTime earliest = t0;
+  for (int try_no = 1;; ++try_no) {
+    Result<SimTime> end = attempt(earliest);
+    if (health_ != nullptr) {
+      if (end.ok()) {
+        health_->RecordVolumeSuccess(volume);
+      } else if (Retryable(end.status())) {
+        health_->RecordVolumeFailure(volume);
+      }
+    }
+    if (end.ok()) {
+      if (spans_ != nullptr) {
+        spans_->AddComplete(span, "tertiary", parent, earliest, *end);
+      }
+      phases_.Add(phase_footprint_, *end - t0);
+      return end;
+    }
+    if (!Retryable(end.status()) || try_no >= retry_.max_attempts) {
+      return end;
+    }
+    const SimTime backoff = retry_.BackoffFor(try_no);
+    stats_.retries++;
+    stats_.retry_backoff_us += backoff;
+    if (spans_ != nullptr) {
+      // The backoff happens in the device's future, not on the caller's
+      // clock: record it as a pre-timed span on the issuing op's branch.
+      const SpanId retry =
+          spans_->AddComplete("retry", "io", parent, earliest,
+                              earliest + backoff);
+      spans_->Annotate(retry, "tseg", std::to_string(tseg));
+      spans_->Annotate(retry, "attempt", std::to_string(try_no));
+    }
+    earliest += backoff;
+  }
 }
 
 std::shared_ptr<std::vector<uint8_t>> IoServer::TransferImage() {
@@ -186,7 +234,7 @@ Status IoServer::InstallFetched(uint32_t tseg, uint32_t disk_seg,
   SpanScope install(spans_, "install", "io");
   install.Annotate("tseg", std::to_string(tseg));
   install.Annotate("disk_seg", std::to_string(disk_seg));
-  const SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
+  const SimTime copy = CopyTime();
   clock_->Advance(copy);
   const SimTime t0 = clock_->Now();
   const uint32_t first = DiskSegFirstBlock(disk_seg);
@@ -237,46 +285,6 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
   return OkStatus();
 }
 
-Status IoServer::CopyOutSegment(uint32_t tseg, uint32_t disk_seg) {
-  const uint64_t seg_bytes = amap_->SegBytes();
-  const std::shared_ptr<std::vector<uint8_t>> image = TransferImage();
-  std::span<uint8_t> buf(*image);
-
-  SpanScope span(spans_, "copyout", "io");
-  span.Annotate("tseg", std::to_string(tseg));
-  span.Annotate("disk_seg", std::to_string(disk_seg));
-  SimTime t0 = clock_->Now();
-  RETURN_IF_ERROR(raw_disk_->ReadBlocks(DiskSegFirstBlock(disk_seg),
-                                        seg_size_blocks_, buf));
-  SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
-  clock_->Advance(copy);
-  phases_.Add(phase_ioserver_, clock_->Now() - t0);
-
-  uint32_t volume = amap_->VolumeOfTseg(tseg);
-  uint64_t offset = amap_->ByteOffsetOnVolume(tseg);
-  uint32_t crc = 0;
-  Status write = RetrySync(tseg, volume, [&]() {
-    SimTime w0 = clock_->Now();
-    Status s = footprint_->Write(volume, offset, buf, &crc);
-    phases_.Add(phase_footprint_, clock_->Now() - w0);
-    return s;
-  });
-  if (write.code() == ErrorCode::kEndOfMedium) {
-    stats_.end_of_medium_events++;
-    RecordInstant(spans_, "end_of_medium", "io", "tseg", tseg, "volume",
-                  volume);
-    return write;
-  }
-  RETURN_IF_ERROR(write);
-  if (crc_store_) {
-    crc_store_(tseg, crc);
-  }
-
-  stats_.segments_copied_out++;
-  stats_.bytes_copied_out += seg_bytes;
-  return OkStatus();
-}
-
 Status IoServer::EnqueueCopyOut(uint32_t tseg, uint32_t disk_seg,
                                 Completion done) {
   return Enqueue(PendingOp{OpKind::kCopyOut, tseg, disk_seg, std::move(done)});
@@ -294,9 +302,21 @@ Status IoServer::Enqueue(PendingOp op) {
   }
   op.seq = next_seq_++;
   op.enqueued_at = clock_->Now();
+  const bool read = IsReadOp(op.kind);
+  const bool lazy = op.kind == OpKind::kPrefetchRead;
   queue_.push_back(std::move(op));
   stats_.ops_enqueued++;
   stats_.queue_depth.Set(static_cast<int64_t>(queue_.size()));
+  if (read) {
+    stats_.read_queue_depth.Set(static_cast<int64_t>(ReadQueueCount()));
+    // Prefetch-class reads are lazy: they sit in the queue until a demand
+    // issue or drain sweeps them up — that is what lets a whole run of
+    // read-aheads ride one mounted volume. Demand reads push the pipeline
+    // now, unless the batch window holds them.
+    if (reads_held_ || lazy) {
+      return OkStatus();
+    }
+  }
   return TryIssue();
 }
 
@@ -310,6 +330,16 @@ void IoServer::ReapOutstanding() {
   while (!outstanding_.empty() && *outstanding_.begin() <= clock_->Now()) {
     outstanding_.erase(outstanding_.begin());
   }
+}
+
+void IoServer::StallForOldest() {
+  stats_.backpressure_stalls++;
+  const SimTime oldest = *outstanding_.begin();
+  const SimTime stall = oldest > clock_->Now() ? oldest - clock_->Now() : 0;
+  stats_.queue_stall_us += stall;
+  RecordInstant(spans_, "queue_stall", "io", "depth", queue_.size(),
+                "stall_us", stall);
+  clock_->AdvanceTo(oldest);
 }
 
 bool IoServer::WindowHasRoom() {
@@ -332,14 +362,7 @@ Status IoServer::TryIssue() {
       RETURN_IF_ERROR(IssueNext());
       continue;
     }
-    stats_.backpressure_stalls++;
-    const SimTime oldest = *outstanding_.begin();
-    const SimTime stall =
-        oldest > clock_->Now() ? oldest - clock_->Now() : 0;
-    stats_.queue_stall_us += stall;
-    RecordInstant(spans_, "queue_stall", "io", "depth", queue_.size(),
-                  "stall_us", stall);
-    clock_->AdvanceTo(oldest);
+    StallForOldest();
     while (WindowHasRoom() && PickIndex() < queue_.size()) {
       RETURN_IF_ERROR(IssueNext());
     }
@@ -357,50 +380,31 @@ size_t IoServer::FirstEligibleIndex() const {
 }
 
 size_t IoServer::PickIndex() {
-  if (!async_reads_) {
-    // Legacy write-behind pick (no read ops exist on this path): an op
-    // whose target volume is already in a drive beats older ops that would
-    // force a media swap.
-    if (queue_.empty()) {
-      return queue_.size();
-    }
-    for (size_t i = 0; i < queue_.size(); ++i) {
-      Result<bool> mounted = footprint_->VolumeMounted(
-          static_cast<int>(amap_->VolumeOfTseg(queue_[i].tseg)));
-      if (mounted.ok() && *mounted) {
-        return i;
-      }
-    }
-    return 0;
-  }
-  // Async rank: class (demand < write < prefetch) first — demand faults
-  // block a user process, prefetches are speculative — then mounted volume
-  // (ride the seated medium before paying a swap), then an upward elevator
-  // over volume numbers from the last read's volume, then FIFO.
+  // The issue key (io_server.h), smallest first: class (demand read < write
+  // < prefetch read) — demand faults block a user process, prefetches are
+  // speculative; then mounted volume (ride the seated medium before paying
+  // a swap); then, for reads, an upward elevator over volume numbers from
+  // the last read's volume; then FIFO.
   size_t best = queue_.size();
-  uint64_t best_key[4] = {0, 0, 0, 0};
+  std::array<uint64_t, 4> best_key{};
   for (size_t i = 0; i < queue_.size(); ++i) {
     const PendingOp& op = queue_[i];
-    if (reads_held_ && IsReadOp(op.kind)) {
+    const bool read = IsReadOp(op.kind);
+    if (reads_held_ && read) {
       continue;
     }
-    const uint64_t cls = op.kind == OpKind::kDemandRead ? 0
-                         : IsReadOp(op.kind)            ? 2
-                                                        : 1;
+    const uint64_t cls = op.kind == OpKind::kDemandRead ? 0 : read ? 2 : 1;
     const uint32_t vol = amap_->VolumeOfTseg(op.tseg);
-    Result<bool> m = footprint_->VolumeMounted(static_cast<int>(vol));
-    const uint64_t unmounted = (m.ok() && *m) ? 0 : 1;
-    const uint64_t sweep = vol >= last_read_volume_
-                               ? vol - last_read_volume_
-                               : (uint64_t{1} << 32) + vol - last_read_volume_;
-    const uint64_t key[4] = {cls, unmounted, sweep, op.seq};
-    if (best >= queue_.size() ||
-        std::lexicographical_compare(key, key + 4, best_key, best_key + 4)) {
+    const uint64_t unmounted = VolumeMounted(vol) ? 0 : 1;
+    const uint64_t sweep =
+        !read ? 0
+        : vol >= last_read_volume_
+            ? vol - last_read_volume_
+            : (uint64_t{1} << 32) + vol - last_read_volume_;
+    const std::array<uint64_t, 4> key = {cls, unmounted, sweep, op.seq};
+    if (best == queue_.size() || key < best_key) {
       best = i;
-      best_key[0] = key[0];
-      best_key[1] = key[1];
-      best_key[2] = key[2];
-      best_key[3] = key[3];
+      best_key = key;
     }
   }
   return best;
@@ -411,19 +415,12 @@ Status IoServer::IssueNext() {
   if (pick >= queue_.size()) {
     return OkStatus();
   }
-  if (!async_reads_) {
-    if (pick != 0) {
+  const PendingOp& op = queue_[pick];
+  if (VolumeMounted(amap_->VolumeOfTseg(op.tseg))) {
+    if (pick != FirstEligibleIndex()) {
       stats_.volume_batch_picks++;
     }
-  } else {
-    const PendingOp& op = queue_[pick];
-    Result<bool> m = footprint_->VolumeMounted(
-        static_cast<int>(amap_->VolumeOfTseg(op.tseg)));
-    const bool mounted = m.ok() && *m;
-    if (mounted && pick != FirstEligibleIndex()) {
-      stats_.volume_batch_picks++;
-    }
-    if (mounted && IsReadOp(op.kind)) {
+    if (IsReadOp(op.kind)) {
       stats_.read_mounted_picks++;
     }
   }
@@ -438,7 +435,7 @@ Status IoServer::IssueAt(size_t pick) {
     stats_.read_queue_depth.Set(static_cast<int64_t>(ReadQueueCount()));
     return IssueRead(op);
   }
-  return IssueOne(op);
+  return IssueWrite(op);
 }
 
 Status IoServer::Deliver(PendingOp& op, const Status& s) {
@@ -450,7 +447,7 @@ Status IoServer::Deliver(PendingOp& op, const Status& s) {
   return s;
 }
 
-Status IoServer::IssueOne(PendingOp& op) {
+Status IoServer::IssueWrite(PendingOp& op) {
   stats_.ops_issued++;
   const uint64_t seg_bytes = amap_->SegBytes();
   const std::shared_ptr<std::vector<uint8_t>> image = TransferImage();
@@ -469,72 +466,37 @@ Status IoServer::IssueOne(PendingOp& op) {
   // The staging-line read and memory copy still run synchronously — they
   // contend for the disk arm (the reason delayed copy-out exists at all).
   const SimTime issue_start = clock_->Now();
-  SimTime t0 = clock_->Now();
   Status read = raw_disk_->ReadBlocks(DiskSegFirstBlock(op.disk_seg),
                                       seg_size_blocks_, buf);
   if (!read.ok()) {
     return Deliver(op, read);
   }
-  SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
-  clock_->Advance(copy);
-  phases_.Add(phase_ioserver_, clock_->Now() - t0);
+  clock_->Advance(CopyTime());
+  phases_.Add(phase_ioserver_, clock_->Now() - issue_start);
 
   // The tertiary write is scheduled, not waited for: data moves to the
   // medium now, device time completes at *end. End-of-medium (and any other
   // write error) therefore surfaces here, at completion-callback time.
-  uint32_t volume = amap_->VolumeOfTseg(op.tseg);
-  uint64_t offset = amap_->ByteOffsetOnVolume(op.tseg);
-  t0 = clock_->Now();
-  SimTime earliest = clock_->Now();
+  const uint32_t volume = amap_->VolumeOfTseg(op.tseg);
+  const uint64_t offset = amap_->ByteOffsetOnVolume(op.tseg);
   uint32_t crc = 0;
-  Result<SimTime> end = footprint_->ScheduleWrite(
-      earliest, static_cast<int>(volume), offset, buf, &crc);
-  // Pipeline retries delay the reissued op's start instead of stalling the
-  // caller: the device sits out the backoff, the migrator keeps staging.
-  for (int try_no = 1;
-       !end.ok() && Retryable(end.status()) && try_no < retry_.max_attempts;
-       ++try_no) {
-    if (health_ != nullptr) {
-      health_->RecordVolumeFailure(volume);
-    }
-    const SimTime backoff = retry_.BackoffFor(try_no);
-    stats_.retries++;
-    stats_.retry_backoff_us += backoff;
-    if (spans_ != nullptr) {
-      // The backoff happens in the device's future, not on the caller's
-      // clock — record it as a pre-timed span on the issue branch.
-      const SpanId retry = spans_->AddComplete("retry", "io", issue.id(),
-                                               earliest, earliest + backoff);
-      spans_->Annotate(retry, "tseg", std::to_string(op.tseg));
-      spans_->Annotate(retry, "attempt", std::to_string(try_no));
-    }
-    earliest += backoff;
-    end = footprint_->ScheduleWrite(earliest, static_cast<int>(volume),
-                                    offset, buf, &crc);
-  }
+  Result<SimTime> end = ScheduleWithRetry(
+      op.tseg, volume, "tertiary_write", issue.id(), [&](SimTime earliest) {
+        return footprint_->ScheduleWrite(earliest, static_cast<int>(volume),
+                                         offset, buf, &crc);
+      });
   if (!end.ok()) {
     if (end.status().code() == ErrorCode::kEndOfMedium) {
       stats_.end_of_medium_events++;
       RecordInstant(spans_, "end_of_medium", "io", "tseg", op.tseg, "volume",
                     volume);
-    } else if (health_ != nullptr && Retryable(end.status())) {
-      health_->RecordVolumeFailure(volume);
     }
     return Deliver(op, end.status());
-  }
-  if (health_ != nullptr) {
-    health_->RecordVolumeSuccess(volume);
   }
   if (crc_store_) {
     crc_store_(op.tseg, crc);
   }
-  if (spans_ != nullptr) {
-    spans_->AddComplete("tertiary_write", "tertiary", issue.id(), earliest,
-                        *end);
-  }
-  phases_.Add(phase_footprint_, *end - t0);
   outstanding_.insert(*end);
-  pipeline_busy_until_ = std::max(pipeline_busy_until_, *end);
   stats_.segments_copied_out++;
   stats_.bytes_copied_out += seg_bytes;
   copyout_latency_us_.Observe(*end - issue_start);
@@ -555,8 +517,9 @@ Status IoServer::Drain() {
     }
   }
   RETURN_IF_ERROR(first);
-  if (pipeline_busy_until_ > clock_->Now()) {
-    clock_->AdvanceTo(pipeline_busy_until_);
+  // The latest completion of any issued op; reaped ones are in the past.
+  if (!outstanding_.empty() && *outstanding_.rbegin() > clock_->Now()) {
+    clock_->AdvanceTo(*outstanding_.rbegin());
   }
   ReapOutstanding();
   return OkStatus();
@@ -614,22 +577,6 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
   return OkStatus();
 }
 
-Status IoServer::InstallSegment(uint32_t disk_seg,
-                                std::span<const uint8_t> bytes) {
-  SpanScope span(spans_, "install", "io");
-  span.Annotate("disk_seg", std::to_string(disk_seg));
-  const uint64_t seg_bytes = amap_->SegBytes();
-  SimTime copy = cpu_copy_us_per_mb_ * seg_bytes / (1024 * 1024);
-  clock_->Advance(copy);
-  SimTime t0 = clock_->Now();
-  RETURN_IF_ERROR(raw_disk_->WriteBlocks(DiskSegFirstBlock(disk_seg),
-                                         seg_size_blocks_, bytes));
-  phases_.Add(phase_ioserver_, clock_->Now() - t0 + copy);
-  stats_.segments_fetched++;
-  stats_.bytes_fetched += seg_bytes;
-  return OkStatus();
-}
-
 // --- Asynchronous read pipeline ---------------------------------------------
 
 size_t IoServer::FindQueuedRead(uint32_t tseg) const {
@@ -659,31 +606,8 @@ bool IoServer::ReadQueued(uint32_t tseg) const {
   return FindQueuedRead(tseg) < queue_.size();
 }
 
-Status IoServer::EnqueueRead(PendingOp op) {
-  if (spans_ != nullptr) {
-    op.ctx = spans_->Capture();
-  }
-  op.seq = next_seq_++;
-  op.enqueued_at = clock_->Now();
-  const bool lazy = op.kind == OpKind::kPrefetchRead;
-  queue_.push_back(std::move(op));
-  stats_.ops_enqueued++;
-  stats_.queue_depth.Set(static_cast<int64_t>(queue_.size()));
-  stats_.read_queue_depth.Set(static_cast<int64_t>(ReadQueueCount()));
-  // Prefetch-class reads are lazy: they sit in the queue until a demand
-  // issue or drain sweeps them up — that is what lets a whole run of
-  // read-aheads ride one mounted volume. Demand reads push the pipeline now.
-  if (reads_held_ || lazy) {
-    return OkStatus();
-  }
-  return TryIssue();
-}
-
 Status IoServer::EnqueueDemandRead(uint32_t tseg, uint32_t install_seg,
                                    ReadDone done) {
-  if (!async_reads_) {
-    return Internal("demand-read queue requires async_read_pipeline");
-  }
   const size_t idx = FindQueuedRead(tseg);
   if (idx < queue_.size()) {
     // Coalesce: a queued read (usually a not-yet-issued read-ahead) is
@@ -706,15 +630,12 @@ Status IoServer::EnqueueDemandRead(uint32_t tseg, uint32_t install_seg,
   op.disk_seg = install_seg;
   op.readers.push_back(std::move(done));
   stats_.demand_reads_enqueued++;
-  return EnqueueRead(std::move(op));
+  return Enqueue(std::move(op));
 }
 
 Status IoServer::EnqueuePrefetchRead(uint32_t tseg, uint32_t install_seg,
                                      std::shared_ptr<std::vector<uint8_t>> image,
                                      ReadDone done) {
-  if (!async_reads_) {
-    return Internal("prefetch-read queue requires async_read_pipeline");
-  }
   const size_t idx = FindQueuedRead(tseg);
   if (idx < queue_.size()) {
     // Already on its way (whatever the class): ride the queued transfer.
@@ -731,7 +652,7 @@ Status IoServer::EnqueuePrefetchRead(uint32_t tseg, uint32_t install_seg,
   op.image = std::move(image);
   op.readers.push_back(std::move(done));
   stats_.prefetch_reads_enqueued++;
-  return EnqueueRead(std::move(op));
+  return Enqueue(std::move(op));
 }
 
 Status IoServer::EnsureReadIssued(uint32_t tseg) {
@@ -751,13 +672,7 @@ Status IoServer::EnsureReadIssued(uint32_t tseg) {
       }
       continue;
     }
-    stats_.backpressure_stalls++;
-    const SimTime oldest = *outstanding_.begin();
-    const SimTime stall = oldest > clock_->Now() ? oldest - clock_->Now() : 0;
-    stats_.queue_stall_us += stall;
-    RecordInstant(spans_, "queue_stall", "io", "depth", queue_.size(),
-                  "stall_us", stall);
-    clock_->AdvanceTo(oldest);
+    StallForOldest();
   }
 }
 
@@ -813,58 +728,6 @@ Status IoServer::DeliverRead(PendingOp& op, const Status& s,
   return OkStatus();  // The callbacks own the error now.
 }
 
-Status IoServer::ScheduleTertiaryCopy(uint32_t source, bool to_line,
-                                      FetchedImage* image, uint64_t parent_span,
-                                      SimTime* end_out) {
-  const uint32_t volume = amap_->VolumeOfTseg(source);
-  const SimTime t0 = clock_->Now();
-  SimTime earliest = t0;
-  Status s = OkStatus();
-  for (int try_no = 1; try_no <= retry_.max_attempts; ++try_no) {
-    if (try_no > 1) {
-      // Pipeline retries delay the reissued transfer's start instead of
-      // stalling the caller (mirrors the write-behind retry model).
-      const SimTime backoff = retry_.BackoffFor(try_no - 1);
-      stats_.retries++;
-      stats_.retry_backoff_us += backoff;
-      if (spans_ != nullptr) {
-        const SpanId retry = spans_->AddComplete(
-            "retry", "io", parent_span, earliest, earliest + backoff);
-        spans_->Annotate(retry, "tseg", std::to_string(source));
-        spans_->Annotate(retry, "attempt", std::to_string(try_no - 1));
-      }
-      earliest += backoff;
-    }
-    uint32_t crc = 0;
-    Result<SimTime> end =
-        ScheduleSourceRead(earliest, source, to_line, image, &crc);
-    // Data moves synchronously even though device time completes later, so
-    // the image can be CRC-checked now; a corrupt read retries like an I/O
-    // error.
-    s = end.ok() ? VerifyCrc(source, crc, volume) : end.status();
-    if (health_ != nullptr) {
-      if (s.ok()) {
-        health_->RecordVolumeSuccess(volume);
-      } else if (Retryable(s)) {
-        health_->RecordVolumeFailure(volume);
-      }
-    }
-    if (s.ok()) {
-      if (spans_ != nullptr) {
-        spans_->AddComplete("tertiary_read", "tertiary", parent_span, t0,
-                            *end);
-      }
-      phases_.Add(phase_footprint_, *end - t0);
-      *end_out = *end;
-      return s;
-    }
-    if (!Retryable(s)) {
-      return s;
-    }
-  }
-  return s;
-}
-
 Status IoServer::IssueRead(PendingOp& op) {
   stats_.ops_issued++;
   const bool to_line = op.disk_seg != kNoSegment;
@@ -891,9 +754,26 @@ Status IoServer::IssueRead(PendingOp& op) {
       failover.Annotate("tseg", std::to_string(op.tseg));
       failover.Annotate("source", std::to_string(candidates[i]));
     }
-    last = ScheduleTertiaryCopy(candidates[i], to_line, &image, issue.id(),
-                                &end_time);
-    if (last.ok()) {
+    const uint32_t source = candidates[i];
+    const uint32_t volume = amap_->VolumeOfTseg(source);
+    Result<SimTime> end = ScheduleWithRetry(
+        source, volume, "tertiary_read", issue.id(),
+        [&](SimTime earliest) -> Result<SimTime> {
+          uint32_t crc = 0;
+          Result<SimTime> done =
+              ScheduleSourceRead(earliest, source, to_line, &image, &crc);
+          // Data moves synchronously even though device time completes
+          // later, so the image is CRC-checked now; a corrupt read retries
+          // like an I/O error.
+          if (!done.ok()) {
+            return done;
+          }
+          RETURN_IF_ERROR(VerifyCrc(source, crc, volume));
+          return done;
+        });
+    last = end.status();
+    if (end.ok()) {
+      end_time = *end;
       served_from = candidates[i];
       got = true;
       break;
@@ -919,7 +799,6 @@ Status IoServer::IssueRead(PendingOp& op) {
     ready = std::max(ready, clock_->Now());
   }
   outstanding_.insert(end_time);
-  pipeline_busy_until_ = std::max(pipeline_busy_until_, end_time);
   last_read_volume_ = amap_->VolumeOfTseg(served_from);
   if (demand) {
     fetch_latency_us_.Observe(ready - op.enqueued_at);

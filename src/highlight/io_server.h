@@ -7,17 +7,28 @@
 // blocks are later re-read through the file system (the measured inefficiency
 // in Table 3's uncached column).
 //
-// Besides the synchronous FetchSegment/CopyOutSegment paths, the server runs
-// the *write-behind pipeline* the paper gets from being a separate process
-// (sections 4, 6.5): copy-outs, replica writes and prefetches are queued and
-// drained through Footprint::ScheduleWrite/ScheduleRead, so tertiary
-// transfers overlap with migrator staging instead of stalling it. The queue
-// is bounded: once `max_queue_depth` operations are outstanding on the
-// devices, further issues stall the caller until the oldest completes
-// (backpressure). Queued operations are issued with per-volume ordering — an
-// op whose target volume is already mounted beats older ops that need a
-// media swap — and Drain() is the completion barrier FlushStaging and
-// checkpoints use.
+// FetchSegment, the serial demand fetch, is the only synchronous entry: the
+// caller's clock waits out the tertiary read. Every other transfer is placed
+// on the devices' timelines. Every tertiary write (copy-outs and replica
+// writes) is queued on the write-behind pipeline the paper gets from the
+// server being a separate process (sections 4, 6.5), and so are the async
+// read pipeline's demand and prefetch reads; only SchedulePrefetch's serial
+// read-ahead is placed at once. Queued ops are handed to
+// Footprint::ScheduleWrite/ScheduleRead, so tertiary transfers overlap with
+// migrator staging instead of stalling it; a synchronous copy-out is an
+// enqueue followed by Drain(). The queue is bounded: once `max_queue_depth`
+// operations are outstanding on the devices, further issues stall the
+// caller until the oldest completes (backpressure).
+//
+// Issue key: every queued op is ranked by one key, compared in this order:
+//   1. class: demand read < write < prefetch read;
+//   2. an op whose volume is already mounted before one that needs a swap;
+//   3. for reads only, an upward C-SCAN sweep over volume numbers from the
+//      last read's volume, so K faults on one unmounted volume pay one swap;
+//   4. FIFO.
+// With no read queued, the pick is the oldest op on a mounted volume, else
+// the oldest op. Drain() is the completion barrier synchronous copy-outs,
+// FlushStaging and checkpoints use.
 //
 // Time is attributed to the phases Table 4 reports: "footprint" (tertiary
 // transfers including swaps/seeks), "ioserver" (raw disk copies + the
@@ -47,6 +58,11 @@
 #include "util/status.h"
 
 namespace hl {
+
+// The kernel -> service-process request round trip (~2 ms), charged to the
+// "queuing" phase of Table 4 once per demand fetch and once per completed
+// staging segment.
+inline constexpr SimTime kKernelRequestUs = 2000;
 
 class IoServer {
  public:
@@ -78,8 +94,8 @@ class IoServer {
   }
 
   // Bounded retry with exponential backoff (in sim time) applied to every
-  // tertiary transfer: synchronous paths charge the backoff to the clock,
-  // the write-behind pipeline folds it into the reissued op's start time.
+  // tertiary transfer: FetchSegment charges the backoff to the clock, queued
+  // ops delay the reissued transfer's start on the device's timeline.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_; }
 
@@ -99,19 +115,13 @@ class IoServer {
     crc_store_ = std::move(store);
   }
 
-  // Migration copy-out: reads the staged disk segment and writes it to its
-  // tertiary home. Returns kEndOfMedium if the volume ran out of room (the
-  // caller re-targets the segment at the next volume).
-  Status CopyOutSegment(uint32_t tseg, uint32_t disk_seg);
-
   // --- Write-behind pipeline -----------------------------------------------
 
   // Completion callback for queued operations. Runs when the operation is
   // handed to the device (data movement happens then; device time completes
-  // asynchronously). End-of-medium and I/O errors are delivered here, so a
-  // failure that the synchronous path reported at CopyOutSegment time now
-  // surfaces at completion time. Callbacks may enqueue further operations
-  // (retargets, replica chains).
+  // asynchronously). End-of-medium and I/O errors are delivered here, at
+  // completion time. Callbacks may enqueue further operations (retargets,
+  // replica chains).
   using Completion = std::function<void(Status)>;
 
   // Queues a copy-out (or a best-effort replica write) of the staged line
@@ -133,16 +143,10 @@ class IoServer {
 
   // --- Asynchronous read pipeline ------------------------------------------
   //
-  // With async reads enabled, demand fetches and read-ahead prefetches enter
-  // the same bounded queue as the write-behind ops. The issue policy ranks
-  // queued work by class (demand < write < prefetch), prefers ops whose
-  // volume is already mounted, and sweeps the remaining reads in an elevator
-  // over volume numbers so K faults on one unmounted volume pay one media
-  // swap instead of K. Duplicate reads for the same tseg coalesce into a
-  // single transfer whose completion fans out to every waiter.
-
-  void set_async_reads(bool on) { async_reads_ = on; }
-  bool async_reads() const { return async_reads_; }
+  // Demand fetches and read-ahead prefetches of the async read pipeline
+  // enter the same bounded queue as the writes, ranked by the issue key
+  // above. Duplicate reads for the same tseg coalesce into a single
+  // transfer whose completion fans out to every waiter.
 
   // Completion of a queued read; `ready_at` is when the data is usable
   // (device completion, plus the cache-line install when one was requested).
@@ -197,9 +201,18 @@ class IoServer {
   };
   std::vector<QueuedOpView> PendingOps() const;
 
-  // Copies a previously prefetched segment image into cache line `disk_seg`
-  // (memory copy + raw disk write), charging the usual I/O-server costs.
-  Status InstallSegment(uint32_t disk_seg, std::span<const uint8_t> bytes);
+  // What a tertiary read delivered: the source volume's chunks when it could
+  // share them, else the bytes it copied into `bytes`.
+  struct FetchedImage {
+    std::vector<ChunkRef> chunks;
+    std::shared_ptr<std::vector<uint8_t>> bytes;
+  };
+  // The paper's extra-copies install of a fetched image (a demand fetch's,
+  // or a buffered read-ahead's) into cache line `disk_seg`: the memory copy
+  // (charged) and the raw disk write, which shares the image's chunks when
+  // it holds them.
+  Status InstallFetched(uint32_t tseg, uint32_t disk_seg,
+                        const FetchedImage& image);
 
   // Completion barrier: issues every queued operation (running completion
   // callbacks, which may enqueue more) and advances the clock past the last
@@ -216,7 +229,6 @@ class IoServer {
   // drains through the normal backpressure path on the next issue.
   void set_max_queue_depth(size_t depth);
   size_t max_queue_depth() const { return max_queue_depth_; }
-  SimTime pipeline_busy_until() const { return pipeline_busy_until_; }
 
   PhaseAccumulator& phases() { return phases_; }
   // Interned handles for the Table-4 phases: hot paths attribute time via
@@ -262,15 +274,11 @@ class IoServer {
   void AttachMetrics(MetricsRegistry* registry);
 
   // Causal span tracing on the "io" lane: fetch with retry / failover /
-  // install children, sync + queued copy-outs (queued ops capture the
+  // install children, queued copy-outs and reads (queued ops capture the
   // enqueuer's TraceContext so issue-time spans keep their causal parent),
   // prefetch reads and drains; crc_mismatch, end_of_medium, queue_stall and
   // read_coalesce instants. Null disables.
   void SetSpans(SpanTracer* spans) { spans_ = spans; }
-
-  // Extra per-byte CPU cost of the user-space staging copies (tertiary <->
-  // memory <-> raw disk). Default models a ~10 MB/s memcpy on the testbed.
-  void set_cpu_copy_us_per_mb(SimTime us) { cpu_copy_us_per_mb_ = us; }
 
  private:
   enum class OpKind { kCopyOut, kReplicaWrite, kDemandRead, kPrefetchRead };
@@ -291,7 +299,7 @@ class IoServer {
     // Enqueue-time span context; the issue-time span is begun under it so
     // write-behind work stays causally attached to whoever queued it.
     TraceContext ctx{};
-    uint64_t seq = 0;          // FIFO tiebreaker for the async issue policy.
+    uint64_t seq = 0;          // FIFO tiebreaker of the issue key.
     SimTime enqueued_at = 0;
   };
 
@@ -304,12 +312,10 @@ class IoServer {
   // Picks the closest copy of `tseg` (mounted replica beats unmounted
   // primary) and bumps the replica-read counter when a replica wins.
   uint32_t PickSource(uint32_t tseg);
-  // What a fetch's tertiary read delivered: the source volume's chunks when
-  // it could share them, else the bytes it copied into `bytes`.
-  struct FetchedImage {
-    std::vector<ChunkRef> chunks;
-    std::shared_ptr<std::vector<uint8_t>> bytes;
-  };
+  bool VolumeMounted(uint32_t volume) const;
+  // Sim time of the user-space memory copy of one segment (tertiary <->
+  // memory <-> raw disk), at kCpuCopyUsPerMb.
+  SimTime CopyTime() const;
   // One tertiary read of `source`, scheduled from `earliest`. A read bound
   // for a cache line (`to_line`) from a volume that can share the extent
   // takes references to its chunks; any other copies into image->bytes (the
@@ -318,19 +324,24 @@ class IoServer {
   Result<SimTime> ScheduleSourceRead(SimTime earliest, uint32_t source,
                                      bool to_line, FetchedImage* image,
                                      uint32_t* crc);
-  // One source's read with retry/backoff, health recording and CRC
-  // verification of the fetched image.
+  // FetchSegment's read of one source with retry/backoff, health recording
+  // and CRC verification of the fetched image.
   Status ReadTertiaryCopy(uint32_t source, FetchedImage* image);
-  // The paper's extra-copies install of a fetched image into cache line
-  // `disk_seg`: the memory copy (charged) and the raw disk write, which
-  // shares the image's chunks when it holds them.
-  Status InstallFetched(uint32_t tseg, uint32_t disk_seg,
-                        const FetchedImage& image);
-  // Runs `attempt` (a sync op advancing the clock itself) up to
-  // retry_.max_attempts times, charging backoff to the clock between tries
-  // and recording per-volume outcomes.
+  // FetchSegment's retry loop: runs `attempt` (a sync op advancing the clock
+  // itself) up to retry_.max_attempts times, charging backoff to the clock
+  // between tries and recording per-volume outcomes.
   Status RetrySync(uint32_t tseg, uint32_t volume,
                    const std::function<Status()>& attempt);
+  // The queued ops' retry loop. `attempt(earliest)` places one scheduled
+  // transfer on `volume` and returns its device completion; a retryable
+  // failure places the next try after a backoff on the device's timeline
+  // (the caller's clock does not move), up to retry_.max_attempts tries.
+  // Every try reports to the volume's health. The transfer that succeeds is
+  // recorded as a pre-timed `span` under `parent` and charged, backoffs
+  // included, to "footprint".
+  Result<SimTime> ScheduleWithRetry(
+      uint32_t tseg, uint32_t volume, const char* span, SpanId parent,
+      const std::function<Result<SimTime>(SimTime earliest)>& attempt);
   // Checks `crc`, the value the tertiary read reported for the bytes it
   // delivered, against the recorded CRC of `source` (ok when none known).
   Status VerifyCrc(uint32_t source, uint32_t crc, uint32_t volume);
@@ -339,8 +350,9 @@ class IoServer {
   // still references it (a completion callback re-entering the pipeline
   // while the outer op still owns the image).
   std::shared_ptr<std::vector<uint8_t>> TransferImage();
+  // Queues any op. Writes and demand reads push the pipeline (TryIssue);
+  // prefetch reads, and reads inside a HoldReads window, wait in the queue.
   Status Enqueue(PendingOp op);
-  Status EnqueueRead(PendingOp op);
   // Issues queued ops while the device window has room.
   Status TryIssue();
   // Pops the best next op (volume batching) and hands it to the device.
@@ -352,17 +364,13 @@ class IoServer {
   size_t FirstEligibleIndex() const;
   // Pops queue_[pick] and hands it to the device.
   Status IssueAt(size_t pick);
-  Status IssueOne(PendingOp& op);
+  // Issues a queued copy-out or replica write: the staging-line read and
+  // memory copy on the caller's clock, then the scheduled tertiary write.
+  Status IssueWrite(PendingOp& op);
   // Issues a queued read: source selection (health-ordered, with failover),
   // scheduled tertiary transfer with retry/backoff, CRC verification, an
   // optional cache-line install, and completion fan-out to every waiter.
   Status IssueRead(PendingOp& op);
-  // Async analog of ReadTertiaryCopy: reserves device time from now, moves
-  // the data (or takes its references) immediately, returns the device
-  // completion via `end_out`.
-  Status ScheduleTertiaryCopy(uint32_t source, bool to_line,
-                              FetchedImage* image, uint64_t parent_span,
-                              SimTime* end_out);
   // Routes `s` to the op's completion callback if it has one, else returns
   // it to the issuing caller.
   Status Deliver(PendingOp& op, const Status& s);
@@ -372,10 +380,12 @@ class IoServer {
   // Write-class ops pending; the backpressure bound applies to these (reads
   // never stall their enqueuer — they stall in EnsureReadIssued instead).
   size_t WriteQueueCount() const;
-  // Drops completion times that have passed; stalls (advancing the clock)
-  // until the outstanding window has room for one more op.
+  // Drops completion times that have passed.
   void ReapOutstanding();
   bool WindowHasRoom();
+  // Backpressure: advances the clock to the oldest outstanding completion
+  // (outstanding_ must not be empty), counting the stall.
+  void StallForOldest();
 
   BlockDevice* raw_disk_;
   Footprint* footprint_;
@@ -383,7 +393,9 @@ class IoServer {
   SimClock* clock_;
   uint32_t reserved_blocks_;
   uint32_t seg_size_blocks_;
-  SimTime cpu_copy_us_per_mb_ = 100'000;  // 0.1 s per MB.
+  // Per-byte CPU cost of the user-space staging copies: a ~10 MB/s memcpy on
+  // the testbed, 0.1 s per MB.
+  static constexpr SimTime kCpuCopyUsPerMb = 100'000;
   ReplicaResolver replica_resolver_;
   RetryPolicy retry_;
   HealthRegistry* health_ = nullptr;
@@ -404,10 +416,8 @@ class IoServer {
   std::deque<PendingOp> queue_;            // Enqueued, not yet issued.
   std::multiset<SimTime> outstanding_;     // Completion times of issued ops.
   size_t max_queue_depth_ = 8;
-  SimTime pipeline_busy_until_ = 0;
-  bool async_reads_ = false;
   bool reads_held_ = false;
-  uint64_t next_seq_ = 0;
+  uint64_t next_seq_ = 0;  // FIFO tiebreaker of the issue key.
   // Last volume a read was issued against; the elevator sweeps upward from
   // here (C-SCAN over volume numbers, a proxy for jukebox slot order).
   uint32_t last_read_volume_ = 0;

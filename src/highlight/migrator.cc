@@ -100,43 +100,22 @@ Status Migrator::CompleteSegment(const MigratorOptions& opts) {
   staged_[tseg].replicas = opts.replicas;
   // The kernel's copy-out request to the service process (Table 4 queuing).
   SimTime t0 = clock_->Now();
-  clock_->Advance(2000);
+  clock_->Advance(kKernelRequestUs);
   io_->phases().Add(io_->phase_queuing(), clock_->Now() - t0);
-  if (!opts.delayed_copyout) {
-    if (opts.write_behind) {
-      RETURN_IF_ERROR(EnqueueCopyOut(tseg));
-    } else {
-      RETURN_IF_ERROR(CopyOut(tseg));
-    }
+  if (opts.delayed_copyout) {
+    return OkStatus();
   }
-  return OkStatus();
+  RETURN_IF_ERROR(EnqueueCopyOut(tseg));
+  // Without write-behind the migrator waits for the copy-out (and its
+  // replicas and retargets) to land before staging on.
+  return opts.write_behind ? OkStatus() : DrainCopyOuts();
 }
 
-Status Migrator::CopyOut(uint32_t tseg) {
-  while (true) {
-    auto it = staged_.find(tseg);
-    if (it == staged_.end()) {
-      return NotFound("no staged segment " + std::to_string(tseg));
-    }
-    Status s = io_->CopyOutSegment(it->second.tseg, it->second.disk_seg);
-    if (s.ok()) {
-      RETURN_IF_ERROR(cache_->MarkCopiedOut(tseg));
-      WriteReplicas(it->second.tseg, it->second.disk_seg,
-                    it->second.replicas);
-      staged_.erase(tseg);
-      return OkStatus();
-    }
-    if (s.code() != ErrorCode::kEndOfMedium) {
-      return s;
-    }
-    // The volume filled mid-segment (uncertain capacity): mark it full and
-    // re-write the whole segment onto the next volume (paper section 6.3).
-    uint32_t volume = amap_->VolumeOfTseg(tseg);
-    full_volumes_.insert(volume);
-    RetireVolume(volume);
-    lifetime_.eom_retargets++;
-    ASSIGN_OR_RETURN(tseg, RetargetSegment(tseg));
-  }
+Status Migrator::DrainCopyOuts() {
+  RETURN_IF_ERROR(io_->Drain());
+  Status deferred = pipeline_error_;
+  pipeline_error_ = OkStatus();
+  return deferred;
 }
 
 void Migrator::RetireVolume(uint32_t volume) {
@@ -196,8 +175,9 @@ void Migrator::OnCopyOutDone(uint32_t tseg, const Status& s) {
     return;
   }
   if (s.code() == ErrorCode::kEndOfMedium) {
-    // Failure surfaced at completion time: same recovery as the synchronous
-    // path, then the re-keyed segment goes back on the queue.
+    // The volume filled mid-segment (uncertain capacity): mark it full and
+    // re-write the whole segment onto the next volume (paper section 6.3);
+    // the re-keyed segment goes back on the queue.
     uint32_t volume = amap_->VolumeOfTseg(tseg);
     full_volumes_.insert(volume);
     RetireVolume(volume);
@@ -271,40 +251,6 @@ void Migrator::EnqueueReplicaChain(uint32_t primary, uint32_t disk_seg,
       });
   if (!enq.ok() && pipeline_error_.ok()) {
     pipeline_error_ = enq;
-  }
-}
-
-void Migrator::WriteReplicas(uint32_t primary, uint32_t disk_seg,
-                             int count) {
-  std::set<uint32_t> exclude = ExcludedVolumes();
-  exclude.insert(amap_->VolumeOfTseg(primary));
-  // Best effort, but a failed volume must not cost the remaining copies:
-  // exclude it and retry elsewhere, within a bounded attempt budget.
-  int attempts_left = count + 8;
-  for (int placed = 0; placed < count && attempts_left > 0; --attempts_left) {
-    uint32_t replica = tsegs_->NextFreshTseg(exclude);
-    if (replica == kNoSegment) {
-      HL_LOG(kWarn, "migrator", "no volume available for a replica copy");
-      return;
-    }
-    Status s = io_->CopyOutSegment(replica, disk_seg);
-    if (!s.ok()) {
-      uint32_t volume = amap_->VolumeOfTseg(replica);
-      if (s.code() == ErrorCode::kEndOfMedium) {
-        // Record EOM like the primary path does.
-        full_volumes_.insert(volume);
-        RetireVolume(volume);
-      }
-      HL_LOG(kWarn, "migrator",
-             "replica write failed, trying another volume: " + s.ToString());
-      exclude.insert(volume);
-      continue;
-    }
-    tsegs_->SetReplicaOf(replica, primary);
-    tsegs_->SetWriteTime(replica, clock_->Now());
-    // Spread further replicas across yet more volumes.
-    exclude.insert(amap_->VolumeOfTseg(replica));
-    ++placed;
   }
 }
 
@@ -713,12 +659,7 @@ Status Migrator::FlushStaging() {
     }
     RETURN_IF_ERROR(EnqueueCopyOut(tseg));
   }
-  RETURN_IF_ERROR(io_->Drain());
-  if (!pipeline_error_.ok()) {
-    Status deferred = pipeline_error_;
-    pipeline_error_ = OkStatus();
-    return deferred;
-  }
+  RETURN_IF_ERROR(DrainCopyOuts());
   if (!staged_.empty()) {
     return Status(ErrorCode::kIoError,
                   "staged segments remain after a pipeline drain");
@@ -728,8 +669,8 @@ Status Migrator::FlushStaging() {
 }
 
 uint32_t Migrator::PendingSegments() const {
-  // Every record in the ledger is staged-but-not-copied: CopyOut /
-  // FinishCopiedSegment erase records the moment the copy lands.
+  // Every record in the ledger is staged-but-not-copied:
+  // FinishCopiedSegment erases records the moment the copy lands.
   return static_cast<uint32_t>(staged_.size());
 }
 

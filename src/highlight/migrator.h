@@ -41,10 +41,12 @@ struct MigratorOptions {
   bool migrate_metadata = true;   // Indirect blocks move to tertiary.
   bool migrate_inode = true;      // Whole-file migration moves the inode too.
   bool delayed_copyout = false;   // Batch tertiary writes (section 5.4).
-  // Queue completed segments on the I/O server's write-behind pipeline
-  // instead of blocking on each tertiary write (sections 4, 6.5). Copy-out
-  // errors then surface at completion time: transient failures are held
-  // until FlushStaging(), which drains the pipeline and reports them.
+  // Every completed segment is queued on the I/O server's write-behind
+  // pipeline (sections 4, 6.5); this decides only whether the migrator
+  // waits. Off, it drains the queue after each segment and reports that
+  // segment's copy-out errors at once. On, it stages on while tertiary
+  // writes overlap, and transient failures are held until FlushStaging(),
+  // which drains the pipeline and reports them (Table 6 compares the two).
   bool write_behind = false;
   // Extra copies of each tertiary segment, placed on other volumes, read
   // back via whichever copy is "closest" (section 5.4 replica variant).
@@ -162,14 +164,12 @@ class Migrator {
     bool enqueued = false;  // Sitting on the write-behind pipeline.
     int replicas = 0;  // Extra copies requested at completion time.
   };
-  // Best-effort replica writes after a successful primary copy-out. A
-  // failed write excludes that volume and retries the remaining count
-  // elsewhere (bounded attempts); end-of-medium retires the volume like the
-  // primary path does.
-  void WriteReplicas(uint32_t primary, uint32_t disk_seg, int count);
-  // Write-behind counterpart: a serial chain of queued replica writes; the
-  // primary's cache line stays pinned (the replica reads it) until the
-  // chain terminates and FinishCopiedSegment runs.
+  // Best-effort replica writes after a successful primary copy-out, as a
+  // serial chain of queued writes. A failed write excludes that volume and
+  // retries the remaining count elsewhere (bounded attempts); end-of-medium
+  // retires the volume like the primary path does. The primary's cache line
+  // stays pinned (the replica reads it) until the chain terminates and
+  // FinishCopiedSegment runs.
   void EnqueueReplicaChain(uint32_t primary, uint32_t disk_seg, int remaining,
                            int attempts_left,
                            std::shared_ptr<std::set<uint32_t>> exclude);
@@ -184,9 +184,9 @@ class Migrator {
   Status EnsureStagingSegment(const MigratorOptions& opts);
   Status FinishPseg();
   Status CompleteSegment(const MigratorOptions& opts);
-  // Copies the staged segment keyed `tseg` to tertiary media, re-targeting
-  // across volumes on end-of-medium; erases its record on success.
-  Status CopyOut(uint32_t tseg);
+  // Waits out every queued copy-out (Drain) and returns, then clears, the
+  // first error a completion callback deferred.
+  Status DrainCopyOuts();
   // Moves a staged segment to a fresh tseg on another volume; returns the
   // new key.
   Result<uint32_t> RetargetSegment(uint32_t old_tseg);

@@ -20,7 +20,7 @@ void ServiceProcess::AttachMetrics(MetricsRegistry* registry) {
 }
 
 Status ServiceProcess::FetchIntoCache(uint32_t tseg, bool is_prefetch) {
-  if (async_reads_ && cache_->Installing(tseg)) {
+  if (cache_->Installing(tseg)) {
     // Already being fetched (a queued prefetch install or a concurrent
     // fault): piggyback instead of paying a second transfer.
     if (is_prefetch) {
@@ -49,7 +49,8 @@ Status ServiceProcess::FetchIntoCache(uint32_t tseg, bool is_prefetch) {
       stats_.readaheads_wasted++;
       return slot.status();
     }
-    Status installed = io_->InstallSegment(*slot, *hit.image);
+    Status installed = io_->InstallFetched(
+        tseg, *slot, IoServer::FetchedImage{{}, hit.image});
     if (!installed.ok()) {
       (void)cache_->Eject(tseg);
       stats_.readaheads_wasted++;
@@ -161,18 +162,16 @@ Status ServiceProcess::AsyncPrefetch(uint32_t tseg) {
 void ServiceProcess::DropPendingPrefetches() {
   stats_.readaheads_wasted += pending_prefetch_.size();
   pending_prefetch_.clear();
-  if (async_reads_) {
-    // Still-queued prefetch reads are stale too; their completions run with
-    // a cancellation status (install-type ones release their lines there).
-    stats_.readaheads_wasted += io_->CancelQueuedPrefetchReads();
-  }
+  // Still-queued prefetch reads are stale too; their completions run with a
+  // cancellation status (install-type ones release their lines there).
+  stats_.readaheads_wasted += io_->CancelQueuedPrefetchReads();
 }
 
 Status ServiceProcess::DemandFetch(uint32_t tseg) {
   SpanScope span(spans_, "demand_fetch", "service");
   span.Annotate("tseg", std::to_string(tseg));
   SimTime t0 = clock_->Now();
-  clock_->Advance(request_overhead_us_);
+  clock_->Advance(kKernelRequestUs);
   io_->phases().Add(io_->phase_queuing(), clock_->Now() - t0);
 
   if (notifier_ && cache_->Lookup(tseg) == kNoSegment) {
@@ -216,8 +215,7 @@ void ServiceProcess::MaybeReadahead(uint32_t tseg) {
   if (!readahead_filter_(next)) {
     return;
   }
-  if (async_reads_ &&
-      (io_->ReadQueued(next) || cache_->Installing(next))) {
+  if (io_->ReadQueued(next) || cache_->Installing(next)) {
     // A read for this tseg is already queued or on a device; a second
     // transfer would fetch bytes nobody consumes.
     stats_.readaheads_wasted++;
@@ -277,7 +275,7 @@ ServiceProcess::DemandFetchBatch(const std::vector<uint32_t>& tsegs) {
     // full transfers (and media swaps) of all of its predecessors.
     for (size_t i = 0; i < tsegs.size(); ++i) {
       SimTime q0 = clock_->Now();
-      clock_->Advance(request_overhead_us_);
+      clock_->Advance(kKernelRequestUs);
       io_->phases().Add(io_->phase_queuing(), clock_->Now() - q0);
       stats_.demand_fetches++;
       SimTime start = clock_->Now();
@@ -307,7 +305,7 @@ ServiceProcess::DemandFetchBatch(const std::vector<uint32_t>& tsegs) {
     const uint32_t tseg = tsegs[i];
     Slot& slot = slots[i];
     SimTime q0 = clock_->Now();
-    clock_->Advance(request_overhead_us_);
+    clock_->Advance(kKernelRequestUs);
     io_->phases().Add(io_->phase_queuing(), clock_->Now() - q0);
     stats_.demand_fetches++;
     if (cache_->Installing(tseg)) {

@@ -111,10 +111,6 @@ class ServiceProcess {
   // every downstream cache/IO/device span nests under. Null disables.
   void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
-  // Kernel/user crossing + queue handling cost per request (the "queuing"
-  // slice of Table 4).
-  void set_request_overhead_us(SimTime us) { request_overhead_us_ = us; }
-
  private:
   Status FetchIntoCache(uint32_t tseg, bool is_prefetch);
   void MaybeReadahead(uint32_t tseg);
@@ -142,7 +138,6 @@ class ServiceProcess {
   bool async_reads_ = false;
   ReadaheadFilter readahead_filter_;
   std::map<uint32_t, PendingPrefetch> pending_prefetch_;
-  SimTime request_overhead_us_ = 2000;  // ~2 ms per request round trip.
   SimTime fetch_time_total_ = 0;   // For the rolling latency estimate.
   uint64_t fetch_time_samples_ = 0;
   Stats stats_;

@@ -39,7 +39,6 @@ class HealthRegistry {
   HealthRegistry(const HealthRegistry&) = delete;
   HealthRegistry& operator=(const HealthRegistry&) = delete;
 
-  void set_policy(const HealthPolicy& policy) { policy_ = policy; }
   const HealthPolicy& policy() const { return policy_; }
 
   struct Entry {

@@ -1,9 +1,15 @@
 // Write-behind I/O server pipeline and staging-durability tests: queue
-// backpressure, Drain() volume batching, end-of-medium surfacing at
-// completion time, replica failover, and a remount mid-delayed-copyout
-// (the staging line is the only copy of its data and must survive).
+// backpressure, Drain() volume batching, the issue order of queued writes in
+// both read pipelines, synchronous copy-outs through the queue, end-of-medium
+// surfacing at completion time, replica failover, and a remount
+// mid-delayed-copyout (the staging line is the only copy of its data and
+// must survive).
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <vector>
 
 #include "highlight/highlight.h"
 #include "lfs/fsck.h"
@@ -32,7 +38,8 @@ class WriteBehindTest : public ::testing::Test {
  protected:
   void SetUp() override { Build(MigratorOptions{}); }
 
-  void Build(const MigratorOptions& opts, bool readahead = false) {
+  void Build(const MigratorOptions& opts, bool readahead = false,
+             bool async_reads = false) {
     hl_.reset();
     clock_ = SimClock();
     HighLightConfig config;
@@ -44,6 +51,7 @@ class WriteBehindTest : public ::testing::Test {
     config.lfs.cache_max_segments = 8;
     config.migrator = opts;
     config.sequential_readahead = readahead;
+    config.async_read_pipeline = async_reads;
     auto hl = HighLightFs::Create(config, &clock_);
     ASSERT_TRUE(hl.ok()) << hl.status().ToString();
     hl_ = std::move(*hl);
@@ -172,13 +180,65 @@ TEST_F(WriteBehindTest, BackpressureBoundsTheQueue) {
   ExpectFsckClean();
 }
 
-TEST_F(WriteBehindTest, DrainBatchesQueuedOpsByMountedVolume) {
+TEST_F(WriteBehindTest, SynchronousCopyOutDrainsThroughTheQueue) {
+  // Without write-behind every copy-out still rides the I/O server's queue:
+  // the migrator enqueues each completed segment and waits on Drain(), so
+  // the queue's latency histogram, drain count and replica chain see every
+  // segment, and nothing is left queued, outstanding or staged.
+  MigratorOptions sync;
+  sync.replicas = 1;
+  Build(sync);
+  uint32_t ino = MakeFile("/sync", 600 * 1024, 41);
+  Result<MigrationReport> report =
+      hl_->Migrate(MigrationRequest{.path = "/sync"});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GE(report->segments_completed, 2u);
+
+  const IoServer& io = hl_->Internals().io_server;
+  EXPECT_EQ(hl_->metrics().histogram("io.copyout_latency_us").count(),
+            io.stats().segments_copied_out)
+      << "every synchronous copy-out is timed by the queue";
+  EXPECT_EQ(io.stats().segments_copied_out,
+            2u * report->segments_completed)
+      << "one primary and one replica write per segment";
+  EXPECT_GE(io.stats().drains, report->segments_completed);
+  EXPECT_EQ(io.QueueDepth(), 0u);
+  EXPECT_EQ(io.Outstanding(), 0u);
+  EXPECT_EQ(hl_->Internals().migrator.PendingSegments(), 0u);
+
+  Result<std::vector<BlockRef>> refs = hl_->fs().CollectFileBlocks(ino);
+  ASSERT_TRUE(refs.ok());
+  std::set<uint32_t> primaries;
+  for (const BlockRef& r : *refs) {
+    if (r.daddr != kNoBlock) {
+      primaries.insert(hl_->Internals().address_map.TsegOf(r.daddr));
+    }
+  }
+  ASSERT_GE(primaries.size(), 2u);
+  for (uint32_t primary : primaries) {
+    std::vector<uint32_t> replicas =
+        hl_->Internals().tseg_table.ReplicasOf(primary);
+    ASSERT_EQ(replicas.size(), 1u) << "tseg " << primary;
+    EXPECT_NE(hl_->Internals().address_map.VolumeOfTseg(replicas[0]),
+              hl_->Internals().address_map.VolumeOfTseg(primary));
+  }
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  ExpectFileContents("/sync", 600 * 1024, 41);
+  ExpectFsckClean();
+}
+
+// The same queue serves the serial and the async read pipelines; the
+// parameter is HighLightConfig::async_read_pipeline.
+class WriteBehindModeTest : public WriteBehindTest,
+                            public ::testing::WithParamInterface<bool> {};
+
+TEST_P(WriteBehindModeTest, DrainBatchesQueuedOpsByMountedVolume) {
   // Stage four segments, two per volume, enqueued in alternating volume
   // order. With batching, the pipeline still needs only one media swap per
   // volume; strict FIFO would pay four.
   MigratorOptions delayed;
   delayed.delayed_copyout = true;
-  Build(delayed);
+  Build(delayed, /*readahead=*/false, /*async_reads=*/GetParam());
   uint32_t a1 = MakeFile("/a1", 200 * 1024, 11);
   uint32_t a2 = MakeFile("/a2", 200 * 1024, 12);
   uint32_t b1 = MakeFile("/b1", 200 * 1024, 13);
@@ -218,6 +278,70 @@ TEST_F(WriteBehindTest, DrainBatchesQueuedOpsByMountedVolume) {
   ExpectFileContents("/b2", 200 * 1024, 14);
   ExpectFsckClean();
 }
+
+TEST_P(WriteBehindModeTest, CopyOutsToUnmountedVolumesIssueOldestFirst) {
+  // The elevator sweep orders reads only. A read from volume 3 leaves the
+  // sweep past volumes 1 and 2; copy-outs to those two unmounted volumes,
+  // queued behind a busy window, must still issue oldest first.
+  MigratorOptions delayed;
+  delayed.delayed_copyout = true;
+  Build(delayed, /*readahead=*/false, /*async_reads=*/GetParam());
+  Migrator& migrator = hl_->Internals().migrator;
+  const AddressMap& amap = hl_->Internals().address_map;
+  auto migrate_to = [&](const std::string& path, uint64_t seed,
+                        uint32_t volume) {
+    MigratorOptions opts = delayed;
+    opts.preferred_volume = volume;
+    ASSERT_TRUE(
+        migrator.MigrateFiles({MakeFile(path, 200 * 1024, seed)}, opts).ok());
+  };
+  migrate_to("/r", 31, 3);
+  ASSERT_TRUE(migrator.FlushStaging().ok());
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  ExpectFileContents("/r", 200 * 1024, 31);  // The read on volume 3.
+
+  migrate_to("/w0", 32, 0);
+  migrate_to("/w2", 33, 2);
+  migrate_to("/w1", 34, 1);
+  ASSERT_EQ(migrator.PendingSegments(), 3u);
+  const uint32_t t0 = amap.FirstTsegOfVolume(0);
+  const uint32_t t2 = amap.FirstTsegOfVolume(2);
+  const uint32_t t1 = amap.FirstTsegOfVolume(1);
+
+  // A window of one: the copy-out to volume 0 holds the device (and the
+  // write drive) while the other two wait, both needing a media swap.
+  hl_->Internals().io_server.set_max_queue_depth(1);
+  hl_->spans().Clear();
+  ASSERT_TRUE(migrator.EnqueueCopyOut(t0).ok());
+  ASSERT_TRUE(migrator.EnqueueCopyOut(t2).ok());
+  ASSERT_TRUE(migrator.EnqueueCopyOut(t1).ok());
+  ASSERT_TRUE(migrator.FlushStaging().ok());
+
+  std::vector<std::string> issued;
+  for (const SpanRecord& s : hl_->spans().Completed()) {
+    if (s.name != "issue_copyout") {
+      continue;
+    }
+    for (const SpanArg& arg : s.args) {
+      if (arg.first == "tseg") {
+        issued.push_back(arg.second);
+      }
+    }
+  }
+  EXPECT_EQ(issued, (std::vector<std::string>{std::to_string(t0),
+                                              std::to_string(t2),
+                                              std::to_string(t1)}));
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  ExpectFileContents("/w0", 200 * 1024, 32);
+  ExpectFileContents("/w2", 200 * 1024, 33);
+  ExpectFileContents("/w1", 200 * 1024, 34);
+  ExpectFsckClean();
+}
+
+INSTANTIATE_TEST_SUITE_P(SyncAndAsync, WriteBehindModeTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "AsyncPipeline" : "SyncFetch";
+                         });
 
 TEST_F(WriteBehindTest, EndOfMediumSurfacesAtCompletionAndRetargets) {
   MigratorOptions wb;

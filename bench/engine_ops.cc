@@ -17,22 +17,17 @@
 // agreement between indexed and linear queries, final aggregates, Store()
 // coalescing write counts, and a wide-margin >= 5x wall-clock speedup flag
 // for the migration-pass loop (the measured factor is typically two to
-// three orders of magnitude; the flag only asserts the floor). Two further
-// phases pin the engine's telemetry and submission paths: steady-state span
-// emission must not grow the tracer's arenas by a byte (and must sustain a
-// conservative span rate), and batched accounting must agree exactly with
-// the per-delta reference while beating it by a committed floor.
+// three orders of magnitude; the flag only asserts the floor). A further
+// phase pins the engine's telemetry: steady-state span emission must not
+// grow the tracer's arenas by a byte, and must sustain a conservative span
+// rate.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
 #include <set>
-#include <span>
-#include <utility>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "blockdev/sim_disk.h"
@@ -286,45 +281,6 @@ void BM_SpanEmit_Off(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanEmit_Off);
 
-// The same 64-delta migration pass delivered as 64 OnAccounting calls vs
-// one OnAccountingBatch call. Per-tseg runs of alternating +/-4096 keep
-// every prefix sum non-negative and the net change zero, so the loop never
-// clamps and can run indefinitely on one fixture.
-struct AccountingBench {
-  TableFixture f;
-  std::vector<std::pair<uint32_t, int64_t>> deltas;
-  AccountingBench() {
-    for (uint32_t t = 0; t < 4; ++t) {
-      for (uint32_t b = 0; b < 16; ++b) {
-        deltas.emplace_back(f.amap->TsegBase(t) + b,
-                            (b % 2) == 0 ? int64_t{4096} : int64_t{-4096});
-      }
-    }
-  }
-};
-
-void BM_Accounting_PerDelta(benchmark::State& state) {
-  static AccountingBench* b = new AccountingBench();
-  for (auto _ : state) {
-    for (const auto& [daddr, delta] : b->deltas) {
-      b->f.table->OnAccounting(daddr, delta);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(b->deltas.size()));
-}
-BENCHMARK(BM_Accounting_PerDelta);
-
-void BM_Accounting_Batched(benchmark::State& state) {
-  static AccountingBench* b = new AccountingBench();
-  for (auto _ : state) {
-    b->f.table->OnAccountingBatch(b->deltas);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(b->deltas.size()));
-}
-BENCHMARK(BM_Accounting_Batched);
-
 // --- Deterministic gate -----------------------------------------------
 // Everything below is seeded and platform-independent; its outputs are the
 // committed baseline. The one wall-clock value is reduced to a >= 5x
@@ -535,119 +491,9 @@ int RunDeterministicGate() {
                         rate));
   }
 
-  // Phase 5: batched accounting. The same seeded delta stream — run-heavy,
-  // with occasional clamping and out-of-range deltas — applied per-delta to
-  // one table and via OnAccountingBatch chunks to another must leave both
-  // in exactly the same state, down to the clamp/drop counters. Then a
-  // run-heavy migration-shaped stream pins the batch path's wall-clock
-  // advantage to a conservative >= 1.2x floor (typically several x).
-  uint64_t batch_agree = 0;
-  uint64_t batch_fast = 0;
-  {
-    TableFixture pa;
-    TableFixture pb;
-    Rng brng(0xBA7C4u);
-    std::vector<std::pair<uint32_t, int64_t>> stream;
-    const uint32_t kGroups = 1500;
-    for (uint32_t g = 0; g < kGroups; ++g) {
-      const uint32_t t = static_cast<uint32_t>(brng.Below(kTsegs));
-      const uint32_t run = 1 + static_cast<uint32_t>(brng.Below(16));
-      for (uint32_t i = 0; i < run; ++i) {
-        const uint64_t kind = brng.Below(32);
-        uint32_t daddr = pa.amap->TsegBase(t) +
-                         static_cast<uint32_t>(brng.Below(kSpb));
-        int64_t delta =
-            static_cast<int64_t>(brng.Below(512 * 1024)) - 128 * 1024;
-        if (kind == 0) {  // Out of range: must be dropped, counted.
-          daddr = static_cast<uint32_t>(brng.Below(10000));
-        } else if (kind == 1) {  // Forces an underflow clamp.
-          delta = -(int64_t{1} << 33);
-        }
-        stream.emplace_back(daddr, delta);
-      }
-    }
-    for (const auto& [daddr, delta] : stream) {
-      pa.table->OnAccounting(daddr, delta);
-    }
-    const size_t kChunk = 256;
-    for (size_t i = 0; i < stream.size(); i += kChunk) {
-      const size_t n = std::min(kChunk, stream.size() - i);
-      pb.table->OnAccountingBatch(
-          std::span<const std::pair<uint32_t, int64_t>>(stream.data() + i,
-                                                        n));
-    }
-    batch_agree = 1;
-    for (uint32_t t = 0; t < kTsegs; ++t) {
-      if (pa.table->Get(t).live_bytes != pb.table->Get(t).live_bytes) {
-        batch_agree = 0;
-      }
-    }
-    if (pa.table->TotalLiveBytes() != pb.table->TotalLiveBytes() ||
-        pa.table->DirtyTsegCount() != pb.table->DirtyTsegCount() ||
-        pa.table->stats().underflow_clamped.value() !=
-            pb.table->stats().underflow_clamped.value() ||
-        pa.table->stats().overflow_clamped.value() !=
-            pb.table->stats().overflow_clamped.value() ||
-        pa.table->stats().accounting_dropped.value() !=
-            pb.table->stats().accounting_dropped.value()) {
-      batch_agree = 0;
-    }
-    report.Value("batch.agree", batch_agree);
-    report.Value("batch.deltas", static_cast<uint64_t>(stream.size()));
-    report.Value("batch.calls", pb.table->stats().accounting_batches.value());
-    report.Value("batch.underflow_clamped",
-                 pa.table->stats().underflow_clamped.value());
-    report.Value("batch.accounting_dropped",
-                 pa.table->stats().accounting_dropped.value());
-    hl::bench::Note("batch accounting: " + std::to_string(stream.size()) +
-                    " deltas in " +
-                    std::to_string(
-                        pb.table->stats().accounting_batches.value()) +
-                    " batches, agree=" + std::to_string(batch_agree));
-
-    // Migration-shaped stream: 64 sequential block deltas per tseg — the
-    // exact pattern TertiaryBatchScope submits per copied file.
-    const uint32_t kAcctTsegs = 2048;
-    std::vector<std::pair<uint32_t, int64_t>> runheavy;
-    runheavy.reserve(static_cast<size_t>(kAcctTsegs) * kSpb);
-    for (uint32_t t = 0; t < kAcctTsegs; ++t) {
-      for (uint32_t bk = 0; bk < kSpb; ++bk) {
-        runheavy.emplace_back(pa.amap->TsegBase(t) + bk, int64_t{4096});
-      }
-    }
-    auto timed_acct = [&](bool batched, int reps) {
-      double best = -1.0;
-      for (int r = 0; r < reps; ++r) {
-        TableFixture tf;
-        auto start = std::chrono::steady_clock::now();
-        if (batched) {
-          tf.table->OnAccountingBatch(runheavy);
-        } else {
-          for (const auto& [daddr, delta] : runheavy) {
-            tf.table->OnAccounting(daddr, delta);
-          }
-        }
-        std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - start;
-        if (best < 0 || dt.count() < best) {
-          best = dt.count();
-        }
-      }
-      return best;
-    };
-    const double per_delta_s = timed_acct(/*batched=*/false, 3);
-    const double batched_s = timed_acct(/*batched=*/true, 3);
-    const double bspeed = batched_s > 0 ? per_delta_s / batched_s : 0.0;
-    batch_fast = bspeed >= 1.2 ? 1 : 0;
-    report.Value("batch.speedup_ge_1_2x", batch_fast);
-    hl::bench::Note(Fmt("batch accounting speedup: %.1fx (gate: >= 1.2x)",
-                        bspeed));
-  }
-
   report.Write();
   return (agree_next && agree_replicas && agree_aggregates &&
-          speedup >= 5.0 && telemetry_ok != 0 && batch_agree != 0 &&
-          batch_fast != 0)
+          speedup >= 5.0 && telemetry_ok != 0)
              ? 0
              : 1;
 }

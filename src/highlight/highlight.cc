@@ -6,6 +6,32 @@
 
 namespace hl {
 
+namespace {
+
+// Completed causal spans kept in a stand-alone deployment's tracer window,
+// and points kept per time-series.
+constexpr size_t kSpanCapacity = 4096;
+constexpr size_t kTimeseriesCapacity = 4096;
+
+// The files a migration path names: the file itself, or every regular file
+// under a directory.
+Result<std::vector<uint32_t>> FilesAt(Lfs& fs, const std::string& path) {
+  ASSIGN_OR_RETURN(StatInfo st, fs.StatPath(path));
+  if (st.type == FileType::kRegular) {
+    return std::vector<uint32_t>{st.ino};
+  }
+  ASSIGN_OR_RETURN(std::vector<FileCandidate> files,
+                   WalkTree(fs, path, /*include_dirs=*/false));
+  std::vector<uint32_t> inos;
+  inos.reserve(files.size());
+  for (const FileCandidate& f : files) {
+    inos.push_back(f.ino);
+  }
+  return inos;
+}
+
+}  // namespace
+
 Result<HighLightConfig> HighLightConfig::Builder::Build() const {
   if (config_.disks.empty()) {
     return InvalidArgument("config: at least one disk is required");
@@ -72,16 +98,15 @@ Result<std::unique_ptr<HighLightFs>> HighLightFs::Create(
       config.shared_spans != nullptr
           ? std::make_unique<SpanTracer>(config.shared_spans,
                                          config.span_track_prefix)
-          : std::make_unique<SpanTracer>(clock, config.span_capacity);
+          : std::make_unique<SpanTracer>(clock, kSpanCapacity);
   hl->timeseries_ = std::make_unique<TimeSeriesSampler>(
-      config.timeseries_cadence_us, config.timeseries_capacity);
+      config.timeseries_cadence_us, kTimeseriesCapacity);
   hl->faults_ = std::make_unique<FaultInjector>(clock, config.fault_seed);
   hl->faults_->AttachMetrics(&hl->metrics_);
   hl->faults_->SetSpans(hl->spans_.get());
   hl->health_ = std::make_unique<HealthRegistry>(config.health);
   hl->health_->AttachMetrics(&hl->metrics_);
   hl->health_->SetSpans(hl->spans_.get());
-  hl->retry_policy_ = config.retry;
   if (config.shared_bus) {
     hl->bus_.emplace("scsi0");
   }
@@ -162,7 +187,6 @@ Result<std::unique_ptr<HighLightFs>> HighLightFs::Create(
       hl->concat_.get(), hl->footprint_.get(), hl->amap_.get(), clock,
       kDefaultReservedBlocks, params.seg_size_blocks);
   hl->io_server_->AttachMetrics(&hl->metrics_);
-  hl->io_server_->set_retry_policy(hl->retry_policy_);
   hl->io_server_->SetHealth(hl->health_.get());
   hl->io_server_->SetSpans(hl->spans_.get());
   RETURN_IF_ERROR(hl->WireFsComponents());
@@ -242,12 +266,6 @@ Status HighLightFs::WireFsComponents() {
       [tsegs = tsegs_.get()](uint32_t daddr, int64_t delta) {
         tsegs->OnAccounting(daddr, delta);
       });
-  // Migration/free passes deliver all their deltas in one crossing.
-  fs_->SetTertiaryAccountingBatch(
-      [tsegs = tsegs_.get()](
-          std::span<const std::pair<uint32_t, int64_t>> deltas) {
-        tsegs->OnAccountingBatch(deltas);
-      });
 
   io_server_->SetReplicaResolver([tsegs = tsegs_.get()](uint32_t tseg) {
     return tsegs->ReplicasOf(tseg);
@@ -300,7 +318,6 @@ Status HighLightFs::WireFsComponents() {
   scrubber_ = std::make_unique<Scrubber>(footprint_.get(), tsegs_.get(),
                                          amap_.get(), clock_);
   scrubber_->SetHealth(health_.get());
-  scrubber_->set_retry_policy(retry_policy_);
   scrubber_->AttachMetrics(&metrics_);
   scrubber_->SetSpans(spans_.get());
 
@@ -358,65 +375,24 @@ Result<MigrationReport> HighLightFs::Migrate(const MigrationRequest& request) {
   const MigratorOptions opts =
       request.options.has_value() ? *request.options : migrator_opts_;
 
-  if (request.cold_cutoff.has_value()) {
-    return MigrateColdRangesUnder(request.path, *request.cold_cutoff, opts);
-  }
-
   if (request.policy != nullptr) {
-    if (request.path == "/" || request.path.empty()) {
-      return migrator_->RunPolicy(*request.policy, opts, request.bytes_target);
-    }
-    // Path-scoped policy run: rank globally, keep candidates under the
-    // subtree, and apply the byte budget to the survivors.
-    ASSIGN_OR_RETURN(std::vector<FileCandidate> ranked,
-                     request.policy->Rank(*fs_, clock_->Now()));
-    const std::string prefix =
-        request.path.back() == '/' ? request.path : request.path + "/";
-    std::vector<uint32_t> inos;
-    uint64_t bytes = 0;
-    for (const FileCandidate& f : ranked) {
-      if (f.path != request.path && f.path.rfind(prefix, 0) != 0) {
-        continue;
-      }
-      if (request.bytes_target != 0 && bytes >= request.bytes_target) {
-        break;
-      }
-      inos.push_back(f.ino);
-      bytes += f.size;
-    }
-    return migrator_->MigrateFiles(inos, opts);
+    return migrator_->RunPolicy(*request.policy, request.path,
+                                request.bytes_target, opts);
   }
-
+  ASSIGN_OR_RETURN(std::vector<uint32_t> inos, FilesAt(*fs_, request.path));
+  if (request.cold_cutoff.has_value()) {
+    return MigrateColdRanges(inos, *request.cold_cutoff, opts);
+  }
   // Wholesale subtree (or single-file) migration.
-  std::vector<uint32_t> inos;
-  ASSIGN_OR_RETURN(StatInfo st, fs_->StatPath(request.path));
-  if (st.type == FileType::kRegular) {
-    inos.push_back(st.ino);
-  } else {
-    ASSIGN_OR_RETURN(std::vector<FileCandidate> files,
-                     WalkTree(*fs_, request.path, /*include_dirs=*/false));
-    for (const FileCandidate& f : files) {
-      inos.push_back(f.ino);
-    }
-  }
   return migrator_->MigrateFiles(inos, opts);
 }
 
-Result<MigrationReport> HighLightFs::MigrateColdRangesUnder(
-    const std::string& root, SimTime cutoff, const MigratorOptions& opts) {
-  ASSIGN_OR_RETURN(StatInfo root_st, fs_->StatPath(root));
-  std::vector<FileCandidate> files;
-  if (root_st.type == FileType::kRegular) {
-    FileCandidate self;
-    self.ino = root_st.ino;
-    self.path = root;
-    files.push_back(self);
-  } else {
-    ASSIGN_OR_RETURN(files, WalkTree(*fs_, root, /*include_dirs=*/false));
-  }
+Result<MigrationReport> HighLightFs::MigrateColdRanges(
+    const std::vector<uint32_t>& inos, SimTime cutoff,
+    const MigratorOptions& opts) {
   MigrationReport total;
-  for (const FileCandidate& f : files) {
-    ASSIGN_OR_RETURN(StatInfo st, fs_->Stat(f.ino));
+  for (uint32_t ino : inos) {
+    ASSIGN_OR_RETURN(StatInfo st, fs_->Stat(ino));
     if (st.mtime >= cutoff) {
       continue;  // Unstable file: let it settle first.
     }
@@ -426,17 +402,18 @@ Result<MigrationReport> HighLightFs::MigrateColdRangesUnder(
       continue;
     }
     std::vector<uint32_t> cold =
-        access_tracker_->ColdBlocks(f.ino, file_blocks, cutoff);
+        access_tracker_->ColdBlocks(ino, file_blocks, cutoff);
     if (cold.empty()) {
       continue;
     }
     ASSIGN_OR_RETURN(MigrationReport r,
-                     migrator_->MigrateBlocks(f.ino, cold, opts));
+                     migrator_->MigrateBlocks(ino, cold, opts));
     total.files_migrated += r.files_migrated;
     total.blocks_migrated += r.blocks_migrated;
     total.bytes_migrated += r.bytes_migrated;
     total.blocks_skipped += r.blocks_skipped;
     total.segments_completed += r.segments_completed;
+    total.eom_retargets += r.eom_retargets;
   }
   return total;
 }

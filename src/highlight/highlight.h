@@ -92,27 +92,21 @@ struct HighLightConfig {
   // profiles at zero (the default) no randomness is ever consumed, so
   // fault-free runs are bit-identical regardless of the seed.
   uint64_t fault_seed = 0xFA17'C0DEull;
-  // Bounded-retry/backoff policy applied to tertiary reads and writes.
-  RetryPolicy retry;
   // Failure thresholds for the healthy -> suspect -> quarantined machine.
   HealthPolicy health;
 
-  // Observability. Completed causal spans kept in the tracer's window.
-  size_t span_capacity = 4096;
-  // Federation mode: when set, this deployment's tracer is a *view* of the
-  // shared tracer (ObservabilityHub core), forwarding every span with
-  // `span_track_prefix` applied to its track ("shard0." → lanes
+  // Observability. Federation mode: when set, this deployment's tracer is a
+  // *view* of the shared tracer (ObservabilityHub core), forwarding every
+  // span with `span_track_prefix` applied to its track ("shard0." → lanes
   // "shard0.service", "shard0.io", ...). All deployments sharing one core
-  // trace into a single causal tree; span_capacity is ignored (the core's
-  // window governs). The shared tracer must outlive this deployment.
+  // trace into a single causal tree, in the core's window. The shared
+  // tracer must outlive this deployment.
   SpanTracer* shared_spans = nullptr;
   std::string span_track_prefix;
   // Gauge-sampling cadence for the time-series telemetry (0 disables);
-  // default one sample per simulated second. Points kept per series are
-  // bounded by timeseries_capacity. Sampling only reads state, so bench
-  // results are bit-identical at any cadence.
+  // default one sample per simulated second. Sampling only reads state, so
+  // bench results are bit-identical at any cadence.
   SimTime timeseries_cadence_us = kUsPerSec;
-  size_t timeseries_capacity = 4096;
 
   class Builder;
 };
@@ -130,14 +124,6 @@ class HighLightConfig::Builder {
   Builder& AddJukebox(const JukeboxProfile& profile, bool write_once = false,
                       uint32_t segs_per_volume = 0) {
     config_.jukeboxes.push_back({profile, write_once, segs_per_volume});
-    return *this;
-  }
-  Builder& SharedBus(bool on = true) {
-    config_.shared_bus = on;
-    return *this;
-  }
-  Builder& Lfs(const LfsParams& params) {
-    config_.lfs = params;
     return *this;
   }
   Builder& SegSizeBlocks(uint32_t blocks) {
@@ -162,22 +148,6 @@ class HighLightConfig::Builder {
   }
   Builder& AsyncReadPipeline(bool on = true) {
     config_.async_read_pipeline = on;
-    return *this;
-  }
-  Builder& FaultSeed(uint64_t seed) {
-    config_.fault_seed = seed;
-    return *this;
-  }
-  Builder& Retry(const RetryPolicy& policy) {
-    config_.retry = policy;
-    return *this;
-  }
-  Builder& Health(const HealthPolicy& policy) {
-    config_.health = policy;
-    return *this;
-  }
-  Builder& SpanCapacity(size_t capacity) {
-    config_.span_capacity = capacity;
     return *this;
   }
   Builder& SharedSpans(SpanTracer* spans, std::string track_prefix) {
@@ -319,10 +289,11 @@ class HighLightFs : public FetchBackend, public SiteStore {
   Status WireFsComponents();
   // Refreshes the snapshot-time derived gauges ahead of Metrics().
   void RefreshDerivedGauges();
-  // Cold-range migration limited to the subtree at `root`.
-  Result<MigrationReport> MigrateColdRangesUnder(const std::string& root,
-                                                 SimTime cutoff,
-                                                 const MigratorOptions& opts);
+  // Block-range migration of each file's ranges not read since `cutoff`;
+  // files modified since then are skipped as unstable.
+  Result<MigrationReport> MigrateColdRanges(const std::vector<uint32_t>& inos,
+                                            SimTime cutoff,
+                                            const MigratorOptions& opts);
 
   SimClock* clock_ = nullptr;
   std::optional<Resource> bus_;
@@ -346,7 +317,6 @@ class HighLightFs : public FetchBackend, public SiteStore {
   // injected faults — survive a crash; only the in-core FS state resets).
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<HealthRegistry> health_;
-  RetryPolicy retry_policy_;
   MigratorOptions migrator_opts_;
   CacheReplacement cache_replacement_ = CacheReplacement::kLru;
   bool sequential_readahead_ = false;

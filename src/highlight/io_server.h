@@ -93,12 +93,6 @@ class IoServer {
     replica_resolver_ = std::move(resolver);
   }
 
-  // Bounded retry with exponential backoff (in sim time) applied to every
-  // tertiary transfer: FetchSegment charges the backoff to the clock, queued
-  // ops delay the reissued transfer's start on the device's timeline.
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-
   // Health registry fed with per-volume outcomes; quarantined volumes are
   // ordered last among fetch source candidates (still tried as a last
   // resort — refusing the only surviving copy would lose data).
@@ -397,6 +391,9 @@ class IoServer {
   // the testbed, 0.1 s per MB.
   static constexpr SimTime kCpuCopyUsPerMb = 100'000;
   ReplicaResolver replica_resolver_;
+  // Bounded retry with exponential backoff (in sim time) applied to every
+  // tertiary transfer: FetchSegment charges the backoff to the clock, queued
+  // ops delay the reissued transfer's start on the device's timeline.
   RetryPolicy retry_;
   HealthRegistry* health_ = nullptr;
   CrcLookup crc_lookup_;

@@ -309,8 +309,8 @@ Result<uint32_t> Migrator::RetargetSegment(uint32_t old_tseg) {
     rebased.push_back(Lfs::MigrationAssignment{
         m.ino, m.lbn, m.new_daddr,
         static_cast<uint32_t>(m.new_daddr + delta)});
+    RETURN_IF_ERROR(fs_->ApplyMigration(rebased.back()).status());
   }
-  RETURN_IF_ERROR(fs_->ApplyMigration(rebased).status());
   std::map<uint32_t, uint32_t> new_inode_moves;
   for (const auto& [ino, daddr] : updated.inode_moves) {
     uint32_t moved = static_cast<uint32_t>(daddr + delta);
@@ -330,10 +330,8 @@ Result<uint32_t> Migrator::RetargetSegment(uint32_t old_tseg) {
   return new_tseg;
 }
 
-Result<uint32_t> Migrator::StageBlock(uint32_t ino, uint32_t version,
-                                      uint32_t lbn,
-                                      std::span<const uint8_t> bytes,
-                                      const MigratorOptions& opts) {
+Status Migrator::ReserveStaging(uint32_t ino, bool inode,
+                                const MigratorOptions& opts) {
   RETURN_IF_ERROR(EnsureStagingSegment(opts));
   while (true) {
     if (builder_ == nullptr) {
@@ -348,43 +346,39 @@ Result<uint32_t> Migrator::StageBlock(uint32_t ino, uint32_t version,
           spb - cur_offset_, kNoSegment,
           static_cast<uint32_t>(clock_->Now() / kUsPerSec), staging_serial_++);
     }
-    if (builder_->CanAddBlock(ino)) {
-      return builder_->AddBlock(ino, version, lbn, bytes);
-    }
-    RETURN_IF_ERROR(FinishPseg());
-  }
-}
-
-Status Migrator::StageInode(uint32_t ino, const MigratorOptions& opts) {
-  RETURN_IF_ERROR(EnsureStagingSegment(opts));
-  while (true) {
-    if (builder_ == nullptr) {
-      uint32_t spb = fs_->superblock().seg_size_blocks;
-      if (cur_offset_ + 2 > spb) {
-        RETURN_IF_ERROR(CompleteSegment(opts));
-        RETURN_IF_ERROR(EnsureStagingSegment(opts));
-        continue;
-      }
-      builder_ = std::make_unique<SegmentBuilder>(
-          &arena_, amap_->TsegBase(cur_tseg_) + cur_offset_,
-          spb - cur_offset_, kNoSegment,
-          static_cast<uint32_t>(clock_->Now() / kUsPerSec), staging_serial_++);
-    }
-    if (builder_->CanAddInode()) {
-      ASSIGN_OR_RETURN(DInode inode, fs_->GetInode(ino));
-      RETURN_IF_ERROR(builder_->AddInode(inode).status());
+    if (inode ? builder_->CanAddInode() : builder_->CanAddBlock(ino)) {
       return OkStatus();
     }
     RETURN_IF_ERROR(FinishPseg());
   }
 }
 
-void Migrator::RecordMove(const Lfs::MigrationAssignment& move) {
-  uint32_t tseg = amap_->TsegOf(move.new_daddr);
-  auto it = staged_.find(tseg);
+Status Migrator::StageInode(uint32_t ino, const MigratorOptions& opts) {
+  RETURN_IF_ERROR(ReserveStaging(ino, /*inode=*/true, opts));
+  ASSIGN_OR_RETURN(DInode inode, fs_->GetInode(ino));
+  return builder_->AddInode(inode).status();
+}
+
+Result<bool> Migrator::StageAndFlip(const BlockRef& ref,
+                                    std::span<const uint8_t> bytes,
+                                    const MigratorOptions& opts,
+                                    MigrationReport& report) {
+  RETURN_IF_ERROR(ReserveStaging(ref.ino, /*inode=*/false, opts));
+  ASSIGN_OR_RETURN(uint32_t new_daddr,
+                   builder_->AddBlock(ref.ino, ref.version, ref.lbn, bytes));
+  Lfs::MigrationAssignment move{ref.ino, ref.lbn, ref.daddr, new_daddr};
+  ASSIGN_OR_RETURN(bool applied, fs_->ApplyMigration(move));
+  if (!applied) {
+    report.blocks_skipped++;
+    return false;
+  }
+  auto it = staged_.find(amap_->TsegOf(new_daddr));
   if (it != staged_.end()) {
     it->second.moves.push_back(move);
   }
+  report.blocks_migrated++;
+  report.bytes_migrated += kBlockSize;
+  return true;
 }
 
 Status Migrator::MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
@@ -407,8 +401,6 @@ Status Migrator::MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
     eff.migrate_metadata = true;
   }
 
-  // One tertiary-accounting crossing for the whole file, not two per block.
-  Lfs::TertiaryBatchScope batch(fs_);
   bool migrated_any = false;
   for (const BlockRef& ref : refs) {
     bool is_meta = IsMetaLbn(ref.lbn);
@@ -428,18 +420,11 @@ Status Migrator::MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
     SimTime t0 = clock_->Now();
     ASSIGN_OR_RETURN(auto block, fs_->ReadFileBlock(ino, ref.lbn));
     io_->phases().Add(io_->phase_ioserver(), clock_->Now() - t0);
-    ASSIGN_OR_RETURN(uint32_t new_daddr,
-                     StageBlock(ino, ref.version, ref.lbn, block.first, eff));
-    Lfs::MigrationAssignment move{ino, ref.lbn, block.second, new_daddr};
-    ASSIGN_OR_RETURN(bool applied, fs_->ApplyMigrationOne(move));
-    if (applied) {
-      RecordMove(move);
-      report.blocks_migrated++;
-      report.bytes_migrated += kBlockSize;
-      migrated_any = true;
-    } else {
-      report.blocks_skipped++;
-    }
+    ASSIGN_OR_RETURN(bool moved,
+                     StageAndFlip(BlockRef{ino, ref.version, ref.lbn,
+                                           block.second},
+                                  block.first, eff, report));
+    migrated_any |= moved;
   }
 
   if (eff.migrate_inode) {
@@ -466,7 +451,6 @@ Status Migrator::ReMigrateFileBlocks(uint32_t ino,
                                      bool restage_inode,
                                      const MigratorOptions& opts,
                                      MigrationReport& report) {
-  Lfs::TertiaryBatchScope batch(fs_);
   bool migrated_any = false;
   for (const BlockRef& ref : refs) {
     if (ref.daddr == kNoBlock) {
@@ -488,19 +472,11 @@ Status Migrator::ReMigrateFileBlocks(uint32_t ino,
       report.blocks_skipped++;  // Superseded since the caller looked.
       continue;
     }
-    ASSIGN_OR_RETURN(uint32_t new_daddr,
-                     StageBlock(ino, ref.version, ref.lbn, block->first,
-                                opts));
-    Lfs::MigrationAssignment move{ino, ref.lbn, block->second, new_daddr};
-    ASSIGN_OR_RETURN(bool applied, fs_->ApplyMigrationOne(move));
-    if (applied) {
-      RecordMove(move);
-      report.blocks_migrated++;
-      report.bytes_migrated += kBlockSize;
-      migrated_any = true;
-    } else {
-      report.blocks_skipped++;
-    }
+    ASSIGN_OR_RETURN(bool moved,
+                     StageAndFlip(BlockRef{ino, ref.version, ref.lbn,
+                                           block->second},
+                                  block->first, opts, report));
+    migrated_any |= moved;
   }
   if (restage_inode) {
     RETURN_IF_ERROR(StageInode(ino, opts));
@@ -512,22 +488,14 @@ Status Migrator::ReMigrateFileBlocks(uint32_t ino,
   return OkStatus();
 }
 
-Result<MigrationReport> Migrator::MigrateFiles(
-    const std::vector<uint32_t>& inos, const MigratorOptions& opts) {
-  SpanScope span(spans_, "migrate_files", "migrator");
-  span.Annotate("files", std::to_string(inos.size()));
-  // Migrate only stable, on-disk state: push dirty data out first.
-  RETURN_IF_ERROR(fs_->Sync());
-  MigrationReport report;
-  uint32_t segs_before = lifetime_.segments_completed;
-  uint32_t eom_before = lifetime_.eom_retargets;
-  for (uint32_t ino : inos) {
-    RETURN_IF_ERROR(MigrateOneFile(ino, opts, report));
-  }
+Result<MigrationReport> Migrator::EndPass(const MigratorOptions& opts,
+                                          const MigrationReport& start,
+                                          MigrationReport report) {
   // Complete the trailing (possibly partial) staging segment.
   RETURN_IF_ERROR(CompleteSegment(opts));
-  report.segments_completed = lifetime_.segments_completed - segs_before;
-  report.eom_retargets = lifetime_.eom_retargets - eom_before;
+  report.segments_completed =
+      lifetime_.segments_completed - start.segments_completed;
+  report.eom_retargets = lifetime_.eom_retargets - start.eom_retargets;
   RETURN_IF_ERROR(tsegs_->Store());
   RETURN_IF_ERROR(fs_->Sync());
   lifetime_.files_migrated += report.files_migrated;
@@ -537,59 +505,57 @@ Result<MigrationReport> Migrator::MigrateFiles(
   return report;
 }
 
+Result<MigrationReport> Migrator::MigrateFiles(
+    const std::vector<uint32_t>& inos, const MigratorOptions& opts) {
+  SpanScope span(spans_, "migrate_files", "migrator");
+  span.Annotate("files", std::to_string(inos.size()));
+  // Migrate only stable, on-disk state: push dirty data out first.
+  RETURN_IF_ERROR(fs_->Sync());
+  const MigrationReport start = lifetime_;
+  MigrationReport report;
+  for (uint32_t ino : inos) {
+    RETURN_IF_ERROR(MigrateOneFile(ino, opts, report));
+  }
+  return EndPass(opts, start, report);
+}
+
 Result<MigrationReport> Migrator::MigrateBlocks(
     uint32_t ino, const std::vector<uint32_t>& lbns,
     const MigratorOptions& opts) {
   RETURN_IF_ERROR(fs_->Sync());
+  const MigrationReport start = lifetime_;
   MigrationReport report;
   MigratorOptions eff = opts;
   eff.migrate_inode = false;
   eff.migrate_metadata = false;
   ASSIGN_OR_RETURN(DInode inode, fs_->GetInode(ino));
-  {
-    // Scope ends before Store() below so the tsegfile sees flushed state.
-    Lfs::TertiaryBatchScope batch(fs_);
-    for (uint32_t lbn : lbns) {
-      Result<std::pair<std::vector<uint8_t>, uint32_t>> block =
-          fs_->ReadFileBlock(ino, lbn);
-      if (!block.ok()) {
-        report.blocks_skipped++;
-        continue;
-      }
-      if (amap_->Classify(block->second) == AddressMap::Zone::kTertiary) {
-        report.blocks_skipped++;
-        continue;
-      }
-      ASSIGN_OR_RETURN(uint32_t new_daddr,
-                       StageBlock(ino, inode.version, lbn, block->first,
-                                  eff));
-      Lfs::MigrationAssignment move{ino, lbn, block->second, new_daddr};
-      ASSIGN_OR_RETURN(bool applied, fs_->ApplyMigrationOne(move));
-      if (applied) {
-        RecordMove(move);
-        report.blocks_migrated++;
-        report.bytes_migrated += kBlockSize;
-      } else {
-        report.blocks_skipped++;
-      }
+  for (uint32_t lbn : lbns) {
+    Result<std::pair<std::vector<uint8_t>, uint32_t>> block =
+        fs_->ReadFileBlock(ino, lbn);
+    if (!block.ok()) {
+      report.blocks_skipped++;
+      continue;
     }
+    if (amap_->Classify(block->second) == AddressMap::Zone::kTertiary) {
+      report.blocks_skipped++;
+      continue;
+    }
+    RETURN_IF_ERROR(StageAndFlip(BlockRef{ino, inode.version, lbn,
+                                          block->second},
+                                 block->first, eff, report)
+                        .status());
   }
   if (report.blocks_migrated > 0) {
     report.files_migrated = 1;
   }
-  RETURN_IF_ERROR(CompleteSegment(eff));
-  RETURN_IF_ERROR(tsegs_->Store());
-  RETURN_IF_ERROR(fs_->Sync());
-  lifetime_.blocks_migrated += report.blocks_migrated;
-  lifetime_.bytes_migrated += report.bytes_migrated;
-  return report;
+  return EndPass(eff, start, report);
 }
 
 Result<MigrationReport> Migrator::ClusterFiles(
     const std::vector<uint32_t>& inos, const MigratorOptions& opts) {
   RETURN_IF_ERROR(fs_->Sync());
+  const MigrationReport start = lifetime_;
   MigrationReport report;
-  uint32_t segs_before = lifetime_.segments_completed;
   for (uint32_t ino : inos) {
     if (ino == kIfileInode || ino == kTsegInode || ino == kRootInode) {
       continue;
@@ -612,24 +578,28 @@ Result<MigrationReport> Migrator::ClusterFiles(
     RETURN_IF_ERROR(ReMigrateFileBlocks(ino, tertiary_refs, restage_inode,
                                         opts, report));
   }
-  RETURN_IF_ERROR(CompleteSegment(opts));
-  report.segments_completed = lifetime_.segments_completed - segs_before;
-  RETURN_IF_ERROR(tsegs_->Store());
-  RETURN_IF_ERROR(fs_->Sync());
-  return report;
+  return EndPass(opts, start, report);
 }
 
 Result<MigrationReport> Migrator::RunPolicy(MigrationPolicy& policy,
-                                            const MigratorOptions& opts,
-                                            uint64_t bytes_target) {
+                                            const std::string& path,
+                                            uint64_t bytes_target,
+                                            const MigratorOptions& opts) {
   SpanScope rank(spans_, "rank", "migrator");
   ASSIGN_OR_RETURN(std::vector<FileCandidate> ranked,
                    policy.Rank(*fs_, clock_->Now()));
   rank.Annotate("candidates", std::to_string(ranked.size()));
   rank = SpanScope();  // Ranking ends before the migration starts.
+  // "/" (or "") keeps every candidate; any other path keeps itself and the
+  // candidates under it.
+  const bool everything = path.empty() || path == "/";
+  const std::string prefix = path.ends_with('/') ? path : path + "/";
   std::vector<uint32_t> inos;
   uint64_t bytes = 0;
   for (const FileCandidate& f : ranked) {
+    if (!everything && f.path != path && !f.path.starts_with(prefix)) {
+      continue;
+    }
     if (bytes_target != 0 && bytes >= bytes_target) {
       break;
     }

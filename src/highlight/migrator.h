@@ -21,6 +21,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -81,7 +83,7 @@ class Migrator {
         amap_(amap),
         clock_(clock) {}
 
-  // Migrates whole files (inos). Finishes with FlushStaging().
+  // Migrates whole files (inos).
   Result<MigrationReport> MigrateFiles(const std::vector<uint32_t>& inos,
                                        const MigratorOptions& opts);
 
@@ -118,11 +120,13 @@ class Migrator {
   // selection (fresh staging segments, retargets, replica placement).
   void SetHealth(const HealthRegistry* health) { health_ = health; }
 
-  // Ranks files with `policy` and migrates best-first until at least
-  // `bytes_target` bytes have been staged (0 = everything rankable).
+  // Ranks files with `policy`, keeps those at or under `path` ("/" keeps
+  // all), and migrates them best-first, taking candidates until their sizes
+  // reach `bytes_target` (0 = every candidate). The one policy budget loop.
   Result<MigrationReport> RunPolicy(MigrationPolicy& policy,
-                                    const MigratorOptions& opts,
-                                    uint64_t bytes_target);
+                                    const std::string& path,
+                                    uint64_t bytes_target,
+                                    const MigratorOptions& opts);
 
   // Completes the in-progress staging segment, feeds every pending segment
   // to the I/O server pipeline, and drains it (the durability barrier).
@@ -144,6 +148,10 @@ class Migrator {
   // Pending staged-but-not-copied segments (delayed mode backlog).
   uint32_t PendingSegments() const;
 
+  // Totals of every MigrateFiles, MigrateBlocks and ClusterFiles pass; a
+  // caller of ReMigrateFileBlocks (the tertiary cleaner) keeps its own.
+  // segments_completed and eom_retargets count every staging segment and
+  // retarget, whoever staged it.
   const MigrationReport& lifetime_report() const { return lifetime_; }
 
   // Re-homes counters into `registry` under "migrator.*".
@@ -191,14 +199,28 @@ class Migrator {
   // new key.
   Result<uint32_t> RetargetSegment(uint32_t old_tseg);
 
-  // Adds one block to the staging area, returning its tertiary address.
-  Result<uint32_t> StageBlock(uint32_t ino, uint32_t version, uint32_t lbn,
-                              std::span<const uint8_t> bytes,
-                              const MigratorOptions& opts);
+  // Leaves builder_ with room for one block of `ino` (or, with `inode`, for
+  // the inode itself), finishing full partials and segments on the way.
+  Status ReserveStaging(uint32_t ino, bool inode, const MigratorOptions& opts);
+  // The one stage-and-flip step every pass shares: copies `bytes`, read at
+  // `ref.daddr`, into the staging area, flips the file's pointer to the
+  // staged copy (lfs_migratev) and records the move on its staging segment.
+  // Counts the block migrated, or skipped when the file changed since the
+  // read; returns whether it moved.
+  Result<bool> StageAndFlip(const BlockRef& ref,
+                            std::span<const uint8_t> bytes,
+                            const MigratorOptions& opts,
+                            MigrationReport& report);
   Status StageInode(uint32_t ino, const MigratorOptions& opts);
   Status MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
                         MigrationReport& report);
-  void RecordMove(const Lfs::MigrationAssignment& move);
+  // The one pass epilogue: completes the trailing staging segment, reports
+  // the segments completed and end-of-medium retargets since `start` (the
+  // lifetime totals when the pass began), persists the tseg table, syncs,
+  // and folds the report into the lifetime totals.
+  Result<MigrationReport> EndPass(const MigratorOptions& opts,
+                                  const MigrationReport& start,
+                                  MigrationReport report);
 
   Lfs* fs_;
   BlockDevice* dev_;

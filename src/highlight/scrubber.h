@@ -37,7 +37,6 @@ class Scrubber {
       : footprint_(footprint), tsegs_(tsegs), amap_(amap), clock_(clock) {}
 
   void SetHealth(HealthRegistry* health) { health_ = health; }
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
   // Cross-site repair source, consulted strictly AFTER every local
   // candidate (the primary and its sibling replicas) has been tried and

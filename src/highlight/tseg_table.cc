@@ -1,6 +1,7 @@
 #include "highlight/tseg_table.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/logging.h"
 
@@ -15,8 +16,6 @@ void TsegTable::AttachMetrics(MetricsRegistry* registry) {
   stats_.overflow_clamped.BindTo(*registry, "tseg.overflow_clamped");
   stats_.store_writes.BindTo(*registry, "tseg.store_writes");
   stats_.store_entries.BindTo(*registry, "tseg.store_entries");
-  stats_.accounting_batches.BindTo(*registry, "tseg.accounting_batches");
-  stats_.accounting_batched.BindTo(*registry, "tseg.accounting_batched");
 }
 
 Status TsegTable::Load() {
@@ -185,48 +184,6 @@ void TsegTable::OnAccounting(uint32_t daddr, int64_t delta_bytes) {
   u.live_bytes = static_cast<uint32_t>(next);
   total_live_bytes_ += u.live_bytes;
   dirty_.insert(tseg);
-}
-
-void TsegTable::OnAccountingBatch(
-    std::span<const std::pair<uint32_t, int64_t>> deltas) {
-  stats_.accounting_batches.Inc();
-  stats_.accounting_batched.Inc(static_cast<int64_t>(deltas.size()));
-  size_t i = 0;
-  while (i < deltas.size()) {
-    uint32_t tseg = amap_->TsegOf(deltas[i].first);
-    // Extend the run of consecutive deltas hitting the same tseg.
-    size_t end = i + 1;
-    while (end < deltas.size() &&
-           amap_->TsegOf(deltas[end].first) == tseg) {
-      ++end;
-    }
-    bool combinable = tseg < entries_.size();
-    if (combinable) {
-      // The run collapses into one update only if no prefix would clamp;
-      // otherwise the per-delta path must run so the clamp counters (and
-      // the clamped intermediate values they imply) match exactly.
-      int64_t v = static_cast<int64_t>(entries_[tseg].live_bytes);
-      for (size_t k = i; k < end && combinable; ++k) {
-        v += deltas[k].second;
-        if (v < 0 || v > static_cast<int64_t>(UINT32_MAX)) {
-          combinable = false;
-        }
-      }
-      if (combinable) {
-        SegUsage& u = entries_[tseg];
-        total_live_bytes_ -= u.live_bytes;
-        u.live_bytes = static_cast<uint32_t>(v);
-        total_live_bytes_ += u.live_bytes;
-        dirty_.insert(tseg);
-      }
-    }
-    if (!combinable) {
-      for (size_t k = i; k < end; ++k) {
-        OnAccounting(deltas[k].first, deltas[k].second);
-      }
-    }
-    i = end;
-  }
 }
 
 void TsegTable::SetFlags(uint32_t tseg, uint16_t set, uint16_t clear) {

@@ -24,9 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "highlight/address_map.h"
@@ -61,15 +59,6 @@ class TsegTable {
   // (tseg.underflow_clamped / tseg.overflow_clamped) — each anomaly also
   // logs once per mount so accounting corruption is observable.
   void OnAccounting(uint32_t daddr, int64_t delta_bytes);
-
-  // Batched form of OnAccounting: one call per migration/free pass instead
-  // of one per block. Deltas are applied in order and the observable result
-  // (live-byte values, clamp/drop counters, dirty set) is exactly what the
-  // same sequence of OnAccounting calls would produce; runs of consecutive
-  // deltas hitting the same tseg collapse into a single entry update only
-  // when no prefix of the run would clamp.
-  void OnAccountingBatch(
-      std::span<const std::pair<uint32_t, int64_t>> deltas);
 
   void SetFlags(uint32_t tseg, uint16_t set, uint16_t clear);
   void SetAvailBytes(uint32_t tseg, uint32_t avail);
@@ -127,8 +116,6 @@ class TsegTable {
     Counter overflow_clamped;     // live_bytes clamped at UINT32_MAX.
     Counter store_writes;         // Coalesced tsegfile writes issued.
     Counter store_entries;        // Dirty entries persisted by Store().
-    Counter accounting_batches;   // OnAccountingBatch calls received.
-    Counter accounting_batched;   // Deltas delivered through batches.
   };
   const Stats& stats() const { return stats_; }
 

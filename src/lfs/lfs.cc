@@ -511,15 +511,12 @@ Status Lfs::AdvanceSegment() {
   return OkStatus();
 }
 
-void Lfs::AccountOldAddress(uint32_t daddr, int64_t delta) {
+void Lfs::AccountAddress(uint32_t daddr, int64_t delta) {
   if (daddr == kNoBlock) {
     return;
   }
   if (sb_.IsTertiaryAddr(daddr)) {
-    if (tertiary_batch_depth_ > 0 &&
-        (tertiary_accounting_batch_ || tertiary_accounting_)) {
-      pending_tertiary_.emplace_back(daddr, delta);
-    } else if (tertiary_accounting_) {
+    if (tertiary_accounting_) {
       tertiary_accounting_(daddr, delta);
     }
     return;
@@ -537,24 +534,6 @@ void Lfs::AccountOldAddress(uint32_t daddr, int64_t delta) {
   } else {
     u.live_bytes = static_cast<uint32_t>(u.live_bytes + delta);
   }
-}
-
-void Lfs::AccountNewAddress(uint32_t daddr, int64_t delta) {
-  AccountOldAddress(daddr, delta);
-}
-
-void Lfs::FlushTertiaryBatch() {
-  if (pending_tertiary_.empty()) {
-    return;
-  }
-  if (tertiary_accounting_batch_) {
-    tertiary_accounting_batch_(pending_tertiary_);
-  } else if (tertiary_accounting_) {
-    for (const auto& [daddr, delta] : pending_tertiary_) {
-      tertiary_accounting_(daddr, delta);
-    }
-  }
-  pending_tertiary_.clear();
 }
 
 Status Lfs::ExtendDisk(uint32_t new_disk_blocks) {

@@ -222,62 +222,22 @@ class Lfs {
     uint32_t old_daddr;
     uint32_t new_daddr;  // Tertiary address inside the staging segment.
   };
-  // Applies address reassignments after the migrator has copied blocks into
-  // a staging segment (the lfs_migratev flip). Skips data blocks that were
-  // modified since the migrator read them (returns the applied count);
-  // metadata blocks are always applied and their in-memory dirty copies are
-  // retired, since the staged copy is current.
-  Result<size_t> ApplyMigration(const std::vector<MigrationAssignment>& moves);
-  // Single-move form of ApplyMigration for migrator inner loops: identical
-  // semantics for one assignment (returns whether it was applied) without
-  // materializing a one-element vector per block.
-  Result<bool> ApplyMigrationOne(const MigrationAssignment& move);
+  // Applies one address reassignment after the migrator has copied the
+  // block into a staging segment (the lfs_migratev flip). A data block
+  // modified since the migrator read it is skipped (returns false); a
+  // metadata block is always applied and its in-memory dirty copy retired,
+  // since the staged copy is current.
+  Result<bool> ApplyMigration(const MigrationAssignment& move);
   // Points the inode map at an inode's staged (tertiary) location. The inode
   // itself was placed in the staging segment by the migrator.
   Status ApplyInodeMigration(uint32_t ino, uint32_t tertiary_daddr);
 
   // Called with (daddr, delta_bytes) whenever accounting touches a tertiary
-  // address; HighLight points this at the tsegfile table.
+  // address, one call per delta in generation order; HighLight points this
+  // at the tsegfile table.
   void SetTertiaryAccounting(std::function<void(uint32_t, int64_t)> fn) {
     tertiary_accounting_ = std::move(fn);
   }
-
-  // Batched variant: when installed, tertiary deltas generated inside a
-  // migration or block-free pass are buffered in order and delivered as one
-  // call when the pass completes, instead of one hook crossing per block.
-  // Outside such passes the per-delta hook above still fires. The buffered
-  // deltas flush before the pass returns, so no caller ever observes stale
-  // accounting state.
-  void SetTertiaryAccountingBatch(
-      std::function<void(std::span<const std::pair<uint32_t, int64_t>>)> fn) {
-    tertiary_accounting_batch_ = std::move(fn);
-  }
-
-  // Scoped batching of tertiary accounting: while at least one scope is
-  // open, tertiary deltas buffer in generation order instead of crossing
-  // the hook per delta; closing the outermost scope flushes them through
-  // the batch hook (or replays them through the per-delta hook when no
-  // batch hook is installed). Scopes nest — ApplyMigration opens one
-  // internally, and the migrator holds one across a whole per-file pass so
-  // the entire pass costs a single hook crossing. Deltas always flush
-  // before the outermost scope's owner returns, so no reader of the tseg
-  // table ever observes stale live-byte state.
-  class TertiaryBatchScope {
-   public:
-    explicit TertiaryBatchScope(Lfs* fs) : fs_(fs) {
-      ++fs_->tertiary_batch_depth_;
-    }
-    ~TertiaryBatchScope() {
-      if (--fs_->tertiary_batch_depth_ == 0) {
-        fs_->FlushTertiaryBatch();
-      }
-    }
-    TertiaryBatchScope(const TertiaryBatchScope&) = delete;
-    TertiaryBatchScope& operator=(const TertiaryBatchScope&) = delete;
-
-   private:
-    Lfs* fs_;
-  };
 
   // Read-path observation hook: called with (ino, first_lbn, block_count)
   // for every regular-file data read — the in-kernel support the section
@@ -370,10 +330,9 @@ class Lfs {
   // Hands the unwritten partial's buffers back to the dirty map and
   // re-dirties every inode it held.
   void RequeuePartial();
-  void AccountOldAddress(uint32_t daddr, int64_t delta);
-  void AccountNewAddress(uint32_t daddr, int64_t delta);
-
-  void FlushTertiaryBatch();
+  // Adds `delta` live bytes to the segment holding `daddr`: a disk
+  // segment's usage entry, or through the tertiary-accounting hook.
+  void AccountAddress(uint32_t daddr, int64_t delta);
 
   // --- Directories -------------------------------------------------------------------
   Result<uint32_t> DirLookup(uint32_t dir_ino, std::string_view name);
@@ -443,10 +402,6 @@ class Lfs {
   bool in_flush_ = false;
 
   std::function<void(uint32_t, int64_t)> tertiary_accounting_;
-  std::function<void(std::span<const std::pair<uint32_t, int64_t>>)>
-      tertiary_accounting_batch_;
-  std::vector<std::pair<uint32_t, int64_t>> pending_tertiary_;
-  int tertiary_batch_depth_ = 0;
   std::function<bool()> no_space_handler_;
   std::function<void(uint32_t, uint32_t, uint32_t)> read_observer_;
 

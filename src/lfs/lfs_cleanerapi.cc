@@ -233,8 +233,7 @@ Result<std::vector<BlockRef>> Lfs::CollectFileBlocks(uint32_t ino) {
   return out;
 }
 
-Result<bool> Lfs::ApplyMigrationOne(const MigrationAssignment& m) {
-  TertiaryBatchScope batch(this);
+Result<bool> Lfs::ApplyMigration(const MigrationAssignment& m) {
   if (!IsMetaLbn(m.lbn)) {
     // Unstable data blocks (modified since the migrator read them) are
     // skipped; the migration policy is expected to avoid them anyway.
@@ -264,27 +263,13 @@ Result<bool> Lfs::ApplyMigrationOne(const MigrationAssignment& m) {
   return true;
 }
 
-Result<size_t> Lfs::ApplyMigration(
-    const std::vector<MigrationAssignment>& moves) {
-  TertiaryBatchScope batch(this);
-  size_t applied = 0;
-  for (const MigrationAssignment& m : moves) {
-    ASSIGN_OR_RETURN(bool ok, ApplyMigrationOne(m));
-    if (ok) {
-      ++applied;
-    }
-  }
-  return applied;
-}
-
 Status Lfs::ApplyInodeMigration(uint32_t ino, uint32_t tertiary_daddr) {
   if (ino >= imap_.size() || imap_[ino].daddr == kNoBlock) {
     return NotFound("inode " + std::to_string(ino));
   }
-  TertiaryBatchScope batch(this);
-  AccountOldAddress(imap_[ino].daddr, -static_cast<int64_t>(kInodeSize));
+  AccountAddress(imap_[ino].daddr, -static_cast<int64_t>(kInodeSize));
   imap_[ino].daddr = tertiary_daddr;
-  AccountNewAddress(tertiary_daddr, static_cast<int64_t>(kInodeSize));
+  AccountAddress(tertiary_daddr, static_cast<int64_t>(kInodeSize));
   // The staged inode is the current one; nothing left to flush for it.
   dirty_inodes_.erase(ino);
   return OkStatus();

@@ -90,7 +90,7 @@ Status Lfs::FreeInode(uint32_t ino) {
   ASSIGN_OR_RETURN(DInode * inode, GetInodeRef(ino));
   RETURN_IF_ERROR(FreeFileBlocks(ino, 0));
   // Release the inode's own bytes from its segment.
-  AccountOldAddress(imap_[ino].daddr, -static_cast<int64_t>(kInodeSize));
+  AccountAddress(imap_[ino].daddr, -static_cast<int64_t>(kInodeSize));
   (void)inode;
   imap_[ino].daddr = kNoBlock;
   imap_[ino].version++;
@@ -228,15 +228,13 @@ Status Lfs::SetBmap(uint32_t ino, uint32_t lbn, uint32_t new_daddr) {
       }
     }
   }
-  AccountOldAddress(old_daddr, -static_cast<int64_t>(kBlockSize));
-  AccountNewAddress(new_daddr, static_cast<int64_t>(kBlockSize));
+  AccountAddress(old_daddr, -static_cast<int64_t>(kBlockSize));
+  AccountAddress(new_daddr, static_cast<int64_t>(kBlockSize));
   MarkInodeDirty(ino);
   return OkStatus();
 }
 
 Status Lfs::FreeFileBlocks(uint32_t ino, uint32_t from_lbn) {
-  // One accounting crossing for the whole free pass, not one per block.
-  TertiaryBatchScope batch(this);
   ASSIGN_OR_RETURN(DInode * inode, GetInodeRef(ino));
   uint32_t max_lbn = static_cast<uint32_t>(
       std::min<uint64_t>((inode->size + kBlockSize - 1) / kBlockSize,
@@ -261,7 +259,7 @@ Status Lfs::FreeFileBlocks(uint32_t ino, uint32_t from_lbn) {
       dirty_bytes_ -= kBlockSize;
     }
     if (daddr != kNoBlock) {
-      AccountOldAddress(daddr, -static_cast<int64_t>(kBlockSize));
+      AccountAddress(daddr, -static_cast<int64_t>(kBlockSize));
       *parent_field = kNoBlock;
       if (inode->blocks > 0) {
         inode->blocks--;
@@ -299,7 +297,7 @@ Status Lfs::FreeFileBlocks(uint32_t ino, uint32_t from_lbn) {
           dirty_bytes_ -= kBlockSize;
         }
         if (cd != kNoBlock) {
-          AccountOldAddress(cd, -static_cast<int64_t>(kBlockSize));
+          AccountAddress(cd, -static_cast<int64_t>(kBlockSize));
         }
         if (inode->blocks > 0) {
           inode->blocks--;

@@ -258,9 +258,9 @@ Status Lfs::WritePartial(SegmentBuilder& builder) {
   // Inode-map updates: exact addresses are known only now.
   for (const auto& ia : image.inodes) {
     uint32_t old_daddr = imap_[ia.ino].daddr;
-    AccountOldAddress(old_daddr, -static_cast<int64_t>(kInodeSize));
+    AccountAddress(old_daddr, -static_cast<int64_t>(kInodeSize));
     imap_[ia.ino].daddr = ia.daddr;
-    AccountNewAddress(ia.daddr, static_cast<int64_t>(kInodeSize));
+    AccountAddress(ia.daddr, static_cast<int64_t>(kInodeSize));
   }
   // Freshly written blocks stay hot in the buffer cache under their new
   // addresses, as they would in the 4.4BSD buffer cache, inserted in address

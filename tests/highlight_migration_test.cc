@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "highlight/highlight.h"
+#include "tseg_reference.h"
 #include "util/rng.h"
 
 namespace hl {
@@ -74,6 +77,47 @@ class HighLightTest : public ::testing::Test {
       }
     }
     return !refs->empty();
+  }
+
+  // The migrator.* lifetime gauges, read back as a report.
+  MigrationReport LifetimeGauges() {
+    MetricsSnapshot m = hl_->Metrics();
+    MigrationReport r;
+    r.files_migrated =
+        static_cast<uint32_t>(m.Value("migrator.files_migrated"));
+    r.blocks_migrated = m.Value("migrator.blocks_migrated");
+    r.bytes_migrated = m.Value("migrator.bytes_migrated");
+    r.segments_completed =
+        static_cast<uint32_t>(m.Value("migrator.segments_completed"));
+    r.eom_retargets = static_cast<uint32_t>(m.Value("migrator.eom_retargets"));
+    r.blocks_skipped =
+        static_cast<uint32_t>(m.Value("migrator.blocks_skipped"));
+    return r;
+  }
+
+  // Every tseg's live bytes must equal a recount of the file system, and no
+  // accounting anomaly may have been counted.
+  void ExpectLiveBytesMatchRecount(const std::string& step) {
+    Result<std::vector<uint64_t>> recount = RecountTertiaryLiveBytes(
+        hl_->fs(), hl_->Internals().address_map);
+    ASSERT_TRUE(recount.ok()) << step << ": " << recount.status().ToString();
+    const TsegTable& table = hl_->Internals().tseg_table;
+    ASSERT_EQ(recount->size(), table.size()) << step;
+    uint32_t mismatched = 0;
+    for (uint32_t t = 0; t < table.size(); ++t) {
+      if (table.Get(t).live_bytes != (*recount)[t] && mismatched++ == 0) {
+        ADD_FAILURE() << step << ": tseg " << t << " live_bytes "
+                      << table.Get(t).live_bytes << ", recount "
+                      << (*recount)[t];
+      }
+    }
+    EXPECT_EQ(mismatched, 0u) << step << ": tsegs off their recount";
+    MetricsSnapshot m = hl_->Metrics();
+    for (const char* anomaly : {"tseg.accounting_dropped",
+                                "tseg.underflow_clamped",
+                                "tseg.overflow_clamped"}) {
+      EXPECT_EQ(m.Value(anomaly), 0u) << step << ": " << anomaly;
+    }
   }
 
   SimClock clock_;
@@ -434,6 +478,144 @@ TEST_F(HighLightTest, MigrationRequestWrappersAgree) {
   Result<uint32_t> ino = hl_->fs().LookupPath("/w");
   ASSERT_TRUE(ino.ok());
   EXPECT_TRUE(FullyMigrated(*ino));
+}
+
+// Wholesale, cold-range and ClusterFiles passes all end through the one
+// pass epilogue, so each folds exactly its own report into the lifetime
+// totals, segments and retargets included.
+TEST_F(HighLightTest, LifetimeTotalsGrowByEachPassReport) {
+  uint32_t whole = MakeFile("/whole", 512 * 1024, 40);
+  uint32_t ranged = MakeFile("/ranged", 512 * 1024, 41);
+  auto expect_grew_by = [&](const MigrationReport& before,
+                            const MigrationReport& pass,
+                            const std::string& name) {
+    const MigrationReport after = LifetimeGauges();
+    EXPECT_EQ(after.files_migrated - before.files_migrated,
+              pass.files_migrated)
+        << name;
+    EXPECT_EQ(after.blocks_migrated - before.blocks_migrated,
+              pass.blocks_migrated)
+        << name;
+    EXPECT_EQ(after.bytes_migrated - before.bytes_migrated,
+              pass.bytes_migrated)
+        << name;
+    EXPECT_EQ(after.segments_completed - before.segments_completed,
+              pass.segments_completed)
+        << name;
+    EXPECT_EQ(after.eom_retargets - before.eom_retargets, pass.eom_retargets)
+        << name;
+    EXPECT_EQ(after.blocks_skipped - before.blocks_skipped,
+              pass.blocks_skipped)
+        << name;
+  };
+
+  MigrationReport before = LifetimeGauges();
+  Result<MigrationReport> wholesale =
+      hl_->Migrate(MigrationRequest{.path = "/whole"});
+  ASSERT_TRUE(wholesale.ok()) << wholesale.status().ToString();
+  EXPECT_EQ(wholesale->files_migrated, 1u);
+  EXPECT_GT(wholesale->segments_completed, 0u);
+  expect_grew_by(before, *wholesale, "wholesale");
+
+  // The first half of /ranged is read after the cutoff and stays on disk.
+  clock_.Advance(10 * kUsPerSec);
+  const SimTime cutoff = clock_.Now();
+  clock_.Advance(kUsPerSec);
+  std::vector<uint8_t> hot(256 * 1024);
+  ASSERT_TRUE(hl_->fs().Read(ranged, 0, hot).ok());
+  before = LifetimeGauges();
+  Result<MigrationReport> cold = hl_->Migrate(
+      MigrationRequest{.path = "/ranged", .cold_cutoff = cutoff});
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->files_migrated, 1u);
+  EXPECT_EQ(cold->blocks_migrated, 64u);
+  EXPECT_GT(cold->segments_completed, 0u);
+  expect_grew_by(before, *cold, "cold-range");
+
+  before = LifetimeGauges();
+  Result<MigrationReport> cluster =
+      hl_->Internals().migrator.ClusterFiles({whole, ranged}, MigratorOptions{});
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  EXPECT_EQ(cluster->files_migrated, 2u);
+  EXPECT_GT(cluster->segments_completed, 0u);
+  expect_grew_by(before, *cluster, "ClusterFiles");
+
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  ExpectFileContents("/whole", 512 * 1024, 40);
+  ExpectFileContents("/ranged", 512 * 1024, 41);
+}
+
+// Live bytes reach the tseg table one delta at a time; after every kind of
+// migration and every way a migrated block dies, each entry must equal a
+// recount of the file system.
+TEST_F(HighLightTest, TertiaryLiveBytesMatchRecountAfterEveryMigration) {
+  // A wholesale migrate whose fourth segment hits end-of-medium on volume 0
+  // and is retargeted at volume 1.
+  Result<Volume*> vol = hl_->Internals().footprint.GetVolume(0);
+  ASSERT_TRUE(vol.ok());
+  (*vol)->SetActualCapacity(3 * 64 * kBlockSize);
+  ASSERT_TRUE(hl_->fs().Mkdir("/dir").ok());
+  uint32_t a = MakeFile("/a", 1 << 20, 50);
+  uint32_t b = MakeFile("/b", 600 * 1024, 51);
+  MakeFile("/c", 300 * 1024, 52);
+  MakeFile("/dir/d", 200 * 1024, 53);
+  ASSERT_TRUE(hl_->Migrate(MigrationRequest{.path = "/"}).ok());
+  ASSERT_GT(hl_->Internals().migrator.lifetime_report().eom_retargets, 0u);
+  ExpectLiveBytesMatchRecount("wholesale migrate");
+
+  // Migrated blocks die three ways: overwritten, truncated, unlinked.
+  std::vector<uint8_t> a_bytes = Pattern(1 << 20, 50);
+  std::vector<uint8_t> patch = Pattern(4096, 54);
+  std::copy(patch.begin(), patch.end(), a_bytes.begin() + 8192);
+  ASSERT_TRUE(hl_->fs().Write(a, 8192, patch).ok());
+  ASSERT_TRUE(hl_->fs().Truncate(b, 100 * 1024).ok());
+  ASSERT_TRUE(hl_->fs().Unlink("/c").ok());
+  ASSERT_TRUE(hl_->fs().Sync().ok());
+  ExpectLiveBytesMatchRecount("overwrite, truncate, unlink");
+
+  clock_.Advance(100 * kUsPerSec);
+  StpPolicy stp;
+  ASSERT_TRUE(hl_->Migrate(MigrationRequest{.policy = &stp}).ok());
+  ExpectLiveBytesMatchRecount("second migrate");
+
+  // A cold-range pass: /dir/e's first 32 blocks are read after the cutoff.
+  uint32_t e = MakeFile("/dir/e", 512 * 1024, 55);
+  ASSERT_TRUE(hl_->fs().Sync().ok());
+  clock_.Advance(10 * kUsPerSec);
+  const SimTime cutoff = clock_.Now();
+  clock_.Advance(kUsPerSec);
+  std::vector<uint8_t> hot(128 * 1024);
+  ASSERT_TRUE(hl_->fs().Read(e, 0, hot).ok());
+  Result<MigrationReport> cold = hl_->Migrate(
+      MigrationRequest{.path = "/dir", .cold_cutoff = cutoff});
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_GT(cold->blocks_migrated, 0u);
+  ExpectLiveBytesMatchRecount("cold-range pass");
+
+  ASSERT_TRUE(
+      hl_->Internals().migrator.ClusterFiles({a, e}, MigratorOptions{}).ok());
+  ExpectLiveBytesMatchRecount("ClusterFiles");
+
+  ASSERT_TRUE(hl_->fs().Checkpoint().ok());
+  Result<uint64_t> moved = hl_->Internals().tertiary_cleaner.CleanVolume(0);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_GT(*moved, 0u);
+  ExpectLiveBytesMatchRecount("CleanVolume");
+
+  ASSERT_TRUE(hl_->fs().Checkpoint().ok());
+  ASSERT_TRUE(hl_->Remount().ok());
+  ExpectLiveBytesMatchRecount("Remount");
+
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  Result<uint32_t> a_again = hl_->fs().LookupPath("/a");
+  ASSERT_TRUE(a_again.ok());
+  std::vector<uint8_t> out(a_bytes.size());
+  ASSERT_TRUE(hl_->fs().Read(*a_again, 0, out).ok());
+  EXPECT_EQ(out, a_bytes);
+  ExpectFileContents("/b", 100 * 1024, 51);
+  ExpectFileContents("/dir/d", 200 * 1024, 53);
+  ExpectFileContents("/dir/e", 512 * 1024, 55);
+  EXPECT_FALSE(hl_->fs().LookupPath("/c").ok());
 }
 
 }  // namespace

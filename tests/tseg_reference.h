@@ -2,8 +2,10 @@
 // pre-index code paths, written against the table's public size()/Get()
 // surface and the AddressMap. tests/tseg_index_test.cc and
 // bench/engine_ops.cc check the O(1) indices against them (agreement) and
-// time them (the indexed-vs-linear speedup floor). Header-only: nothing in
-// src/ links or calls them.
+// time them (the indexed-vs-linear speedup floor). Beside them, a recount
+// of every tseg's live bytes from the file system itself, which
+// tests/highlight_migration_test.cc checks the per-delta accounting
+// against. Header-only: nothing in src/ links or calls them.
 
 #ifndef HIGHLIGHT_TESTS_TSEG_REFERENCE_H_
 #define HIGHLIGHT_TESTS_TSEG_REFERENCE_H_
@@ -13,7 +15,10 @@
 #include <vector>
 
 #include "highlight/address_map.h"
+#include "highlight/migration_policy.h"
 #include "highlight/tseg_table.h"
+#include "lfs/lfs.h"
+#include "util/status.h"
 
 namespace hl {
 
@@ -82,6 +87,37 @@ inline uint32_t DirtyTsegCountLinear(const TsegTable& table) {
     }
   }
   return n;
+}
+
+// Every tseg's live bytes recounted from the file system: for each inode
+// reachable from the root (hard links count once), kBlockSize for every
+// tertiary block CollectFileBlocks lists and kInodeSize when the inode
+// itself is on tertiary. Indexed by tseg; TsegTable::Get(t).live_bytes must
+// equal entry t.
+inline Result<std::vector<uint64_t>> RecountTertiaryLiveBytes(
+    Lfs& fs, const AddressMap& amap) {
+  std::vector<uint64_t> live(amap.tertiary_nsegs(), 0);
+  auto count = [&](uint32_t daddr, uint64_t bytes) {
+    if (amap.Classify(daddr) == AddressMap::Zone::kTertiary &&
+        amap.TsegOf(daddr) < live.size()) {
+      live[amap.TsegOf(daddr)] += bytes;
+    }
+  };
+  ASSIGN_OR_RETURN(std::vector<FileCandidate> tree,
+                   WalkTree(fs, "/", /*include_dirs=*/true));
+  std::set<uint32_t> inos = {kRootInode};
+  for (const FileCandidate& f : tree) {
+    inos.insert(f.ino);
+  }
+  for (uint32_t ino : inos) {
+    ASSIGN_OR_RETURN(std::vector<BlockRef> refs, fs.CollectFileBlocks(ino));
+    for (const BlockRef& ref : refs) {
+      count(ref.daddr, kBlockSize);
+    }
+    ASSIGN_OR_RETURN(uint32_t inode_daddr, fs.InodeDaddr(ino));
+    count(inode_daddr, kInodeSize);
+  }
+  return live;
 }
 
 }  // namespace hl

@@ -5,7 +5,7 @@
 //
 // Reported: p50/p95/p99 end-to-end fetch delay (admission queue wait plus
 // shard service time), aggregate recall throughput across the shard farm,
-// fair-share accounting per tenant, and the stager's admission/steering
+// fair-share accounting per tenant, and the stager's admission/dispatch
 // counters. Background migration passes and scrub increments ride the same
 // admission queue at lower priority, so the tails show demand recalls
 // preempting maintenance.
@@ -187,8 +187,8 @@ int main(int argc, char** argv) {
   hub.AddSlo(SloRule{.name = "queue_depth",
                      .series = "stager.queue_depth",
                      .threshold = 64});
-  // The hub's fan-out hook must land after every HighLightFs::Create (each
-  // Create installs its own tick hook; the clock holds exactly one).
+  // The hub's tick hook samples the federation series and runs the SLO
+  // watch; each shard's sampler ticks through the hook its Create installed.
   hub.InstallTickHook();
 
   uint64_t swaps_before = 0;

@@ -17,6 +17,15 @@ constexpr size_t kLedgerHeaderBytes = 4 + 4 + 4;
 constexpr size_t kLedgerEntryBytes = 4 + 4 + 4 + 8;
 // A catalog row shipped during anti-entropy: tseg + CRC32.
 constexpr uint64_t kCatalogRowBytes = 8;
+// Segments one Pump() round ships per site.
+constexpr size_t kShipBatch = 8;
+// Backoff schedule for a failed or corrupted WAN transfer.
+constexpr RetryPolicy kTransferRetry{/*max_attempts=*/3,
+                                     /*backoff_us=*/200'000,
+                                     /*backoff_multiplier=*/2.0,
+                                     /*max_backoff_us=*/5'000'000};
+// Blob name the per-site ledger persists under (inside the site's LFS).
+constexpr char kLedgerBlob[] = "replication_ledger";
 
 }  // namespace
 
@@ -189,6 +198,31 @@ Status SiteReplicator::ReadSourceImage(Site& src, uint32_t tseg,
   return OkStatus();
 }
 
+Result<std::vector<uint8_t>> SiteReplicator::TransferVerified(
+    WanLink* link, const std::vector<uint8_t>& image, uint32_t crc) {
+  Status last = OkStatus();
+  for (int try_no = 1; try_no <= kTransferRetry.max_attempts; ++try_no) {
+    if (try_no > 1) {
+      clock_->Advance(kTransferRetry.BackoffFor(try_no - 1));
+    }
+    std::vector<uint8_t> payload = image;
+    last = link->Transfer(payload);
+    if (!last.ok()) {
+      stats_.ship_failures++;
+      continue;
+    }
+    if (Crc32(payload) != crc) {
+      // Bits flipped in flight; the receiver-side checksum catches it and
+      // the image is simply sent again.
+      stats_.corrupt_transfers++;
+      last = IoError("site replicator: payload corrupted in flight");
+      continue;
+    }
+    return payload;
+  }
+  return last;
+}
+
 Status SiteReplicator::ShipImage(int src, int dst, uint32_t tseg,
                                  const std::vector<uint8_t>& image,
                                  uint32_t crc) {
@@ -202,38 +236,19 @@ Status SiteReplicator::ShipImage(int src, int dst, uint32_t tseg,
   span.Annotate("src", sites_[src].name);
   span.Annotate("dst", sites_[dst].name);
   span.Annotate("tseg", std::to_string(tseg));
-  Status last = OkStatus();
-  for (int try_no = 1; try_no <= config_.retry.max_attempts; ++try_no) {
-    if (try_no > 1) {
-      clock_->Advance(config_.retry.BackoffFor(try_no - 1));
-    }
-    // Fresh copy per attempt: a corrupted delivery must not poison retries.
-    std::vector<uint8_t> payload = image;
-    last = link->Transfer(payload);
-    if (!last.ok()) {
-      stats_.ship_failures++;
-      continue;
-    }
-    if (Crc32(payload) != crc) {
-      // Bits flipped in flight; the receiver-side checksum catches it and
-      // the segment is simply sent again.
-      stats_.corrupt_transfers++;
-      last = IoError("site replicator: payload corrupted in flight");
-      continue;
-    }
-    RETURN_IF_ERROR(sites_[dst].store->InstallSegmentImage(tseg, payload));
-    stats_.segments_shipped++;
-    stats_.bytes_shipped += payload.size();
-    return OkStatus();
-  }
-  return last;
+  ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                   TransferVerified(link, image, crc));
+  RETURN_IF_ERROR(sites_[dst].store->InstallSegmentImage(tseg, payload));
+  stats_.segments_shipped++;
+  stats_.bytes_shipped += payload.size();
+  return OkStatus();
 }
 
 Status SiteReplicator::Pump() {
   for (size_t i = 0; i < sites_.size(); ++i) {
     Site& s = sites_[i];
     const uint32_t peers = PeerMask(static_cast<int>(i));
-    const size_t batch = std::min(config_.ship_batch, s.queue.size());
+    const size_t batch = std::min(kShipBatch, s.queue.size());
     for (size_t n = 0; n < batch; ++n) {
       PendingShipment item = s.queue.front();
       s.queue.pop_front();
@@ -410,21 +425,6 @@ Result<SiteReplicator::AntiEntropyStats> SiteReplicator::AntiEntropyRound(
   return round;
 }
 
-Result<uint32_t> SiteReplicator::CompareCatalogs(int src, int dst) {
-  if (src == dst || static_cast<size_t>(src) >= sites_.size() ||
-      static_cast<size_t>(dst) >= sites_.size()) {
-    return InvalidArgument("compare-catalogs: bad site pair");
-  }
-  WanLink* link = LinkBetween(src, dst);
-  if (link == nullptr) {
-    return IoError("compare-catalogs: no link between sites");
-  }
-  const uint32_t divergent = DivergentCountVs(src, dst);
-  const size_t entries = sites_[src].store->ReplicableSegments().size();
-  clock_->Advance(link->TransferCost(entries * kCatalogRowBytes));
-  return divergent;
-}
-
 uint32_t SiteReplicator::DivergentCountVs(int src, int dst) const {
   if (src == dst || static_cast<size_t>(src) >= sites_.size() ||
       static_cast<size_t>(dst) >= sites_.size()) {
@@ -468,24 +468,14 @@ Result<std::vector<uint8_t>> SiteReplicator::FetchVerifiedImage(
     if (peer.store->SegmentCrc(tseg, &stamp) && stamp != computed) {
       continue;  // The peer's copy is corrupt too.
     }
-    WanLink* link = LinkBetween(site, static_cast<int>(p));
-    for (int try_no = 1; try_no <= config_.retry.max_attempts; ++try_no) {
-      if (try_no > 1) {
-        clock_->Advance(config_.retry.BackoffFor(try_no - 1));
-      }
-      std::vector<uint8_t> payload = *image;
-      if (!link->Transfer(payload).ok()) {
-        stats_.ship_failures++;
-        continue;
-      }
-      if (Crc32(payload) != computed) {
-        stats_.corrupt_transfers++;
-        continue;
-      }
-      stats_.bytes_shipped += payload.size();
-      span.Annotate("peer", peer.name);
-      return payload;
+    Result<std::vector<uint8_t>> payload = TransferVerified(
+        LinkBetween(site, static_cast<int>(p)), *image, computed);
+    if (!payload.ok()) {
+      continue;
     }
+    stats_.bytes_shipped += payload->size();
+    span.Annotate("peer", peer.name);
+    return payload;
   }
   return NotFound("site replicator: no reachable peer holds a verified copy");
 }
@@ -504,7 +494,7 @@ Status SiteReplicator::PersistLedger(int site) {
     w.PutU32(entry.shipped_mask);
     w.PutU64(entry.queued_at);
   }
-  RETURN_IF_ERROR(s.store->PersistBlob(config_.ledger_blob, blob));
+  RETURN_IF_ERROR(s.store->PersistBlob(kLedgerBlob, blob));
   s.ledger_dirty = false;
   stats_.ledger_persists++;
   return OkStatus();
@@ -512,7 +502,7 @@ Status SiteReplicator::PersistLedger(int site) {
 
 Status SiteReplicator::LoadLedger(int site) {
   Site& s = sites_[site];
-  Result<std::vector<uint8_t>> blob = s.store->LoadBlob(config_.ledger_blob);
+  Result<std::vector<uint8_t>> blob = s.store->LoadBlob(kLedgerBlob);
   if (!blob.ok()) {
     if (blob.status().code() == ErrorCode::kNotFound) {
       return OkStatus();  // Fresh site: nothing shipped yet.

@@ -61,15 +61,6 @@ namespace hl {
 struct SiteReplicatorConfig {
   // Per-site pending-shipment bound; enqueues beyond it get kBusy.
   size_t max_queue = 1024;
-  // Segments one Pump() round ships per site.
-  size_t ship_batch = 8;
-  // Backoff schedule for a failed WAN transfer. Jitter/cumulative-cap
-  // fields apply as in every other RetryPolicy user.
-  RetryPolicy retry{/*max_attempts=*/3, /*backoff_us=*/200'000,
-                    /*backoff_multiplier=*/2.0,
-                    /*max_backoff_us=*/5'000'000};
-  // Blob name the per-site ledger persists under (inside the site's LFS).
-  std::string ledger_blob = "replication_ledger";
 };
 
 class SiteReplicator : public StagerScheduler::SiteHealthProvider {
@@ -114,8 +105,8 @@ class SiteReplicator : public StagerScheduler::SiteHealthProvider {
   // yet fully shipped per the ledger. Returns how many were enqueued.
   Result<uint32_t> EnqueueNewSegments(int site);
 
-  // One replication round: for each site, ships up to `ship_batch` queued
-  // segments to each reachable peer (retry/backoff per transfer), then
+  // One replication round: for each site, ships up to 8 queued segments
+  // to each reachable peer (retry/backoff per transfer), then
   // persists the touched ledgers. Segments whose peers are all unreachable
   // are deferred to the queue tail (counted), not dropped.
   Status Pump();
@@ -143,9 +134,6 @@ class SiteReplicator : public StagerScheduler::SiteHealthProvider {
   Result<AntiEntropyStats> AntiEntropyRound(int src, int dst,
                                             uint32_t max_segments = 0);
 
-  // Catalog-only divergence probe (charges the catalog transfer, ships
-  // nothing). Used by reachability checks and the drill's convergence gate.
-  Result<uint32_t> CompareCatalogs(int src, int dst);
   // Divergence count without touching the clock or the WAN — for
   // inspection tools only.
   uint32_t DivergentCountVs(int src, int dst) const;
@@ -217,9 +205,15 @@ class SiteReplicator : public StagerScheduler::SiteHealthProvider {
   // present, else computed and stamped via the store).
   Status ReadSourceImage(Site& src, uint32_t tseg, std::vector<uint8_t>* image,
                          uint32_t* crc);
-  // Ships one verified image to `dst` over the pair's link, with
-  // retry/backoff and in-flight-corruption re-send. On success installs it
-  // into the destination store.
+  // The one verified WAN transfer: sends `image` over `link` with
+  // retry/backoff, a fresh copy per try (a corrupted delivery must not
+  // poison the next), and returns the first delivery whose CRC32 equals
+  // `crc`. Failed tries count site.ship_failures, corrupted deliveries
+  // site.corrupt_transfers; once the tries run out, the last try's error.
+  Result<std::vector<uint8_t>> TransferVerified(
+      WanLink* link, const std::vector<uint8_t>& image, uint32_t crc);
+  // Ships one verified image to `dst` over the pair's link and installs
+  // the delivery into the destination store.
   Status ShipImage(int src, int dst, uint32_t tseg,
                    const std::vector<uint8_t>& image, uint32_t crc);
   // True when shipping src -> dst can be attempted right now.

@@ -16,8 +16,6 @@ StagerScheduler::StagerScheduler(SimClock* clock, StagerConfig config)
   stats_.scrub_steps.BindTo(metrics_, "stager.scrub_steps");
   stats_.batches_dispatched.BindTo(metrics_, "stager.batches_dispatched");
   stats_.coalesced.BindTo(metrics_, "stager.coalesced");
-  stats_.steered_to_replica.BindTo(metrics_, "stager.steered_to_replica");
-  stats_.balanced_to_replica.BindTo(metrics_, "stager.balanced_to_replica");
   stats_.failover_fetches.BindTo(metrics_, "stager.failover_fetches");
   stats_.aging_promotions.BindTo(metrics_, "stager.aging_promotions");
   stats_.drive_waits.BindTo(metrics_, "stager.drive_waits");
@@ -29,8 +27,6 @@ StagerScheduler::StagerScheduler(SimClock* clock, StagerConfig config)
 
 int StagerScheduler::AddShard(FetchBackend* backend) {
   shards_.push_back(backend);
-  replica_of_.push_back(-1);
-  quarantined_.push_back(false);
   site_of_.push_back(-1);
   failover_peer_.push_back(-1);
   return static_cast<int>(shards_.size()) - 1;
@@ -40,45 +36,14 @@ void StagerScheduler::SetShardSite(int shard, int site) {
   site_of_.at(shard) = site;
 }
 
-int StagerScheduler::ShardSite(int shard) const { return site_of_.at(shard); }
-
 void StagerScheduler::SetFailoverPeer(int shard, int peer) {
   failover_peer_.at(shard) = peer;
 }
 
-void StagerScheduler::SetSiteQuarantined(int site, bool quarantined) {
-  if (quarantined) {
-    quarantined_sites_.insert(site);
-  } else {
-    quarantined_sites_.erase(site);
-  }
-}
-
-bool StagerScheduler::SiteQuarantined(int site) const {
-  return quarantined_sites_.count(site) != 0;
-}
-
-bool StagerScheduler::ShardSiteDown(int shard) const {
+bool StagerScheduler::ShardDown(int shard) const {
   const int site = site_of_[shard];
-  if (site < 0) {
-    return false;
-  }
-  if (SiteQuarantined(site)) {
-    return true;
-  }
-  return site_health_ != nullptr && !site_health_->SiteAvailable(site);
-}
-
-void StagerScheduler::SetReplicaShard(int shard, int replica) {
-  replica_of_.at(shard) = replica;
-}
-
-void StagerScheduler::SetShardQuarantined(int shard, bool quarantined) {
-  quarantined_.at(shard) = quarantined;
-}
-
-bool StagerScheduler::ShardQuarantined(int shard) const {
-  return quarantined_.at(shard);
+  return site >= 0 && site_health_ != nullptr &&
+         !site_health_->SiteAvailable(site);
 }
 
 size_t StagerScheduler::DemandBacklog() const {
@@ -163,37 +128,16 @@ Status StagerScheduler::SubmitScrub(int shard, uint32_t max_segments) {
   return OkStatus();
 }
 
-int StagerScheduler::RouteShard(int shard, const std::vector<size_t>& load) {
-  // Site failover runs first: when the home site is down and the shard has
-  // a healthy cross-site peer, the recall leaves the site entirely. In-site
-  // replica steering below is pointless then — the whole machine room is
-  // out, not one shard.
-  if (ShardSiteDown(shard)) {
-    const int peer = failover_peer_[shard];
-    if (peer >= 0 && static_cast<size_t>(peer) < shards_.size() &&
-        !quarantined_[peer] && !ShardSiteDown(peer)) {
-      stats_.failover_fetches++;
-      return peer;
-    }
-    // No healthy peer site: fall through — the home shard is still the
-    // only copy, and refusing it would strand the data.
+int StagerScheduler::RouteShard(int shard) const {
+  if (!ShardDown(shard)) {
+    return shard;
   }
-  int replica = replica_of_[shard];
-  bool have_replica =
-      replica >= 0 && static_cast<size_t>(replica) < shards_.size();
-  if (quarantined_[shard]) {
-    if (have_replica && !quarantined_[replica]) {
-      stats_.steered_to_replica++;
-      return replica;
-    }
-    return shard;  // Last resort: the only copy still serves.
+  const int peer = failover_peer_[shard];
+  if (peer < 0 || static_cast<size_t>(peer) >= shards_.size() ||
+      ShardDown(peer)) {
+    return shard;  // No healthy peer: the only copy still serves.
   }
-  if (config_.balance_replica_pairs && have_replica &&
-      !quarantined_[replica] && load[replica] < load[shard]) {
-    stats_.balanced_to_replica++;
-    return replica;
-  }
-  return shard;
+  return peer;
 }
 
 Status StagerScheduler::Pump() {
@@ -210,11 +154,10 @@ Status StagerScheduler::Pump() {
   struct Picked {
     DemandRequest req;
     size_t tenant = 0;      // Index into tenants_.
-    bool failover = false;  // Routed to a cross-site peer this round.
+    bool failover = false;  // Routed to a cross-site peer.
   };
   size_t nshards = shards_.size();
   std::vector<std::vector<Picked>> batches(nshards);
-  std::vector<size_t> load(nshards, 0);
   // The round's active set: shards holding one of the farm's drive tokens.
   // Filled first-come in tenant-rotation order, so the rotation moves the
   // tokens across shards round over round.
@@ -226,17 +169,7 @@ Status StagerScheduler::Pump() {
     Tenant& tenant = tenants_[tenant_idx];
     uint64_t quantum = config_.fair_share_quantum;
     while (quantum > 0 && !tenant.fifo.empty()) {
-      const uint64_t failovers_before = stats_.failover_fetches.value();
-      const DemandRequest& front = tenant.fifo.front();
-      int target = RouteShard(front.shard, load);
-      const bool failed_over =
-          stats_.failover_fetches.value() != failovers_before;
-      if (failed_over && spans_ != nullptr) {
-        // The routing decision belongs to the request's own tree.
-        spans_->InstantChildOf(front.admit_span, "site_failover", "stager",
-                               "shard", static_cast<uint64_t>(front.shard),
-                               "peer", static_cast<uint64_t>(target));
-      }
+      const int target = RouteShard(tenant.fifo.front().shard);
       if (!active[target]) {
         if (config_.drive_tokens != 0 &&
             active_count >= config_.drive_tokens) {
@@ -253,9 +186,21 @@ Status StagerScheduler::Pump() {
       }
       DemandRequest req = tenant.fifo.front();
       tenant.fifo.pop_front();
+      // A failover counts once, when the recall joins its peer's batch; a
+      // recall that waits for a token or a batch slot is routed afresh in
+      // the round that takes it.
+      const bool failed_over = target != req.shard;
+      if (failed_over) {
+        stats_.failover_fetches++;
+        if (spans_ != nullptr) {
+          // The routing decision belongs to the request's own tree.
+          spans_->InstantChildOf(req.admit_span, "site_failover", "stager",
+                                 "shard", static_cast<uint64_t>(req.shard),
+                                 "peer", static_cast<uint64_t>(target));
+        }
+      }
       req.shard = target;
       batches[target].push_back(Picked{req, tenant_idx, failed_over});
-      load[target]++;
       quantum--;
     }
   }

@@ -16,9 +16,8 @@
 // The shared jukebox drive farm is modeled by `drive_tokens`: at most that
 // many shards may receive tertiary work in one round; requests for
 // token-less shards wait (counted) and the tenant rotation naturally moves
-// the tokens around. Shards may be paired with a replica shard holding an
-// identical tertiary layout: a quarantined shard's recalls steer to its
-// replica, and (optionally) healthy pairs balance load between the two.
+// the tokens around. A shard whose site is down sends its recalls to its
+// failover peer at another site (see "Multi-site failover" below).
 
 #ifndef HIGHLIGHT_FEDERATION_STAGER_H_
 #define HIGHLIGHT_FEDERATION_STAGER_H_
@@ -26,7 +25,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -50,8 +48,6 @@ struct StagerConfig {
   // Shards that may receive tertiary work per round — the shared drive
   // farm. 0 = unlimited (every shard has a dedicated drive set).
   size_t drive_tokens = 0;
-  // Healthy primary/replica pairs split demand by current round load.
-  bool balance_replica_pairs = false;
   // Admission-priority aging: after this many consecutive demand rounds
   // with maintenance waiting, one starved migration pass (or, with none
   // queued, one scrub increment) is promoted to run alongside the demand
@@ -69,24 +65,16 @@ class StagerScheduler {
   int AddShard(FetchBackend* backend);
   size_t NumShards() const { return shards_.size(); }
 
-  // Pairs `shard` with a replica holding an identical tertiary layout
-  // (same tseg numbering — built from the same deterministic workload).
-  void SetReplicaShard(int shard, int replica);
-  // Scheduler-level quarantine: a quarantined shard's demand recalls steer
-  // to its replica when one is healthy (a replica-less quarantined shard
-  // still serves, as refusing the only copy would strand the data).
-  // Migration and scrub keep running — scrub is how a shard rehabilitates.
-  void SetShardQuarantined(int shard, bool quarantined);
-  bool ShardQuarantined(int shard) const;
-
   // --- Multi-site failover ---------------------------------------------------
   //
-  // Shards may belong to geographic *sites* (a jukebox machine room). When a
-  // shard's home site is down — operator-quarantined, or unreachable per the
-  // SiteHealthProvider (WAN partition) — its demand recalls fail over to the
-  // shard's designated peer: the shard at another site holding a replicated
-  // copy of the same tertiary layout (shipped there by the SiteReplicator).
-  // This extends the drive-level quarantine steering above to whole sites.
+  // Shards may belong to geographic *sites* (a jukebox machine room). A
+  // shard is down when the SiteHealthProvider reports its site down
+  // (operator-quarantined, or unreachable over the WAN). A down shard's
+  // demand recalls fail over to its designated peer: the shard at another
+  // site holding a replicated copy of the same tertiary layout (shipped
+  // there by the SiteReplicator). When the peer is down too, or the shard
+  // has none, the recall stays home: refusing the only copy would strand
+  // the data. Migration and scrub always run on the shard they name.
 
   // Reachability oracle, typically the SiteReplicator: a site is available
   // when it is not quarantined and some WAN path to it is up.
@@ -97,14 +85,9 @@ class StagerScheduler {
   };
 
   void SetShardSite(int shard, int site);
-  int ShardSite(int shard) const;
   // The cross-site failover target for `shard` (one direction; set both
   // ways for symmetric pairs).
   void SetFailoverPeer(int shard, int peer);
-  // Scheduler-level site quarantine (operator action). WAN partitions are
-  // reported through the provider instead.
-  void SetSiteQuarantined(int site, bool quarantined);
-  bool SiteQuarantined(int site) const;
   void SetSiteHealthProvider(const SiteHealthProvider* provider) {
     site_health_ = provider;
   }
@@ -116,8 +99,8 @@ class StagerScheduler {
   // first admit span — the shard's own fetch spans nest under it through
   // the shared implicit-context stack — and every request in the batch gets
   // a "stager_fanout" leaf under the dispatch, so a coalesced recall's
-  // requests all share one parent. A recall routed to a cross-site peer
-  // records a "site_failover" instant (shard, peer).
+  // requests all share one parent. A recall that joins a batch on its
+  // cross-site peer records one "site_failover" instant (shard, peer).
   void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
   // --- Admission -----------------------------------------------------------
@@ -176,9 +159,9 @@ class StagerScheduler {
     std::deque<DemandRequest> fifo;
   };
 
-  // Routes a request to its serving shard (quarantine steering, optional
-  // pair balancing). `round_load` is the per-shard batch occupancy so far.
-  int RouteShard(int shard, const std::vector<size_t>& round_load);
+  // The shard that serves a recall for `shard`: its failover peer when
+  // `shard` is down and the peer is not, else `shard` itself.
+  int RouteShard(int shard) const;
   size_t DemandBacklog() const;
   void UpdateQueueGauge();
   // The admission check every Submit* runs first.
@@ -187,17 +170,14 @@ class StagerScheduler {
   // none queued the head scrub increment. At least one must be queued.
   Status RunMaintenance();
 
-  // True when `shard`'s home site is down (quarantined or unreachable).
-  bool ShardSiteDown(int shard) const;
+  // True when the SiteHealthProvider reports `shard`'s site down.
+  bool ShardDown(int shard) const;
 
   SimClock* clock_;
   StagerConfig config_;
   std::vector<FetchBackend*> shards_;
-  std::vector<int> replica_of_;
-  std::vector<bool> quarantined_;
   std::vector<int> site_of_;        // -1 = no site assigned.
   std::vector<int> failover_peer_;  // -1 = no cross-site peer.
-  std::set<int> quarantined_sites_;
   const SiteHealthProvider* site_health_ = nullptr;
   SpanTracer* spans_ = nullptr;
   uint64_t starved_rounds_ = 0;  // Demand rounds maintenance has waited.
@@ -222,9 +202,7 @@ class StagerScheduler {
     Counter scrub_steps;
     Counter batches_dispatched;
     Counter coalesced;         // Duplicate (shard, tseg) folded into a batch.
-    Counter steered_to_replica;
-    Counter balanced_to_replica;
-    Counter failover_fetches;  // Recalls served by a peer site's shard.
+    Counter failover_fetches;  // Recalls batched onto a peer site's shard.
     Counter aging_promotions;  // Starved maintenance promoted past demand.
     Counter drive_waits;       // Requests deferred for want of a drive token.
     Counter cache_hits;        // Recalls served from a shard's segment cache.

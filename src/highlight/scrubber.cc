@@ -162,19 +162,6 @@ void Scrubber::Tally(Outcome outcome, Report& report) {
   report.scanned++;
 }
 
-Result<Scrubber::Report> Scrubber::ScrubVolume(uint32_t volume) {
-  Report report;
-  const uint32_t first = amap_->FirstTsegOfVolume(volume);
-  const size_t before = stats_.crcs_restamped.value();
-  for (uint32_t i = 0; i < amap_->segs_per_volume(); ++i) {
-    ASSIGN_OR_RETURN(Outcome outcome, ScrubOne(first + i));
-    Tally(outcome, report);
-  }
-  report.crcs_stamped =
-      static_cast<uint32_t>(stats_.crcs_restamped.value() - before);
-  return report;
-}
-
 Result<Scrubber::Report> Scrubber::ScrubAll() {
   Report report;
   const size_t before = stats_.crcs_restamped.value();

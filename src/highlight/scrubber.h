@@ -58,8 +58,7 @@ class Scrubber {
     uint32_t crcs_stamped = 0;   // Catalog entries (re)created this pass.
   };
 
-  // Scrubs every dirty tertiary segment of one volume / of the deployment.
-  Result<Report> ScrubVolume(uint32_t volume);
+  // Scrubs every dirty tertiary segment of the deployment.
   Result<Report> ScrubAll();
   // Idle-time increment: scrubs up to `max_segments` dirty segments from a
   // wrap-around cursor, so repeated calls cover the whole deployment.

@@ -76,17 +76,6 @@ Result<bool> Footprint::VolumeMounted(int volume) const {
   return m.jukebox->IsMounted(m.slot);
 }
 
-Status Footprint::MarkVolumeFull(int volume) {
-  ASSIGN_OR_RETURN(Mapping m, Map(volume));
-  m.jukebox->volume(m.slot).MarkFull();
-  return OkStatus();
-}
-
-Result<bool> Footprint::VolumeFull(int volume) const {
-  ASSIGN_OR_RETURN(Mapping m, Map(volume));
-  return m.jukebox->volume(m.slot).marked_full();
-}
-
 Status Footprint::RepairWrite(int volume, uint64_t offset,
                               std::span<const uint8_t> data, uint32_t* crc) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));

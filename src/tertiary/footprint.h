@@ -65,13 +65,9 @@ class Footprint {
   // media swap) — the "closest copy" signal for replica selection.
   Result<bool> VolumeMounted(int volume) const;
 
-  // End-of-medium bookkeeping: mark a volume full so no further writes are
-  // attempted on it.
-  Status MarkVolumeFull(int volume);
-  Result<bool> VolumeFull(int volume) const;
-
   // Scrubber support: overwrite an already-written extent in place, even on
-  // a volume marked full (the data is already there; only WORM media refuse).
+  // a volume the migrator retired as full (the data is already there; only
+  // WORM media refuse).
   Status RepairWrite(int volume, uint64_t offset,
                      std::span<const uint8_t> data, uint32_t* crc = nullptr);
 

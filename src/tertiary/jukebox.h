@@ -61,9 +61,8 @@ class Jukebox {
   Status Write(int slot, uint64_t offset, std::span<const uint8_t> data,
                uint32_t* crc = nullptr);
 
-  // Scrubber repair: overwrite an already-written extent in place (bypasses
-  // the volume's full mark; WORM media refuse). Charges a normal write
-  // transfer and advances the clock.
+  // Scrubber repair: overwrite an already-written extent in place (WORM
+  // media refuse). Charges a normal write transfer and advances the clock.
   Status Rewrite(int slot, uint64_t offset, std::span<const uint8_t> data,
                  uint32_t* crc = nullptr);
 

@@ -169,9 +169,6 @@ uint32_t Volume::CopyIn(uint64_t offset, std::span<const uint8_t> data) {
 
 Status Volume::Write(uint64_t offset, std::span<const uint8_t> data,
                      uint32_t* crc) {
-  if (marked_full_) {
-    return Status(ErrorCode::kEndOfMedium, label_ + ": volume marked full");
-  }
   if (offset + data.size() > nominal_capacity_) {
     return OutOfRange(label_ + ": write past nominal end of medium");
   }
@@ -227,7 +224,6 @@ Status Volume::Erase() {
   }
   chunks_.clear();
   written_ranges_.clear();
-  marked_full_ = false;
   high_water_ = 0;
   return OkStatus();
 }

@@ -41,14 +41,12 @@ class Volume {
   uint64_t nominal_capacity() const { return nominal_capacity_; }
   uint64_t actual_capacity() const { return actual_capacity_; }
   bool write_once() const { return write_once_; }
-  bool marked_full() const { return marked_full_; }
   uint64_t bytes_written() const { return bytes_written_; }
   // High-water mark: one past the last byte ever written.
   uint64_t high_water() const { return high_water_; }
 
   // Tests use this to model worse-than-expected compression.
   void SetActualCapacity(uint64_t bytes) { actual_capacity_ = bytes; }
-  void MarkFull() { marked_full_ = true; }
 
   // Reads `out.size()` bytes at `offset`. Unwritten regions read as zero
   // (within nominal capacity). With `crc` set, a successful read also
@@ -78,9 +76,8 @@ class Volume {
   Status Write(uint64_t offset, std::span<const uint8_t> data,
                uint32_t* crc = nullptr);
 
-  // In-place repair of an already-written extent (scrubber support).
-  // Bypasses the full mark — the medium already holds data here — but WORM
-  // media still refuse, and the extent must lie below the high-water mark.
+  // In-place repair of an already-written extent (scrubber support). WORM
+  // media refuse, and the extent must lie below the high-water mark.
   // `crc` as for Write.
   Status Rewrite(uint64_t offset, std::span<const uint8_t> data,
                  uint32_t* crc = nullptr);
@@ -107,7 +104,6 @@ class Volume {
   uint64_t nominal_capacity_;
   uint64_t actual_capacity_;
   bool write_once_;
-  bool marked_full_ = false;
   uint64_t bytes_written_ = 0;
   uint64_t high_water_ = 0;
   FaultChannel* faults_ = nullptr;

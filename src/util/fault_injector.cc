@@ -35,18 +35,6 @@ const char* FaultOutcomeName(FaultOutcome outcome) {
   return "unknown";
 }
 
-namespace {
-
-// SplitMix64 finalizer: a stateless, well-mixed hash for the jitter draw.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 SimTime RetryPolicy::BackoffFor(int retry) const {
   if (retry <= 0) {
     return 0;
@@ -54,32 +42,7 @@ SimTime RetryPolicy::BackoffFor(int retry) const {
   double delay = static_cast<double>(backoff_us) *
                  std::pow(backoff_multiplier, retry - 1);
   double cap = static_cast<double>(max_backoff_us);
-  SimTime clipped = static_cast<SimTime>(std::min(delay, cap));
-  if (jitter > 0.0) {
-    // Factor in [1 - jitter, 1]: jitter only ever shortens a delay, so the
-    // unjittered ladder stays the worst case a caller must budget for.
-    const double u = static_cast<double>(Mix64(
-                         jitter_seed ^ static_cast<uint64_t>(retry)) >>
-                     11) *
-                     (1.0 / 9007199254740992.0);
-    clipped = static_cast<SimTime>(static_cast<double>(clipped) *
-                                   (1.0 - jitter * u));
-  }
-  if (max_total_backoff_us != 0) {
-    const SimTime spent = TotalBackoffThrough(retry - 1);
-    const SimTime budget =
-        spent >= max_total_backoff_us ? 0 : max_total_backoff_us - spent;
-    clipped = std::min(clipped, budget);
-  }
-  return clipped;
-}
-
-SimTime RetryPolicy::TotalBackoffThrough(int retry) const {
-  SimTime total = 0;
-  for (int r = 1; r <= retry; ++r) {
-    total += BackoffFor(r);
-  }
-  return total;
+  return static_cast<SimTime>(std::min(delay, cap));
 }
 
 FaultChannel::FaultChannel(FaultInjector* parent, std::string name,

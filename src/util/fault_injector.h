@@ -53,33 +53,17 @@ struct FaultProfile {
 };
 
 // Bounded retry with exponential backoff, in simulated time. Used by the
-// demand-fetch and copy-out paths; the backoff is charged to the sim clock
-// (sync paths) or folded into the earliest-start of the rescheduled op
-// (write-behind pipeline).
+// demand-fetch, copy-out and scrub paths and the site replicator's WAN
+// transfer; the backoff is charged to the sim clock (sync paths) or folded
+// into the earliest-start of the rescheduled op (write-behind pipeline).
 struct RetryPolicy {
   int max_attempts = 3;                 // Total tries, first attempt included.
   SimTime backoff_us = 10'000;          // Delay before the first retry.
   double backoff_multiplier = 4.0;      // Growth per subsequent retry.
   SimTime max_backoff_us = 10'000'000;  // Cap on any single delay.
-  // Deterministic seeded jitter: each delay is scaled by a factor in
-  // [1 - jitter, 1] drawn from a stateless hash of (jitter_seed, retry), so
-  // synchronized retry ladders (many WAN shippers backing off together)
-  // de-phase without any shared RNG state. 0 (the default) applies no
-  // jitter and reproduces the unjittered delays bit-for-bit.
-  double jitter = 0.0;
-  uint64_t jitter_seed = 0;
-  // Cumulative cap: the summed backoff across every retry of one operation
-  // never exceeds this (0 = uncapped). Keeps an exponential WAN retry
-  // ladder from overshooting a partition window several times over.
-  SimTime max_total_backoff_us = 0;
 
-  // Delay before retry number `retry` (1-based); 0 for retry <= 0. With
-  // max_total_backoff_us set, the delay is clipped to whatever cumulative
-  // budget the earlier retries left.
+  // Delay before retry number `retry` (1-based); 0 for retry <= 0.
   SimTime BackoffFor(int retry) const;
-  // Sum of BackoffFor(1..retry) — the total stall a caller has paid once
-  // retry number `retry` has fired.
-  SimTime TotalBackoffThrough(int retry) const;
 };
 
 class FaultInjector;

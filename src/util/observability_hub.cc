@@ -4,11 +4,18 @@
 
 namespace hl {
 
-ObservabilityHub::ObservabilityHub(SimClock* clock, Config config)
+namespace {
+
+constexpr SimTime kSampleCadenceUs = kUsPerSec;
+constexpr size_t kSeriesCapacity = 4096;
+constexpr size_t kSpanCapacity = 65536;
+
+}  // namespace
+
+ObservabilityHub::ObservabilityHub(SimClock* clock)
     : clock_(clock),
-      config_(config),
-      spans_(clock, config.span_capacity),
-      sampler_(config.sample_cadence_us, config.series_capacity) {}
+      spans_(clock, kSpanCapacity),
+      sampler_(kSampleCadenceUs, kSeriesCapacity) {}
 
 ObservabilityHub::~ObservabilityHub() {
   if (hook_installed_ && clock_ != nullptr) {
@@ -19,7 +26,7 @@ ObservabilityHub::~ObservabilityHub() {
 void ObservabilityHub::Register(std::string label,
                                 const MetricsRegistry* metrics,
                                 const SpanTracer* spans,
-                                TimeSeriesSampler* sampler) {
+                                const TimeSeriesSampler* sampler) {
   Deployment d;
   d.label = std::move(label);
   d.metrics = metrics;
@@ -53,11 +60,6 @@ void ObservabilityHub::InstallTickHook() {
 }
 
 void ObservabilityHub::Poll(SimTime now) {
-  for (Deployment& d : deployments_) {
-    if (d.sampler != nullptr) {
-      d.sampler->Poll(now);
-    }
-  }
   const uint64_t before = sampler_.samples_taken();
   sampler_.Poll(now);
   if (sampler_.samples_taken() != before) {

@@ -51,14 +51,8 @@ struct SloRule {
 
 class ObservabilityHub {
  public:
-  struct Config {
-    SimTime sample_cadence_us = kUsPerSec;
-    size_t series_capacity = 4096;
-    size_t span_capacity = 65536;
-  };
-
-  explicit ObservabilityHub(SimClock* clock) : ObservabilityHub(clock, Config{}) {}
-  ObservabilityHub(SimClock* clock, Config config);
+  // Samples the hub's own series once per sim-second.
+  explicit ObservabilityHub(SimClock* clock);
   ~ObservabilityHub();
   ObservabilityHub(const ObservabilityHub&) = delete;
   ObservabilityHub& operator=(const ObservabilityHub&) = delete;
@@ -73,12 +67,13 @@ class ObservabilityHub {
   const TimeSeriesSampler& timeseries() const { return sampler_; }
 
   // Registers one deployment's observability surfaces under `label`
-  // ("shard0", "siteA", "stager"). Any pointer may be null; `sampler` is
-  // non-const because the hub's tick hook polls it. Registration order is
-  // the namespacing order in MergedSnapshot and the process order in
-  // MergedTimelineJson, so keep it deterministic.
+  // ("shard0", "siteA", "stager"). Any pointer may be null; the hub only
+  // reads `sampler` (the deployment's own tick hook, installed by
+  // HighLightFs::Create, polls it). Registration order is the namespacing
+  // order in MergedSnapshot and the process order in MergedTimelineJson,
+  // so keep it deterministic.
   void Register(std::string label, const MetricsRegistry* metrics,
-                const SpanTracer* spans, TimeSeriesSampler* sampler);
+                const SpanTracer* spans, const TimeSeriesSampler* sampler);
   // hlbench only: the retired event-ring slot, ignored.
   void Register(std::string label, const MetricsRegistry* metrics,
                 const SpanTracer* /*ring*/, const SpanTracer* spans,
@@ -96,12 +91,10 @@ class ObservabilityHub {
   // into the hub registry.
   size_t AddSlo(SloRule rule);
 
-  // Registers the hub's tick hook on the SimClock, fanning each tick out to
-  // every registered deployment sampler, then the hub's own sampler, then
-  // the SLO watcher. The clock supports any number of hooks, so this
-  // composes with the per-deployment hooks HighLightFs::Create installs;
-  // double-polling a sampler at the same instant is a no-op, so the fan-out
-  // stays bit-identical either way. Call after the last Register().
+  // Registers the hub's tick hook on the SimClock: each tick polls the
+  // hub's own sampler, then the SLO watcher. The clock supports any number
+  // of hooks, so this composes with the per-deployment hooks
+  // HighLightFs::Create installs.
   void InstallTickHook();
 
   // The tick-hook body; callable directly in tests.
@@ -126,7 +119,7 @@ class ObservabilityHub {
     std::string label;
     const MetricsRegistry* metrics = nullptr;
     const SpanTracer* spans = nullptr;
-    TimeSeriesSampler* sampler = nullptr;
+    const TimeSeriesSampler* sampler = nullptr;
   };
   struct SloState {
     SloRule rule;
@@ -139,7 +132,6 @@ class ObservabilityHub {
   void EvaluateSlos();
 
   SimClock* clock_;
-  Config config_;
   MetricsRegistry metrics_;
   SpanTracer spans_;
   TimeSeriesSampler sampler_;

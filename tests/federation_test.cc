@@ -2,8 +2,8 @@
 // per-tenant fair share under a hot tenant, drive-token contention across
 // the shared farm, duplicate-recall coalescing, admission-bound rejection,
 // unknown-shard admission, a failed shard batch inside a demand round,
-// quarantine steering onto a replica shard (against real HighLight shards),
-// and population-generator determinism.
+// site failover onto a peer shard (against real HighLight shards) and its
+// counting, and population-generator determinism.
 
 #include <gtest/gtest.h>
 
@@ -81,6 +81,24 @@ class FakeShard : public FetchBackend {
   uint32_t nsegs_;
   SimTime fetch_cost_us_;
   std::set<uint32_t> cached_;
+};
+
+// A scripted SiteHealthProvider: every site is available until marked down.
+class ScriptedSiteHealth : public StagerScheduler::SiteHealthProvider {
+ public:
+  bool SiteAvailable(int site) const override {
+    return down_.count(site) == 0;
+  }
+  void SetDown(int site, bool down) {
+    if (down) {
+      down_.insert(site);
+    } else {
+      down_.erase(site);
+    }
+  }
+
+ private:
+  std::set<int> down_;
 };
 
 TEST(StagerSchedulerTest, ClassPriorityDemandBeatsMigrationBeatsScrub) {
@@ -369,7 +387,76 @@ TEST(StagerSchedulerTest, CacheHitsCountedFromShardCacheState) {
   EXPECT_EQ(stager.Metrics().Value("stager.cache_hits"), 1u);
 }
 
-// --- Quarantine steering against real HighLight shards --------------------
+TEST(FederationTest, FailoverCountsEachRecallOnce) {
+  SimClock clock;
+  FakeShard home(&clock, 8, 1000);
+  FakeShard peer(&clock, 8, 1000);
+  SpanTracer spans(&clock, 256);
+  StagerConfig config;
+  config.max_batch = 1;  // Two of the three recalls wait a round or two.
+  StagerScheduler stager(&clock, config);
+  stager.AddShard(&home);
+  stager.AddShard(&peer);
+  stager.SetShardSite(0, 0);
+  stager.SetShardSite(1, 1);
+  stager.SetFailoverPeer(0, 1);
+  ScriptedSiteHealth health;
+  health.SetDown(0, true);
+  stager.SetSiteHealthProvider(&health);
+  stager.SetSpans(&spans);
+
+  for (uint32_t tseg = 0; tseg < 3; ++tseg) {
+    ASSERT_TRUE(stager.SubmitFetch("alice", 0, tseg).ok());
+  }
+  ASSERT_TRUE(stager.RunUntilIdle().ok());
+
+  // Three rounds, one recall each, all on the peer: each recall counts and
+  // traces one failover, however many rounds it waited for a batch slot.
+  EXPECT_EQ(peer.fetched, (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_TRUE(home.fetched.empty());
+  MetricsSnapshot snap = stager.Metrics();
+  EXPECT_EQ(snap.Value("stager.demand_served"), 3u);
+  EXPECT_EQ(snap.Value("stager.failover_fetches"), 3u);
+  int failover_instants = 0;
+  for (const SpanRecord& span : spans.Completed()) {
+    if (span.name == "site_failover") {
+      failover_instants++;
+    }
+  }
+  EXPECT_EQ(failover_instants, 3);
+}
+
+TEST(FederationTest, DownShardWithoutAHealthyPeerStillServes) {
+  SimClock clock;
+  FakeShard lone(&clock, 8, 1000);  // Site 0, no failover peer.
+  FakeShard home(&clock, 8, 1000);  // Site 1, peer on site 2.
+  FakeShard peer(&clock, 8, 1000);
+  StagerScheduler stager(&clock);
+  const int l = stager.AddShard(&lone);
+  const int h = stager.AddShard(&home);
+  const int q = stager.AddShard(&peer);
+  stager.SetShardSite(l, 0);
+  stager.SetShardSite(h, 1);
+  stager.SetShardSite(q, 2);
+  stager.SetFailoverPeer(h, q);
+  ScriptedSiteHealth health;
+  stager.SetSiteHealthProvider(&health);
+  for (int site : {0, 1, 2}) {
+    health.SetDown(site, true);
+  }
+
+  // Refusing the only copy would strand the data, so both stay home.
+  ASSERT_TRUE(stager.SubmitFetch("alice", l, 4).ok());
+  ASSERT_TRUE(stager.SubmitFetch("alice", h, 5).ok());
+  ASSERT_TRUE(stager.RunUntilIdle().ok());
+  EXPECT_EQ(lone.fetched, std::vector<uint32_t>{4});
+  EXPECT_EQ(home.fetched, std::vector<uint32_t>{5});
+  EXPECT_TRUE(peer.fetched.empty());
+  EXPECT_EQ(stager.ServedFor("alice"), 2u);
+  EXPECT_EQ(stager.Metrics().Value("stager.failover_fetches"), 0u);
+}
+
+// --- Site failover against real HighLight shards ---------------------------
 
 JukeboxProfile TinyJukebox() {
   JukeboxProfile j = Hp6300MoProfile();
@@ -380,7 +467,7 @@ JukeboxProfile TinyJukebox() {
 
 // A small shard with `nfiles` one-segment files migrated to tertiary.
 // Identical inputs produce an identical tertiary layout, which is the
-// replica-pairing contract.
+// failover-peer contract.
 std::unique_ptr<HighLightFs> BuildRealShard(SimClock* clock,
                                             uint32_t nfiles) {
   Result<HighLightConfig> config = HighLightConfig::Builder()
@@ -416,57 +503,50 @@ std::unique_ptr<HighLightFs> BuildRealShard(SimClock* clock,
   return std::move(*hl);
 }
 
-TEST(FederationTest, QuarantinedShardSteersFetchesToReplica) {
+TEST(FederationTest, DownShardFailsOverToItsPeer) {
   SimClock clock;
   auto primary = BuildRealShard(&clock, 6);
-  auto replica = BuildRealShard(&clock, 6);
+  auto peer = BuildRealShard(&clock, 6);
   ASSERT_NE(primary, nullptr);
-  ASSERT_NE(replica, nullptr);
-  // Replica contract: same construction, same tertiary layout.
-  ASSERT_EQ(primary->FetchableSegments(), replica->FetchableSegments());
+  ASSERT_NE(peer, nullptr);
+  // Peer contract: same construction, same tertiary layout.
+  ASSERT_EQ(primary->FetchableSegments(), peer->FetchableSegments());
 
   StagerScheduler stager(&clock);
   int p = stager.AddShard(primary.get());
-  int r = stager.AddShard(replica.get());
-  stager.SetReplicaShard(p, r);
+  int q = stager.AddShard(peer.get());
+  stager.SetShardSite(p, 0);
+  stager.SetShardSite(q, 1);
+  stager.SetFailoverPeer(p, q);
+  ScriptedSiteHealth health;
+  stager.SetSiteHealthProvider(&health);
 
   std::vector<uint32_t> pool = primary->FetchableSegments();
-  ASSERT_FALSE(pool.empty());
+  ASSERT_GE(pool.size(), 3u);
 
-  // Healthy: the primary serves its own recalls.
+  // Primary's site up: the primary serves its own recalls.
   ASSERT_TRUE(stager.SubmitFetch("alice", p, pool[0]).ok());
   ASSERT_TRUE(stager.RunUntilIdle().ok());
   EXPECT_EQ(primary->Metrics().Value("service.demand_fetches"), 1u);
-  EXPECT_EQ(replica->Metrics().Value("service.demand_fetches"), 0u);
+  EXPECT_EQ(peer->Metrics().Value("service.demand_fetches"), 0u);
+  EXPECT_EQ(stager.Metrics().Value("stager.failover_fetches"), 0u);
 
-  // Quarantined: recalls steer to the replica shard.
-  stager.SetShardQuarantined(p, true);
-  EXPECT_TRUE(stager.ShardQuarantined(p));
+  // Primary's site down: the recall fails over to the peer.
+  health.SetDown(0, true);
   ASSERT_TRUE(stager.SubmitFetch("alice", p, pool[1]).ok());
   ASSERT_TRUE(stager.RunUntilIdle().ok());
   EXPECT_EQ(primary->Metrics().Value("service.demand_fetches"), 1u);
-  EXPECT_EQ(replica->Metrics().Value("service.demand_fetches"), 1u);
-  EXPECT_EQ(stager.Metrics().Value("stager.steered_to_replica"), 1u);
+  EXPECT_EQ(peer->Metrics().Value("service.demand_fetches"), 1u);
+  EXPECT_EQ(stager.Metrics().Value("stager.failover_fetches"), 1u);
 
-  // Rehabilitated: recalls return to the primary.
-  stager.SetShardQuarantined(p, false);
+  // Site back: recalls return to the primary.
+  health.SetDown(0, false);
   ASSERT_TRUE(stager.SubmitFetch("alice", p, pool[2]).ok());
   ASSERT_TRUE(stager.RunUntilIdle().ok());
   EXPECT_EQ(primary->Metrics().Value("service.demand_fetches"), 2u);
+  EXPECT_EQ(peer->Metrics().Value("service.demand_fetches"), 1u);
+  EXPECT_EQ(stager.Metrics().Value("stager.failover_fetches"), 1u);
   EXPECT_EQ(stager.ServedFor("alice"), 3u);
-}
-
-TEST(FederationTest, QuarantinedReplicalessShardStillServes) {
-  SimClock clock;
-  FakeShard shard(&clock, 8, 1000);
-  StagerScheduler stager(&clock);
-  stager.AddShard(&shard);
-  stager.SetShardQuarantined(0, true);
-
-  ASSERT_TRUE(stager.SubmitFetch("alice", 0, 4).ok());
-  ASSERT_TRUE(stager.RunUntilIdle().ok());
-  EXPECT_EQ(shard.fetched, std::vector<uint32_t>{4});
-  EXPECT_EQ(stager.Metrics().Value("stager.steered_to_replica"), 0u);
 }
 
 // --- Population generator -------------------------------------------------

@@ -1,4 +1,5 @@
 // Cross-site replication tests: async segment shipping over a faulty WAN,
+// a remote-repair fetch that never hands back corrupted bytes,
 // anti-entropy rounds that resume across partitions without re-shipping
 // synced segments, the durable replication ledger surviving crash+remount,
 // site failover fanning a coalesced in-flight recall out to every waiter,
@@ -203,6 +204,44 @@ TEST(SiteReplicatorTest, InFlightCorruptionIsCaughtAndResent) {
   ASSERT_TRUE(a.SegmentCrc(7, &crc_a));
   ASSERT_TRUE(b.SegmentCrc(7, &crc_b));
   EXPECT_EQ(crc_a, crc_b);
+}
+
+TEST(SiteReplicatorTest, FetchVerifiedImageRejectsCorruptDeliveries) {
+  SimClock clock;
+  FaultInjector faults(&clock);
+  FakeSiteStore a(kSegBytes);
+  FakeSiteStore b(kSegBytes);
+  b.AddSegment(7, 42);
+
+  SiteReplicator repl(&clock);
+  int sa = repl.AddSite("a", &a);
+  int sb = repl.AddSite("b", &b);
+  WanLink link("a-b", &clock);
+  FaultChannel* channel = faults.Channel("wan.a-b");
+  link.AttachFaults(channel);
+  repl.SetLink(sa, sb, &link);
+
+  // Every delivery corrupts: the retry budget burns on the one peer and
+  // the fetch returns an error, never the corrupted bytes.
+  FaultProfile lossy;
+  lossy.read_corrupt_p = 1.0;
+  channel->set_profile(lossy);
+  Result<std::vector<uint8_t>> corrupt = repl.FetchVerifiedImage(sa, 7);
+  EXPECT_EQ(corrupt.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(repl.Metrics().Value("site.corrupt_transfers"), 3u);
+  EXPECT_EQ(repl.Metrics().Value("site.bytes_shipped"), 0u);
+
+  // Link heals: the fetch returns the peer's verified image.
+  channel->set_profile(FaultProfile{});
+  Result<std::vector<uint8_t>> healed = repl.FetchVerifiedImage(sa, 7);
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  Result<std::vector<uint8_t>> peer_image = b.ReadSegmentImage(7);
+  ASSERT_TRUE(peer_image.ok());
+  EXPECT_EQ(*healed, *peer_image);
+  EXPECT_EQ(repl.Metrics().Value("site.corrupt_transfers"), 3u);
+  EXPECT_EQ(repl.Metrics().Value("site.bytes_shipped"), kSegBytes);
+  // A fetch hands the image to its caller; nothing is installed.
+  EXPECT_EQ(a.installs, 0);
 }
 
 TEST(SiteReplicatorTest, PartitionMidAntiEntropyResumesWithoutReshipping) {

@@ -49,12 +49,6 @@ TEST(VolumeTest, EndOfMediumOnShortCapacity) {
   }
 }
 
-TEST(VolumeTest, MarkedFullRefusesWrites) {
-  Volume v("t0", 1 << 20);
-  v.MarkFull();
-  EXPECT_EQ(v.Write(0, Fill(16, 0)).code(), ErrorCode::kEndOfMedium);
-}
-
 TEST(VolumeTest, WormRefusesRewrite) {
   Volume v("w0", 1 << 20, /*write_once=*/true);
   auto data = Fill(4096, 2);
@@ -71,9 +65,7 @@ TEST(VolumeTest, WormRefusesRewrite) {
 TEST(VolumeTest, EraseResetsRewritable) {
   Volume v("t0", 1 << 20);
   ASSERT_TRUE(v.Write(0, Fill(4096, 3)).ok());
-  v.MarkFull();
   ASSERT_TRUE(v.Erase().ok());
-  EXPECT_FALSE(v.marked_full());
   EXPECT_TRUE(v.Write(0, Fill(4096, 4)).ok());
 }
 
@@ -151,19 +143,6 @@ TEST(FootprintTest, FlatVolumeNamespace) {
   EXPECT_EQ(out, data);
   // WORM behaviour carries through the flat namespace.
   EXPECT_EQ(fp.Write(32, 0, data).code(), ErrorCode::kNotSupported);
-}
-
-TEST(FootprintTest, VolumeFullBookkeeping) {
-  SimClock clock;
-  Jukebox a(Hp6300MoProfile(), &clock);
-  Footprint fp({&a});
-  ASSERT_TRUE(fp.MarkVolumeFull(3).ok());
-  Result<bool> full = fp.VolumeFull(3);
-  ASSERT_TRUE(full.ok());
-  EXPECT_TRUE(*full);
-  EXPECT_EQ(fp.Write(3, 0, Fill(16, 0)).code(), ErrorCode::kEndOfMedium);
-  ASSERT_TRUE(fp.EraseVolume(3).ok());
-  EXPECT_FALSE(*fp.VolumeFull(3));
 }
 
 TEST(FootprintTest, RejectsUnknownVolume) {

@@ -419,59 +419,6 @@ TEST(RetryPolicyTest, BackoffGrowsAndSaturates) {
   EXPECT_EQ(p.BackoffFor(10), 10'000u);
 }
 
-TEST(RetryPolicyTest, SeededJitterIsDeterministicAndOnlyShortens) {
-  RetryPolicy plain;
-  plain.backoff_us = 1000;
-  plain.backoff_multiplier = 4.0;
-  plain.max_backoff_us = 10'000;
-
-  RetryPolicy jittered = plain;
-  jittered.jitter = 0.5;
-  jittered.jitter_seed = 0xABCDEF;
-  RetryPolicy same_seed = jittered;
-  RetryPolicy other_seed = jittered;
-  other_seed.jitter_seed = 0x123456;
-
-  bool any_differs = false;
-  for (int retry = 1; retry <= 8; ++retry) {
-    const SimTime base = plain.BackoffFor(retry);
-    const SimTime j = jittered.BackoffFor(retry);
-    // Jitter only shortens, never lengthens, and stays within the factor.
-    EXPECT_LE(j, base);
-    EXPECT_GE(j, base / 2);
-    // Same seed, same schedule — bit for bit.
-    EXPECT_EQ(j, same_seed.BackoffFor(retry));
-    any_differs |= (other_seed.BackoffFor(retry) != j);
-  }
-  // Different seeds de-phase the ladder somewhere.
-  EXPECT_TRUE(any_differs);
-}
-
-TEST(RetryPolicyTest, ZeroJitterIsBitIdenticalToLegacySchedule) {
-  RetryPolicy legacy;
-  RetryPolicy extended;
-  extended.jitter = 0.0;
-  extended.jitter_seed = 77;  // Ignored while jitter is 0.
-  for (int retry = 0; retry <= 10; ++retry) {
-    EXPECT_EQ(extended.BackoffFor(retry), legacy.BackoffFor(retry));
-  }
-}
-
-TEST(RetryPolicyTest, CumulativeCapBoundsTotalStall) {
-  RetryPolicy p;
-  p.backoff_us = 1000;
-  p.backoff_multiplier = 4.0;
-  p.max_backoff_us = 100'000;
-  p.max_total_backoff_us = 6000;
-  // Uncapped schedule would be 1000, 4000, 16000, ... The cumulative cap
-  // clips the third retry to the leftover budget and zeroes the rest.
-  EXPECT_EQ(p.BackoffFor(1), 1000u);
-  EXPECT_EQ(p.BackoffFor(2), 4000u);
-  EXPECT_EQ(p.BackoffFor(3), 1000u);
-  EXPECT_EQ(p.BackoffFor(4), 0u);
-  EXPECT_EQ(p.TotalBackoffThrough(10), 6000u);
-}
-
 TEST(HealthRegistryTest, FailuresEscalateAndSuccessesHeal) {
   HealthPolicy policy;
   policy.suspect_after = 2;

@@ -16,8 +16,9 @@ With --metrics, compares the registry snapshots (the "metrics" section)
 of two fresh runs of the same bench instead, e.g. a run of the parent
 commit against a run of a change. Each registry name whose counter, gauge
 or histogram moved (or appears in only one run) is printed once, with the
-deployment prefixes a federation or site bench adds ("shard3.",
-"siteB.") folded away, so one moved name reads the same in every bench.
+deployment prefixes a federation or site bench adds ("shard3.", "siteB.",
+and the hub's "stager." / "replicator." labels in front of a dotted name)
+folded away, so one moved name reads the same in every bench.
 This catches a registry-only move that the headline values never show.
 The "engine." gauges size the host's allocation pools, not the simulation,
 and are skipped, as the hlbench sim digest skips them.
@@ -30,8 +31,13 @@ import json
 import re
 import sys
 
-# Registry prefixes of one deployment inside a federation or site bench.
-DEPLOYMENT_PREFIX = re.compile(r"^(?:shard\d+|site[A-Z][A-Za-z0-9]*)\.")
+# Registry prefixes of one deployment inside a federation or site bench:
+# "shard3.", "siteB.", and the observability hub's "stager." and
+# "replicator." labels when a dotted registry name follows them
+# ("stager.stager.failover_fetches", "replicator.site.ship_failures").
+DEPLOYMENT_PREFIX = re.compile(
+    r"^(?:shard\d+\.|site[A-Z][A-Za-z0-9]*\."
+    r"|(?:stager|replicator)\.(?=[^.]+\.))")
 
 
 def load(path):

@@ -296,7 +296,7 @@ Status HighLightFs::WireFsComponents() {
     return !(u.flags & kSegClean) && !(u.flags & kSegReplica);
   });
   blockmap_->SetFetchHandler([service = service_.get()](uint32_t tseg) {
-    return service->DemandFetch(tseg);
+    return service->DemandFetch(tseg).status();
   });
 
   migrator_ = std::make_unique<Migrator>(fs_.get(), blockmap_.get(),
@@ -441,24 +441,16 @@ std::vector<uint32_t> HighLightFs::FetchableSegments() const {
 }
 
 Result<FetchOutcome> HighLightFs::FetchSegment(uint32_t tseg) {
-  FetchOutcome outcome;
-  outcome.tseg = tseg;
   const SimTime t0 = clock_->Now();
-  outcome.status = service_->DemandFetch(tseg);
-  outcome.delay_us = clock_->Now() - t0;
-  return outcome;
+  Result<SimTime> served = service_->DemandFetch(tseg);
+  // A failed fetch reports the time it took to fail.
+  return FetchOutcome{tseg, served.status(),
+                      served.ok() ? *served : clock_->Now() - t0};
 }
 
 Result<std::vector<FetchOutcome>> HighLightFs::FetchBatch(
     const std::vector<uint32_t>& tsegs) {
-  ASSIGN_OR_RETURN(std::vector<ServiceProcess::BatchFetchResult> results,
-                   service_->DemandFetchBatch(tsegs));
-  std::vector<FetchOutcome> outcomes;
-  outcomes.reserve(results.size());
-  for (const auto& r : results) {
-    outcomes.push_back({r.tseg, r.status, r.delay_us});
-  }
-  return outcomes;
+  return service_->DemandFetchBatch(tsegs);
 }
 
 Result<uint32_t> HighLightFs::ScrubStep(uint32_t max_segments) {

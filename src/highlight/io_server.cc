@@ -101,6 +101,17 @@ SimTime IoServer::CopyTime() const {
   return kCpuCopyUsPerMb * amap_->SegBytes() / (1024 * 1024);
 }
 
+void IoServer::ReportHealth(uint32_t volume, const Status& s) {
+  if (health_ == nullptr) {
+    return;
+  }
+  if (s.ok()) {
+    health_->RecordVolumeSuccess(volume);
+  } else if (Retryable(s)) {
+    health_->RecordVolumeFailure(volume);
+  }
+}
+
 Status IoServer::RetrySync(uint32_t tseg, uint32_t volume,
                            const std::function<Status()>& attempt) {
   Status s = OkStatus();
@@ -117,13 +128,7 @@ Status IoServer::RetrySync(uint32_t tseg, uint32_t volume,
       clock_->Advance(backoff);
     }
     s = attempt();
-    if (health_ != nullptr) {
-      if (s.ok()) {
-        health_->RecordVolumeSuccess(volume);
-      } else if (Retryable(s)) {
-        health_->RecordVolumeFailure(volume);
-      }
-    }
+    ReportHealth(volume, s);
     if (s.ok() || !Retryable(s)) {
       return s;
     }
@@ -138,13 +143,7 @@ Result<SimTime> IoServer::ScheduleWithRetry(
   SimTime earliest = t0;
   for (int try_no = 1;; ++try_no) {
     Result<SimTime> end = attempt(earliest);
-    if (health_ != nullptr) {
-      if (end.ok()) {
-        health_->RecordVolumeSuccess(volume);
-      } else if (Retryable(end.status())) {
-        health_->RecordVolumeFailure(volume);
-      }
-    }
+    ReportHealth(volume, end.status());
     if (end.ok()) {
       if (spans_ != nullptr) {
         spans_->AddComplete(span, "tertiary", parent, earliest, *end);
@@ -248,16 +247,13 @@ Status IoServer::InstallFetched(uint32_t tseg, uint32_t disk_seg,
   return OkStatus();
 }
 
-Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
-  FetchedImage image;
-  SpanScope fetch(spans_, "fetch", "io");
-  fetch.Annotate("tseg", std::to_string(tseg));
-  const SimTime fetch_start = clock_->Now();
+Result<uint32_t> IoServer::ReadClosestCopy(
+    uint32_t tseg, SpanId span,
+    const std::function<Status(uint32_t source)>& read_copy) {
   std::vector<uint32_t> candidates = SourceCandidates(tseg);
-  uint32_t served_from = tseg;
   Status last =
       IoError("tseg " + std::to_string(tseg) + ": no tertiary copy");
-  bool got = false;
+  uint32_t served_from = tseg;
   for (size_t i = 0; i < candidates.size(); ++i) {
     SpanScope failover;  // Each extra source tried is a failover child.
     if (i > 0) {
@@ -266,20 +262,33 @@ Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
       failover.Annotate("tseg", std::to_string(tseg));
       failover.Annotate("source", std::to_string(candidates[i]));
     }
-    last = ReadTertiaryCopy(candidates[i], &image);
+    last = read_copy(candidates[i]);
     if (last.ok()) {
       served_from = candidates[i];
-      got = true;
       break;
     }
   }
-  if (!got) {
+  if (!last.ok()) {
     return last;
   }
   if (served_from != tseg) {
     stats_.replica_reads++;
-    fetch.Annotate("served_from", std::to_string(served_from));
+    if (spans_ != nullptr) {
+      spans_->Annotate(span, "served_from", std::to_string(served_from));
+    }
   }
+  return served_from;
+}
+
+Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
+  FetchedImage image;
+  SpanScope fetch(spans_, "fetch", "io");
+  fetch.Annotate("tseg", std::to_string(tseg));
+  const SimTime fetch_start = clock_->Now();
+  Result<uint32_t> served_from = ReadClosestCopy(
+      tseg, fetch.id(),
+      [&](uint32_t source) { return ReadTertiaryCopy(source, &image); });
+  RETURN_IF_ERROR(served_from.status());
   RETURN_IF_ERROR(InstallFetched(tseg, disk_seg, image));
   fetch_latency_us_.Observe(clock_->Now() - fetch_start);
   return OkStatus();
@@ -552,13 +561,7 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
   // reports to the volume's health like every other tertiary read.
   const Status s =
       end.ok() ? VerifyCrc(source, read_crc, volume) : end.status();
-  if (health_ != nullptr) {
-    if (s.ok()) {
-      health_->RecordVolumeSuccess(volume);
-    } else if (Retryable(s)) {
-      health_->RecordVolumeFailure(volume);
-    }
-  }
+  ReportHealth(volume, s);
   if (!s.ok()) {
     if (done) {
       done(s, 0);
@@ -740,51 +743,32 @@ Status IoServer::IssueRead(PendingOp& op) {
   issue.Annotate("tseg", std::to_string(op.tseg));
 
   const SimTime issue_start = clock_->Now();
-  std::vector<uint32_t> candidates = SourceCandidates(op.tseg);
-  Status last =
-      IoError("tseg " + std::to_string(op.tseg) + ": no tertiary copy");
-  uint32_t served_from = op.tseg;
   SimTime end_time = 0;
-  bool got = false;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    SpanScope failover;  // Each extra source tried is a failover child.
-    if (i > 0) {
-      stats_.failovers++;
-      failover = SpanScope(spans_, "failover", "io");
-      failover.Annotate("tseg", std::to_string(op.tseg));
-      failover.Annotate("source", std::to_string(candidates[i]));
-    }
-    const uint32_t source = candidates[i];
-    const uint32_t volume = amap_->VolumeOfTseg(source);
-    Result<SimTime> end = ScheduleWithRetry(
-        source, volume, "tertiary_read", issue.id(),
-        [&](SimTime earliest) -> Result<SimTime> {
-          uint32_t crc = 0;
-          Result<SimTime> done =
-              ScheduleSourceRead(earliest, source, to_line, &image, &crc);
-          // Data moves synchronously even though device time completes
-          // later, so the image is CRC-checked now; a corrupt read retries
-          // like an I/O error.
-          if (!done.ok()) {
-            return done;
-          }
-          RETURN_IF_ERROR(VerifyCrc(source, crc, volume));
-          return done;
-        });
-    last = end.status();
-    if (end.ok()) {
-      end_time = *end;
-      served_from = candidates[i];
-      got = true;
-      break;
-    }
-  }
-  if (!got) {
-    return DeliverRead(op, last, 0);
-  }
-  if (served_from != op.tseg) {
-    stats_.replica_reads++;
-    issue.Annotate("served_from", std::to_string(served_from));
+  Result<uint32_t> served_from =
+      ReadClosestCopy(op.tseg, issue.id(), [&](uint32_t source) {
+        const uint32_t volume = amap_->VolumeOfTseg(source);
+        Result<SimTime> end = ScheduleWithRetry(
+            source, volume, "tertiary_read", issue.id(),
+            [&](SimTime earliest) -> Result<SimTime> {
+              uint32_t crc = 0;
+              Result<SimTime> done =
+                  ScheduleSourceRead(earliest, source, to_line, &image, &crc);
+              // Data moves synchronously even though device time completes
+              // later, so the image is CRC-checked now; a corrupt read
+              // retries like an I/O error.
+              if (!done.ok()) {
+                return done;
+              }
+              RETURN_IF_ERROR(VerifyCrc(source, crc, volume));
+              return done;
+            });
+        if (end.ok()) {
+          end_time = *end;
+        }
+        return end.status();
+      });
+  if (!served_from.ok()) {
+    return DeliverRead(op, served_from.status(), 0);
   }
 
   SimTime ready = end_time;
@@ -799,7 +783,7 @@ Status IoServer::IssueRead(PendingOp& op) {
     ready = std::max(ready, clock_->Now());
   }
   outstanding_.insert(end_time);
-  last_read_volume_ = amap_->VolumeOfTseg(served_from);
+  last_read_volume_ = amap_->VolumeOfTseg(*served_from);
   if (demand) {
     fetch_latency_us_.Observe(ready - op.enqueued_at);
   } else {

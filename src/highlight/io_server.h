@@ -30,6 +30,11 @@
 // the oldest op. Drain() is the completion barrier synchronous copy-outs,
 // FlushStaging and checkpoints use.
 //
+// Source failover: FetchSegment and queued reads walk a segment's copies
+// closest-first in one loop (ReadClosestCopy), reading each copy under
+// their own retry loop; every try reports to its volume's health in one
+// place (ReportHealth).
+//
 // Time is attributed to the phases Table 4 reports: "footprint" (tertiary
 // transfers including swaps/seeks), "ioserver" (raw disk copies + the
 // modelled memory copies), and "queuing" (request handling), via the shared
@@ -318,9 +323,19 @@ class IoServer {
   Result<SimTime> ScheduleSourceRead(SimTime earliest, uint32_t source,
                                      bool to_line, FetchedImage* image,
                                      uint32_t* crc);
+  // Tries `read_copy` on each copy of `tseg` closest-first until one
+  // succeeds; every extra copy tried is a failover (and a "failover" span),
+  // a replica that serves is a replica read (`served_from` on `span`).
+  // Returns the copy that served, else the last copy's error.
+  Result<uint32_t> ReadClosestCopy(
+      uint32_t tseg, SpanId span,
+      const std::function<Status(uint32_t source)>& read_copy);
   // FetchSegment's read of one source with retry/backoff, health recording
   // and CRC verification of the fetched image.
   Status ReadTertiaryCopy(uint32_t source, FetchedImage* image);
+  // Reports one tertiary try to its volume's health: a success, or a
+  // retryable failure (end of medium says nothing about the medium).
+  void ReportHealth(uint32_t volume, const Status& s);
   // FetchSegment's retry loop: runs `attempt` (a sync op advancing the clock
   // itself) up to retry_.max_attempts times, charging backoff to the clock
   // between tries and recording per-volume outcomes.

@@ -6,8 +6,8 @@
 
 namespace hl {
 
-SegmentCache::SegmentCache(Lfs* fs, CacheReplacement policy, uint64_t rng_seed)
-    : fs_(fs), policy_(policy), rng_(rng_seed) {}
+SegmentCache::SegmentCache(Lfs* fs, CacheReplacement policy)
+    : fs_(fs), policy_(policy) {}
 
 SegmentCache::LineInfo* SegmentCache::FindLine(uint32_t tseg) {
   auto it = directory_.find(tseg);
@@ -345,11 +345,6 @@ bool SegmentCache::Installing(uint32_t tseg) {
 SimTime SegmentCache::InstallReadyAt(uint32_t tseg) const {
   const LineInfo* line = FindLine(tseg);
   return line == nullptr ? 0 : line->ready_at;
-}
-
-void SegmentCache::NoteInflightWait(uint32_t tseg) {
-  (void)tseg;
-  ++inflight_waits_;
 }
 
 Status SegmentCache::Resize(uint32_t new_capacity) {

@@ -39,7 +39,7 @@ class SegmentCache {
  public:
   // `fs` supplies the segment-usage table (cache tags are mirrored there so
   // the ifile stays authoritative across mounts).
-  SegmentCache(Lfs* fs, CacheReplacement policy, uint64_t rng_seed = 1);
+  SegmentCache(Lfs* fs, CacheReplacement policy);
 
   // Discovers the cache-eligible disk segments (call once after mkfs/mount).
   // On mount it restores the staging lines from the ifile's cache tags and
@@ -73,7 +73,7 @@ class SegmentCache {
   bool Installing(uint32_t tseg);
   SimTime InstallReadyAt(uint32_t tseg) const;
   // Counts a demand fault that coalesced onto an in-flight install.
-  void NoteInflightWait(uint32_t tseg);
+  void NoteInflightWait() { ++inflight_waits_; }
 
   // Records an access for replacement bookkeeping.
   void Touch(uint32_t tseg);
@@ -161,7 +161,7 @@ class SegmentCache {
 
   Lfs* fs_;
   CacheReplacement policy_;
-  Rng rng_;
+  Rng rng_{1};  // kRandom victim picks; a fixed seed keeps runs repeatable.
   std::vector<uint32_t> pool_;           // Cache-eligible disk segments.
   std::vector<uint32_t> free_;           // Unused pool segments.
   // Line slots (recycled through line_free_) + O(1) tseg -> slot index.

@@ -20,15 +20,9 @@ void ServiceProcess::AttachMetrics(MetricsRegistry* registry) {
 }
 
 Status ServiceProcess::FetchIntoCache(uint32_t tseg, bool is_prefetch) {
-  if (cache_->Installing(tseg)) {
-    // Already being fetched (a queued prefetch install or a concurrent
-    // fault): piggyback instead of paying a second transfer.
-    if (is_prefetch) {
-      return OkStatus();
-    }
-    return AwaitInflight(tseg);
-  }
-  if (cache_->Lookup(tseg) != kNoSegment) {
+  if (cache_->Installing(tseg) || cache_->Lookup(tseg) != kNoSegment) {
+    // Cached, or already being fetched (a queued prefetch install; a demand
+    // fault rides such a fetch in ServeFaults before it gets here).
     return OkStatus();
   }
   auto pending = pending_prefetch_.find(tseg);
@@ -63,7 +57,8 @@ Status ServiceProcess::FetchIntoCache(uint32_t tseg, bool is_prefetch) {
     return OkStatus();
   }
   if (async_reads_) {
-    return is_prefetch ? AsyncPrefetch(tseg) : AsyncDemandFetch(tseg);
+    // ServeFaults queues an async demand miss itself.
+    return AsyncPrefetch(tseg);
   }
   Result<uint32_t> line =
       cache_->AllocLine(tseg, /*staging=*/false, /*prefetched=*/is_prefetch);
@@ -80,63 +75,6 @@ Status ServiceProcess::FetchIntoCache(uint32_t tseg, bool is_prefetch) {
     stats_.prefetches++;
   }
   return OkStatus();
-}
-
-Status ServiceProcess::AwaitInflight(uint32_t tseg) {
-  SpanScope span(spans_, "inflight_wait", "service");
-  span.Annotate("tseg", std::to_string(tseg));
-  cache_->NoteInflightWait(tseg);
-  RETURN_IF_ERROR(io_->EnsureReadIssued(tseg));
-  if (cache_->Lookup(tseg) == kNoSegment) {
-    // The fetch we piggybacked on failed and was torn down.
-    return IoError("tseg " + std::to_string(tseg) +
-                   ": in-flight fetch failed");
-  }
-  const SimTime ready = cache_->InstallReadyAt(tseg);
-  if (ready > clock_->Now()) {
-    clock_->AdvanceTo(ready);
-  }
-  return cache_->FinishInstall(tseg);
-}
-
-Status ServiceProcess::AsyncDemandFetch(uint32_t tseg) {
-  ASSIGN_OR_RETURN(uint32_t line,
-                   cache_->BeginInstall(tseg, /*prefetched=*/false));
-  const bool promoted = io_->ReadQueued(tseg);
-  Status result = OkStatus();
-  SimTime ready = 0;
-  // The completion runs at issue time, which EnsureReadIssued forces before
-  // this frame returns, so capturing locals by reference is safe.
-  Status pipeline = io_->EnqueueDemandRead(
-      tseg, line, [this, tseg, &result, &ready](const Status& st, SimTime r) {
-        result = st;
-        ready = r;
-        if (st.ok()) {
-          cache_->SetInstallReady(tseg, r);
-        }
-      });
-  if (pipeline.ok()) {
-    pipeline = io_->EnsureReadIssued(tseg);
-  }
-  if (!pipeline.ok()) {
-    // Neutralize the queued waiter (its captures die with this frame)
-    // before releasing the line.
-    (void)io_->CancelQueuedRead(tseg, pipeline);
-    (void)cache_->AbortInstall(tseg);
-    return pipeline;
-  }
-  if (promoted) {
-    // A queued read-ahead predicted this miss; the demand rode it.
-    stats_.readaheads_consumed++;
-  }
-  if (!result.ok()) {
-    (void)cache_->AbortInstall(tseg);
-    return result;
-  }
-  if (ready > clock_->Now()) {
-    clock_->AdvanceTo(ready);
-  }
-  return cache_->FinishInstall(tseg);
 }
 
 Status ServiceProcess::AsyncPrefetch(uint32_t tseg) {
@@ -167,25 +105,11 @@ void ServiceProcess::DropPendingPrefetches() {
   stats_.readaheads_wasted += io_->CancelQueuedPrefetchReads();
 }
 
-Status ServiceProcess::DemandFetch(uint32_t tseg) {
+Result<SimTime> ServiceProcess::DemandFetch(uint32_t tseg) {
   SpanScope span(spans_, "demand_fetch", "service");
   span.Annotate("tseg", std::to_string(tseg));
-  SimTime t0 = clock_->Now();
-  clock_->Advance(kKernelRequestUs);
-  io_->phases().Add(io_->phase_queuing(), clock_->Now() - t0);
-
-  if (notifier_ && cache_->Lookup(tseg) == kNoSegment) {
-    SimTime estimate = fetch_time_samples_ == 0
-                           ? 0
-                           : fetch_time_total_ / fetch_time_samples_;
-    notifier_(tseg, estimate);
-  }
-  stats_.demand_fetches++;
-  SimTime fetch_start = clock_->Now();
-  RETURN_IF_ERROR(FetchIntoCache(tseg, /*is_prefetch=*/false));
-  fetch_time_total_ += clock_->Now() - fetch_start;
-  fetch_time_samples_++;
-  demand_latency_us_.Observe(clock_->Now() - fetch_start);
+  ASSIGN_OR_RETURN(std::vector<FetchOutcome> served, ServeFaults({tseg}));
+  RETURN_IF_ERROR(served[0].status);
 
   if (prefetch_) {
     for (uint32_t extra : prefetch_(tseg)) {
@@ -204,7 +128,7 @@ Status ServiceProcess::DemandFetch(uint32_t tseg) {
     }
   }
   MaybeReadahead(tseg);
-  return OkStatus();
+  return served[0].delay_us;
 }
 
 void ServiceProcess::MaybeReadahead(uint32_t tseg) {
@@ -260,131 +184,109 @@ void ServiceProcess::MaybeReadahead(uint32_t tseg) {
   stats_.readaheads_issued++;
 }
 
-Result<std::vector<ServiceProcess::BatchFetchResult>>
-ServiceProcess::DemandFetchBatch(const std::vector<uint32_t>& tsegs) {
+Result<std::vector<FetchOutcome>> ServiceProcess::DemandFetchBatch(
+    const std::vector<uint32_t>& tsegs) {
   SpanScope span(spans_, "fetch_batch", "service");
   span.Annotate("requests", std::to_string(tsegs.size()));
+  return ServeFaults(tsegs);
+}
+
+Result<std::vector<FetchOutcome>> ServiceProcess::ServeFaults(
+    const std::vector<uint32_t>& tsegs) {
   const SimTime t0 = clock_->Now();
-  std::vector<BatchFetchResult> out(tsegs.size());
-  for (size_t i = 0; i < tsegs.size(); ++i) {
-    out[i].tseg = tsegs[i];
-  }
+  std::vector<FetchOutcome> out(tsegs.size());
+  // When each request's segment became usable (or its service failed).
+  std::vector<SimTime> ready(tsegs.size(), t0);
+  // kInline requests are done when admitted; the pipeline serves the owner
+  // of a queued read and a waiter on a fetch already in flight.
+  enum class Role { kInline, kOwner, kWaiter };
+  std::vector<Role> role(tsegs.size(), Role::kInline);
+  bool held = false;
 
-  if (!async_reads_) {
-    // Synchronous service: strictly in order, each request waiting out the
-    // full transfers (and media swaps) of all of its predecessors.
-    for (size_t i = 0; i < tsegs.size(); ++i) {
-      SimTime q0 = clock_->Now();
-      clock_->Advance(kKernelRequestUs);
-      io_->phases().Add(io_->phase_queuing(), clock_->Now() - q0);
-      stats_.demand_fetches++;
-      SimTime start = clock_->Now();
-      out[i].status = FetchIntoCache(tsegs[i], /*is_prefetch=*/false);
-      out[i].delay_us = clock_->Now() - t0;
-      if (out[i].status.ok()) {
-        fetch_time_total_ += clock_->Now() - start;
-        fetch_time_samples_++;
-        demand_latency_us_.Observe(clock_->Now() - start);
-      }
-    }
-    return out;
-  }
-
-  enum class Role { kDone, kOwner, kWaiter, kFailed };
-  struct Slot {
-    Role role = Role::kDone;
-    Status status = OkStatus();
-    SimTime ready = 0;
-  };
-  std::vector<Slot> slots(tsegs.size());
-
-  // Phase 1: enqueue every miss under a hold, so the issue policy sees the
-  // whole batch before the first transfer is placed.
-  io_->HoldReads();
+  // Phase 1: admit each request in order. Serial service, a cache hit and a
+  // buffered read-ahead are served inline; an async miss is queued under a
+  // hold, taken with the first read, so the issue policy sees the whole
+  // batch before the first transfer is placed. A call that queues no read
+  // leaves the queue (and its lazy prefetch reads) alone.
   for (size_t i = 0; i < tsegs.size(); ++i) {
     const uint32_t tseg = tsegs[i];
-    Slot& slot = slots[i];
-    SimTime q0 = clock_->Now();
+    out[i].tseg = tseg;
+    const SimTime q0 = clock_->Now();
     clock_->Advance(kKernelRequestUs);
     io_->phases().Add(io_->phase_queuing(), clock_->Now() - q0);
     stats_.demand_fetches++;
+    if (notifier_ && cache_->Lookup(tseg) == kNoSegment) {
+      notifier_(tseg, fetch_time_samples_ == 0
+                          ? 0
+                          : fetch_time_total_ / fetch_time_samples_);
+    }
     if (cache_->Installing(tseg)) {
-      // Duplicate of an earlier batch entry, or an in-flight prefetch
-      // install: piggyback on the existing fetch.
-      slot.role = Role::kWaiter;
-      cache_->NoteInflightWait(tseg);
+      // Duplicate of an earlier request, or an in-flight prefetch install:
+      // ride the existing fetch instead of paying a second transfer.
+      RecordInstant(spans_, "inflight_wait", "service", "tseg", tseg);
+      cache_->NoteInflightWait();
+      role[i] = Role::kWaiter;
       continue;
     }
-    if (cache_->Lookup(tseg) != kNoSegment) {
-      out[i].delay_us = clock_->Now() - t0;
-      continue;
-    }
-    if (notifier_) {
-      SimTime estimate = fetch_time_samples_ == 0
-                             ? 0
-                             : fetch_time_total_ / fetch_time_samples_;
-      notifier_(tseg, estimate);
-    }
-    if (pending_prefetch_.count(tseg) > 0) {
-      // Buffered read-ahead image: its transfer is already under way on its
-      // own schedule, so install it inline.
-      slot.status = FetchIntoCache(tseg, /*is_prefetch=*/false);
-      if (!slot.status.ok()) {
-        slot.role = Role::kFailed;
-      }
-      out[i].status = slot.status;
-      out[i].delay_us = clock_->Now() - t0;
+    if (!async_reads_ || cache_->Lookup(tseg) != kNoSegment ||
+        pending_prefetch_.count(tseg) > 0) {
+      out[i].status = FetchIntoCache(tseg, /*is_prefetch=*/false);
+      ready[i] = clock_->Now();
       continue;
     }
     Result<uint32_t> line = cache_->BeginInstall(tseg, /*prefetched=*/false);
     if (!line.ok()) {
-      slot.role = Role::kFailed;
-      slot.status = line.status();
-      out[i].status = slot.status;
-      out[i].delay_us = clock_->Now() - t0;
+      out[i].status = line.status();
+      ready[i] = clock_->Now();
       continue;
     }
     if (io_->ReadQueued(tseg)) {
       // A queued read-ahead predicted this miss; the demand rides it.
       stats_.readaheads_consumed++;
     }
-    Slot* sp = &slot;
-    Status enq = io_->EnqueueDemandRead(
-        tseg, *line, [this, tseg, sp](const Status& st, SimTime r) {
-          sp->status = st;
-          sp->ready = r;
+    if (!held) {
+      io_->HoldReads();
+      held = true;
+    }
+    // Under the hold the enqueue only queues: the completion runs when the
+    // read is issued, in phase 2.
+    FetchOutcome* o = &out[i];
+    SimTime* at = &ready[i];
+    Status queued = io_->EnqueueDemandRead(
+        tseg, *line, [this, tseg, o, at](const Status& st, SimTime r) {
+          o->status = st;
+          *at = r;
           if (st.ok()) {
             cache_->SetInstallReady(tseg, r);
           }
         });
-    if (!enq.ok()) {
-      (void)io_->CancelQueuedRead(tseg, enq);
+    if (!queued.ok()) {
+      (void)io_->CancelQueuedRead(tseg, queued);
       (void)cache_->AbortInstall(tseg);
-      slot.role = Role::kFailed;
-      slot.status = enq;
-      out[i].status = enq;
-      out[i].delay_us = clock_->Now() - t0;
+      out[i].status = queued;
+      ready[i] = clock_->Now();
       continue;
     }
-    slot.role = Role::kOwner;
+    role[i] = Role::kOwner;
   }
 
-  // Phase 2: let the elevator sweep the queue, then force every batch read
-  // onto a device. Slot completions capture this frame by pointer, so on a
-  // pipeline error the still-queued reads must be neutralized before the
-  // frame dies.
-  Status pipeline = io_->ReleaseReads();
+  // Phase 2: let the elevator sweep the queue, then force every read this
+  // call waits on onto a device. Completions capture this frame by
+  // pointer, so on a pipeline error the still-queued reads are neutralized
+  // (and their lines released) before the frame dies.
+  Status pipeline = held ? io_->ReleaseReads() : OkStatus();
   for (size_t i = 0; pipeline.ok() && i < tsegs.size(); ++i) {
-    if (slots[i].role == Role::kOwner || slots[i].role == Role::kWaiter) {
+    if (role[i] != Role::kInline) {
       pipeline = io_->EnsureReadIssued(tsegs[i]);
     }
   }
   if (!pipeline.ok()) {
     for (size_t i = 0; i < tsegs.size(); ++i) {
-      if (slots[i].role == Role::kOwner &&
-          io_->CancelQueuedRead(tsegs[i], pipeline) &&
-          cache_->Lookup(tsegs[i]) != kNoSegment) {
-        (void)cache_->AbortInstall(tsegs[i]);
+      if (role[i] == Role::kOwner) {
+        (void)io_->CancelQueuedRead(tsegs[i], pipeline);
+        if (!out[i].status.ok()) {
+          (void)cache_->AbortInstall(tsegs[i]);
+        }
       }
     }
     return pipeline;
@@ -395,45 +297,40 @@ ServiceProcess::DemandFetchBatch(const std::vector<uint32_t>& tsegs) {
   // not the tail of the batch.
   std::vector<size_t> order;
   for (size_t i = 0; i < tsegs.size(); ++i) {
-    Slot& slot = slots[i];
-    if (slot.role == Role::kWaiter) {
-      if (cache_->Lookup(tsegs[i]) == kNoSegment) {
-        // The fetch this request piggybacked on failed and was torn down.
-        slot.role = Role::kFailed;
-        slot.status = IoError("tseg " + std::to_string(tsegs[i]) +
-                              ": in-flight fetch failed");
-        out[i].status = slot.status;
-        out[i].delay_us = clock_->Now() - t0;
-        continue;
-      }
-      slot.ready = cache_->InstallReadyAt(tsegs[i]);
-    }
-    if (slot.role == Role::kOwner && !slot.status.ok()) {
-      if (cache_->Lookup(tsegs[i]) != kNoSegment) {
-        (void)cache_->AbortInstall(tsegs[i]);
-      }
-      slot.role = Role::kFailed;
-      out[i].status = slot.status;
-      out[i].delay_us = clock_->Now() - t0;
+    if (role[i] == Role::kInline) {
       continue;
     }
-    if (slot.role == Role::kOwner || slot.role == Role::kWaiter) {
+    if (role[i] == Role::kWaiter) {
+      if (cache_->Lookup(tsegs[i]) == kNoSegment) {
+        // The fetch this request rode failed and was torn down.
+        out[i].status = IoError("tseg " + std::to_string(tsegs[i]) +
+                                ": in-flight fetch failed");
+      } else {
+        ready[i] = cache_->InstallReadyAt(tsegs[i]);
+      }
+    } else if (!out[i].status.ok()) {
+      (void)cache_->AbortInstall(tsegs[i]);
+    }
+    if (out[i].status.ok()) {
       order.push_back(i);
+    } else {
+      ready[i] = clock_->Now();
     }
   }
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return slots[a].ready != slots[b].ready ? slots[a].ready < slots[b].ready
-                                            : a < b;
+    return ready[a] != ready[b] ? ready[a] < ready[b] : a < b;
   });
   for (size_t i : order) {
-    Slot& slot = slots[i];
-    if (slot.ready > clock_->Now()) {
-      clock_->AdvanceTo(slot.ready);
+    if (ready[i] > clock_->Now()) {
+      clock_->AdvanceTo(ready[i]);
     }
-    Status fin = cache_->FinishInstall(tsegs[i]);
-    out[i].status = fin;
-    out[i].delay_us = std::max(slot.ready, t0) - t0;
-    if (fin.ok()) {
+    out[i].status = cache_->FinishInstall(tsegs[i]);
+  }
+
+  // One delay per request, and one latency sample per served request.
+  for (size_t i = 0; i < tsegs.size(); ++i) {
+    out[i].delay_us = std::max(ready[i], t0) - t0;
+    if (out[i].status.ok()) {
       fetch_time_total_ += out[i].delay_us;
       fetch_time_samples_++;
       demand_latency_us_.Observe(out[i].delay_us);

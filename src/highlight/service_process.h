@@ -6,6 +6,13 @@
 // line in the cache directory, and "restarts" the original I/O. It may also
 // prefetch additional segments based on a pluggable policy (hints from the
 // migrator or observed access patterns, section 5.4).
+//
+// Every demand fault takes one path: a single fault is a batch of one.
+// Each request is admitted (the 2 ms kernel request, the demand count, the
+// slow-access notice for an uncached segment), then served serially or,
+// with the async read pipeline, through one elevator pass; its delay, from
+// the call or batch handoff to the instant its segment is usable, is
+// recorded once.
 
 #ifndef HIGHLIGHT_HIGHLIGHT_SERVICE_PROCESS_H_
 #define HIGHLIGHT_HIGHLIGHT_SERVICE_PROCESS_H_
@@ -16,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "highlight/fetch_backend.h"
 #include "highlight/io_server.h"
 #include "highlight/segment_cache.h"
 #include "sim/sim_clock.h"
@@ -30,9 +38,10 @@ class ServiceProcess {
   ServiceProcess(SegmentCache* cache, IoServer* io, SimClock* clock)
       : cache_(cache), io_(io), clock_(clock) {}
 
-  // Handles one demand fetch. Charges the request-queuing overhead, brings
-  // the segment into the cache, and runs the prefetch policy.
-  Status DemandFetch(uint32_t tseg);
+  // Handles one demand fetch: serves {tseg} as a batch of one, then runs
+  // the prefetch policy and read-ahead. Returns the request's delay (call
+  // to segment usable), which excludes the prefetches it triggers.
+  Result<SimTime> DemandFetch(uint32_t tseg);
 
   // Routes fetches through the I/O server's unified read queue instead of
   // the synchronous FetchSegment path (HighLightConfig::async_read_pipeline).
@@ -42,21 +51,14 @@ class ServiceProcess {
   // over at once. With the async pipeline the whole batch is enqueued before
   // the first issue, so the elevator orders transfers per volume (K faults
   // on one unmounted volume pay one media swap), and each request resumes as
-  // soon as *its* segment is usable (critical-segment-first) — `delay_us` is
-  // that per-request resume time, measured from batch arrival. Without the
+  // soon as *its* segment is usable (critical-segment-first). Without the
   // pipeline, requests are serviced strictly in order, each waiting out all
-  // of its predecessors. Prefetch policy and read-ahead are not run for
-  // batch requests. The returned vector parallels `tsegs`.
-  struct BatchFetchResult {
-    uint32_t tseg = kNoSegment;
-    Status status = OkStatus();
-    SimTime delay_us = 0;  // Request arrival -> segment usable.
-  };
-  Result<std::vector<BatchFetchResult>> DemandFetchBatch(
+  // of its predecessors. Either way `delay_us` runs from batch arrival to
+  // the instant the request's segment is usable. Prefetch policy and
+  // read-ahead are not run for batch requests. The returned vector
+  // parallels `tsegs`.
+  Result<std::vector<FetchOutcome>> DemandFetchBatch(
       const std::vector<uint32_t>& tsegs);
-
-  // Explicit ejection request (e.g. the migrator reclaiming cache space).
-  Status Eject(uint32_t tseg) { return cache_->Eject(tseg); }
 
   // The prefetch policy maps a demand-fetched tseg to additional tsegs to
   // bring in. Empty by default.
@@ -108,18 +110,22 @@ class ServiceProcess {
   void AttachMetrics(MetricsRegistry* registry);
 
   // Causal span tracing: DemandFetch opens the root "demand_fetch" span
-  // every downstream cache/IO/device span nests under. Null disables.
+  // (DemandFetchBatch "fetch_batch") every downstream cache/IO/device span
+  // nests under; a request that rides an in-flight fetch records an
+  // "inflight_wait" instant there. Null disables.
   void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
  private:
+  // The one demand-fault path under DemandFetch and DemandFetchBatch:
+  // admits every request, serves it (inline, or as the owner of a queued
+  // read or a waiter on one already in flight), and records each served
+  // request's delay. Fails as a whole only when the read pipeline does.
+  Result<std::vector<FetchOutcome>> ServeFaults(
+      const std::vector<uint32_t>& tsegs);
+  // The serial fetch, the buffered read-ahead install, and policy
+  // prefetches; a cached or in-flight segment is already served.
   Status FetchIntoCache(uint32_t tseg, bool is_prefetch);
   void MaybeReadahead(uint32_t tseg);
-  // Async-pipeline demand path: registers an installing line, queues the
-  // read, forces it onto the device and waits (clock) for its ready time.
-  Status AsyncDemandFetch(uint32_t tseg);
-  // Concurrent fault on an in-flight tseg: wait on the existing fetch
-  // instead of issuing a second one.
-  Status AwaitInflight(uint32_t tseg);
   // Async-pipeline policy prefetch: fire-and-forget enqueue that installs
   // into its line whenever the pipeline sweeps it up.
   Status AsyncPrefetch(uint32_t tseg);
@@ -141,7 +147,7 @@ class ServiceProcess {
   SimTime fetch_time_total_ = 0;   // For the rolling latency estimate.
   uint64_t fetch_time_samples_ = 0;
   Stats stats_;
-  Histogram demand_latency_us_;  // End-to-end demand-fetch wall time.
+  Histogram demand_latency_us_;  // Each served request's delay_us.
   SpanTracer* spans_ = nullptr;
 };
 

@@ -3,8 +3,16 @@
 // with critical-segment-first resume, concurrent-fault coalescing onto one
 // in-flight fetch, duplicate read-ahead suppression, quarantined-volume
 // source exclusion, and the shrink-while-pending queue-depth regression.
+// Then the one demand-fault path: a single recall's delay ends when its
+// segment is usable, a request riding an in-flight fetch is an instant,
+// and every served request adds its delay to the latency histogram once.
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "highlight/highlight.h"
 #include "lfs/fsck.h"
@@ -90,6 +98,17 @@ class ReadPipelineTest : public ::testing::Test {
     EXPECT_EQ(out, Pattern(bytes, seed)) << path << " contents differ";
   }
 
+  // The registry's service.demand_latency_us histogram.
+  Histogram::Data DemandLatency() {
+    for (const auto& [name, data] : hl_->Metrics().histograms) {
+      if (name == "service.demand_latency_us") {
+        return data;
+      }
+    }
+    ADD_FAILURE() << "no service.demand_latency_us histogram";
+    return {};
+  }
+
   void ExpectFsckClean() {
     FsckReport report = CheckFs(hl_->fs());
     EXPECT_TRUE(report.clean())
@@ -162,7 +181,7 @@ TEST_F(ReadPipelineTest, BatchedFaultsAmortizeSwapsAndResumeCriticalFirst) {
   struct RunResult {
     uint64_t swaps = 0;
     SimTime mean_delay = 0;
-    std::vector<ServiceProcess::BatchFetchResult> results;
+    std::vector<FetchOutcome> results;
   };
   auto run = [this](bool async) {
     Build(async);
@@ -299,7 +318,7 @@ TEST_F(ReadPipelineTest, QuarantinedVolumeOrderedLastAmongFetchSources) {
   // With volume 0 quarantined it drops to the back of the candidate list:
   // the next fetch goes straight to the replica, no failover needed.
   uint64_t failovers = hl_->Internals().io_server.stats().failovers;
-  ASSERT_TRUE(hl_->Internals().service.Eject(primary).ok());
+  ASSERT_TRUE(hl_->Internals().cache.Eject(primary).ok());
   ASSERT_TRUE(hl_->Internals().service.DemandFetch(primary).ok());
   EXPECT_EQ(hl_->Internals().io_server.stats().failovers, failovers)
       << "a quarantined primary must not be tried before a healthy replica";
@@ -344,6 +363,103 @@ TEST_F(ReadPipelineTest, ShrinkingQueueDepthBelowOccupancyStillDrains) {
   ExpectFileContents("/qb", 200 * 1024, 82);
   ExpectFileContents("/qc", 200 * 1024, 83);
   ExpectFsckClean();
+}
+
+TEST_F(ReadPipelineTest, SingleRecallDelayExcludesTheWorkItTriggers) {
+  Build(/*async=*/false);
+  InitTsegCursors();
+  const uint32_t a = MigratedTseg("/a", 1, 91);
+  const uint32_t b = MigratedTseg("/b", 2, 92);
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  hl_->Internals().service.SetPrefetchPolicy(
+      [b](uint32_t) { return std::vector<uint32_t>{b}; });
+
+  const SimTime t0 = clock_.Now();
+  Result<FetchOutcome> recall = hl_->FetchSegment(a);
+  const SimTime elapsed = clock_.Now() - t0;
+  ASSERT_TRUE(recall.ok()) << recall.status().ToString();
+  ASSERT_TRUE(recall->status.ok()) << recall->status.ToString();
+  EXPECT_EQ(hl_->Internals().service.stats().prefetches, 1u);
+  // The fault's segment was usable before the prefetch of b it triggered
+  // ran; that prefetch is not part of the recall's stall.
+  EXPECT_LT(recall->delay_us, elapsed);
+  const Histogram::Data latency = DemandLatency();
+  EXPECT_EQ(latency.count, 1u);
+  EXPECT_EQ(latency.sum, recall->delay_us);
+}
+
+TEST_F(ReadPipelineTest, RequestsRidingAnInflightFetchAreInstants) {
+  InitTsegCursors();
+  const uint32_t a = MigratedTseg("/a", 1, 93);
+  const uint32_t b = MigratedTseg("/b", 2, 94);
+  const uint32_t c = MigratedTseg("/c", 2, 95);
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  ServiceProcess& service = hl_->Internals().service;
+
+  // A batch's duplicate rides the read its first request queued.
+  auto batch = service.DemandFetchBatch({a, a});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  for (const auto& o : *batch) {
+    EXPECT_TRUE(o.status.ok()) << o.status.ToString();
+  }
+  // The fault on b prefetches c, whose read waits lazily in the queue with
+  // its line installing when the fault on c arrives and rides it.
+  service.SetPrefetchPolicy([b, c](uint32_t tseg) {
+    return tseg == b ? std::vector<uint32_t>{c} : std::vector<uint32_t>{};
+  });
+  ASSERT_TRUE(service.DemandFetch(b).ok());
+  ASSERT_TRUE(hl_->Internals().cache.Installing(c));
+  ASSERT_TRUE(service.DemandFetch(c).ok());
+  EXPECT_EQ(hl_->Metrics().Value("cache.inflight.waits"), 2u);
+
+  std::map<SpanId, std::string_view> span_names;
+  for (const SpanRecord& s : hl_->spans().Completed()) {
+    span_names[s.id] = s.name;
+  }
+  std::vector<std::string_view> roots;
+  std::vector<std::string> tsegs;
+  for (const SpanRecord& s : hl_->spans().Completed()) {
+    if (s.name != "inflight_wait") {
+      continue;
+    }
+    EXPECT_TRUE(s.instant()) << "a ride on another fetch is a moment";
+    roots.push_back(span_names[s.parent]);
+    ASSERT_EQ(s.args.size(), 1u);
+    EXPECT_EQ(s.args[0].first, "tseg");
+    tsegs.push_back(std::string(s.args[0].second));
+  }
+  EXPECT_EQ(roots,
+            (std::vector<std::string_view>{"fetch_batch", "demand_fetch"}));
+  EXPECT_EQ(tsegs, (std::vector<std::string>{std::to_string(a),
+                                             std::to_string(c)}));
+}
+
+TEST_F(ReadPipelineTest, DemandLatencyRecordsEachServedRequestsDelay) {
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async read pipeline" : "serial");
+    Build(async);
+    InitTsegCursors();
+    const uint32_t a = MigratedTseg("/a", 1, 96);
+    const uint32_t b = MigratedTseg("/b", 2, 97);
+    ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+
+    // A miss on a; then a batch with a miss on b, a hit on a, and a second
+    // b that rides the first (pipelined) or hits (serial).
+    Result<FetchOutcome> single = hl_->FetchSegment(a);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    ASSERT_TRUE(single->status.ok()) << single->status.ToString();
+    Result<std::vector<FetchOutcome>> batch = hl_->FetchBatch({b, a, b});
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    uint64_t delays = single->delay_us;
+    for (const FetchOutcome& o : *batch) {
+      ASSERT_TRUE(o.status.ok()) << o.status.ToString();
+      delays += o.delay_us;
+    }
+    const Histogram::Data latency = DemandLatency();
+    EXPECT_EQ(hl_->Metrics().Value("service.demand_fetches"), 4u);
+    EXPECT_EQ(latency.count, 4u);
+    EXPECT_EQ(latency.sum, delays);
+  }
 }
 
 }  // namespace

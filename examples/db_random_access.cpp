@@ -66,8 +66,9 @@ int main() {
     cold_range.push_back(p);
   }
   MigratorOptions opts;
-  MigrationReport report = Check(
-      hl->Internals().migrator.MigrateBlocks(rel, cold_range, opts), "migrate range");
+  MigrationReport report =
+      Check(hl->Internals().migrator.MigrateBlocks({{rel, cold_range}}, opts),
+            "migrate range");
   std::printf("block-range migration: %llu cold pages to tertiary, hot tail "
               "of %u pages stays on disk\n",
               static_cast<unsigned long long>(report.blocks_migrated),

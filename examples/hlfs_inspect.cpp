@@ -10,7 +10,7 @@
 // Run: ./build/examples/hlfs_inspect
 //   --metrics   append the unified metrics registry as JSON
 //   --health    exercise the fault path (injected transients, a media
-//               scribble, a scrub pass) and dump device/volume health,
+//               scribble, a scrub pass) and dump volume health,
 //               fault-channel state, and the retry/scrub counters
 //   --spans     corrupt the preferred copy of a replicated segment, demand-
 //               fetch it (CRC mismatch -> retries -> failover -> install),
@@ -171,11 +171,10 @@ void DumpStructures(HighLightFs& hl) {
 
   std::printf("\n=== segment cache directory ===\n");
   for (const SegmentCache::LineInfo& line : hl.Internals().cache.Lines()) {
-    std::printf("  tseg %-5u in disk seg %-4u touches=%llu%s%s\n", line.tseg,
+    std::printf("  tseg %-5u in disk seg %-4u touches=%llu%s\n", line.tseg,
                 line.disk_seg,
                 static_cast<unsigned long long>(line.touches),
-                line.staging ? " [staging]" : "",
-                line.dirty ? " [dirty]" : "");
+                line.staging ? " [staging]" : "");
   }
   std::printf("  (%u/%u lines in use; %llu hits, %llu misses)\n",
               hl.Internals().cache.Used(), hl.Internals().cache.Capacity(),
@@ -328,18 +327,18 @@ int main(int argc, char** argv) {
   }
 
   if (dump_health) {
-    std::printf("\n=== device & volume health ===\n");
-    std::printf("  %-28s %-12s %8s %8s %6s %6s\n", "entity", "state",
+    std::printf("\n=== volume health ===\n");
+    std::printf("  %-28s %-12s %8s %8s %6s %6s\n", "volume", "state",
                 "fails", "oks", "streak", "heal");
-    for (const auto& [name, entry] : hl->Internals().health.Entries()) {
-      std::printf("  %-28s %-12s %8llu %8llu %6d %6d\n", name.c_str(),
+    for (const auto& [volume, entry] : hl->Internals().health.Entries()) {
+      std::printf("  %-28u %-12s %8llu %8llu %6d %6d\n", volume,
                   HealthStateName(entry.state),
                   static_cast<unsigned long long>(entry.failures_total),
                   static_cast<unsigned long long>(entry.successes_total),
                   entry.consecutive_failures, entry.consecutive_successes);
     }
     if (hl->Internals().health.Entries().empty()) {
-      std::printf("  (no failures recorded; every entity healthy)\n");
+      std::printf("  (no outcomes recorded; every volume healthy)\n");
     }
     std::printf("  quarantined volumes: %zu\n",
                 hl->Internals().health.QuarantinedVolumes().size());

@@ -30,25 +30,26 @@ Result<std::vector<uint32_t>> FilesAt(Lfs& fs, const std::string& path) {
   return inos;
 }
 
-}  // namespace
-
-Result<HighLightConfig> HighLightConfig::Builder::Build() const {
-  if (config_.disks.empty()) {
+// The one check of the disk and jukebox specs, shared by Builder::Build and
+// HighLightFs::Create. Returns the tertiary segments per volume, which every
+// jukebox must agree on.
+Result<uint32_t> ValidateConfig(const HighLightConfig& config) {
+  if (config.disks.empty()) {
     return InvalidArgument("config: at least one disk is required");
   }
-  if (config_.jukeboxes.empty()) {
+  if (config.jukeboxes.empty()) {
     return InvalidArgument("config: at least one jukebox is required");
   }
-  if (config_.lfs.seg_size_blocks == 0) {
+  if (config.lfs.seg_size_blocks == 0) {
     return InvalidArgument("config: seg_size_blocks must be nonzero");
   }
   const uint64_t seg_bytes =
-      static_cast<uint64_t>(config_.lfs.seg_size_blocks) * kBlockSize;
-  for (size_t i = 0; i < config_.disks.size(); ++i) {
+      static_cast<uint64_t>(config.lfs.seg_size_blocks) * kBlockSize;
+  for (size_t i = 0; i < config.disks.size(); ++i) {
     // Each disk must contribute at least one whole log segment beyond the
     // reserved area (a zero-segment disk would fail deep inside Mkfs).
     const uint64_t bytes =
-        static_cast<uint64_t>(config_.disks[i].blocks) * kBlockSize;
+        static_cast<uint64_t>(config.disks[i].blocks) * kBlockSize;
     if (bytes < kDefaultReservedBlocks * kBlockSize + seg_bytes) {
       return InvalidArgument("config: disk " + std::to_string(i) +
                              " too small for one segment plus the reserved "
@@ -56,8 +57,8 @@ Result<HighLightConfig> HighLightConfig::Builder::Build() const {
     }
   }
   uint32_t segs_per_volume = 0;
-  for (size_t i = 0; i < config_.jukeboxes.size(); ++i) {
-    const auto& spec = config_.jukeboxes[i];
+  for (size_t i = 0; i < config.jukeboxes.size(); ++i) {
+    const auto& spec = config.jukeboxes[i];
     if (spec.profile.num_slots == 0) {
       return InvalidArgument("config: jukebox " + std::to_string(i) +
                              " has no volume slots");
@@ -74,24 +75,26 @@ Result<HighLightConfig> HighLightConfig::Builder::Build() const {
     if (segs_per_volume == 0) {
       segs_per_volume = per_volume;
     } else if (segs_per_volume != per_volume) {
-      // Same uniform-arithmetic constraint Create() enforces (section 6.3),
-      // surfaced at build time with the offending index.
+      // The uniform (segment number -> volume) arithmetic of section 6.3
+      // assumes a fixed per-volume segment count.
       return InvalidArgument("config: jukebox " + std::to_string(i) +
                              " disagrees on segs_per_volume; set it "
                              "explicitly when mixing devices");
     }
   }
+  return segs_per_volume;
+}
+
+}  // namespace
+
+Result<HighLightConfig> HighLightConfig::Builder::Build() const {
+  RETURN_IF_ERROR(ValidateConfig(config_).status());
   return config_;
 }
 
 Result<std::unique_ptr<HighLightFs>> HighLightFs::Create(
     const HighLightConfig& config, SimClock* clock) {
-  if (config.disks.empty()) {
-    return InvalidArgument("HighLight needs at least one disk");
-  }
-  if (config.jukeboxes.empty()) {
-    return InvalidArgument("HighLight needs at least one tertiary device");
-  }
+  ASSIGN_OR_RETURN(const uint32_t segs_per_volume, ValidateConfig(config));
   auto hl = std::unique_ptr<HighLightFs>(new HighLightFs());
   hl->clock_ = clock;
   hl->spans_ =
@@ -127,9 +130,6 @@ Result<std::unique_ptr<HighLightFs>> HighLightFs::Create(
 
   // Tertiary farm.
   std::vector<Jukebox*> jukeboxes;
-  uint32_t seg_bytes = config.lfs.seg_size_blocks * kBlockSize;
-  uint32_t tertiary_nsegs = 0;
-  uint32_t segs_per_volume = 0;
   uint32_t num_volumes = 0;
   for (const auto& spec : config.jukeboxes) {
     hl->jukeboxes_.push_back(std::make_unique<Jukebox>(
@@ -138,23 +138,9 @@ Result<std::unique_ptr<HighLightFs>> HighLightFs::Create(
     hl->jukeboxes_.back()->AttachFaults(hl->faults_.get());
     hl->jukeboxes_.back()->SetSpans(hl->spans_.get());
     jukeboxes.push_back(hl->jukeboxes_.back().get());
-    uint32_t per_volume =
-        spec.segs_per_volume != 0
-            ? spec.segs_per_volume
-            : static_cast<uint32_t>(spec.profile.volume_capacity_bytes /
-                                    seg_bytes);
-    if (segs_per_volume == 0) {
-      segs_per_volume = per_volume;
-    } else if (segs_per_volume != per_volume) {
-      // The uniform (segment number -> volume) arithmetic of section 6.3
-      // assumes a fixed per-volume segment count; configure it explicitly
-      // when mixing devices.
-      return InvalidArgument(
-          "jukeboxes disagree on segs_per_volume; set it explicitly");
-    }
     num_volumes += spec.profile.num_slots;
   }
-  tertiary_nsegs = num_volumes * segs_per_volume;
+  const uint32_t tertiary_nsegs = num_volumes * segs_per_volume;
 
   hl->footprint_ = std::make_unique<Footprint>(jukeboxes);
   hl->amap_ = std::make_unique<AddressMap>(
@@ -390,7 +376,7 @@ Result<MigrationReport> HighLightFs::Migrate(const MigrationRequest& request) {
 Result<MigrationReport> HighLightFs::MigrateColdRanges(
     const std::vector<uint32_t>& inos, SimTime cutoff,
     const MigratorOptions& opts) {
-  MigrationReport total;
+  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> cold;
   for (uint32_t ino : inos) {
     ASSIGN_OR_RETURN(StatInfo st, fs_->Stat(ino));
     if (st.mtime >= cutoff) {
@@ -398,24 +384,16 @@ Result<MigrationReport> HighLightFs::MigrateColdRanges(
     }
     uint32_t file_blocks = static_cast<uint32_t>(
         (st.size + kBlockSize - 1) / kBlockSize);
-    if (file_blocks == 0) {
-      continue;
-    }
-    std::vector<uint32_t> cold =
+    std::vector<uint32_t> lbns =
         access_tracker_->ColdBlocks(ino, file_blocks, cutoff);
-    if (cold.empty()) {
-      continue;
+    if (!lbns.empty()) {
+      cold.emplace_back(ino, std::move(lbns));
     }
-    ASSIGN_OR_RETURN(MigrationReport r,
-                     migrator_->MigrateBlocks(ino, cold, opts));
-    total.files_migrated += r.files_migrated;
-    total.blocks_migrated += r.blocks_migrated;
-    total.bytes_migrated += r.bytes_migrated;
-    total.blocks_skipped += r.blocks_skipped;
-    total.segments_completed += r.segments_completed;
-    total.eom_retargets += r.eom_retargets;
   }
-  return total;
+  if (cold.empty()) {
+    return MigrationReport{};  // Nothing cold: no pass.
+  }
+  return migrator_->MigrateBlocks(cold, opts);
 }
 
 bool HighLightFs::SegmentCached(uint32_t tseg) const {
@@ -662,7 +640,7 @@ Status HighLightFs::DropCleanCacheLines() {
   // defeat that. Cancelling first also unpins prefetch install lines.
   service_->DropPendingPrefetches();
   for (const SegmentCache::LineInfo& line : cache_->Lines()) {
-    if (!line.staging && !line.dirty && !cache_->Installing(line.tseg)) {
+    if (!line.staging && !cache_->Installing(line.tseg)) {
       RETURN_IF_ERROR(cache_->Eject(line.tseg));
     }
   }

@@ -111,10 +111,11 @@ struct HighLightConfig {
   class Builder;
 };
 
-// Fluent construction with build-time validation: shard/disk/jukebox specs
-// that would previously fail deep inside HighLightFs::Create() (zero-sized
-// disks, segs_per_volume disagreements, volumes smaller than a segment) are
-// rejected when Build() runs, with a message naming the bad spec.
+// Fluent construction with build-time validation: disk and jukebox specs
+// that HighLightFs::Create() would refuse (zero-sized disks,
+// segs_per_volume disagreements, volumes smaller than a segment) are
+// rejected when Build() runs, by the same check and with a message naming
+// the bad spec.
 class HighLightConfig::Builder {
  public:
   Builder& AddDisk(const DiskProfile& profile, uint32_t blocks) {
@@ -289,8 +290,8 @@ class HighLightFs : public FetchBackend, public SiteStore {
   Status WireFsComponents();
   // Refreshes the snapshot-time derived gauges ahead of Metrics().
   void RefreshDerivedGauges();
-  // Block-range migration of each file's ranges not read since `cutoff`;
-  // files modified since then are skipped as unstable.
+  // One block-range migration pass over every file's ranges not read since
+  // `cutoff`; files modified since then are skipped as unstable.
   Result<MigrationReport> MigrateColdRanges(const std::vector<uint32_t>& inos,
                                             SimTime cutoff,
                                             const MigratorOptions& opts);

@@ -381,6 +381,45 @@ Result<bool> Migrator::StageAndFlip(const BlockRef& ref,
   return true;
 }
 
+void Migrator::KeepDiskResident(std::vector<BlockRef>& refs,
+                                MigrationReport& report) const {
+  report.blocks_skipped += static_cast<uint32_t>(
+      std::erase_if(refs, [this](const BlockRef& ref) {
+        return ref.daddr == kNoBlock ||
+               amap_->Classify(ref.daddr) == AddressMap::Zone::kTertiary;
+      }));
+}
+
+Result<bool> Migrator::StageBlocks(const std::vector<BlockRef>& refs,
+                                   bool skip_unreadable,
+                                   const MigratorOptions& opts,
+                                   MigrationReport& report) {
+  bool moved_any = false;
+  for (const BlockRef& ref : refs) {
+    // Each block is read just before it is staged, so metadata staged after
+    // earlier pointer flips carries the tertiary addresses. Reads route
+    // through the segment cache (demand-fetching a tertiary source).
+    SimTime t0 = clock_->Now();
+    Result<std::pair<std::vector<uint8_t>, uint32_t>> block =
+        fs_->ReadFileBlock(ref.ino, ref.lbn);
+    io_->phases().Add(io_->phase_ioserver(), clock_->Now() - t0);
+    if (!block.ok()) {
+      if (!skip_unreadable) {
+        return block.status();
+      }
+      report.blocks_skipped++;
+      continue;
+    }
+    if (block->second != ref.daddr) {
+      report.blocks_skipped++;  // Moved since the caller selected it.
+      continue;
+    }
+    ASSIGN_OR_RETURN(bool moved, StageAndFlip(ref, block->first, opts, report));
+    moved_any |= moved;
+  }
+  return moved_any;
+}
+
 Status Migrator::MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
                                 MigrationReport& report) {
   if (ino == kIfileInode || ino == kTsegInode || ino == kRootInode) {
@@ -400,32 +439,12 @@ Status Migrator::MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
   if (opts.migrate_inode && has_meta) {
     eff.migrate_metadata = true;
   }
-
-  bool migrated_any = false;
-  for (const BlockRef& ref : refs) {
-    bool is_meta = IsMetaLbn(ref.lbn);
-    if (is_meta && !eff.migrate_metadata) {
-      continue;
-    }
-    if (ref.daddr == kNoBlock) {
-      report.blocks_skipped++;
-      continue;
-    }
-    if (amap_->Classify(ref.daddr) == AddressMap::Zone::kTertiary) {
-      report.blocks_skipped++;  // Already migrated.
-      continue;
-    }
-    // Metadata content is read *after* earlier pointer flips, so the staged
-    // copy carries the tertiary addresses.
-    SimTime t0 = clock_->Now();
-    ASSIGN_OR_RETURN(auto block, fs_->ReadFileBlock(ino, ref.lbn));
-    io_->phases().Add(io_->phase_ioserver(), clock_->Now() - t0);
-    ASSIGN_OR_RETURN(bool moved,
-                     StageAndFlip(BlockRef{ino, ref.version, ref.lbn,
-                                           block.second},
-                                  block.first, eff, report));
-    migrated_any |= moved;
+  if (!eff.migrate_metadata) {
+    std::erase_if(refs, [](const BlockRef& r) { return IsMetaLbn(r.lbn); });
   }
+  KeepDiskResident(refs, report);
+  ASSIGN_OR_RETURN(bool migrated_any,
+                   StageBlocks(refs, /*skip_unreadable=*/false, eff, report));
 
   if (eff.migrate_inode) {
     // Re-staging an inode that is already tertiary-resident (and whose
@@ -451,33 +470,8 @@ Status Migrator::ReMigrateFileBlocks(uint32_t ino,
                                      bool restage_inode,
                                      const MigratorOptions& opts,
                                      MigrationReport& report) {
-  bool migrated_any = false;
-  for (const BlockRef& ref : refs) {
-    if (ref.daddr == kNoBlock) {
-      report.blocks_skipped++;
-      continue;
-    }
-    // Unlike first migration, tertiary-resident sources are the whole point
-    // here. Reads route through the segment cache (demand-fetching the old
-    // segment if necessary).
-    SimTime t0 = clock_->Now();
-    Result<std::pair<std::vector<uint8_t>, uint32_t>> block =
-        fs_->ReadFileBlock(ino, ref.lbn);
-    io_->phases().Add(io_->phase_ioserver(), clock_->Now() - t0);
-    if (!block.ok()) {
-      report.blocks_skipped++;
-      continue;
-    }
-    if (block->second != ref.daddr) {
-      report.blocks_skipped++;  // Superseded since the caller looked.
-      continue;
-    }
-    ASSIGN_OR_RETURN(bool moved,
-                     StageAndFlip(BlockRef{ino, ref.version, ref.lbn,
-                                           block->second},
-                                  block->first, opts, report));
-    migrated_any |= moved;
-  }
+  ASSIGN_OR_RETURN(bool migrated_any,
+                   StageBlocks(refs, /*skip_unreadable=*/true, opts, report));
   if (restage_inode) {
     RETURN_IF_ERROR(StageInode(ino, opts));
     migrated_any = true;
@@ -520,7 +514,7 @@ Result<MigrationReport> Migrator::MigrateFiles(
 }
 
 Result<MigrationReport> Migrator::MigrateBlocks(
-    uint32_t ino, const std::vector<uint32_t>& lbns,
+    const std::vector<std::pair<uint32_t, std::vector<uint32_t>>>& files,
     const MigratorOptions& opts) {
   RETURN_IF_ERROR(fs_->Sync());
   const MigrationReport start = lifetime_;
@@ -528,25 +522,24 @@ Result<MigrationReport> Migrator::MigrateBlocks(
   MigratorOptions eff = opts;
   eff.migrate_inode = false;
   eff.migrate_metadata = false;
-  ASSIGN_OR_RETURN(DInode inode, fs_->GetInode(ino));
-  for (uint32_t lbn : lbns) {
-    Result<std::pair<std::vector<uint8_t>, uint32_t>> block =
-        fs_->ReadFileBlock(ino, lbn);
-    if (!block.ok()) {
-      report.blocks_skipped++;
-      continue;
+  for (const auto& [ino, lbns] : files) {
+    ASSIGN_OR_RETURN(DInode inode, fs_->GetInode(ino));
+    std::vector<BlockRef> refs;
+    refs.reserve(lbns.size());
+    for (uint32_t lbn : lbns) {
+      refs.push_back(BlockRef{ino, inode.version, lbn, kNoBlock});
     }
-    if (amap_->Classify(block->second) == AddressMap::Zone::kTertiary) {
-      report.blocks_skipped++;
-      continue;
+    // Select by current address before reading anything.
+    const std::vector<uint32_t> daddrs = fs_->BmapV(refs);
+    for (size_t i = 0; i < refs.size(); ++i) {
+      refs[i].daddr = daddrs[i];
     }
-    RETURN_IF_ERROR(StageAndFlip(BlockRef{ino, inode.version, lbn,
-                                          block->second},
-                                 block->first, eff, report)
-                        .status());
-  }
-  if (report.blocks_migrated > 0) {
-    report.files_migrated = 1;
+    KeepDiskResident(refs, report);
+    ASSIGN_OR_RETURN(bool moved,
+                     StageBlocks(refs, /*skip_unreadable=*/true, eff, report));
+    if (moved) {
+      report.files_migrated++;
+    }
   }
   return EndPass(eff, start, report);
 }

@@ -87,18 +87,20 @@ class Migrator {
   Result<MigrationReport> MigrateFiles(const std::vector<uint32_t>& inos,
                                        const MigratorOptions& opts);
 
-  // Migrates selected data blocks of one file (block-range migration). The
-  // inode and indirect blocks stay on disk.
-  Result<MigrationReport> MigrateBlocks(uint32_t ino,
-                                        const std::vector<uint32_t>& lbns,
-                                        const MigratorOptions& opts);
+  // Migrates selected data blocks of every (ino, lbns) entry in one pass
+  // (block-range migration), so the files share staging segments. Each
+  // file's inode and indirect blocks stay on disk. Holes and blocks already
+  // on tertiary count as skipped and are never read.
+  Result<MigrationReport> MigrateBlocks(
+      const std::vector<std::pair<uint32_t, std::vector<uint32_t>>>& files,
+      const MigratorOptions& opts);
 
   // Re-migrates blocks that already live on tertiary storage into fresh
   // staging segments — the primitive behind the tertiary cleaner and the
-  // section 5.4 rearrangement policies. `refs` must use the ordering
-  // CollectFileBlocks produces (data ascending, then double-indirect
-  // children, root, single indirect); when `restage_inode` is set the inode
-  // follows its blocks.
+  // section 5.4 rearrangement policies. `refs` name tertiary-resident
+  // blocks in the ordering CollectFileBlocks produces (data ascending, then
+  // double-indirect children, root, single indirect); when `restage_inode`
+  // is set the inode follows its blocks.
   Status ReMigrateFileBlocks(uint32_t ino, const std::vector<BlockRef>& refs,
                              bool restage_inode, const MigratorOptions& opts,
                              MigrationReport& report);
@@ -202,11 +204,23 @@ class Migrator {
   // Leaves builder_ with room for one block of `ino` (or, with `inode`, for
   // the inode itself), finishing full partials and segments on the way.
   Status ReserveStaging(uint32_t ino, bool inode, const MigratorOptions& opts);
-  // The one stage-and-flip step every pass shares: copies `bytes`, read at
-  // `ref.daddr`, into the staging area, flips the file's pointer to the
-  // staged copy (lfs_migratev) and records the move on its staging segment.
-  // Counts the block migrated, or skipped when the file changed since the
-  // read; returns whether it moved.
+  // First migration moves only disk-resident blocks: drops holes and blocks
+  // already on tertiary from `refs`, counting each one skipped.
+  void KeepDiskResident(std::vector<BlockRef>& refs,
+                        MigrationReport& report) const;
+  // The one block-staging loop every pass shares. Reads each of `refs`
+  // (charging the read to Table 4's "I/O server" phase), skips a block
+  // whose address moved since the caller selected it, and stages and flips
+  // the rest. An unreadable block fails the pass, or with `skip_unreadable`
+  // counts as skipped. Returns whether any block moved.
+  Result<bool> StageBlocks(const std::vector<BlockRef>& refs,
+                           bool skip_unreadable, const MigratorOptions& opts,
+                           MigrationReport& report);
+  // The stage-and-flip step: copies `bytes`, read at `ref.daddr`, into the
+  // staging area, flips the file's pointer to the staged copy
+  // (lfs_migratev) and records the move on its staging segment. Counts the
+  // block migrated, or skipped when the file changed since the read;
+  // returns whether it moved.
   Result<bool> StageAndFlip(const BlockRef& ref,
                             std::span<const uint8_t> bytes,
                             const MigratorOptions& opts,

@@ -75,7 +75,6 @@ Status SegmentCache::Init() {
       line.fetch_time = u.write_time;
       line.last_access = u.write_time;
       line.staging = true;
-      line.dirty = true;
       EmplaceLine(line);
       continue;
     }
@@ -138,7 +137,7 @@ void SegmentCache::RetirePrefetchedOnDrop(const LineInfo& line) {
 }
 
 Result<uint32_t> SegmentCache::PickVictim() {
-  // Candidates: non-pinned (not staging, not dirty, not installing) lines,
+  // Candidates: non-pinned (neither staging nor installing) lines,
   // visited in ascending tseg order so tie-breaks (first minimum wins, and
   // the random policy's candidate indexing) match the original ordered-map
   // directory exactly.
@@ -146,7 +145,7 @@ Result<uint32_t> SegmentCache::PickVictim() {
   for (uint32_t tseg : SortedTsegs()) {
     LineInfo& line = lines_[directory_.at(tseg)];
     CompleteIfReady(line);
-    if (!line.staging && !line.dirty && !line.installing) {
+    if (!line.staging && !line.installing) {
       candidates.push_back(&line);
     }
   }
@@ -218,7 +217,6 @@ Result<uint32_t> SegmentCache::AllocLine(uint32_t tseg, bool staging,
   line.last_access = line.fetch_time;
   line.touches = staging ? 1 : 0;
   line.staging = staging;
-  line.dirty = staging;
   line.prefetched = prefetched && !staging;
   bool counted_prefetch = line.prefetched;
   EmplaceLine(line);
@@ -244,7 +242,6 @@ Status SegmentCache::MarkCopiedOut(uint32_t tseg) {
     return NotFound("tseg " + std::to_string(tseg) + " not cached");
   }
   line->staging = false;
-  line->dirty = false;
   return fs_->SetSegFlags(line->disk_seg, 0, kSegStaging);
 }
 
@@ -266,7 +263,7 @@ Status SegmentCache::Eject(uint32_t tseg) {
     return NotFound("tseg " + std::to_string(tseg) + " not cached");
   }
   CompleteIfReady(*line);
-  if (line->staging || line->dirty) {
+  if (line->staging) {
     return Status(ErrorCode::kBusy, "line holds the only copy (staging)");
   }
   if (line->installing) {

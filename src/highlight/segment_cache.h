@@ -104,8 +104,9 @@ class SegmentCache {
     uint64_t fetch_time = 0;
     uint64_t last_access = 0;
     uint64_t touches = 0;
-    bool staging = false;     // Being assembled by the migrator.
-    bool dirty = false;       // Assembled but not yet on tertiary media.
+    // Assembled by the migrator and not yet on tertiary media: the line
+    // holds the only copy, so it stays pinned until MarkCopiedOut.
+    bool staging = false;
     bool prefetched = false;  // Speculatively fetched, not yet demand-used.
     bool installing = false;  // Data still in flight from tertiary.
     SimTime ready_at = 0;     // When the in-flight transfer lands (0: TBD).

@@ -1,13 +1,13 @@
-// Per-device / per-volume health state machine.
+// Per-volume health state machine.
 //
-// Every entity (a disk, a jukebox drive, a tertiary volume) starts healthy.
-// Consecutive failures demote it to suspect and then quarantined; consecutive
-// successes heal a suspect back to healthy. Quarantine is sticky — only an
-// explicit Reinstate (operator action) clears it. The I/O server records
-// outcomes as it retries, and consumers steer around sick entities:
-// quarantined volumes are excluded from migration target selection and
-// ordered last among demand-fetch source candidates (still tried as a last
-// resort — refusing the only surviving copy would turn a scare into a loss).
+// Every tertiary volume starts healthy. Consecutive failures demote it to
+// suspect and then quarantined; consecutive successes heal a suspect back
+// to healthy. Quarantine is sticky — only an explicit ReinstateVolume
+// (operator action) clears it. The I/O server and the scrubber record
+// outcomes, and consumers steer around sick volumes: quarantined volumes
+// are excluded from migration target selection and ordered last among
+// demand-fetch source candidates (still tried as a last resort — refusing
+// the only surviving copy would turn a scare into a loss).
 
 #ifndef HIGHLIGHT_UTIL_HEALTH_H_
 #define HIGHLIGHT_UTIL_HEALTH_H_
@@ -15,8 +15,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <string>
-#include <vector>
 
 #include "util/metrics.h"
 #include "util/span.h"
@@ -49,29 +47,19 @@ class HealthRegistry {
     uint64_t successes_total = 0;
   };
 
-  // Unknown entities read as healthy.
-  HealthState StateOf(const std::string& entity) const;
-  const Entry* Find(const std::string& entity) const;
-
-  void RecordFailure(const std::string& entity);
-  void RecordSuccess(const std::string& entity);
-  // Operator override: back to healthy, counters cleared.
-  void Reinstate(const std::string& entity);
-
-  // Tertiary volumes are the entities most of the system steers by; they
-  // are keyed "volume.<N>" so callers can use the volume number directly.
-  static std::string VolumeKey(uint32_t volume);
+  // Unknown volumes read as healthy.
   HealthState VolumeState(uint32_t volume) const;
   void RecordVolumeFailure(uint32_t volume);
   void RecordVolumeSuccess(uint32_t volume);
+  // Operator override: back to healthy, counters cleared.
   void ReinstateVolume(uint32_t volume);
   const std::set<uint32_t>& QuarantinedVolumes() const {
     return quarantined_volumes_;
   }
 
   uint32_t CountInState(HealthState state) const;
-  // Every tracked entity, name-ordered, for inspection dumps.
-  std::vector<std::pair<std::string, Entry>> Entries() const;
+  // Every volume with a recorded outcome, by volume number.
+  const std::map<uint32_t, Entry>& Entries() const { return entries_; }
 
   struct Stats {
     Counter failures_recorded;
@@ -89,10 +77,10 @@ class HealthRegistry {
   void SetSpans(SpanTracer* spans) { spans_ = spans; }
 
  private:
-  void Transition(const std::string& entity, Entry& e, HealthState next);
+  void Transition(uint32_t volume, Entry& e, HealthState next);
 
   HealthPolicy policy_;
-  std::map<std::string, Entry> entries_;
+  std::map<uint32_t, Entry> entries_;
   std::set<uint32_t> quarantined_volumes_;
   Stats stats_;
   SpanTracer* spans_ = nullptr;

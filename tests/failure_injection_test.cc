@@ -264,8 +264,7 @@ TEST(ReadaheadHealthTest, SynchronousReadaheadReportsVolumeHealth) {
   const uint32_t ahead = first + 1;  // The segment the read-ahead chases.
   const AddressMap& amap = hl->Internals().address_map;
   const HealthRegistry& health = hl->Internals().health;
-  const std::string ahead_key =
-      HealthRegistry::VolumeKey(amap.VolumeOfTseg(ahead));
+  const uint32_t ahead_volume = amap.VolumeOfTseg(ahead);
 
   // A good read-ahead: the demand fetch and the read-ahead each report one
   // success.
@@ -280,19 +279,17 @@ TEST(ReadaheadHealthTest, SynchronousReadaheadReportsVolumeHealth) {
   ASSERT_TRUE(hl->DropCleanCacheLines().ok());
   hl->fs().FlushBufferCache();
   Result<Volume*> vol =
-      hl->Internals().footprint.GetVolume(
-          static_cast<int>(amap.VolumeOfTseg(ahead)));
+      hl->Internals().footprint.GetVolume(static_cast<int>(ahead_volume));
   ASSERT_TRUE(vol.ok());
   FaultChannel* channel =
       hl->Internals().faults.Find("volume." + (*vol)->label());
   ASSERT_NE(channel, nullptr);
   channel->AddLatentError(amap.ByteOffsetOnVolume(ahead) + 4096, 512);
-  const HealthRegistry::Entry* before = health.Find(ahead_key);
-  ASSERT_NE(before, nullptr);
-  const uint64_t failures = before->failures_total;
+  ASSERT_EQ(health.Entries().count(ahead_volume), 1u);
+  const uint64_t failures = health.Entries().at(ahead_volume).failures_total;
   ASSERT_TRUE(hl->fs().Read(*ino, 0, out).ok());
   EXPECT_EQ(hl->Internals().service.stats().failed_prefetches, 1u);
-  EXPECT_EQ(health.Find(ahead_key)->failures_total, failures + 1);
+  EXPECT_EQ(health.Entries().at(ahead_volume).failures_total, failures + 1);
   EXPECT_EQ(health.stats().failures_recorded, 1u);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "highlight/highlight.h"
 #include "tseg_reference.h"
@@ -77,6 +78,21 @@ class HighLightTest : public ::testing::Test {
       }
     }
     return !refs->empty();
+  }
+
+  // Eight 4-block files under /cold, synced before the returned cutoff and
+  // never read since: every block is cold.
+  SimTime MakeColdFiles(std::vector<uint32_t>* inos) {
+    EXPECT_TRUE(hl_->fs().Mkdir("/cold").ok());
+    for (int i = 0; i < 8; ++i) {
+      inos->push_back(
+          MakeFile("/cold/f" + std::to_string(i), 4 * kBlockSize, 60 + i));
+    }
+    EXPECT_TRUE(hl_->fs().Sync().ok());
+    clock_.Advance(10 * kUsPerSec);
+    const SimTime cutoff = clock_.Now();
+    clock_.Advance(kUsPerSec);
+    return cutoff;
   }
 
   // The migrator.* lifetime gauges, read back as a report.
@@ -204,7 +220,7 @@ TEST_F(HighLightTest, PartialFileBlockRangeMigration) {
   }
   MigratorOptions opts;
   Result<MigrationReport> report =
-      hl_->Internals().migrator.MigrateBlocks(ino, lbns, opts);
+      hl_->Internals().migrator.MigrateBlocks({{ino, lbns}}, opts);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->blocks_migrated, 64u);
 
@@ -543,6 +559,54 @@ TEST_F(HighLightTest, LifetimeTotalsGrowByEachPassReport) {
   ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
   ExpectFileContents("/whole", 512 * 1024, 40);
   ExpectFileContents("/ranged", 512 * 1024, 41);
+}
+
+// A cold-range request is one pass: its files share staging segments
+// instead of each completing a segment of its own.
+TEST_F(HighLightTest, ColdRangePassSharesStagingSegments) {
+  std::vector<uint32_t> inos;
+  const SimTime cutoff = MakeColdFiles(&inos);
+  Result<MigrationReport> report =
+      hl_->Migrate(MigrationRequest{.path = "/cold", .cold_cutoff = cutoff});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->files_migrated, 8u);
+  EXPECT_EQ(report->blocks_migrated, 32u);
+  EXPECT_EQ(report->segments_completed, 1u);
+
+  const AddressMap& amap = hl_->Internals().address_map;
+  std::set<uint32_t> tsegs;
+  for (uint32_t ino : inos) {
+    Result<std::vector<BlockRef>> refs = hl_->fs().CollectFileBlocks(ino);
+    ASSERT_TRUE(refs.ok());
+    for (const BlockRef& r : *refs) {
+      ASSERT_EQ(amap.Classify(r.daddr), AddressMap::Zone::kTertiary);
+      tsegs.insert(amap.TsegOf(r.daddr));
+    }
+  }
+  EXPECT_EQ(tsegs.size(), 1u) << "each file got a tertiary segment of its own";
+
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  for (int i = 0; i < 8; ++i) {
+    ExpectFileContents("/cold/f" + std::to_string(i), 4 * kBlockSize, 60 + i);
+  }
+}
+
+// Cold blocks are selected by address before any read, so a repeat pass
+// skips the blocks already on tertiary without demand-fetching a segment.
+TEST_F(HighLightTest, RepeatColdRangePassFetchesNothing) {
+  std::vector<uint32_t> inos;
+  const SimTime cutoff = MakeColdFiles(&inos);
+  const MigrationRequest request{.path = "/cold", .cold_cutoff = cutoff};
+  ASSERT_TRUE(hl_->Migrate(request).ok());
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+
+  const uint64_t fetches = hl_->Internals().service.stats().demand_fetches;
+  Result<MigrationReport> again = hl_->Migrate(request);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->files_migrated, 0u);
+  EXPECT_EQ(again->blocks_migrated, 0u);
+  EXPECT_EQ(again->blocks_skipped, 32u);
+  EXPECT_EQ(hl_->Internals().service.stats().demand_fetches, fetches);
 }
 
 // Live bytes reach the tseg table one delta at a time; after every kind of

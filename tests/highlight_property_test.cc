@@ -137,7 +137,8 @@ TEST_P(HighLightFuzzTest, RandomHierarchyOpsMatchModel) {
           lbns.push_back(l);
         }
         MigratorOptions opts;
-        ASSERT_TRUE(hl->Internals().migrator.MigrateBlocks(*ino, lbns, opts).ok());
+        ASSERT_TRUE(
+            hl->Internals().migrator.MigrateBlocks({{*ino, lbns}}, opts).ok());
         break;
       }
       case 8: {  // Eject clean cache lines + flush buffer cache.

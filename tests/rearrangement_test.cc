@@ -154,8 +154,8 @@ TEST_F(RearrangementTest, ClusteringReducesSegmentSpan) {
     for (uint32_t l = base; l < base + 16; ++l) {
       lbns.push_back(l);
     }
-    ASSERT_TRUE(hl_->Internals().migrator.MigrateBlocks(*a, lbns, opts).ok());
-    ASSERT_TRUE(hl_->Internals().migrator.MigrateBlocks(*b, lbns, opts).ok());
+    ASSERT_TRUE(hl_->Internals().migrator.MigrateBlocks({{*a, lbns}}, opts).ok());
+    ASSERT_TRUE(hl_->Internals().migrator.MigrateBlocks({{*b, lbns}}, opts).ok());
   }
   uint32_t span_before = SegmentSpan(*a);
   ASSERT_GT(span_before, 2u) << "expected an interleaved layout";
@@ -192,8 +192,8 @@ TEST_F(RearrangementTest, ClusteringCutsDemandFaults) {
     for (uint32_t l = base; l < base + 8; ++l) {
       lbns.push_back(l);
     }
-    ASSERT_TRUE(hl_->Internals().migrator.MigrateBlocks(*a, lbns, opts).ok());
-    ASSERT_TRUE(hl_->Internals().migrator.MigrateBlocks(*b, lbns, opts).ok());
+    ASSERT_TRUE(hl_->Internals().migrator.MigrateBlocks({{*a, lbns}}, opts).ok());
+    ASSERT_TRUE(hl_->Internals().migrator.MigrateBlocks({{*b, lbns}}, opts).ok());
   }
   ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
   uint64_t faults0 = hl_->Internals().block_map.stats().demand_faults;

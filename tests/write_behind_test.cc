@@ -101,7 +101,9 @@ TEST_F(WriteBehindTest, StagingLineSurvivesRemountMidDelayedCopyout) {
   for (const SegmentCache::LineInfo& line : hl_->Internals().cache.Lines()) {
     if (line.staging) {
       found_staging = true;
-      EXPECT_TRUE(line.dirty) << "staging line came back unpinned";
+      EXPECT_EQ(hl_->Internals().cache.Eject(line.tseg).code(),
+                ErrorCode::kBusy)
+          << "staging line came back unpinned";
     }
   }
   EXPECT_TRUE(found_staging)

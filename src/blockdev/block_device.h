@@ -42,12 +42,13 @@ class BlockDevice {
 
   // Writes `count` blocks whose bytes are `chunks`, in order, sharing them
   // where the device can hold references (count * kBlockSize must equal
-  // chunks.size() * Chunk::kBytes). SimDisk keeps the chunks as that range
-  // of its image, so the bytes never move. In every other respect it is
+  // chunks.size() * Chunk::kBytes). SimDisk installs the chunks themselves
+  // as that range of its chunk store when the range starts on one of its
+  // chunk boundaries, so the bytes never move. In every other respect it is
   // WriteBlocks of the same bytes: range check, fault draw, service time,
   // counters, and a failed write leaves the range as it was. This default,
-  // for devices that cannot hold references, copies the chunks into one
-  // buffer and calls WriteBlocks.
+  // for ranges a device cannot hold by reference, copies the chunks into
+  // one buffer and calls WriteBlocks.
   virtual Status WriteShared(uint32_t block, uint32_t count,
                              std::span<const ChunkRef> chunks) {
     std::vector<uint8_t> bytes(chunks.size() * Chunk::kBytes);

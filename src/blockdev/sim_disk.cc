@@ -1,10 +1,5 @@
 #include "blockdev/sim_disk.h"
 
-#include <algorithm>
-#include <cstring>
-#include <iterator>
-#include <new>
-
 namespace hl {
 
 SimDisk::SimDisk(std::string name, uint32_t num_blocks, DiskProfile profile,
@@ -15,14 +10,9 @@ SimDisk::SimDisk(std::string name, uint32_t num_blocks, DiskProfile profile,
       clock_(clock),
       spindle_(name_ + ".spindle"),
       bus_(bus) {
-  const size_t bytes = static_cast<size_t>(num_blocks) * kBlockSize;
-  data_.reset(static_cast<uint8_t*>(std::calloc(bytes, 1)));
-  if (data_ == nullptr && bytes > 0) {
-    throw std::bad_alloc();
-  }
   // The timing model scales seeks by capacity; use the actual simulated size
   // so that address distance maps onto arm travel sensibly.
-  profile_.capacity_bytes = bytes;
+  profile_.capacity_bytes = uint64_t{num_blocks} * kBlockSize;
 }
 
 void SimDisk::AttachFaults(FaultInjector* injector) {
@@ -90,7 +80,7 @@ Result<SimTime> SimDisk::ScheduleReadAt(SimTime earliest, uint32_t block,
     return IoError(name_ + ": injected read failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  CopyOut(block, count, out.data());
+  store_.Read(offset, out);
   if (faults_ != nullptr) {
     faults_->MaybeCorruptRead(out, offset);
   }
@@ -138,78 +128,23 @@ Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
                                          uint32_t count,
                                          std::span<const uint8_t> data) {
   return ScheduleWriteVia(earliest, block, count, data.size(), [&] {
-    Unshare(block, count);
-    std::memcpy(data_.get() + static_cast<uint64_t>(block) * kBlockSize,
-                data.data(), data.size());
+    store_.Write(uint64_t{block} * kBlockSize, data);
   });
 }
 
 Status SimDisk::WriteShared(uint32_t block, uint32_t count,
                             std::span<const ChunkRef> chunks) {
+  if (block % (Chunk::kBytes / kBlockSize) != 0) {
+    return BlockDevice::WriteShared(block, count, chunks);
+  }
   ASSIGN_OR_RETURN(
       SimTime end,
       ScheduleWriteVia(clock_->Now(), block, count,
                        chunks.size() * Chunk::kBytes, [&] {
-                         Unshare(block, count);
-                         for (size_t i = 0; i < chunks.size(); ++i) {
-                           shared_.emplace(
-                               block + static_cast<uint32_t>(i) * kChunkBlocks,
-                               chunks[i]);
-                         }
+                         store_.Install(uint64_t{block} * kBlockSize, chunks);
                        }));
   clock_->AdvanceTo(end);
   return OkStatus();
-}
-
-std::map<uint32_t, ChunkRef>::const_iterator SimDisk::FirstShared(
-    uint32_t block) const {
-  auto it = shared_.upper_bound(block);
-  if (it != shared_.begin() && std::prev(it)->first + kChunkBlocks > block) {
-    --it;
-  }
-  return it;
-}
-
-const Chunk* SimDisk::SharedChunkAt(uint32_t block) const {
-  auto it = FirstShared(block);
-  return it != shared_.end() && it->first <= block ? it->second.get()
-                                                   : nullptr;
-}
-
-void SimDisk::CopyOut(uint32_t block, uint32_t count, uint8_t* out) const {
-  const uint32_t end = block + count;
-  uint32_t at = block;
-  for (auto it = FirstShared(block); it != shared_.end() && it->first < end;
-       ++it) {
-    if (it->first > at) {  // Flat blocks ahead of this chunk.
-      std::memcpy(out + static_cast<size_t>(at - block) * kBlockSize,
-                  data_.get() + static_cast<uint64_t>(at) * kBlockSize,
-                  static_cast<size_t>(it->first - at) * kBlockSize);
-      at = it->first;
-    }
-    const uint32_t stop = std::min(it->first + kChunkBlocks, end);
-    std::memcpy(out + static_cast<size_t>(at - block) * kBlockSize,
-                it->second->bytes +
-                    static_cast<size_t>(at - it->first) * kBlockSize,
-                static_cast<size_t>(stop - at) * kBlockSize);
-    at = stop;
-  }
-  std::memcpy(out + static_cast<size_t>(at - block) * kBlockSize,
-              data_.get() + static_cast<uint64_t>(at) * kBlockSize,
-              static_cast<size_t>(end - at) * kBlockSize);
-}
-
-void SimDisk::Unshare(uint32_t block, uint32_t count) {
-  const uint32_t end = block + count;
-  auto it = FirstShared(block);
-  while (it != shared_.end() && it->first < end) {
-    if (it->first < block || it->first + kChunkBlocks > end) {
-      // Partly overwritten: the bytes the write leaves become flat ones.
-      std::memcpy(data_.get() + static_cast<uint64_t>(it->first) * kBlockSize,
-                  it->second->bytes, Chunk::kBytes);
-    }
-    it = shared_.erase(it);
-  }
 }
 
 Status SimDisk::ReadBlocks(uint32_t block, uint32_t count,

@@ -1,8 +1,12 @@
 // SimDisk: an in-memory disk with an analytic timing model.
 //
-// Data are byte-accurate (a zero-filled in-memory image, with any range
-// installed by WriteShared held as references to tertiary chunks instead),
-// while service time is computed from the DiskProfile: per-op overhead +
+// Data are byte-accurate and live in a ChunkStore (util/chunk.h), the
+// representation tertiary volumes use too: 64 KB copy-on-write chunks
+// allocated on first write, so a disk costs memory only for the chunks
+// something wrote, and blocks never written read as zeros. A range
+// installed by WriteShared holds a volume's chunks by reference; a later
+// write over one fills a fresh chunk. Disk writes do no CRC work. Service
+// time is computed from the DiskProfile: per-op overhead +
 // seek (function of arm travel distance) + rotational latency + transfer.
 // The disk serializes its operations through a Resource and optionally
 // shares a bus Resource, which is how the benchmarks reproduce the paper's
@@ -18,17 +22,13 @@
 #define HIGHLIGHT_BLOCKDEV_SIM_DISK_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <functional>
-#include <map>
-#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "blockdev/block_device.h"
 #include "sim/device_profile.h"
 #include "sim/sim_clock.h"
+#include "util/chunk.h"
 #include "util/fault_injector.h"
 #include "util/metrics.h"
 #include "util/status.h"
@@ -40,6 +40,9 @@ class SimDisk : public BlockDevice {
   // `bus` may be null (private bus). The clock must outlive the disk.
   SimDisk(std::string name, uint32_t num_blocks, DiskProfile profile,
           SimClock* clock, Resource* bus = nullptr);
+  // One disk, one identity: its counters are bound to registry slots.
+  SimDisk(const SimDisk&) = delete;
+  SimDisk& operator=(const SimDisk&) = delete;
 
   uint32_t NumBlocks() const override { return num_blocks_; }
   const std::string& Name() const override { return name_; }
@@ -48,18 +51,16 @@ class SimDisk : public BlockDevice {
                     std::span<uint8_t> out) override;
   Status WriteBlocks(uint32_t block, uint32_t count,
                      std::span<const uint8_t> data) override;
-  // Holds the chunks as the range's bytes until a later write over them
-  // drops them (a chunk it covers whole) or copies them into the flat image
-  // (one it covers in part). Charged exactly as WriteBlocks.
+  // Installs the chunks as the range's bytes (ChunkStore::Install) when the
+  // range starts on a chunk boundary of this disk; any other range takes
+  // BlockDevice's copying default. Charged exactly as WriteBlocks.
   Status WriteShared(uint32_t block, uint32_t count,
                      std::span<const ChunkRef> chunks) override;
 
-  // Blocks whose bytes are currently shared chunks, and the chunk behind
-  // `block` (null where the flat image holds it).
-  uint32_t SharedBlocks() const {
-    return static_cast<uint32_t>(shared_.size()) * kChunkBlocks;
+  // The chunk holding `block`, or null where nothing was written.
+  const Chunk* ChunkAt(uint32_t block) const {
+    return store_.ChunkAt(uint64_t{block} * kBlockSize);
   }
-  const Chunk* SharedChunkAt(uint32_t block) const;
 
   // Async variants: data moves now, device time is reserved from
   // max(earliest, device free) and the completion time is returned. The
@@ -90,23 +91,12 @@ class SimDisk : public BlockDevice {
   const DiskProfile& profile() const { return profile_; }
 
  private:
-  static constexpr uint32_t kChunkBlocks = Chunk::kBytes / kBlockSize;
-
   Status CheckRange(uint32_t block, uint32_t count) const;
   // A write's checks, fault draw, service time and counters around `land`,
   // which stores its `bytes` bytes.
   template <typename Land>
   Result<SimTime> ScheduleWriteVia(SimTime earliest, uint32_t block,
                                    uint32_t count, size_t bytes, Land land);
-  // The first shared entry that covers `block` or starts after it.
-  std::map<uint32_t, ChunkRef>::const_iterator FirstShared(
-      uint32_t block) const;
-  // Copies [block, block + count) out of the image, shared chunks included.
-  void CopyOut(uint32_t block, uint32_t count, uint8_t* out) const;
-  // Makes [block, block + count) flat ahead of a write over it: a shared
-  // chunk the range covers whole is dropped, one it covers in part is first
-  // copied into the flat image.
-  void Unshare(uint32_t block, uint32_t count);
   // Computes service time for an op at `byte_offset` and updates arm state.
   SimTime ServiceTime(uint64_t byte_offset, uint64_t bytes, bool is_write);
 
@@ -116,16 +106,7 @@ class SimDisk : public BlockDevice {
   SimClock* clock_;
   Resource spindle_;
   Resource* bus_;
-  // The image comes from calloc, so pages no write touches are never
-  // faulted in: building a deployment costs only the blocks it writes.
-  struct FreeDeleter {
-    void operator()(uint8_t* p) const { std::free(p); }
-  };
-  std::unique_ptr<uint8_t[], FreeDeleter> data_;
-  // Ranges installed by WriteShared: chunk references keyed by the first
-  // block each covers (kChunkBlocks apiece, never overlapping). They shadow
-  // the flat image beneath them.
-  std::map<uint32_t, ChunkRef> shared_;
+  ChunkStore store_;
   uint64_t arm_byte_pos_ = 0;
 
   FaultChannel* faults_ = nullptr;

@@ -317,10 +317,6 @@ Status HighLightFs::WireFsComponents() {
   cleaner_ = std::make_unique<Cleaner>(fs_.get());
   cleaner_->AttachMetrics(&metrics_);
   cleaner_->SetSpans(spans_.get());
-  fs_->SetNoSpaceHandler([cleaner = cleaner_.get()]() {
-    Result<uint32_t> done = cleaner->Clean(8);
-    return done.ok() && *done > 0;
-  });
   return OkStatus();
 }
 

@@ -28,22 +28,31 @@ Status Migrator::EnsureStagingSegment(const MigratorOptions& opts) {
   if (cur_tseg_ != kNoSegment) {
     return OkStatus();
   }
-  uint32_t tseg =
-      tsegs_->NextFreshTseg(ExcludedVolumes(), opts.preferred_volume);
-  if (tseg == kNoSegment) {
-    return Status(ErrorCode::kNoVolume, "tertiary storage exhausted");
+  for (int attempt = 0;; ++attempt) {
+    uint32_t tseg =
+        tsegs_->NextFreshTseg(ExcludedVolumes(), opts.preferred_volume);
+    if (tseg == kNoSegment) {
+      return Status(ErrorCode::kNoVolume, "tertiary storage exhausted");
+    }
+    Result<uint32_t> disk_seg = cache_->AllocLine(tseg, /*staging=*/true);
+    if (disk_seg.status().code() == ErrorCode::kBusy && attempt == 0) {
+      // Every line is pinned by staged segments awaiting copy-out. Staging
+      // never pins more lines than the cache has: copy them out, then pick
+      // again (a retarget may have taken `tseg`).
+      RETURN_IF_ERROR(CopyOutStaged());
+      continue;
+    }
+    RETURN_IF_ERROR(disk_seg.status());
+    cur_tseg_ = tseg;
+    cur_offset_ = 0;
+    tsegs_->SetFlags(tseg, kSegDirty, kSegClean);
+    tsegs_->SetWriteTime(tseg, clock_->Now());
+    StagedSegment record;
+    record.tseg = tseg;
+    record.disk_seg = *disk_seg;
+    staged_[tseg] = std::move(record);
+    return OkStatus();
   }
-  ASSIGN_OR_RETURN(uint32_t disk_seg,
-                   cache_->AllocLine(tseg, /*staging=*/true));
-  cur_tseg_ = tseg;
-  cur_offset_ = 0;
-  tsegs_->SetFlags(tseg, kSegDirty, kSegClean);
-  tsegs_->SetWriteTime(tseg, clock_->Now());
-  StagedSegment record;
-  record.tseg = tseg;
-  record.disk_seg = disk_seg;
-  staged_[tseg] = std::move(record);
-  return OkStatus();
 }
 
 Status Migrator::FinishPseg() {
@@ -499,30 +508,43 @@ Result<MigrationReport> Migrator::EndPass(const MigratorOptions& opts,
   return report;
 }
 
-Result<MigrationReport> Migrator::MigrateFiles(
-    const std::vector<uint32_t>& inos, const MigratorOptions& opts) {
-  SpanScope span(spans_, "migrate_files", "migrator");
-  span.Annotate("files", std::to_string(inos.size()));
+template <typename Items, typename StageOne>
+Result<MigrationReport> Migrator::RunPass(const Items& items,
+                                          const MigratorOptions& opts,
+                                          StageOne stage_one) {
   // Migrate only stable, on-disk state: push dirty data out first.
   RETURN_IF_ERROR(fs_->Sync());
   const MigrationReport start = lifetime_;
   MigrationReport report;
-  for (uint32_t ino : inos) {
-    RETURN_IF_ERROR(MigrateOneFile(ino, opts, report));
+  Status first = OkStatus();
+  for (auto it = items.begin(); it != items.end() && first.ok(); ++it) {
+    first = stage_one(*it, report);
   }
-  return EndPass(opts, start, report);
+  // Even after a failure: the segments staged so far hold flipped
+  // pointers, so they are completed, stored and queued like any others.
+  Result<MigrationReport> ended = EndPass(opts, start, report);
+  RETURN_IF_ERROR(first);
+  return ended;
+}
+
+Result<MigrationReport> Migrator::MigrateFiles(
+    const std::vector<uint32_t>& inos, const MigratorOptions& opts) {
+  SpanScope span(spans_, "migrate_files", "migrator");
+  span.Annotate("files", std::to_string(inos.size()));
+  return RunPass(inos, opts, [&](uint32_t ino, MigrationReport& report) {
+    return MigrateOneFile(ino, opts, report);
+  });
 }
 
 Result<MigrationReport> Migrator::MigrateBlocks(
     const std::vector<std::pair<uint32_t, std::vector<uint32_t>>>& files,
     const MigratorOptions& opts) {
-  RETURN_IF_ERROR(fs_->Sync());
-  const MigrationReport start = lifetime_;
-  MigrationReport report;
   MigratorOptions eff = opts;
   eff.migrate_inode = false;
   eff.migrate_metadata = false;
-  for (const auto& [ino, lbns] : files) {
+  return RunPass(files, eff, [&](const auto& file,
+                                 MigrationReport& report) -> Status {
+    const auto& [ino, lbns] = file;
     ASSIGN_OR_RETURN(DInode inode, fs_->GetInode(ino));
     std::vector<BlockRef> refs;
     refs.reserve(lbns.size());
@@ -540,18 +562,16 @@ Result<MigrationReport> Migrator::MigrateBlocks(
     if (moved) {
       report.files_migrated++;
     }
-  }
-  return EndPass(eff, start, report);
+    return OkStatus();
+  });
 }
 
 Result<MigrationReport> Migrator::ClusterFiles(
     const std::vector<uint32_t>& inos, const MigratorOptions& opts) {
-  RETURN_IF_ERROR(fs_->Sync());
-  const MigrationReport start = lifetime_;
-  MigrationReport report;
-  for (uint32_t ino : inos) {
+  return RunPass(inos, opts, [&](uint32_t ino,
+                                 MigrationReport& report) -> Status {
     if (ino == kIfileInode || ino == kTsegInode || ino == kRootInode) {
-      continue;
+      return OkStatus();
     }
     ASSIGN_OR_RETURN(std::vector<BlockRef> all, fs_->CollectFileBlocks(ino));
     std::vector<BlockRef> tertiary_refs;
@@ -562,16 +582,15 @@ Result<MigrationReport> Migrator::ClusterFiles(
       }
     }
     if (tertiary_refs.empty()) {
-      continue;
+      return OkStatus();
     }
     Result<uint32_t> inode_daddr = fs_->InodeDaddr(ino);
     bool restage_inode =
         inode_daddr.ok() &&
         amap_->Classify(*inode_daddr) == AddressMap::Zone::kTertiary;
-    RETURN_IF_ERROR(ReMigrateFileBlocks(ino, tertiary_refs, restage_inode,
-                                        opts, report));
-  }
-  return EndPass(opts, start, report);
+    return ReMigrateFileBlocks(ino, tertiary_refs, restage_inode, opts,
+                               report);
+  });
 }
 
 Result<MigrationReport> Migrator::RunPolicy(MigrationPolicy& policy,
@@ -602,14 +621,9 @@ Result<MigrationReport> Migrator::RunPolicy(MigrationPolicy& policy,
   return MigrateFiles(inos, opts);
 }
 
-Status Migrator::FlushStaging() {
-  SpanScope span(spans_, "flush_staging", "migrator");
-  MigratorOptions tail;
-  tail.delayed_copyout = true;  // Copy-out happens via the pipeline below.
-  RETURN_IF_ERROR(CompleteSegment(tail));
-  // Queue every pending segment, then drain the pipeline. Completion
-  // callbacks may re-key segments (end-of-medium retargets) or append
-  // replica writes; Drain() runs them all to quiescence.
+Status Migrator::CopyOutStaged() {
+  // Completion callbacks may re-key segments (end-of-medium retargets) or
+  // append replica writes; Drain() runs them all to quiescence.
   std::vector<uint32_t> pending;
   for (const auto& [tseg, record] : staged_) {
     if (!record.enqueued) {
@@ -622,7 +636,15 @@ Status Migrator::FlushStaging() {
     }
     RETURN_IF_ERROR(EnqueueCopyOut(tseg));
   }
-  RETURN_IF_ERROR(DrainCopyOuts());
+  return DrainCopyOuts();
+}
+
+Status Migrator::FlushStaging() {
+  SpanScope span(spans_, "flush_staging", "migrator");
+  MigratorOptions tail;
+  tail.delayed_copyout = true;  // Copy-out happens via the pipeline below.
+  RETURN_IF_ERROR(CompleteSegment(tail));
+  RETURN_IF_ERROR(CopyOutStaged());
   if (!staged_.empty()) {
     return Status(ErrorCode::kIoError,
                   "staged segments remain after a pipeline drain");

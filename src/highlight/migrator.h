@@ -197,6 +197,10 @@ class Migrator {
   // Waits out every queued copy-out (Drain) and returns, then clears, the
   // first error a completion callback deferred.
   Status DrainCopyOuts();
+  // Queues every completed staged segment not yet queued and drains: the
+  // loop FlushStaging runs, and the one that frees the cache lines staged
+  // segments pin when a pass finds every line pinned.
+  Status CopyOutStaged();
   // Moves a staged segment to a fresh tseg on another volume; returns the
   // new key.
   Result<uint32_t> RetargetSegment(uint32_t old_tseg);
@@ -228,6 +232,15 @@ class Migrator {
   Status StageInode(uint32_t ino, const MigratorOptions& opts);
   Status MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
                         MigrationReport& report);
+  // The one pass skeleton MigrateFiles, MigrateBlocks and ClusterFiles
+  // share: Sync, snapshot the lifetime totals, stage each of `items` with
+  // `stage_one(item, report)`, and end through EndPass. A failed item stops
+  // the loop but not the epilogue, so every staged segment is still
+  // completed, stored and queued; the pass then returns the first error.
+  template <typename Items, typename StageOne>
+  Result<MigrationReport> RunPass(const Items& items,
+                                  const MigratorOptions& opts,
+                                  StageOne stage_one);
   // The one pass epilogue: completes the trailing staging segment, reports
   // the segments completed and end-of-medium retargets since `start` (the
   // lifetime totals when the pass began), persists the tseg table, syncs,

@@ -118,20 +118,6 @@ Status Cleaner::CleanOne(uint32_t seg) {
 }
 
 Result<uint32_t> Cleaner::Clean(uint32_t max_segments) {
-  // The no-space handler reaches here when a pass's own Sync runs out of
-  // clean segments. A nested pass would clean behind the outer one's
-  // ranked list and parsed partials; refuse it, so the write that ran out
-  // of space gets kNoSpace instead.
-  if (cleaning_) {
-    return 0u;
-  }
-  cleaning_ = true;
-  Result<uint32_t> done = CleanPass(max_segments);
-  cleaning_ = false;
-  return done;
-}
-
-Result<uint32_t> Cleaner::CleanPass(uint32_t max_segments) {
   std::vector<uint32_t> ranked = RankSegments();
   uint32_t done = 0;
   for (uint32_t seg : ranked) {

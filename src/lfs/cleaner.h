@@ -30,12 +30,13 @@ class Cleaner {
 
   // Cleans up to `max_segments` dirty segments; returns how many were
   // reclaimed. Runs a checkpoint afterwards so the reclaimed space is
-  // durable before reuse. A call made while a pass is running (from the
-  // file system's no-space handler) cleans nothing and returns 0.
+  // durable before reuse.
   Result<uint32_t> Clean(uint32_t max_segments);
 
   // Cleans until at least `target_clean` clean segments exist (or no
-  // progress can be made).
+  // progress can be made). Called at a water mark, this is the one
+  // cleaning trigger: a log writer that runs out of clean segments returns
+  // kNoSpace instead of cleaning inside its flush.
   Result<uint32_t> CleanUntil(uint32_t target_clean);
 
   struct Stats {
@@ -55,14 +56,12 @@ class Cleaner {
  private:
   // Candidate segments ordered best-first under the active policy.
   std::vector<uint32_t> RankSegments() const;
-  Result<uint32_t> CleanPass(uint32_t max_segments);
   Status CleanOne(uint32_t seg);
 
   Lfs* fs_;
   CleanerPolicy policy_;
   Stats stats_;
   SpanTracer* spans_ = nullptr;
-  bool cleaning_ = false;  // A Clean pass is running.
 };
 
 }  // namespace hl

@@ -483,14 +483,7 @@ Result<uint32_t> Lfs::PickCleanSegment(uint32_t after) const {
 Status Lfs::AdvanceSegment() {
   seguse_[cur_seg_].flags &= static_cast<uint16_t>(~kSegActive);
   if (next_seg_ == kNoSegment) {
-    Result<uint32_t> pick = PickCleanSegment(cur_seg_);
-    if (!pick.ok() && no_space_handler_ && no_space_handler_()) {
-      pick = PickCleanSegment(cur_seg_);
-    }
-    if (!pick.ok()) {
-      return pick.status();
-    }
-    next_seg_ = *pick;
+    ASSIGN_OR_RETURN(next_seg_, PickCleanSegment(cur_seg_));
   }
   cur_seg_ = next_seg_;
   cur_offset_ = 0;
@@ -504,9 +497,6 @@ Status Lfs::AdvanceSegment() {
   u.write_time = clock_->Now();
   stats_.segments_consumed++;
   Result<uint32_t> pick = PickCleanSegment(cur_seg_);
-  if (!pick.ok() && no_space_handler_ && no_space_handler_()) {
-    pick = PickCleanSegment(cur_seg_);
-  }
   next_seg_ = pick.ok() ? *pick : kNoSegment;
   return OkStatus();
 }

@@ -247,12 +247,6 @@ class Lfs {
     read_observer_ = std::move(fn);
   }
 
-  // Hook invoked when the log writer runs out of clean segments; a return of
-  // true means "retry the allocation" (the hook ran the cleaner).
-  void SetNoSpaceHandler(std::function<bool()> fn) {
-    no_space_handler_ = std::move(fn);
-  }
-
   // --- Introspection / statistics ----------------------------------------------
 
   struct Stats {
@@ -402,7 +396,6 @@ class Lfs {
   bool in_flush_ = false;
 
   std::function<void(uint32_t, int64_t)> tertiary_accounting_;
-  std::function<bool()> no_space_handler_;
   std::function<void(uint32_t, uint32_t, uint32_t)> read_observer_;
 
   Stats stats_;

@@ -1,11 +1,12 @@
 // Volume: one tertiary medium (tape cartridge, MO platter side, WORM disk).
 //
-// Storage is sparse (64 KB chunks allocated on first write) so that simulated
-// multi-gigabyte tape libraries cost memory only for data actually written.
-// The chunks are refcounted and copy-on-write (util/chunk.h): ReadShared
-// hands out references instead of bytes, a write to a chunk someone else
-// still holds fills a fresh chunk, and every chunk carries the CRC of its
-// bytes.
+// The bytes live in a ChunkStore (util/chunk.h), the representation the raw
+// disks use too: 64 KB copy-on-write chunks allocated on first write, so
+// simulated multi-gigabyte tape libraries cost memory only for data
+// actually written. ReadShared hands out the chunks themselves, and every
+// write asks the store for the CRC of what it stored, which keeps each
+// written chunk's stored CRC current. The volume adds only what a medium
+// knows: capacity, WORM, the high-water mark and its fault draws.
 // Two behaviours from the paper are modeled here:
 //  * Uncertain capacity: compressing media may hold less than the nominal
 //    size; a write past `actual_capacity` fails with kEndOfMedium, at which
@@ -18,7 +19,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -96,9 +96,8 @@ class Volume {
 
  private:
   Status CheckInjectedFault(FaultOp op, uint64_t offset, uint64_t len) const;
-  // Stores `data` at `offset` (copy-on-write, stored CRCs kept current) and
-  // returns its Crc32.
-  uint32_t CopyIn(uint64_t offset, std::span<const uint8_t> data);
+  // The landing both Write and Rewrite make once their checks pass.
+  void Store(uint64_t offset, std::span<const uint8_t> data, uint32_t* crc);
 
   std::string label_;
   uint64_t nominal_capacity_;
@@ -107,7 +106,7 @@ class Volume {
   uint64_t bytes_written_ = 0;
   uint64_t high_water_ = 0;
   FaultChannel* faults_ = nullptr;
-  std::map<uint64_t, std::shared_ptr<Chunk>> chunks_;  // Key: chunk index.
+  ChunkStore store_;
   // For WORM enforcement: written byte ranges, merged. Key = start, val = end.
   std::map<uint64_t, uint64_t> written_ranges_;
 

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "highlight/highlight.h"
+#include "lfs/fsck.h"
 #include "tseg_reference.h"
 #include "util/rng.h"
 
@@ -134,6 +135,70 @@ class HighLightTest : public ::testing::Test {
                                 "tseg.overflow_clamped"}) {
       EXPECT_EQ(m.Value(anomaly), 0u) << step << ": " << anomaly;
     }
+  }
+
+  // One pass with `opts` over 24 files of 240 KB, a staging segment apiece:
+  // more segments than the 8 cache lines plus the I/O server's 8-op window,
+  // each pinning its line until its copy-out is issued. The pass must copy
+  // out to free lines rather than stop with kBusy "all cache lines are
+  // pinned" and leave its staged segments pinned, which wedged every later
+  // write and sync that needed a line. Every staged segment reaches
+  // tertiary, later writes, an overwrite of a migrated block and syncs
+  // succeed, everything reads back, and CheckFs is clean.
+  void ExpectPassLargerThanTheCacheCompletes(const MigratorOptions& opts) {
+    constexpr int kFiles = 24;
+    constexpr size_t kBytes = 240 * 1024;
+    std::vector<uint32_t> inos;
+    for (int i = 0; i < kFiles; ++i) {
+      inos.push_back(MakeFile("/big" + std::to_string(i), kBytes, 80 + i));
+    }
+    Migrator& migrator = hl_->Internals().migrator;
+    Result<MigrationReport> report = migrator.MigrateFiles(inos, opts);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->files_migrated, static_cast<uint32_t>(kFiles));
+    EXPECT_GT(report->segments_completed, 16u);
+    ASSERT_TRUE(migrator.FlushStaging().ok());
+    EXPECT_EQ(migrator.PendingSegments(), 0u);
+    EXPECT_EQ(hl_->Internals().io_server.stats().segments_copied_out,
+              report->segments_completed);
+    for (const SegmentCache::LineInfo& line : hl_->Internals().cache.Lines()) {
+      EXPECT_FALSE(line.staging) << "tseg " << line.tseg << " still pinned";
+    }
+    for (uint32_t ino : inos) {
+      EXPECT_TRUE(FullyMigrated(ino)) << "ino " << ino;
+    }
+
+    ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+    for (int i = 0; i < 4; ++i) {
+      Result<uint32_t> ino = hl_->fs().Create("/after" + std::to_string(i));
+      ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+      Status wrote = hl_->fs().Write(*ino, 0, Pattern(100 * 1024, 190 + i));
+      ASSERT_TRUE(wrote.ok()) << wrote.ToString();
+    }
+    // Part of one block of a migrated file: the write reads the rest of the
+    // block from tertiary, through a cache line.
+    std::vector<uint8_t> first = Pattern(kBytes, 80);
+    const std::vector<uint8_t> patch = Pattern(3000, 199);
+    std::copy(patch.begin(), patch.end(), first.begin() + 5000);
+    Status patched = hl_->fs().Write(inos[0], 5000, patch);
+    ASSERT_TRUE(patched.ok()) << patched.ToString();
+    Status synced = hl_->fs().Sync();
+    ASSERT_TRUE(synced.ok()) << synced.ToString();
+
+    ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+    hl_->fs().FlushBufferCache();
+    std::vector<uint8_t> out(kBytes);
+    ASSERT_TRUE(hl_->fs().Read(inos[0], 0, out).ok());
+    EXPECT_TRUE(out == first);
+    for (int i = 1; i < kFiles; ++i) {
+      ExpectFileContents("/big" + std::to_string(i), kBytes, 80 + i);
+    }
+    for (int i = 0; i < 4; ++i) {
+      ExpectFileContents("/after" + std::to_string(i), 100 * 1024, 190 + i);
+    }
+    FsckReport fsck = CheckFs(hl_->fs());
+    EXPECT_TRUE(fsck.clean()) << fsck.errors.size()
+                              << " errors, first: " << fsck.errors[0];
   }
 
   SimClock clock_;
@@ -308,6 +373,57 @@ TEST_F(HighLightTest, DelayedCopyOutBatchesTertiaryWrites) {
   ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
   ExpectFileContents("/cold1", 512 * 1024, 11);
   ExpectFileContents("/cold2", 512 * 1024, 12);
+}
+
+TEST_F(HighLightTest, WriteBehindPassLargerThanTheCacheCompletes) {
+  MigratorOptions opts;
+  opts.write_behind = true;
+  ExpectPassLargerThanTheCacheCompletes(opts);
+}
+
+TEST_F(HighLightTest, DelayedCopyOutPassLargerThanTheCacheCompletes) {
+  Build(/*delayed=*/true);
+  MigratorOptions opts;
+  opts.delayed_copyout = true;
+  ExpectPassLargerThanTheCacheCompletes(opts);
+}
+
+// A pass that fails part-way still ends through EndPass. Disk reads fail
+// now and then, so MigrateOneFile stops on an unreadable block after
+// earlier blocks were flipped onto the staging segment being built. The
+// pass returns the read error, and the blocks staged before it reach their
+// line at once and tertiary after the flush: every file reads back once the
+// disk heals, before and after the flush, and CheckFs is clean.
+TEST_F(HighLightTest, FailedPassStillEndsThroughEndPass) {
+  std::vector<uint32_t> inos;
+  for (int i = 0; i < 4; ++i) {
+    inos.push_back(MakeFile("/f" + std::to_string(i), 200 * 1024, 120 + i));
+  }
+  ASSERT_TRUE(hl_->fs().Sync().ok());
+  hl_->fs().FlushBufferCache();
+  FaultChannel* disk = hl_->Internals().faults.Channel("disk.disk0");
+  FaultProfile flaky;
+  flaky.read_transient_p = 0.02;
+  disk->set_profile(flaky);
+  Migrator& migrator = hl_->Internals().migrator;
+  Result<MigrationReport> report = migrator.MigrateFiles(inos, {});
+  disk->set_profile(FaultProfile{});
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), ErrorCode::kIoError);
+  EXPECT_GT(migrator.lifetime_report().blocks_migrated, 0u);
+  hl_->fs().FlushBufferCache();
+  for (int i = 0; i < 4; ++i) {
+    ExpectFileContents("/f" + std::to_string(i), 200 * 1024, 120 + i);
+  }
+  ASSERT_TRUE(migrator.FlushStaging().ok());
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  hl_->fs().FlushBufferCache();
+  for (int i = 0; i < 4; ++i) {
+    ExpectFileContents("/f" + std::to_string(i), 200 * 1024, 120 + i);
+  }
+  FsckReport fsck = CheckFs(hl_->fs());
+  EXPECT_TRUE(fsck.clean()) << fsck.errors.size()
+                            << " errors, first: " << fsck.errors[0];
 }
 
 TEST_F(HighLightTest, MigratedStateSurvivesRemount) {

@@ -7,6 +7,7 @@
 #include <map>
 
 #include "blockdev/sim_disk.h"
+#include "highlight/highlight.h"
 #include "lfs/cleaner.h"
 #include "lfs/fsck.h"
 #include "lfs/lfs.h"
@@ -126,13 +127,14 @@ TEST_F(LfsCleanerTest, CleanedDataSurvivesRemount) {
 
 TEST_F(LfsCleanerTest, LogSurvivesFillDeleteCycles) {
   // Work the log through several fill/delete/clean cycles to exercise wrap
-  // around; the no-space handler runs the cleaner on demand.
+  // around; between cycles the cleaner runs at a water mark, as HighLight
+  // runs it.
   Cleaner cleaner(fs_.get(), CleanerPolicy::kGreedy);
-  fs_->SetNoSpaceHandler([&]() {
-    Result<uint32_t> done = cleaner.Clean(8);
-    return done.ok() && *done > 0;
-  });
   for (int cycle = 0; cycle < 6; ++cycle) {
+    if (fs_->CleanSegmentCount() * 2 < fs_->NumSegments()) {
+      Result<uint32_t> cleaned = cleaner.CleanUntil(fs_->NumSegments() / 2);
+      ASSERT_TRUE(cleaned.ok()) << cleaned.status().ToString();
+    }
     std::string path = "/cycle" + std::to_string(cycle);
     Result<uint32_t> ino = fs_->Create(path);
     ASSERT_TRUE(ino.ok()) << path << ": " << ino.status().ToString();
@@ -271,11 +273,25 @@ TEST_F(LfsCleanerTest, InodeScanRelocatesOnlyMappedInodes) {
   EXPECT_EQ(out, Pattern(100, 71));
 }
 
-// The no-space handler wired as HighLightFs wires it, on a disk small
-// enough that the cleaner's own relocation Sync runs out of clean segments.
-// A nested Clean would clean behind the outer pass (stale ranked list and
-// parsed partials); it must clean nothing, so the outer pass's write gets a
-// plain kNoSpace and every synced byte stays readable.
+bool OkOrNoSpace(const Status& s) {
+  return s.ok() || s.code() == ErrorCode::kNoSpace;
+}
+
+// Fresh bytes for step `step` of a run seeded `seed`, 64-192 KB long.
+std::vector<uint8_t> StepBytes(Rng& rng, uint64_t seed, uint32_t step) {
+  std::vector<uint8_t> data((64 + rng.Below(129)) * 1024);
+  Rng fill(seed * 1000003 + step);
+  for (size_t i = 0; i < data.size(); i += 8) {
+    uint64_t v = fill.Next();
+    std::memcpy(data.data() + i, &v, 8);
+  }
+  return data;
+}
+
+// A disk small enough that the log runs out of clean segments between
+// water-mark cleanings, with the cleaner's own relocation Sync among the
+// writers that run out. The log writer does no cleaning of its own: every
+// write and sync returns OK or kNoSpace, and every byte stays readable.
 TEST(CleanerNoSpaceTest, NestedCleanNeverRunsAndDataSurvives) {
   SimClock clock;
   SimDisk disk("d0", 2048, Rz57Profile(), &clock);  // 31 segments.
@@ -285,22 +301,7 @@ TEST(CleanerNoSpaceTest, NestedCleanNeverRunsAndDataSurvives) {
   ASSERT_TRUE(fs_or.ok());
   std::unique_ptr<Lfs> fs = std::move(fs_or).value();
   Cleaner cleaner(fs.get());
-  uint32_t passes_running = 0;  // Clean passes in progress.
-  uint64_t nested_cleaned = 0;
-  fs->SetNoSpaceHandler([&] {
-    uint64_t before = cleaner.stats().segments_cleaned;
-    ++passes_running;
-    Result<uint32_t> done = cleaner.Clean(8);
-    --passes_running;
-    if (passes_running > 0) {
-      nested_cleaned += cleaner.stats().segments_cleaned - before;
-    }
-    return done.ok() && *done > 0;
-  });
 
-  auto ok_or_nospace = [](const Status& s) {
-    return s.ok() || s.code() == ErrorCode::kNoSpace;
-  };
   constexpr uint32_t kFiles = 46;
   Rng rng(2);
   std::map<uint32_t, std::vector<uint8_t>> model;
@@ -316,33 +317,23 @@ TEST(CleanerNoSpaceTest, NestedCleanNeverRunsAndDataSurvives) {
     // in the dirty map before any flush, so a kNoSpace from the write's
     // auto-flush leaves them readable.
     uint32_t ino = inos[rng.Below(inos.size())];
-    std::vector<uint8_t> data((64 + rng.Below(129)) * 1024);
-    Rng fill(2 * 1000003 + step);
-    for (size_t i = 0; i < data.size(); i += 8) {
-      uint64_t v = fill.Next();
-      std::memcpy(data.data() + i, &v, 8);
-    }
+    std::vector<uint8_t> data = StepBytes(rng, 2, step);
     ASSERT_TRUE(fs->Truncate(ino, 0).ok());
     Status wrote = fs->Write(ino, 0, data);
-    ASSERT_TRUE(ok_or_nospace(wrote)) << wrote.ToString();
+    ASSERT_TRUE(OkOrNoSpace(wrote)) << wrote.ToString();
     model[ino] = std::move(data);
     if (step % 5 == 0) {
       Status synced = fs->Sync();
-      ASSERT_TRUE(ok_or_nospace(synced)) << synced.ToString();
+      ASSERT_TRUE(OkOrNoSpace(synced)) << synced.ToString();
     }
     // Clean from 30% up to 50% clean segments.
     if (fs->CleanSegmentCount() * 100 < 30 * fs->NumSegments()) {
-      ++passes_running;
       Result<uint32_t> cleaned =
           cleaner.CleanUntil(50 * fs->NumSegments() / 100);
-      --passes_running;
-      // Not fatal: a broken guard shows here first (kBusy "segment is in
-      // use by the log"), and the read-back below shows what it cost.
-      EXPECT_TRUE(ok_or_nospace(cleaned.status()))
+      EXPECT_TRUE(OkOrNoSpace(cleaned.status()))
           << "step " << step << ": " << cleaned.status().ToString();
     }
   }
-  EXPECT_EQ(nested_cleaned, 0u);
   for (const auto& [ino, want] : model) {
     std::vector<uint8_t> out(want.size());
     Result<size_t> n = fs->Read(ino, 0, out);
@@ -354,6 +345,101 @@ TEST(CleanerNoSpaceTest, NestedCleanNeverRunsAndDataSurvives) {
   FsckReport report = CheckFs(*fs);
   EXPECT_TRUE(report.clean())
       << report.errors.size() << " errors, first: " << report.errors[0];
+}
+
+// The same pressure through HighLightFs, sized as the 55-file probe: a
+// 31-segment log beside 4 cache lines, 55 files rewritten with 64-192 KB,
+// a Sync every 5th step and CleanUntil from 30% to 50% clean. A log writer
+// that cleaned inside its flush marked segments clean before the blocks it
+// moved were durable, so the image held blocks claimed by two inodes and a
+// remount lost files. Every call must return OK or kNoSpace, CheckFs must
+// be clean before and after a remount, and every file not rewritten since
+// the last Sync that returned OK must read back exact. 150 steps leave a
+// good share of files in that state: once the log has no clean segment
+// left, the cleaner's own relocation Sync gets kNoSpace too, so later syncs
+// fail and every later rewrite drops a file from the check.
+TEST(HighLightNoSpaceTest, FullLogReturnsNoSpaceAndSyncedFilesSurviveRemount) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SimClock clock;
+    Result<HighLightConfig> config = HighLightConfig::Builder()
+                                         .AddDisk(Rz57Profile(), 2048 + 4 * 64)
+                                         .AddJukebox(Hp6300MoProfile())
+                                         .SegSizeBlocks(64)
+                                         .CacheMaxSegments(4)
+                                         .Build();
+    ASSERT_TRUE(config.ok()) << config.status().ToString();
+    Result<std::unique_ptr<HighLightFs>> made =
+        HighLightFs::Create(*config, &clock);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    std::unique_ptr<HighLightFs> hl = std::move(made).value();
+    Lfs& fs = hl->fs();
+
+    constexpr uint32_t kFiles = 55;
+    Rng rng(seed);
+    std::map<uint32_t, std::vector<uint8_t>> model;
+    std::map<uint32_t, std::vector<uint8_t>> synced;  // As of the last OK.
+    std::vector<uint32_t> inos;
+    auto sync = [&](Status s) {
+      EXPECT_TRUE(OkOrNoSpace(s)) << s.ToString();
+      if (s.ok()) {
+        synced = model;
+      }
+    };
+    for (uint32_t step = 0; step < 150; ++step) {
+      if (inos.size() < kFiles) {
+        Result<uint32_t> ino = fs.Create("/f" + std::to_string(inos.size()));
+        ASSERT_TRUE(ino.ok()) << ino.status().ToString();
+        inos.push_back(*ino);
+        model[*ino] = {};
+      }
+      uint32_t ino = inos[rng.Below(inos.size())];
+      std::vector<uint8_t> data = StepBytes(rng, seed, step);
+      ASSERT_TRUE(fs.Truncate(ino, 0).ok());
+      Status wrote = fs.Write(ino, 0, data);
+      ASSERT_TRUE(OkOrNoSpace(wrote)) << "step " << step << ": "
+                                      << wrote.ToString();
+      model[ino] = std::move(data);
+      if (step % 5 == 0) {
+        sync(fs.Sync());
+      }
+      if (fs.CleanSegmentCount() * 100 < 30 * fs.NumSegments()) {
+        Result<uint32_t> cleaned = hl->CleanUntil(50 * fs.NumSegments() / 100);
+        ASSERT_TRUE(OkOrNoSpace(cleaned.status()))
+            << "step " << step << ": " << cleaned.status().ToString();
+      }
+    }
+    sync(fs.Sync());
+    Status checkpointed = fs.Checkpoint();
+    ASSERT_TRUE(OkOrNoSpace(checkpointed)) << checkpointed.ToString();
+    for (const auto& [ino, want] : model) {
+      std::vector<uint8_t> out(want.size());
+      Result<size_t> n = fs.Read(ino, 0, out);
+      ASSERT_TRUE(n.ok()) << "ino " << ino << ": " << n.status().ToString();
+      EXPECT_TRUE(*n == want.size() && out == want) << "ino " << ino;
+    }
+    FsckReport before = CheckFs(fs);
+    EXPECT_TRUE(before.clean()) << before.errors.size()
+                                << " errors, first: " << before.errors[0];
+
+    ASSERT_TRUE(hl->Remount().ok());
+    FsckReport after = CheckFs(hl->fs());
+    EXPECT_TRUE(after.clean()) << after.errors.size()
+                               << " errors, first: " << after.errors[0];
+    uint32_t checked = 0;
+    for (const auto& [ino, want] : synced) {
+      if (model.at(ino) != want) {
+        continue;  // Rewritten after the last sync that returned OK.
+      }
+      std::vector<uint8_t> out(want.size());
+      Result<size_t> n = hl->fs().Read(ino, 0, out);
+      EXPECT_TRUE(n.ok()) << "ino " << ino << ": " << n.status().ToString();
+      EXPECT_TRUE(!n.ok() || (*n == want.size() && out == want))
+          << "ino " << ino << " reads back wrong after the remount";
+      ++checked;
+    }
+    EXPECT_GE(checked, 10u);
+  }
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "blockdev/sim_disk.h"
-#include "lfs/cleaner.h"
 #include "lfs/fsck.h"
 #include "lfs/lfs.h"
 #include "util/rng.h"
@@ -36,11 +35,6 @@ TEST_P(LfsFuzzTest, RandomOpsMatchReferenceModel) {
   auto fs_or = Lfs::Mkfs(&disk, &clock, params);
   ASSERT_TRUE(fs_or.ok());
   std::unique_ptr<Lfs> fs = std::move(*fs_or);
-  Cleaner cleaner(fs.get());
-  fs->SetNoSpaceHandler([&] {
-    Result<uint32_t> done = cleaner.Clean(8);
-    return done.ok() && *done > 0;
-  });
 
   Model model;
   Rng rng(Seed());

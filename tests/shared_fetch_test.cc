@@ -3,18 +3,23 @@
 //  * Crc32Combine joins stored CRCs exactly as Crc32 of the concatenation.
 //  * Every chunk's stored CRC describes its bytes after any mix of writes,
 //    and a shared read reports what a copying read of the extent would.
-//  * WriteShared is charged exactly as WriteBlocks of the same bytes, and
-//    ConcatDriver forwards it only within one component.
+//  * WriteShared is charged exactly as WriteBlocks of the same bytes,
+//    installs the chunks themselves only on a chunk boundary of the disk,
+//    and ConcatDriver forwards it only within one component.
 //  * Copy-on-write holds both ways: volume writes leave an installed line
 //    alone, disk writes leave the volume alone, and a remount reads exact.
 //  * Fetches share on a default deployment, and each fallback (a volume that
 //    can corrupt reads, a segment that is not whole chunks, a line across
 //    two disks) copies and reads back exact.
+// Which chunks a disk shares is read with SimDisk::ChunkAt and
+// Volume::ChunkAt: a shared range holds the very chunk the other holder
+// has.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 
 #include "blockdev/concat_driver.h"
@@ -237,7 +242,8 @@ TEST(VolumeChunkTest, SharingIsRefusedBeforeAnyDrawWhereItCannotRun) {
 
 // Two identical disks, each on its own clock behind its own fault injector
 // with the same seed and some write failures. One takes WriteBlocks of a
-// run of chunks' bytes, the other WriteShared of the chunks; ordinary
+// run of chunks' bytes, the other WriteShared of the chunks, on a chunk
+// boundary (installed by reference) or at any block (copied); ordinary
 // writes and reads land on both. Completion times, seeks, fault draws,
 // disk.* counters and every byte read agree op for op.
 TEST(SharedWriteTest, WriteSharedChargesLikeWriteBlocks) {
@@ -260,22 +266,32 @@ TEST(SharedWriteTest, WriteSharedChargesLikeWriteBlocks) {
 
   Rng rng(7);
   int shared_ok = 0;
+  int copied_ok = 0;
   int failures = 0;
   for (int op = 0; op < 120; ++op) {
     const uint64_t kind = rng.Below(3);
-    if (kind == 0) {  // A run of chunks at any block.
+    if (kind == 0) {  // A run of chunks, on a chunk boundary or anywhere.
       const uint32_t n = 1 + static_cast<uint32_t>(rng.Below(3));
       const uint32_t count = n * kChunkBlocks;
-      const uint32_t block = static_cast<uint32_t>(rng.Below(512 - count + 1));
+      const bool aligned = op % 2 == 0;
+      const uint32_t block =
+          aligned ? static_cast<uint32_t>(rng.Below(32 - n + 1)) * kChunkBlocks
+                  : static_cast<uint32_t>(rng.Below(512 - count + 1));
       const std::vector<ChunkRef> chunks = MakeChunks(n, op);
       Status a = copying.WriteBlocks(block, count, Concat(chunks));
       Status b = sharing.WriteShared(block, count, chunks);
       ASSERT_EQ(a.ok(), b.ok()) << "op " << op;
-      if (b.ok()) {
-        ++shared_ok;
-        EXPECT_EQ(sharing.SharedChunkAt(block), chunks[0].get());
-      } else {
+      if (!b.ok()) {
         ++failures;
+      } else if (block % kChunkBlocks == 0) {
+        ++shared_ok;
+        for (uint32_t i = 0; i < n; ++i) {
+          EXPECT_EQ(sharing.ChunkAt(block + i * kChunkBlocks),
+                    chunks[i].get());
+        }
+      } else {
+        ++copied_ok;  // Off the chunk grid: copied, not referenced.
+        EXPECT_NE(sharing.ChunkAt(block), chunks[0].get());
       }
     } else if (kind == 1) {  // An ordinary write over whatever is there.
       const uint32_t count = 1 + static_cast<uint32_t>(rng.Below(40));
@@ -298,9 +314,8 @@ TEST(SharedWriteTest, WriteSharedChargesLikeWriteBlocks) {
     sharing_clock.Advance(5'000);
   }
   EXPECT_GT(shared_ok, 0);
+  EXPECT_GT(copied_ok, 0);
   EXPECT_GT(failures, 0);
-  EXPECT_GT(sharing.SharedBlocks(), 0u);
-  EXPECT_EQ(copying.SharedBlocks(), 0u);
   std::vector<uint8_t> a(512 * kBlockSize);
   std::vector<uint8_t> b(512 * kBlockSize);
   ASSERT_TRUE(copying.ReadBlocks(0, 512, a).ok());
@@ -328,12 +343,14 @@ TEST(SharedWriteTest, WriteSharedChecksRangeAndSizeBeforeAnyCharge) {
   EXPECT_EQ(disk.WriteShared(0, 0, {}).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(disk.WriteShared(0, 8, one).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(disk.writes(), 0u);
-  EXPECT_EQ(disk.SharedBlocks(), 0u);
+  for (uint32_t b = 0; b < 64; b += kChunkBlocks) {
+    EXPECT_EQ(disk.ChunkAt(b), nullptr) << b;
+  }
   EXPECT_EQ(clock.Now(), 0u);
   ASSERT_TRUE(disk.WriteShared(48, 16, one).ok());
-  EXPECT_EQ(disk.SharedBlocks(), 16u);
-  EXPECT_EQ(disk.SharedChunkAt(63), one[0].get());
-  EXPECT_EQ(disk.SharedChunkAt(47), nullptr);
+  EXPECT_EQ(disk.ChunkAt(48), one[0].get());
+  EXPECT_EQ(disk.ChunkAt(63), one[0].get());
+  EXPECT_EQ(disk.ChunkAt(47), nullptr);
 }
 
 TEST(SharedWriteTest, ConcatForwardsSharedWriteWithinOneComponentOnly) {
@@ -346,21 +363,23 @@ TEST(SharedWriteTest, ConcatForwardsSharedWriteWithinOneComponentOnly) {
   const std::vector<ChunkRef> straddler = MakeChunks(1, 3);
 
   ASSERT_TRUE(cat.WriteShared(80, 16, first).ok());
-  EXPECT_EQ(a.SharedChunkAt(80), first[0].get());
+  EXPECT_EQ(a.ChunkAt(80), first[0].get());
   ASSERT_TRUE(cat.WriteShared(116, 32, second).ok());
-  EXPECT_EQ(b.SharedChunkAt(16), second[0].get());
-  EXPECT_EQ(b.SharedChunkAt(47), second[1].get());
+  EXPECT_EQ(b.ChunkAt(16), second[0].get());
+  EXPECT_EQ(b.ChunkAt(47), second[1].get());
   EXPECT_EQ(a.writes(), 1u);
   EXPECT_EQ(b.writes(), 1u);
 
   // Across the boundary no one component holds the range: it is copied,
-  // one write to each side, and the partly overwritten chunk on `a` turns
-  // into flat bytes.
+  // one write to each side, and the partly overwritten chunk on `a` is
+  // replaced by a copy of its own, leaving `first` as it was.
   ASSERT_TRUE(cat.WriteShared(92, 16, straddler).ok());
   EXPECT_EQ(a.writes(), 2u);
   EXPECT_EQ(b.writes(), 2u);
-  EXPECT_EQ(a.SharedBlocks(), 0u);
-  EXPECT_EQ(b.SharedBlocks(), 32u);
+  EXPECT_NE(a.ChunkAt(80), first[0].get());
+  EXPECT_NE(b.ChunkAt(0), straddler[0].get());
+  EXPECT_EQ(b.ChunkAt(16), second[0].get());
+  EXPECT_EQ(b.ChunkAt(32), second[1].get());
   std::vector<uint8_t> out(16 * kBlockSize);
   ASSERT_TRUE(cat.ReadBlocks(92, 16, out).ok());
   EXPECT_TRUE(out == Concat(straddler));
@@ -368,6 +387,14 @@ TEST(SharedWriteTest, ConcatForwardsSharedWriteWithinOneComponentOnly) {
   ASSERT_TRUE(cat.ReadBlocks(80, 12, head).ok());
   const std::vector<uint8_t> first_bytes = Concat(first);
   EXPECT_TRUE(std::equal(head.begin(), head.end(), first_bytes.begin()));
+  // A shared range off the component's chunk grid is copied too: a's block
+  // 8 is not on one of its chunk boundaries.
+  ASSERT_TRUE(cat.WriteShared(8, 16, first).ok());
+  EXPECT_EQ(a.writes(), 3u);
+  EXPECT_NE(a.ChunkAt(8), first[0].get());
+  EXPECT_NE(a.ChunkAt(16), first[0].get());
+  ASSERT_TRUE(cat.ReadBlocks(8, 16, out).ok());
+  EXPECT_TRUE(out == first_bytes);
 
   EXPECT_EQ(cat.WriteShared(299, 16, first).code(), ErrorCode::kOutOfRange);
 }
@@ -384,8 +411,18 @@ class CopyOnWriteTest : public ::testing::Test {
     std::vector<ChunkRef> chunks;
     ASSERT_TRUE(volume_.ReadShared(kChunk, 4 * kChunk, &chunks).ok());
     ASSERT_TRUE(disk_.WriteShared(kLine, 4 * kChunkBlocks, chunks).ok());
-    ASSERT_EQ(disk_.SharedBlocks(), 4 * kChunkBlocks);
-    ASSERT_EQ(disk_.SharedChunkAt(kLine), volume_.ChunkAt(kChunk));
+    ASSERT_EQ(ChunksSharedWithVolume(), 4u);
+  }
+
+  // How many of the line's four chunks are the very chunks the volume holds
+  // for the same bytes.
+  uint32_t ChunksSharedWithVolume() const {
+    uint32_t shared = 0;
+    for (uint32_t i = 0; i < 4; ++i) {
+      const Chunk* held = disk_.ChunkAt(kLine + i * kChunkBlocks);
+      shared += held != nullptr && held == volume_.ChunkAt((1 + i) * kChunk);
+    }
+    return shared;
   }
 
   std::vector<uint8_t> Line() {
@@ -412,7 +449,7 @@ TEST_F(CopyOnWriteTest, VolumeWritesLeaveTheInstalledLineUnchanged) {
   ASSERT_TRUE(volume_.Write(kChunk, other).ok());
   EXPECT_TRUE(OnVolume() == other);
   EXPECT_TRUE(Line() == image_);
-  EXPECT_NE(disk_.SharedChunkAt(kLine), volume_.ChunkAt(kChunk));
+  EXPECT_EQ(ChunksSharedWithVolume(), 0u);
 
   std::vector<ChunkRef> chunks;
   ASSERT_TRUE(volume_.ReadShared(kChunk, 4 * kChunk, &chunks).ok());
@@ -426,7 +463,7 @@ TEST_F(CopyOnWriteTest, VolumeWritesLeaveTheInstalledLineUnchanged) {
   EXPECT_TRUE(OnVolume() == std::vector<uint8_t>(4 * kChunk, 0));
   EXPECT_TRUE(Line() == other);
   for (uint32_t b = kLine; b < kLine + 4 * kChunkBlocks; b += kChunkBlocks) {
-    const Chunk* held = disk_.SharedChunkAt(b);
+    const Chunk* held = disk_.ChunkAt(b);
     ASSERT_NE(held, nullptr);
     EXPECT_EQ(held->crc, Crc32(std::span<const uint8_t>(held->bytes)));
   }
@@ -434,13 +471,14 @@ TEST_F(CopyOnWriteTest, VolumeWritesLeaveTheInstalledLineUnchanged) {
 
 TEST_F(CopyOnWriteTest, DiskWritesLeaveTheVolumeUnchanged) {
   std::vector<uint8_t> expect = image_;
-  // Part of one chunk: that chunk turns flat, the others stay shared.
+  // Part of one chunk: the disk copies that chunk and writes the copy, the
+  // others stay shared.
   const auto part = Pattern(3 * kBlockSize, 31);
   ASSERT_TRUE(disk_.WriteBlocks(kLine + kChunkBlocks + 5, 3, part).ok());
   std::copy(part.begin(), part.end(),
             expect.begin() + (kChunkBlocks + 5) * kBlockSize);
-  EXPECT_EQ(disk_.SharedBlocks(), 3 * kChunkBlocks);
-  EXPECT_EQ(disk_.SharedChunkAt(kLine + kChunkBlocks), nullptr);
+  EXPECT_EQ(ChunksSharedWithVolume(), 3u);
+  EXPECT_NE(disk_.ChunkAt(kLine + kChunkBlocks), volume_.ChunkAt(2 * kChunk));
   EXPECT_TRUE(Line() == expect);
   EXPECT_TRUE(OnVolume() == image_);
 
@@ -448,14 +486,14 @@ TEST_F(CopyOnWriteTest, DiskWritesLeaveTheVolumeUnchanged) {
   const auto across = Pattern(24 * kBlockSize, 32);
   ASSERT_TRUE(disk_.WriteBlocks(kLine - 4, 24, across).ok());
   std::copy(across.begin() + 4 * kBlockSize, across.end(), expect.begin());
-  EXPECT_EQ(disk_.SharedBlocks(), 2 * kChunkBlocks);
+  EXPECT_EQ(ChunksSharedWithVolume(), 2u);
   EXPECT_TRUE(Line() == expect);
   EXPECT_TRUE(OnVolume() == image_);
 
   // The whole line.
   const auto all = Pattern(4 * kChunk, 33);
   ASSERT_TRUE(disk_.WriteBlocks(kLine, 4 * kChunkBlocks, all).ok());
-  EXPECT_EQ(disk_.SharedBlocks(), 0u);
+  EXPECT_EQ(ChunksSharedWithVolume(), 0u);
   EXPECT_TRUE(Line() == all);
   EXPECT_TRUE(OnVolume() == image_);
 }
@@ -523,12 +561,42 @@ class SharedFetchTest : public ::testing::TestWithParam<bool> {
     const uint32_t seg_blocks = hl_->fs().superblock().seg_size_blocks;
     bool all = volume.ok();
     for (uint32_t b = 0; all && b < seg_blocks; b += kChunkBlocks) {
-      const Chunk* held =
-          internals.disk(0).SharedChunkAt(LineFirstBlock(line) + b);
+      const Chunk* held = internals.disk(0).ChunkAt(LineFirstBlock(line) + b);
       all = held != nullptr &&
             held == (*volume)->ChunkAt(offset + uint64_t{b} * kBlockSize);
     }
     return all;
+  }
+
+  // Every chunk some volume holds.
+  std::set<const Chunk*> VolumeChunks() {
+    auto internals = hl_->Internals();
+    std::set<const Chunk*> chunks;
+    for (int v = 0; v < internals.footprint.NumVolumes(); ++v) {
+      Result<Volume*> volume = internals.footprint.GetVolume(v);
+      EXPECT_TRUE(volume.ok());
+      for (uint64_t off = 0; volume.ok() && off < (*volume)->high_water();
+           off += kChunk) {
+        if (const Chunk* chunk = (*volume)->ChunkAt(off)) {
+          chunks.insert(chunk);
+        }
+      }
+    }
+    return chunks;
+  }
+
+  // Blocks of disk `d` whose chunk is one a volume holds: what the disk
+  // shares with tertiary.
+  uint32_t BlocksSharedWithVolumes(size_t d) {
+    const SimDisk& disk = hl_->Internals().disk(d);
+    const std::set<const Chunk*> shared = VolumeChunks();
+    uint32_t blocks = 0;
+    for (uint32_t b = 0; b < disk.NumBlocks(); b += kChunkBlocks) {
+      if (shared.count(disk.ChunkAt(b)) > 0) {
+        blocks += kChunkBlocks;
+      }
+    }
+    return blocks;
   }
 
   SimClock clock_;
@@ -552,7 +620,7 @@ TEST_P(SharedFetchTest, DemandFetchSharesTheVolumeChunks) {
   const uint32_t line = internals.cache.Lookup(tsegs[0]);
   ASSERT_NE(line, kNoSegment);
   EXPECT_TRUE(LineSharesVolumeChunks(line, tsegs[0]));
-  EXPECT_EQ(internals.disk(0).SharedBlocks(),
+  EXPECT_EQ(BlocksSharedWithVolumes(0),
             hl_->fs().superblock().seg_size_blocks);
   // Verified against the catalog from the stored CRCs.
   EXPECT_EQ(internals.io_server.stats().crc_verified, verified + 1);
@@ -574,10 +642,12 @@ TEST_P(SharedFetchTest, CopyOnWriteBothWaysThenRemountReadsExact) {
   ASSERT_EQ(tsegs.size(), 3u);
   std::map<uint32_t, std::vector<uint8_t>> images;
   std::map<uint32_t, std::vector<uint8_t>> lines;
+  std::map<uint32_t, const Chunk*> fetched_chunk;  // A line's first chunk.
   for (uint32_t tseg : tsegs) {
     const uint32_t line = internals.cache.Lookup(tseg);
     ASSERT_NE(line, kNoSegment);
     ASSERT_TRUE(LineSharesVolumeChunks(line, tseg));
+    fetched_chunk[tseg] = internals.disk(0).ChunkAt(LineFirstBlock(line));
     Result<std::vector<uint8_t>> image = hl_->ReadSegmentImage(tseg);
     ASSERT_TRUE(image.ok());
     images[tseg] = *image;
@@ -647,7 +717,10 @@ TEST_P(SharedFetchTest, CopyOnWriteBothWaysThenRemountReadsExact) {
 
   ASSERT_TRUE(hl_->Remount().ok());
   ExpectReadsBack(files);
-  EXPECT_GT(hl_->Internals().disk(0).SharedBlocks(), 0u);
+  // The line no disk write touched still holds, by reference, the chunk
+  // its fetch installed: the volume erase and the remount copied nothing.
+  EXPECT_EQ(hl_->Internals().disk(0).ChunkAt(LineFirstBlock(freed[2])),
+            fetched_chunk[tsegs[2]]);
 }
 
 // Fallback: a source volume whose profile can corrupt reads is read by
@@ -719,7 +792,7 @@ TEST_P(SharedFetchTest, CorruptibleOnlyCopyIsCopiedExact) {
   const uint64_t verified = internals.io_server.stats().crc_verified;
   ExpectReadsBack(files);
   EXPECT_NE(internals.cache.Lookup(tsegs[0]), kNoSegment);
-  EXPECT_EQ(internals.disk(0).SharedBlocks(), 0u);
+  EXPECT_EQ(BlocksSharedWithVolumes(0), 0u);
   EXPECT_EQ(internals.io_server.stats().crc_verified, verified + 1);
 }
 
@@ -735,7 +808,7 @@ TEST_P(SharedFetchTest, SegmentsOfPartChunksAreCopiedExact) {
   const uint64_t fetched = hl_->Internals().io_server.stats().segments_fetched;
   ExpectReadsBack(files);
   EXPECT_GT(hl_->Internals().io_server.stats().segments_fetched, fetched);
-  EXPECT_EQ(hl_->Internals().disk(0).SharedBlocks(), 0u);
+  EXPECT_EQ(BlocksSharedWithVolumes(0), 0u);
 }
 
 // Fallback: disk segment 127 of 64 blocks spans [8144, 8208), across the
@@ -758,15 +831,15 @@ TEST_P(SharedFetchTest, LineAcrossTwoDisksIsCopiedExact) {
   }
   std::sort(lines.begin(), lines.end());
   ASSERT_EQ(lines, (std::vector<uint32_t>{127, 128}));
-  for (uint32_t b = LineFirstBlock(127); b < 8 * 1024; ++b) {
-    EXPECT_EQ(internals.disk(0).SharedChunkAt(b), nullptr) << b;
-  }
-  EXPECT_EQ(internals.disk(0).SharedBlocks(), 0u);
-  // Disk 1 holds the straddler's last 16 blocks and all of segment 128.
-  EXPECT_EQ(internals.disk(1).SharedChunkAt(0), nullptr);
-  EXPECT_EQ(internals.disk(1).SharedBlocks(), 64u);
-  EXPECT_NE(internals.disk(1).SharedChunkAt(LineFirstBlock(128) - 8 * 1024),
-            nullptr);
+  // Disk 1 holds the straddler's last 16 blocks, copied, and all of
+  // segment 128, shared.
+  EXPECT_EQ(BlocksSharedWithVolumes(0), 0u);
+  EXPECT_EQ(BlocksSharedWithVolumes(1), 64u);
+  const std::set<const Chunk*> shared = VolumeChunks();
+  EXPECT_EQ(shared.count(internals.disk(1).ChunkAt(0)), 0u);
+  EXPECT_EQ(shared.count(
+                internals.disk(1).ChunkAt(LineFirstBlock(128) - 8 * 1024)),
+            1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(SyncAndAsync, SharedFetchTest, ::testing::Bool(),

@@ -464,15 +464,14 @@ int main(int argc, char** argv) {
       }
     }
     // The last fetchable segment plays the read-ahead; the rest are faults.
+    const IoServer::ReadDone ignore = [](const Status&, SimTime,
+                                         std::span<const ChunkRef>) {};
     for (size_t i = 0; i + 1 < fetchable.size(); ++i) {
-      Check(io.EnqueueDemandRead(fetchable[i], kNoSegment,
-                                 [](const Status&, SimTime) {}),
+      Check(io.EnqueueDemandRead(fetchable[i], kNoSegment, ignore),
             "enqueue demand read");
     }
     if (!fetchable.empty()) {
-      auto image = std::make_shared<std::vector<uint8_t>>(io.SegBytes());
-      Check(io.EnqueuePrefetchRead(fetchable.back(), kNoSegment, image,
-                                   [](const Status&, SimTime) {}),
+      Check(io.EnqueuePrefetchRead(fetchable.back(), kNoSegment, ignore),
             "enqueue prefetch read");
     }
     for (uint32_t t : staged) {

@@ -26,15 +26,8 @@ run() {
 
 run default
 if [[ $fast -eq 0 ]]; then
+  # The whole suite, every label included, under the sanitizers.
   run asan
-  # The fault surface (injection, retry, scrub, quarantine) gets an extra
-  # dedicated pass under the sanitizers: memory bugs love error paths.
-  echo "==> fault-label tests (asan)"
-  ctest --preset asan -L fault -j "$jobs"
-  # The observability surface (spans, sampler, exporters) likewise: the
-  # tracer's unwind and ring-eviction paths are where lifetime bugs hide.
-  echo "==> observability-label tests (asan)"
-  ctest --preset asan -L observability -j "$jobs"
 fi
 
 # Paper tables: every table bench (2-6) runs end to end and its headline

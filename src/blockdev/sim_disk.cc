@@ -134,7 +134,8 @@ Result<SimTime> SimDisk::ScheduleWriteAt(SimTime earliest, uint32_t block,
 
 Status SimDisk::WriteShared(uint32_t block, uint32_t count,
                             std::span<const ChunkRef> chunks) {
-  if (block % (Chunk::kBytes / kBlockSize) != 0) {
+  constexpr uint32_t kChunkBlocks = Chunk::kBytes / kBlockSize;
+  if (block % kChunkBlocks != 0 || count % kChunkBlocks != 0) {
     return BlockDevice::WriteShared(block, count, chunks);
   }
   ASSIGN_OR_RETURN(

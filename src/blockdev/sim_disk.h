@@ -52,8 +52,9 @@ class SimDisk : public BlockDevice {
   Status WriteBlocks(uint32_t block, uint32_t count,
                      std::span<const uint8_t> data) override;
   // Installs the chunks as the range's bytes (ChunkStore::Install) when the
-  // range starts on a chunk boundary of this disk; any other range takes
-  // BlockDevice's copying default. Charged exactly as WriteBlocks.
+  // range is whole chunks starting on a chunk boundary of this disk; any
+  // other range takes BlockDevice's copying default. Charged exactly as
+  // WriteBlocks.
   Status WriteShared(uint32_t block, uint32_t count,
                      std::span<const ChunkRef> chunks) override;
 

@@ -632,7 +632,7 @@ MetricsSnapshot HighLightFs::Metrics() {
 
 Status HighLightFs::DropCleanCacheLines() {
   // Benchmarks use this to force genuinely uncached tertiary access; a
-  // buffered read-ahead image (or a still-queued prefetch read) would
+  // held read-ahead image (or a still-queued prefetch read) would
   // defeat that. Cancelling first also unpins prefetch install lines.
   service_->DropPendingPrefetches();
   for (const SegmentCache::LineInfo& line : cache_->Lines()) {

@@ -84,14 +84,6 @@ std::vector<uint32_t> IoServer::SourceCandidates(uint32_t tseg) {
   return candidates;
 }
 
-uint32_t IoServer::PickSource(uint32_t tseg) {
-  uint32_t source = SourceCandidates(tseg).front();
-  if (source != tseg) {
-    stats_.replica_reads++;
-  }
-  return source;
-}
-
 bool IoServer::VolumeMounted(uint32_t volume) const {
   Result<bool> mounted = footprint_->VolumeMounted(static_cast<int>(volume));
   return mounted.ok() && *mounted;
@@ -170,30 +162,13 @@ Result<SimTime> IoServer::ScheduleWithRetry(
   }
 }
 
-std::shared_ptr<std::vector<uint8_t>> IoServer::TransferImage() {
-  if (transfer_image_ == nullptr || transfer_image_.use_count() > 1) {
-    transfer_image_ = std::make_shared<std::vector<uint8_t>>(amap_->SegBytes());
-  }
-  return transfer_image_;
-}
-
 Result<SimTime> IoServer::ScheduleSourceRead(SimTime earliest,
-                                             uint32_t source, bool to_line,
-                                             FetchedImage* image,
+                                             uint32_t source,
+                                             std::vector<ChunkRef>* image,
                                              uint32_t* crc) {
-  const int volume = static_cast<int>(amap_->VolumeOfTseg(source));
-  const uint64_t offset = amap_->ByteOffsetOnVolume(source);
-  const uint64_t seg_bytes = amap_->SegBytes();
-  image->chunks.clear();
-  if (to_line && footprint_->CanShare(volume, offset, seg_bytes)) {
-    return footprint_->ScheduleReadShared(earliest, volume, offset, seg_bytes,
-                                          &image->chunks, crc);
-  }
-  if (image->bytes == nullptr) {
-    image->bytes = TransferImage();
-  }
-  return footprint_->ScheduleRead(earliest, volume, offset, *image->bytes,
-                                  crc);
+  return footprint_->ScheduleRead(
+      earliest, static_cast<int>(amap_->VolumeOfTseg(source)),
+      amap_->ByteOffsetOnVolume(source), amap_->SegBytes(), image, crc);
 }
 
 Status IoServer::VerifyCrc(uint32_t source, uint32_t crc, uint32_t volume) {
@@ -212,13 +187,13 @@ Status IoServer::VerifyCrc(uint32_t source, uint32_t crc, uint32_t volume) {
                     ": CRC mismatch on fetched image");
 }
 
-Status IoServer::ReadTertiaryCopy(uint32_t source, FetchedImage* image) {
+Status IoServer::ReadTertiaryCopy(uint32_t source,
+                                  std::vector<ChunkRef>* image) {
   const uint32_t volume = amap_->VolumeOfTseg(source);
   return RetrySync(source, volume, [&]() {
     SimTime t0 = clock_->Now();
     uint32_t crc = 0;
-    Result<SimTime> end =
-        ScheduleSourceRead(t0, source, /*to_line=*/true, image, &crc);
+    Result<SimTime> end = ScheduleSourceRead(t0, source, image, &crc);
     if (end.ok()) {
       clock_->AdvanceTo(*end);
     }
@@ -228,7 +203,7 @@ Status IoServer::ReadTertiaryCopy(uint32_t source, FetchedImage* image) {
 }
 
 Status IoServer::InstallFetched(uint32_t tseg, uint32_t disk_seg,
-                                const FetchedImage& image) {
+                                std::span<const ChunkRef> image) {
   const uint64_t seg_bytes = amap_->SegBytes();
   SpanScope install(spans_, "install", "io");
   install.Annotate("tseg", std::to_string(tseg));
@@ -236,11 +211,8 @@ Status IoServer::InstallFetched(uint32_t tseg, uint32_t disk_seg,
   const SimTime copy = CopyTime();
   clock_->Advance(copy);
   const SimTime t0 = clock_->Now();
-  const uint32_t first = DiskSegFirstBlock(disk_seg);
-  RETURN_IF_ERROR(
-      image.chunks.empty()
-          ? raw_disk_->WriteBlocks(first, seg_size_blocks_, *image.bytes)
-          : raw_disk_->WriteShared(first, seg_size_blocks_, image.chunks));
+  RETURN_IF_ERROR(raw_disk_->WriteShared(DiskSegFirstBlock(disk_seg),
+                                         seg_size_blocks_, image));
   phases_.Add(phase_ioserver_, clock_->Now() - t0 + copy);
   stats_.segments_fetched++;
   stats_.bytes_fetched += seg_bytes;
@@ -271,17 +243,22 @@ Result<uint32_t> IoServer::ReadClosestCopy(
   if (!last.ok()) {
     return last;
   }
-  if (served_from != tseg) {
-    stats_.replica_reads++;
-    if (spans_ != nullptr) {
-      spans_->Annotate(span, "served_from", std::to_string(served_from));
-    }
-  }
+  NoteServed(tseg, served_from, span);
   return served_from;
 }
 
+void IoServer::NoteServed(uint32_t tseg, uint32_t source, SpanId span) {
+  if (source == tseg) {
+    return;
+  }
+  stats_.replica_reads++;
+  if (spans_ != nullptr) {
+    spans_->Annotate(span, "served_from", std::to_string(source));
+  }
+}
+
 Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
-  FetchedImage image;
+  std::vector<ChunkRef> image;
   SpanScope fetch(spans_, "fetch", "io");
   fetch.Annotate("tseg", std::to_string(tseg));
   const SimTime fetch_start = clock_->Now();
@@ -459,8 +436,8 @@ Status IoServer::Deliver(PendingOp& op, const Status& s) {
 Status IoServer::IssueWrite(PendingOp& op) {
   stats_.ops_issued++;
   const uint64_t seg_bytes = amap_->SegBytes();
-  const std::shared_ptr<std::vector<uint8_t>> image = TransferImage();
-  std::span<uint8_t> buf(*image);
+  write_image_.resize(seg_bytes);
+  std::span<uint8_t> buf(write_image_);
 
   // The issue-time span is a child of the *enqueue-time* context, not of
   // whatever span happens to be open now (often a later drain): causality
@@ -544,17 +521,15 @@ size_t IoServer::Outstanding() const {
   return n;
 }
 
-Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
-                                  PrefetchDone done) {
+Status IoServer::SchedulePrefetch(uint32_t tseg, ReadDone done) {
   SpanScope span(spans_, "prefetch_read", "io");
   span.Annotate("tseg", std::to_string(tseg));
-  uint32_t source = PickSource(tseg);
-  uint32_t volume = amap_->VolumeOfTseg(source);
-  uint64_t offset = amap_->ByteOffsetOnVolume(source);
-  SimTime t0 = clock_->Now();
+  const uint32_t source = SourceCandidates(tseg).front();
+  const uint32_t volume = amap_->VolumeOfTseg(source);
+  const SimTime t0 = clock_->Now();
+  std::vector<ChunkRef> image;
   uint32_t read_crc = 0;
-  Result<SimTime> end = footprint_->ScheduleRead(
-      clock_->Now(), static_cast<int>(volume), offset, buf, &read_crc);
+  Result<SimTime> end = ScheduleSourceRead(t0, source, &image, &read_crc);
   // The data moved synchronously even though device time completes later,
   // so the image can be verified now; a corrupted prefetch is dropped here
   // rather than poisoning a cache line at install time. Either way the read
@@ -564,10 +539,11 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
   ReportHealth(volume, s);
   if (!s.ok()) {
     if (done) {
-      done(s, 0);
+      done(s, 0, {});
     }
     return s;
   }
+  NoteServed(tseg, source, span.id());
   if (spans_ != nullptr) {
     spans_->AddComplete("tertiary_read", "tertiary", span.id(), t0, *end);
   }
@@ -575,7 +551,7 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
   stats_.prefetches_scheduled++;
   span.Annotate("device_us", std::to_string(*end - t0));
   if (done) {
-    done(OkStatus(), *end);
+    done(OkStatus(), *end, image);
   }
   return OkStatus();
 }
@@ -637,7 +613,6 @@ Status IoServer::EnqueueDemandRead(uint32_t tseg, uint32_t install_seg,
 }
 
 Status IoServer::EnqueuePrefetchRead(uint32_t tseg, uint32_t install_seg,
-                                     std::shared_ptr<std::vector<uint8_t>> image,
                                      ReadDone done) {
   const size_t idx = FindQueuedRead(tseg);
   if (idx < queue_.size()) {
@@ -652,7 +627,6 @@ Status IoServer::EnqueuePrefetchRead(uint32_t tseg, uint32_t install_seg,
   op.kind = OpKind::kPrefetchRead;
   op.tseg = tseg;
   op.disk_seg = install_seg;
-  op.image = std::move(image);
   op.readers.push_back(std::move(done));
   stats_.prefetch_reads_enqueued++;
   return Enqueue(std::move(op));
@@ -718,14 +692,15 @@ size_t IoServer::CancelQueuedPrefetchReads() {
 }
 
 Status IoServer::DeliverRead(PendingOp& op, const Status& s,
-                             SimTime ready_at) {
+                             SimTime ready_at,
+                             std::span<const ChunkRef> image) {
   if (op.readers.empty()) {
     return s;
   }
   std::vector<ReadDone> readers = std::move(op.readers);
   for (ReadDone& done : readers) {
     if (done) {
-      done(s, ready_at);
+      done(s, ready_at, image);
     }
   }
   return OkStatus();  // The callbacks own the error now.
@@ -733,9 +708,7 @@ Status IoServer::DeliverRead(PendingOp& op, const Status& s,
 
 Status IoServer::IssueRead(PendingOp& op) {
   stats_.ops_issued++;
-  const bool to_line = op.disk_seg != kNoSegment;
-  FetchedImage image;
-  image.bytes = op.image;
+  std::vector<ChunkRef> image;
   const bool demand = op.kind == OpKind::kDemandRead;
 
   SpanScope issue(spans_, op.ctx.span,
@@ -752,7 +725,7 @@ Status IoServer::IssueRead(PendingOp& op) {
             [&](SimTime earliest) -> Result<SimTime> {
               uint32_t crc = 0;
               Result<SimTime> done =
-                  ScheduleSourceRead(earliest, source, to_line, &image, &crc);
+                  ScheduleSourceRead(earliest, source, &image, &crc);
               // Data moves synchronously even though device time completes
               // later, so the image is CRC-checked now; a corrupt read
               // retries like an I/O error.
@@ -772,7 +745,7 @@ Status IoServer::IssueRead(PendingOp& op) {
   }
 
   SimTime ready = end_time;
-  if (to_line) {
+  if (op.disk_seg != kNoSegment) {
     // Install into the cache line now, with FetchSegment's charges. The
     // line is usable once both the disk write and the tertiary transfer
     // completed.
@@ -790,7 +763,7 @@ Status IoServer::IssueRead(PendingOp& op) {
     stats_.prefetches_scheduled++;
     issue.Annotate("device_us", std::to_string(end_time - issue_start));
   }
-  return DeliverRead(op, OkStatus(), ready);
+  return DeliverRead(op, OkStatus(), ready, image);
 }
 
 std::vector<IoServer::QueuedOpView> IoServer::PendingOps() const {

@@ -9,16 +9,20 @@
 //
 // FetchSegment, the serial demand fetch, is the only synchronous entry: the
 // caller's clock waits out the tertiary read. Every other transfer is placed
-// on the devices' timelines. Every tertiary write (copy-outs and replica
-// writes) is queued on the write-behind pipeline the paper gets from the
-// server being a separate process (sections 4, 6.5), and so are the async
-// read pipeline's demand and prefetch reads; only SchedulePrefetch's serial
-// read-ahead is placed at once. Queued ops are handed to
-// Footprint::ScheduleWrite/ScheduleRead, so tertiary transfers overlap with
-// migrator staging instead of stalling it; a synchronous copy-out is an
-// enqueue followed by Drain(). The queue is bounded: once `max_queue_depth`
-// operations are outstanding on the devices, further issues stall the
-// caller until the oldest completes (backpressure).
+// on the devices' timelines. Every tertiary read, whatever it is for, is one
+// read by reference (Footprint::ScheduleRead): the image it delivers is the
+// source volume's chunks, installed into a cache line by reference
+// (BlockDevice::WriteShared) or handed to the read's waiters. Every tertiary
+// write (copy-outs and replica writes) is queued on the write-behind
+// pipeline the paper gets from the server being a separate process
+// (sections 4, 6.5), and so are the async read pipeline's demand and
+// prefetch reads; only SchedulePrefetch's serial read-ahead is placed at
+// once. Queued ops are handed to Footprint::ScheduleWrite/ScheduleRead, so
+// tertiary transfers overlap with migrator staging instead of stalling it;
+// a synchronous copy-out is an enqueue followed by Drain(). The queue is
+// bounded: once `max_queue_depth` operations are outstanding on the
+// devices, further issues stall the caller until the oldest completes
+// (backpressure).
 //
 // Issue key: every queued op is ranked by one key, compared in this order:
 //   1. class: demand read < write < prefetch read;
@@ -46,8 +50,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "blockdev/block_device.h"
@@ -82,10 +86,9 @@ class IoServer {
   // copy and a raw disk write — while the host moves no bytes: the read
   // takes references to the volume's chunks, their stored CRCs verify it,
   // and the raw write installs the references (BlockDevice::WriteShared).
-  // A source volume that cannot share the extent (a fault profile that can
-  // corrupt reads, a segment that is not whole chunks) is read by copying
-  // through the transfer image instead, and a line no one disk holds (it
-  // straddles two) is copied in by the raw disk. A failed fetch or install
+  // Where a copy is needed, the layer that needs it makes it: the chunk
+  // store for an extent off its grid or an injected bit flip, the raw disk
+  // for a line it cannot hold by reference. A failed fetch or install
   // leaves the line as it was (it is not mapped until the fetch succeeds).
   // When a replica resolver is installed, the read is served from the
   // "closest" copy — a replica whose volume is already in a drive beats a
@@ -131,14 +134,17 @@ class IoServer {
   Status EnqueueReplicaWrite(uint32_t tseg, uint32_t disk_seg,
                              Completion done);
 
-  // Read-ahead: issues an asynchronous tertiary read of `tseg` into `buf`
-  // (which must outlive the call; data moves now, device time completes at
-  // the returned instant). `done(status, ready_at)` runs within this call.
-  // Prefetches are issued immediately — reads are latency-sensitive — and do
-  // not count against the write queue depth.
-  using PrefetchDone = std::function<void(Status, SimTime ready_at)>;
-  Status SchedulePrefetch(uint32_t tseg, std::span<uint8_t> buf,
-                          PrefetchDone done);
+  // Completion of a tertiary read: `ready_at` is when the data is usable
+  // (device completion, plus the cache-line install when one was
+  // requested), and `image` the segment's chunks (empty on failure).
+  using ReadDone = std::function<void(Status, SimTime ready_at,
+                                      std::span<const ChunkRef> image)>;
+
+  // Read-ahead: places one tertiary read of `tseg`'s closest copy now (data
+  // moves now, device time completes at `ready_at`); `done` runs within
+  // this call. Prefetches are issued immediately — reads are
+  // latency-sensitive — and do not count against the write queue depth.
+  Status SchedulePrefetch(uint32_t tseg, ReadDone done);
 
   // --- Asynchronous read pipeline ------------------------------------------
   //
@@ -147,26 +153,19 @@ class IoServer {
   // above. Duplicate reads for the same tseg coalesce into a single
   // transfer whose completion fans out to every waiter.
 
-  // Completion of a queued read; `ready_at` is when the data is usable
-  // (device completion, plus the cache-line install when one was requested).
-  using ReadDone = std::function<void(Status, SimTime ready_at)>;
-
   // Queues a demand read of `tseg`, installed into cache line `install_seg`
   // at issue time with the synchronous FetchSegment costs and the same
   // install by reference. If a read for `tseg` is already queued it is
-  // promoted to demand class and this waiter rides it (a promoted
-  // read-ahead then installs into the line by reference, leaving its own
-  // buffer unfilled). Never stalls the caller; pair with EnsureReadIssued()
-  // to force the op onto the device.
+  // promoted to demand class and this waiter rides it. Never stalls the
+  // caller; pair with EnsureReadIssued() to force the op onto the device.
   Status EnqueueDemandRead(uint32_t tseg, uint32_t install_seg, ReadDone done);
 
-  // Queues a prefetch-class read. `install_seg` == kNoSegment buffers the
-  // image into `image` only (sequential read-ahead); otherwise the segment
-  // lands in and installs into that cache line at issue time. Prefetch
-  // reads are lazy: they wait in the queue until a demand issue or drain
-  // sweeps them up, which is what lets them ride a mounted volume for free.
+  // Queues a prefetch-class read. `install_seg` == kNoSegment only hands
+  // the image to the waiters (sequential read-ahead); otherwise the segment
+  // installs into that cache line at issue time. Prefetch reads are lazy:
+  // they wait in the queue until a demand issue or drain sweeps them up,
+  // which is what lets them ride a mounted volume for free.
   Status EnqueuePrefetchRead(uint32_t tseg, uint32_t install_seg,
-                             std::shared_ptr<std::vector<uint8_t>> image,
                              ReadDone done);
 
   // True while a read op for `tseg` sits in the queue (not yet issued).
@@ -200,18 +199,12 @@ class IoServer {
   };
   std::vector<QueuedOpView> PendingOps() const;
 
-  // What a tertiary read delivered: the source volume's chunks when it could
-  // share them, else the bytes it copied into `bytes`.
-  struct FetchedImage {
-    std::vector<ChunkRef> chunks;
-    std::shared_ptr<std::vector<uint8_t>> bytes;
-  };
   // The paper's extra-copies install of a fetched image (a demand fetch's,
-  // or a buffered read-ahead's) into cache line `disk_seg`: the memory copy
-  // (charged) and the raw disk write, which shares the image's chunks when
-  // it holds them.
+  // or a held read-ahead's) into cache line `disk_seg`: the memory copy
+  // (charged) and the raw disk write of the image's chunks
+  // (BlockDevice::WriteShared).
   Status InstallFetched(uint32_t tseg, uint32_t disk_seg,
-                        const FetchedImage& image);
+                        std::span<const ChunkRef> image);
 
   // Completion barrier: issues every queued operation (running completion
   // callbacks, which may enqueue more) and advances the clock past the last
@@ -243,7 +236,7 @@ class IoServer {
     Counter bytes_fetched;
     Counter bytes_copied_out;
     Counter end_of_medium_events;
-    Counter replica_reads;     // Fetches served from a replica copy.
+    Counter replica_reads;     // Tertiary reads a replica copy served.
     // Fault-tolerance counters.
     Counter retries;           // Tertiary transfers retried after a failure.
     Counter retry_backoff_us;  // Total sim time spent backing off.
@@ -290,10 +283,7 @@ class IoServer {
     uint32_t tseg = kNoSegment;
     uint32_t disk_seg = kNoSegment;
     Completion done;
-    // Read ops: the buffer a copying read lands in (a read-ahead's shared
-    // image, else the transfer image) and the waiters a coalesced transfer
-    // fans out to.
-    std::shared_ptr<std::vector<uint8_t>> image{};
+    // Read ops: the waiters a coalesced transfer fans out to.
     std::vector<ReadDone> readers{};
     // Enqueue-time span context; the issue-time span is begun under it so
     // write-behind work stays causally attached to whoever queued it.
@@ -308,31 +298,28 @@ class IoServer {
   // Every copy of `tseg` (primary + replicas) ordered closest-first:
   // mounted non-quarantined, unmounted non-quarantined, quarantined.
   std::vector<uint32_t> SourceCandidates(uint32_t tseg);
-  // Picks the closest copy of `tseg` (mounted replica beats unmounted
-  // primary) and bumps the replica-read counter when a replica wins.
-  uint32_t PickSource(uint32_t tseg);
   bool VolumeMounted(uint32_t volume) const;
   // Sim time of the user-space memory copy of one segment (tertiary <->
   // memory <-> raw disk), at kCpuCopyUsPerMb.
   SimTime CopyTime() const;
-  // One tertiary read of `source`, scheduled from `earliest`. A read bound
-  // for a cache line (`to_line`) from a volume that can share the extent
-  // takes references to its chunks; any other copies into image->bytes (the
-  // transfer image unless already set). `crc` reports the CRC of what was
-  // delivered either way.
+  // One tertiary read of `source`'s segment, scheduled from `earliest`:
+  // `image` receives its chunks and `crc` the CRC of what was delivered.
   Result<SimTime> ScheduleSourceRead(SimTime earliest, uint32_t source,
-                                     bool to_line, FetchedImage* image,
+                                     std::vector<ChunkRef>* image,
                                      uint32_t* crc);
   // Tries `read_copy` on each copy of `tseg` closest-first until one
   // succeeds; every extra copy tried is a failover (and a "failover" span),
-  // a replica that serves is a replica read (`served_from` on `span`).
+  // a replica that serves is a replica read (NoteServed).
   // Returns the copy that served, else the last copy's error.
   Result<uint32_t> ReadClosestCopy(
       uint32_t tseg, SpanId span,
       const std::function<Status(uint32_t source)>& read_copy);
+  // The one definition of a replica read: `source` served a read of `tseg`
+  // and is not `tseg` itself (counted, and `served_from` on `span`).
+  void NoteServed(uint32_t tseg, uint32_t source, SpanId span);
   // FetchSegment's read of one source with retry/backoff, health recording
   // and CRC verification of the fetched image.
-  Status ReadTertiaryCopy(uint32_t source, FetchedImage* image);
+  Status ReadTertiaryCopy(uint32_t source, std::vector<ChunkRef>* image);
   // Reports one tertiary try to its volume's health: a success, or a
   // retryable failure (end of medium says nothing about the medium).
   void ReportHealth(uint32_t volume, const Status& s);
@@ -354,11 +341,6 @@ class IoServer {
   // Checks `crc`, the value the tertiary read reported for the bytes it
   // delivered, against the recorded CRC of `source` (ok when none known).
   Status VerifyCrc(uint32_t source, uint32_t crc, uint32_t volume);
-  // The segment-sized buffer a transfer moves through. One image is reused
-  // across transfers; a new one is allocated only while another holder
-  // still references it (a completion callback re-entering the pipeline
-  // while the outer op still owns the image).
-  std::shared_ptr<std::vector<uint8_t>> TransferImage();
   // Queues any op. Writes and demand reads push the pipeline (TryIssue);
   // prefetch reads, and reads inside a HoldReads window, wait in the queue.
   Status Enqueue(PendingOp op);
@@ -383,7 +365,8 @@ class IoServer {
   // Routes `s` to the op's completion callback if it has one, else returns
   // it to the issuing caller.
   Status Deliver(PendingOp& op, const Status& s);
-  Status DeliverRead(PendingOp& op, const Status& s, SimTime ready_at);
+  Status DeliverRead(PendingOp& op, const Status& s, SimTime ready_at,
+                     std::span<const ChunkRef> image = {});
   size_t FindQueuedRead(uint32_t tseg) const;
   size_t ReadQueueCount() const;
   // Write-class ops pending; the backpressure bound applies to these (reads
@@ -423,7 +406,9 @@ class IoServer {
   Histogram fetch_latency_us_;    // Demand-fetch wall time.
   Histogram copyout_latency_us_;  // Issue-to-device-completion per copy-out.
   SpanTracer* spans_ = nullptr;
-  std::shared_ptr<std::vector<uint8_t>> transfer_image_;
+  // The staging line a copy-out reads into. Reused by every write: nothing
+  // reads it once the tertiary write is placed.
+  std::vector<uint8_t> write_image_;
 
   std::deque<PendingOp> queue_;            // Enqueued, not yet issued.
   std::multiset<SimTime> outstanding_;     // Completion times of issued ops.

@@ -28,7 +28,7 @@ Status ServiceProcess::FetchIntoCache(uint32_t tseg, bool is_prefetch) {
   auto pending = pending_prefetch_.find(tseg);
   if (pending != pending_prefetch_.end()) {
     // The sequential miss the read-ahead predicted: wait out the remainder
-    // of the in-flight tertiary read, then install the buffered image.
+    // of the in-flight tertiary read, then install the held image.
     SpanScope span(spans_, "readahead_install", "service");
     span.Annotate("tseg", std::to_string(tseg));
     PendingPrefetch hit = std::move(pending->second);
@@ -38,13 +38,12 @@ Status ServiceProcess::FetchIntoCache(uint32_t tseg, bool is_prefetch) {
     }
     Result<uint32_t> slot = cache_->AllocLine(tseg, /*staging=*/false);
     if (!slot.ok()) {
-      // The buffered image dies with the pending entry already erased:
-      // the read-ahead transfer was for nothing.
+      // The held image dies with the pending entry already erased: the
+      // read-ahead transfer was for nothing.
       stats_.readaheads_wasted++;
       return slot.status();
     }
-    Status installed = io_->InstallFetched(
-        tseg, *slot, IoServer::FetchedImage{{}, hit.image});
+    Status installed = io_->InstallFetched(tseg, *slot, hit.image);
     if (!installed.ok()) {
       (void)cache_->Eject(tseg);
       stats_.readaheads_wasted++;
@@ -82,8 +81,9 @@ Status ServiceProcess::AsyncPrefetch(uint32_t tseg) {
                    cache_->BeginInstall(tseg, /*prefetched=*/true));
   stats_.prefetches++;
   Status s = io_->EnqueuePrefetchRead(
-      tseg, line, nullptr,
-      [this, tseg](const Status& st, SimTime ready_at) {
+      tseg, line,
+      [this, tseg](const Status& st, SimTime ready_at,
+                   std::span<const ChunkRef>) {
         if (st.ok()) {
           cache_->SetInstallReady(tseg, ready_at);
         } else {
@@ -152,28 +152,19 @@ void ServiceProcess::MaybeReadahead(uint32_t tseg) {
   SpanScope span(spans_, "readahead", "service");
   span.Annotate("tseg", std::to_string(next));
   span.Annotate("trigger", std::to_string(tseg));
-  auto image = std::make_shared<std::vector<uint8_t>>(io_->SegBytes());
-  Status s;
-  if (async_reads_) {
-    // Queue through the unified read pipeline; if a demand fault on `next`
-    // arrives first, the queued op is promoted and installs straight into a
-    // cache line, so the completion must not buffer a stale duplicate.
-    s = io_->EnqueuePrefetchRead(
-        next, kNoSegment, image,
-        [this, next, image](const Status& st, SimTime ready_at) {
-          if (st.ok() && cache_->Lookup(next) == kNoSegment) {
-            pending_prefetch_[next] = PendingPrefetch{image, ready_at};
-          }
-        });
-  } else {
-    s = io_->SchedulePrefetch(
-        next, std::span<uint8_t>(image->data(), image->size()),
-        [this, next, image](const Status& st, SimTime ready_at) {
-          if (st.ok()) {
-            pending_prefetch_[next] = PendingPrefetch{image, ready_at};
-          }
-        });
-  }
+  // Hold the image until the predicted miss arrives. In the async pipeline
+  // a demand fault on `next` may arrive first and promote the queued read,
+  // which then installs straight into a cache line: no image to hold.
+  IoServer::ReadDone hold = [this, next](const Status& st, SimTime ready_at,
+                                         std::span<const ChunkRef> image) {
+    if (st.ok() && cache_->Lookup(next) == kNoSegment) {
+      pending_prefetch_[next] =
+          PendingPrefetch{{image.begin(), image.end()}, ready_at};
+    }
+  };
+  const Status s =
+      async_reads_ ? io_->EnqueuePrefetchRead(next, kNoSegment, std::move(hold))
+                   : io_->SchedulePrefetch(next, std::move(hold));
   if (!s.ok()) {
     stats_.failed_prefetches++;
     HL_LOG(kDebug, "service",
@@ -204,7 +195,7 @@ Result<std::vector<FetchOutcome>> ServiceProcess::ServeFaults(
   bool held = false;
 
   // Phase 1: admit each request in order. Serial service, a cache hit and a
-  // buffered read-ahead are served inline; an async miss is queued under a
+  // held read-ahead are served inline; an async miss is queued under a
   // hold, taken with the first read, so the issue policy sees the whole
   // batch before the first transfer is placed. A call that queues no read
   // leaves the queue (and its lazy prefetch reads) alone.
@@ -253,7 +244,9 @@ Result<std::vector<FetchOutcome>> ServiceProcess::ServeFaults(
     FetchOutcome* o = &out[i];
     SimTime* at = &ready[i];
     Status queued = io_->EnqueueDemandRead(
-        tseg, *line, [this, tseg, o, at](const Status& st, SimTime r) {
+        tseg, *line,
+        [this, tseg, o, at](const Status& st, SimTime r,
+                            std::span<const ChunkRef>) {
           o->status = st;
           *at = r;
           if (st.ok()) {

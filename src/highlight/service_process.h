@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "highlight/fetch_backend.h"
@@ -78,10 +78,10 @@ class ServiceProcess {
   }
 
   // Sequential-miss read-ahead: after a demand fetch of tseg N, schedule an
-  // asynchronous tertiary read of N+1 through the I/O server. The image is
-  // buffered until the predicted miss arrives; that miss then waits only
-  // for the remainder of the already-in-flight read and installs the
-  // segment into a cache line — no full tertiary stall.
+  // asynchronous tertiary read of N+1 through the I/O server. The image
+  // (the volume's chunks) is held until the predicted miss arrives; that
+  // miss then waits only for the remainder of the already-in-flight read
+  // and installs the chunks into a cache line — no full tertiary stall.
   void set_sequential_readahead(bool on) { readahead_ = on; }
   // Gate deciding whether a tseg is worth prefetching (in range, written,
   // not a replica). Read-ahead is inert until a filter is installed.
@@ -89,7 +89,7 @@ class ServiceProcess {
   void SetReadaheadFilter(ReadaheadFilter filter) {
     readahead_filter_ = std::move(filter);
   }
-  // Invalidates buffered prefetch images and cancels still-queued prefetch
+  // Invalidates held prefetch images and cancels still-queued prefetch
   // reads (volume erase / cache drops make them stale). Dropped images were
   // fetched but never served a miss, so they count as wasted read-aheads.
   void DropPendingPrefetches();
@@ -101,7 +101,7 @@ class ServiceProcess {
     Counter failed_prefetches;
     Counter readaheads_issued;
     Counter readaheads_consumed;
-    Counter readaheads_wasted;  // Buffered images invalidated before use.
+    Counter readaheads_wasted;  // Held images invalidated before use.
   };
   const Stats& stats() const { return stats_; }
 
@@ -122,8 +122,8 @@ class ServiceProcess {
   // request's delay. Fails as a whole only when the read pipeline does.
   Result<std::vector<FetchOutcome>> ServeFaults(
       const std::vector<uint32_t>& tsegs);
-  // The serial fetch, the buffered read-ahead install, and policy
-  // prefetches; a cached or in-flight segment is already served.
+  // The serial fetch, the held read-ahead install, and policy prefetches;
+  // a cached or in-flight segment is already served.
   Status FetchIntoCache(uint32_t tseg, bool is_prefetch);
   void MaybeReadahead(uint32_t tseg);
   // Async-pipeline policy prefetch: fire-and-forget enqueue that installs
@@ -131,7 +131,7 @@ class ServiceProcess {
   Status AsyncPrefetch(uint32_t tseg);
 
   struct PendingPrefetch {
-    std::shared_ptr<std::vector<uint8_t>> image;
+    std::vector<ChunkRef> image;
     SimTime ready_at = 0;
   };
 

@@ -42,11 +42,11 @@ Status Footprint::Write(int volume, uint64_t offset,
 }
 
 Result<SimTime> Footprint::ScheduleRead(SimTime earliest, int volume,
-                                        uint64_t offset,
-                                        std::span<uint8_t> out,
+                                        uint64_t offset, uint64_t len,
+                                        std::vector<ChunkRef>* out,
                                         uint32_t* crc) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
-  return m.jukebox->ScheduleRead(earliest, m.slot, offset, out, crc);
+  return m.jukebox->ScheduleRead(earliest, m.slot, offset, len, out, crc);
 }
 
 Result<SimTime> Footprint::ScheduleWrite(SimTime earliest, int volume,
@@ -55,20 +55,6 @@ Result<SimTime> Footprint::ScheduleWrite(SimTime earliest, int volume,
                                          uint32_t* crc) {
   ASSIGN_OR_RETURN(Mapping m, Map(volume));
   return m.jukebox->ScheduleWrite(earliest, m.slot, offset, data, crc);
-}
-
-bool Footprint::CanShare(int volume, uint64_t offset, uint64_t len) const {
-  Result<Mapping> m = Map(volume);
-  return m.ok() && m->jukebox->volume(m->slot).CanShare(offset, len);
-}
-
-Result<SimTime> Footprint::ScheduleReadShared(SimTime earliest, int volume,
-                                              uint64_t offset, uint64_t len,
-                                              std::vector<ChunkRef>* out,
-                                              uint32_t* crc) {
-  ASSIGN_OR_RETURN(Mapping m, Map(volume));
-  return m.jukebox->ScheduleReadShared(earliest, m.slot, offset, len, out,
-                                       crc);
 }
 
 Result<bool> Footprint::VolumeMounted(int volume) const {

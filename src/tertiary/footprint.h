@@ -7,6 +7,8 @@
 // roll a partial segment onto the next volume. In the original system this
 // was a library linked into the I/O server (optionally RPC'd to another
 // machine); here it is a class owning one or more simulated jukeboxes.
+// Reads are by reference: ScheduleRead delivers the volume's chunks, and
+// the synchronous Read copies them into the caller's buffer.
 
 #ifndef HIGHLIGHT_TERTIARY_FOOTPRINT_H_
 #define HIGHLIGHT_TERTIARY_FOOTPRINT_H_
@@ -31,10 +33,10 @@ class Footprint {
   // Capacity of a volume in bytes (nominal; compression may reduce it).
   Result<uint64_t> VolumeCapacity(int volume) const;
 
-  // Synchronous extent I/O (advances the simulation clock). Reads take the
-  // optional `crc` out-param of Volume::Read: on success it holds Crc32 of
-  // exactly the bytes delivered into `out`, injected corruption included,
-  // computed in the same pass that copies them. Writes take that of
+  // Synchronous extent I/O (advances the simulation clock). Read is
+  // Jukebox::Read: the volume's one read by reference, gathered into
+  // `out`, with `crc` (when set) Crc32 of exactly the bytes delivered,
+  // injected corruption included. Writes take the `crc` out-param of
   // Volume::Write: Crc32 of the bytes stored, computed in the copy that
   // stores them.
   Status Read(int volume, uint64_t offset, std::span<uint8_t> out,
@@ -42,24 +44,15 @@ class Footprint {
   Status Write(int volume, uint64_t offset, std::span<const uint8_t> data,
                uint32_t* crc = nullptr);
 
-  // Asynchronous extent I/O for the I/O server's write-behind pipeline.
+  // Asynchronous extent I/O for the I/O server. The read is by reference
+  // (Jukebox::ScheduleRead): `out` receives the chunks behind the `len`
+  // bytes and `crc` their Crc32.
   Result<SimTime> ScheduleRead(SimTime earliest, int volume, uint64_t offset,
-                               std::span<uint8_t> out,
+                               uint64_t len, std::vector<ChunkRef>* out,
                                uint32_t* crc = nullptr);
   Result<SimTime> ScheduleWrite(SimTime earliest, int volume, uint64_t offset,
                                 std::span<const uint8_t> data,
                                 uint32_t* crc = nullptr);
-
-  // Read by reference (Jukebox::ScheduleReadShared): the same draws and
-  // device time as ScheduleRead, delivering the volume's chunks in `out`
-  // and the CRC joined from their stored values. Valid only where
-  // CanShare() holds; refused with kNotSupported, before any draw,
-  // elsewhere.
-  bool CanShare(int volume, uint64_t offset, uint64_t len) const;
-  Result<SimTime> ScheduleReadShared(SimTime earliest, int volume,
-                                     uint64_t offset, uint64_t len,
-                                     std::vector<ChunkRef>* out,
-                                     uint32_t* crc = nullptr);
 
   // True if the volume is currently loaded in a drive (a read costs no
   // media swap) — the "closest copy" signal for replica selection.

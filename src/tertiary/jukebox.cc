@@ -151,10 +151,10 @@ Result<SimTime> Jukebox::Transfer(SimTime earliest, int slot, uint64_t offset,
   return end;
 }
 
-template <typename MediaRead>
-Result<SimTime> Jukebox::ScheduleReadVia(SimTime earliest, int slot,
-                                         uint64_t offset, size_t bytes,
-                                         MediaRead media) {
+Result<SimTime> Jukebox::ScheduleRead(SimTime earliest, int slot,
+                                      uint64_t offset, uint64_t len,
+                                      std::vector<ChunkRef>* out,
+                                      uint32_t* crc) {
   if (slot < 0 || slot >= num_slots()) {
     return OutOfRange(profile_.name + ": no slot " + std::to_string(slot));
   }
@@ -164,52 +164,28 @@ Result<SimTime> Jukebox::ScheduleReadVia(SimTime earliest, int slot,
     return ChargeFailedLoad(slot, /*for_write=*/false, earliest);
   }
   const FaultOutcome fault =
-      faults_ != nullptr ? faults_->Decide(FaultOp::kRead, offset, bytes)
+      faults_ != nullptr ? faults_->Decide(FaultOp::kRead, offset, len)
                          : FaultOutcome::kNone;
   if (fault != FaultOutcome::kNone) {
     // The drive mounts, seeks and transfers before the failure surfaces.
     RETURN_IF_ERROR(
-        Transfer(earliest, slot, offset, bytes, /*is_write=*/false).status());
+        Transfer(earliest, slot, offset, len, /*is_write=*/false).status());
     return IoError(profile_.name + ": injected read failure (" +
                    FaultOutcomeName(fault) + ")");
   }
-  Status status = media(*slots_[slot]);
-  if (!status.ok()) {
-    if (status.code() == ErrorCode::kIoError) {
+  Status media = slots_[slot]->Read(offset, len, out, crc);
+  if (!media.ok()) {
+    if (media.code() == ErrorCode::kIoError) {
       // A latent sector error is discovered only after the full transfer.
       RETURN_IF_ERROR(
-          Transfer(earliest, slot, offset, bytes, /*is_write=*/false)
-              .status());
+          Transfer(earliest, slot, offset, len, /*is_write=*/false).status());
     }
-    return status;
+    return media;
   }
-  ASSIGN_OR_RETURN(SimTime end, Transfer(earliest, slot, offset, bytes,
+  ASSIGN_OR_RETURN(SimTime end, Transfer(earliest, slot, offset, len,
                                          /*is_write=*/false));
-  bytes_read_ += bytes;
+  bytes_read_ += len;
   return end;
-}
-
-Result<SimTime> Jukebox::ScheduleRead(SimTime earliest, int slot,
-                                      uint64_t offset, std::span<uint8_t> out,
-                                      uint32_t* crc) {
-  return ScheduleReadVia(earliest, slot, offset, out.size(),
-                         [&](const Volume& volume) {
-                           return volume.Read(offset, out, crc);
-                         });
-}
-
-Result<SimTime> Jukebox::ScheduleReadShared(SimTime earliest, int slot,
-                                            uint64_t offset, uint64_t len,
-                                            std::vector<ChunkRef>* out,
-                                            uint32_t* crc) {
-  if (slot >= 0 && slot < num_slots() && !slots_[slot]->CanShare(offset, len)) {
-    return Status(ErrorCode::kNotSupported,
-                  profile_.name + ": extent cannot be read by reference");
-  }
-  return ScheduleReadVia(earliest, slot, offset, static_cast<size_t>(len),
-                         [&](const Volume& volume) {
-                           return volume.ReadShared(offset, len, out, crc);
-                         });
 }
 
 Result<SimTime> Jukebox::ScheduleWrite(SimTime earliest, int slot,
@@ -256,9 +232,11 @@ Result<SimTime> Jukebox::ScheduleWrite(SimTime earliest, int slot,
 
 Status Jukebox::Read(int slot, uint64_t offset, std::span<uint8_t> out,
                      uint32_t* crc) {
-  ASSIGN_OR_RETURN(SimTime end,
-                   ScheduleRead(clock_->Now(), slot, offset, out, crc));
+  std::vector<ChunkRef> chunks;
+  ASSIGN_OR_RETURN(SimTime end, ScheduleRead(clock_->Now(), slot, offset,
+                                             out.size(), &chunks, crc));
   clock_->AdvanceTo(end);
+  CopyChunks(chunks, out);
   return OkStatus();
 }
 

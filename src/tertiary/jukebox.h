@@ -8,6 +8,10 @@
 //  * drive allocation follows the benchmark setup: one drive is dedicated to
 //    the currently-written volume, the other(s) serve reads, and the write
 //    drive also serves reads for its own platter (section 7).
+//
+// A read is charged here and served by the volume's one read by reference
+// (Volume::Read): ScheduleRead hands the caller the volume's chunks, and
+// the synchronous Read gathers them into the caller's buffer.
 
 #ifndef HIGHLIGHT_TERTIARY_JUKEBOX_H_
 #define HIGHLIGHT_TERTIARY_JUKEBOX_H_
@@ -53,9 +57,10 @@ class Jukebox {
   }
 
   // Synchronous transfers: mount (swapping media if needed), seek, transfer;
-  // the clock is advanced to completion. Reads take the optional `crc`
-  // out-param of Volume::Read (Crc32 of the bytes delivered), writes that
-  // of Volume::Write (Crc32 of the bytes stored).
+  // the clock is advanced to completion. Read is ScheduleRead with the
+  // chunks copied into `out` (CopyChunks), `crc` describing them; writes
+  // take the optional `crc` out-param of Volume::Write (Crc32 of the bytes
+  // stored).
   Status Read(int slot, uint64_t offset, std::span<uint8_t> out,
               uint32_t* crc = nullptr);
   Status Write(int slot, uint64_t offset, std::span<const uint8_t> data,
@@ -68,23 +73,14 @@ class Jukebox {
 
   // Asynchronous variants: reserve drive/robot/bus time beginning no earlier
   // than `earliest`, move the data now, and return the completion time
-  // without touching the clock.
+  // without touching the clock. The read is by reference (Volume::Read):
+  // `out` receives the chunks behind the `len` bytes and `crc` their Crc32.
   Result<SimTime> ScheduleRead(SimTime earliest, int slot, uint64_t offset,
-                               std::span<uint8_t> out,
+                               uint64_t len, std::vector<ChunkRef>* out,
                                uint32_t* crc = nullptr);
   Result<SimTime> ScheduleWrite(SimTime earliest, int slot, uint64_t offset,
                                 std::span<const uint8_t> data,
                                 uint32_t* crc = nullptr);
-
-  // ScheduleRead by reference (Volume::ReadShared): the same fault draws
-  // and device time as a ScheduleRead of `len` bytes, with the volume's
-  // chunks in `out` instead of bytes copied out. Refused with
-  // kNotSupported, before any draw or charge, unless the volume can share
-  // the extent (Volume::CanShare).
-  Result<SimTime> ScheduleReadShared(SimTime earliest, int slot,
-                                     uint64_t offset, uint64_t len,
-                                     std::vector<ChunkRef>* out,
-                                     uint32_t* crc = nullptr);
 
   // Statistics.
   uint64_t media_swaps() const { return media_swaps_; }
@@ -137,12 +133,6 @@ class Jukebox {
 
   Result<SimTime> Transfer(SimTime earliest, int slot, uint64_t offset,
                            size_t bytes, bool is_write);
-
-  // ScheduleRead's drive side around `media`, the volume step that
-  // delivers `bytes` (a copy or references).
-  template <typename MediaRead>
-  Result<SimTime> ScheduleReadVia(SimTime earliest, int slot, uint64_t offset,
-                                  size_t bytes, MediaRead media);
 
   // The drive a swap for `slot` would target (write drive vs. LRU reader).
   int ChooseDrive(bool for_write) const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/crc32.h"
-
 namespace hl {
 
 Status Volume::CheckInjectedFault(FaultOp op, uint64_t offset,
@@ -24,40 +22,21 @@ Status Volume::CheckInjectedFault(FaultOp op, uint64_t offset,
   }
 }
 
-Status Volume::Read(uint64_t offset, std::span<uint8_t> out,
-                    uint32_t* crc) const {
-  if (offset + out.size() > nominal_capacity_) {
-    return OutOfRange(label_ + ": read past end of medium");
-  }
-  RETURN_IF_ERROR(CheckInjectedFault(FaultOp::kRead, offset, out.size()));
-  uint32_t sum = 0;
-  store_.Read(offset, out, crc != nullptr ? &sum : nullptr);
-  const bool corrupted =
-      faults_ != nullptr && faults_->MaybeCorruptRead(out, offset);
-  if (crc != nullptr) {
-    // Injected bit flips are part of what was delivered.
-    *crc = corrupted ? Crc32(out) : sum;
-  }
-  return OkStatus();
-}
-
-bool Volume::CanShare(uint64_t offset, uint64_t len) const {
-  return offset % Chunk::kBytes == 0 && len % Chunk::kBytes == 0 &&
-         (faults_ == nullptr || faults_->profile().read_corrupt_p <= 0);
-}
-
-Status Volume::ReadShared(uint64_t offset, uint64_t len,
-                          std::vector<ChunkRef>* out, uint32_t* crc) const {
-  if (!CanShare(offset, len)) {
-    return Status(ErrorCode::kNotSupported,
-                  label_ + ": extent cannot be read by reference");
-  }
+Status Volume::Read(uint64_t offset, uint64_t len,
+                    std::vector<ChunkRef>* out, uint32_t* crc) const {
   if (offset + len > nominal_capacity_) {
     return OutOfRange(label_ + ": read past end of medium");
   }
-  // The same draw as Read; CanShare ruled out the corruption draw.
   RETURN_IF_ERROR(CheckInjectedFault(FaultOp::kRead, offset, len));
-  const uint32_t sum = store_.Share(offset, len, out);
+  uint32_t sum = store_.Share(offset, len, out);
+  if (faults_ != nullptr && faults_->profile().read_corrupt_p > 0) {
+    // Bit flips land in a copy of the delivered bytes, never on the medium.
+    std::vector<uint8_t> bytes(len);
+    CopyChunks(*out, bytes);
+    if (faults_->MaybeCorruptRead(bytes, offset)) {
+      sum = CopyToChunks(bytes, out);
+    }
+  }
   if (crc != nullptr) {
     *crc = sum;
   }
@@ -71,7 +50,7 @@ const Chunk* Volume::ChunkAt(uint64_t offset) const {
 void Volume::Store(uint64_t offset, std::span<const uint8_t> data,
                    uint32_t* crc) {
   // Every write asks for the CRC, so each written chunk's stored CRC stays
-  // current for ReadShared.
+  // current for Read.
   uint32_t sum = 0;
   store_.Write(offset, data, crc != nullptr ? crc : &sum);
   bytes_written_ += data.size();

@@ -3,10 +3,12 @@
 // The bytes live in a ChunkStore (util/chunk.h), the representation the raw
 // disks use too: 64 KB copy-on-write chunks allocated on first write, so
 // simulated multi-gigabyte tape libraries cost memory only for data
-// actually written. ReadShared hands out the chunks themselves, and every
-// write asks the store for the CRC of what it stored, which keeps each
+// actually written. The one read hands out chunks (ChunkStore::Share), and
+// every write asks the store for the CRC of what it stored, which keeps each
 // written chunk's stored CRC current. The volume adds only what a medium
-// knows: capacity, WORM, the high-water mark and its fault draws.
+// knows: capacity, WORM, the high-water mark and its fault draws. An
+// injected bit flip never reaches the medium: the reader gets private
+// chunks holding the flipped copy.
 // Two behaviours from the paper are modeled here:
 //  * Uncertain capacity: compressing media may hold less than the nominal
 //    size; a write past `actual_capacity` fails with kEndOfMedium, at which
@@ -48,25 +50,15 @@ class Volume {
   // Tests use this to model worse-than-expected compression.
   void SetActualCapacity(uint64_t bytes) { actual_capacity_ = bytes; }
 
-  // Reads `out.size()` bytes at `offset`. Unwritten regions read as zero
-  // (within nominal capacity). With `crc` set, a successful read also
-  // reports Crc32 of exactly the bytes delivered into `out`, computed while
-  // they are copied; injected corruption (read_corrupt_p) is included.
-  Status Read(uint64_t offset, std::span<uint8_t> out,
+  // Reads `len` bytes at `offset` by reference: `out` receives the chunks
+  // ChunkStore::Share delivers for the extent (unwritten regions within
+  // nominal capacity read as zero), and `crc` the Crc32 of those `len`
+  // bytes. Makes the range check and the media fault draw; only when the
+  // profile can corrupt reads (read_corrupt_p > 0) does it make the
+  // corruption draw, over a copy of the `len` bytes. When a flip fires,
+  // `out` holds fresh chunks with the flipped copy and `crc` describes them.
+  Status Read(uint64_t offset, uint64_t len, std::vector<ChunkRef>* out,
               uint32_t* crc = nullptr) const;
-
-  // True when ReadShared can serve [offset, offset + len): the extent is
-  // whole chunks, and the fault profile cannot corrupt a read (injected bit
-  // flips belong in the delivered bytes, and a shared chunk is not a copy).
-  bool CanShare(uint64_t offset, uint64_t len) const;
-
-  // Read by reference: `out` receives the chunks behind the extent, in
-  // order (an unwritten chunk reads as a shared zero chunk), and `crc` the
-  // Crc32 of their bytes, joined from the stored CRCs. Makes the same range
-  // check and fault draw as Read. Refused with kNotSupported, before any
-  // draw, when CanShare() is false.
-  Status ReadShared(uint64_t offset, uint64_t len, std::vector<ChunkRef>* out,
-                    uint32_t* crc = nullptr) const;
 
   // Writes the extent; fails with kEndOfMedium if it would cross the actual
   // capacity, in which case NOTHING is written (the drive reports the error

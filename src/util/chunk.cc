@@ -20,7 +20,41 @@ const ChunkRef& ZeroChunk() {
   return zero;
 }
 
+// Fresh chunks holding `len` bytes, the last one zero-padded, where
+// `fill(done, dst)` copies the bytes from `done` on into `dst` and returns
+// their Crc32. Returns Crc32 of the `len` bytes.
+template <typename Fill>
+uint32_t FreshChunks(uint64_t len, std::vector<ChunkRef>* out, Fill fill) {
+  out->clear();
+  uint32_t sum = 0;
+  for (uint64_t done = 0; done < len; done += kChunkSize) {
+    const size_t take = std::min<uint64_t>(kChunkSize, len - done);
+    std::shared_ptr<Chunk> chunk = std::make_shared_for_overwrite<Chunk>();
+    std::memset(chunk->bytes + take, 0, kChunkSize - take);
+    const uint32_t piece = fill(done, std::span<uint8_t>(chunk->bytes, take));
+    chunk->crc = take == kChunkSize ? piece : Crc32(chunk->bytes);
+    sum = Crc32Combine(sum, piece, take);
+    out->push_back(std::move(chunk));
+  }
+  return sum;
+}
+
 }  // namespace
+
+void CopyChunks(std::span<const ChunkRef> chunks, std::span<uint8_t> out) {
+  for (size_t done = 0, i = 0; done < out.size(); done += kChunkSize, ++i) {
+    std::memcpy(out.data() + done, chunks[i]->bytes,
+                std::min<size_t>(kChunkSize, out.size() - done));
+  }
+}
+
+uint32_t CopyToChunks(std::span<const uint8_t> bytes,
+                      std::vector<ChunkRef>* out) {
+  return FreshChunks(bytes.size(), out,
+                     [&](uint64_t done, std::span<uint8_t> dst) {
+                       return Crc32Copy(dst, bytes.subspan(done, dst.size()));
+                     });
+}
 
 void ChunkStore::Read(uint64_t offset, std::span<uint8_t> out,
                       uint32_t* crc) const {
@@ -97,6 +131,13 @@ void ChunkStore::Write(uint64_t offset, std::span<const uint8_t> data,
 
 uint32_t ChunkStore::Share(uint64_t offset, uint64_t len,
                            std::vector<ChunkRef>* refs) const {
+  if (offset % kChunkSize != 0 || len % kChunkSize != 0) {
+    return FreshChunks(len, refs, [&](uint64_t done, std::span<uint8_t> dst) {
+      uint32_t piece = 0;
+      Read(offset + done, dst, &piece);
+      return piece;
+    });
+  }
   refs->clear();
   uint32_t sum = 0;
   for (uint64_t pos = offset; pos < offset + len; pos += kChunkSize) {

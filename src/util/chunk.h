@@ -3,11 +3,14 @@
 //
 // A store keeps one refcounted 64 KB Chunk per chunk index, allocated when
 // the chunk is first written; an index never written reads as zeros. Share
-// hands out references to a store's chunks, and Install makes references
-// the bytes of a range: a demand fetch shares a volume's chunks and
-// installs them as the cache line on disk. One copy-on-write rule covers
-// every holder: a writer that finds its chunk shared (use_count() > 1)
-// fills a fresh one, so every holder keeps exactly the bytes it took.
+// is the one read by reference: it hands out references to a store's
+// chunks, and Install makes references the bytes of a range. Every tertiary
+// read shares a volume's chunks, and a demand fetch or read-ahead installs
+// them as the cache line on disk. Share alone decides when a read copies:
+// an extent off the 64 KB grid is copied into fresh chunks. One
+// copy-on-write rule covers every holder: a writer that finds its chunk
+// shared (use_count() > 1) fills a fresh one, so every holder keeps exactly
+// the bytes it took.
 //
 // `crc` is Crc32 of `bytes` whenever anyone but the writer can see the
 // chunk. A write that asks for a CRC keeps it current in the copy that
@@ -35,6 +38,14 @@ struct Chunk {
 
 using ChunkRef = std::shared_ptr<const Chunk>;
 
+// Copies the first `out.size()` bytes `chunks` hold, in order, into `out`.
+void CopyChunks(std::span<const ChunkRef> chunks, std::span<uint8_t> out);
+
+// Copies `bytes` into fresh chunks (`out`), the last one zero-padded, and
+// returns Crc32 of `bytes`.
+uint32_t CopyToChunks(std::span<const uint8_t> bytes,
+                      std::vector<ChunkRef>* out);
+
 class ChunkStore {
  public:
   // Copies the bytes at `offset` into `out`; with `crc` set, also reports
@@ -49,10 +60,12 @@ class ChunkStore {
   void Write(uint64_t offset, std::span<const uint8_t> data,
              uint32_t* crc = nullptr);
 
-  // Read by reference of whole chunks (`offset` and `len` multiples of
-  // Chunk::kBytes): `refs` receives the chunks in order (an unwritten one
-  // is a shared zero chunk), and the return value is Crc32 of their bytes
-  // joined from the stored CRCs. Filling in a stale CRC changes no bytes.
+  // Read by reference of [offset, offset + len): `refs` receives the
+  // chunks in order and the return value is Crc32 of the `len` bytes. On
+  // the grid (`offset` and `len` multiples of Chunk::kBytes) they are the
+  // store's own chunks (an unwritten one is a shared zero chunk), their
+  // stored CRCs joined; filling in a stale CRC changes no bytes. Off the
+  // grid the bytes are copied into fresh chunks, the last one zero-padded.
   uint32_t Share(uint64_t offset, uint64_t len,
                  std::vector<ChunkRef>* refs) const;
 

@@ -8,6 +8,7 @@
 #include "lfs/fsck.h"
 #include "util/crc32.h"
 #include "util/rng.h"
+#include "volume_bytes.h"
 
 namespace hl {
 namespace {
@@ -164,7 +165,7 @@ TEST_F(FailureInjectionTest, MediaCorruptionDetectedByChecksum) {
   uint32_t first_tseg = hl_->Internals().address_map.FirstTsegOfVolume(0);
   uint32_t spb = hl_->fs().superblock().seg_size_blocks;
   std::vector<uint8_t> image(static_cast<size_t>(spb) * kBlockSize);
-  ASSERT_TRUE((*vol)->Read(0, image).ok());
+  ASSERT_TRUE(ReadBytes(**vol, 0, image).ok());
   EXPECT_TRUE(ParsePartialsFromImage(
                   image, hl_->Internals().address_map.TsegBase(first_tseg), spb)
                   .empty());
@@ -294,7 +295,7 @@ TEST(ReadaheadHealthTest, SynchronousReadaheadReportsVolumeHealth) {
 }
 
 TEST(FusedReadCrcTest, ReportedCrcDescribesDeliveredBytes) {
-  // The tertiary read checksums the image while it copies it, and every
+  // Every tertiary read reports the CRC of what it delivered, and every
   // verifier compares that value instead of reading the image again. The
   // contract: the CRC a read reports describes the bytes it delivered,
   // injected corruption included.
@@ -341,7 +342,7 @@ TEST(FusedReadCrcTest, ReportedCrcDescribesDeliveredBytes) {
 
   // No faults: the reported CRC is the image's, and the copy-out stamp.
   uint32_t crc = 0;
-  ASSERT_TRUE((*medium)->Read(offset, image, &crc).ok());
+  ASSERT_TRUE(ReadBytes(**medium, offset, image, &crc).ok());
   EXPECT_EQ(crc, Crc32(image));
   EXPECT_EQ(crc, stamped);
 
@@ -356,7 +357,7 @@ TEST(FusedReadCrcTest, ReportedCrcDescribesDeliveredBytes) {
   FaultProfile corrupt;
   corrupt.read_corrupt_p = 1.0;
   (*medium)->fault_channel()->set_profile(corrupt);
-  ASSERT_TRUE((*medium)->Read(offset, image, &crc).ok());
+  ASSERT_TRUE(ReadBytes(**medium, offset, image, &crc).ok());
   EXPECT_EQ(crc, Crc32(image));
   EXPECT_NE(crc, stamped);
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +31,9 @@ std::vector<uint8_t> Pattern(size_t n, uint64_t seed) {
   }
   return v;
 }
+
+// A read completion nobody waits on.
+void IgnoreRead(const Status&, SimTime, std::span<const ChunkRef>) {}
 
 JukeboxProfile SmallJukebox(int slots, uint64_t volume_bytes) {
   JukeboxProfile j = Hp6300MoProfile();
@@ -129,13 +133,8 @@ TEST_F(ReadPipelineTest, DemandReadsIssueBeforeQueuedPrefetches) {
   IoServer& io = hl_->Internals().io_server;
   io.set_max_queue_depth(1);  // One issue, then the window is full.
   io.HoldReads();
-  auto image = std::make_shared<std::vector<uint8_t>>(io.SegBytes());
-  ASSERT_TRUE(io.EnqueuePrefetchRead(pre_tseg, kNoSegment, image,
-                                     [](const Status&, SimTime) {})
-                  .ok());
-  ASSERT_TRUE(
-      io.EnqueueDemandRead(dem_tseg, kNoSegment, [](const Status&, SimTime) {})
-          .ok());
+  ASSERT_TRUE(io.EnqueuePrefetchRead(pre_tseg, kNoSegment, IgnoreRead).ok());
+  ASSERT_TRUE(io.EnqueueDemandRead(dem_tseg, kNoSegment, IgnoreRead).ok());
   ASSERT_TRUE(io.ReleaseReads().ok());
 
   // The younger demand read won the only window slot.
@@ -159,12 +158,10 @@ TEST_F(ReadPipelineTest, MountedVolumeReadBeatsOlderSwapRead) {
   IoServer& io = hl_->Internals().io_server;
   io.set_max_queue_depth(1);
   io.HoldReads();
-  ASSERT_TRUE(io.EnqueueDemandRead(unmounted_tseg, kNoSegment,
-                                   [](const Status&, SimTime) {})
+  ASSERT_TRUE(io.EnqueueDemandRead(unmounted_tseg, kNoSegment, IgnoreRead)
                   .ok());
-  ASSERT_TRUE(io.EnqueueDemandRead(mounted_tseg, kNoSegment,
-                                   [](const Status&, SimTime) {})
-                  .ok());
+  ASSERT_TRUE(
+      io.EnqueueDemandRead(mounted_tseg, kNoSegment, IgnoreRead).ok());
   ASSERT_TRUE(io.ReleaseReads().ok());
 
   // Same class, but the mounted volume's read jumped the older one.

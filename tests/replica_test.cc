@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "highlight/highlight.h"
 #include "util/rng.h"
 
@@ -185,6 +187,65 @@ TEST_F(ReplicaTest, CleaningPrimaryVolumeReleasesOrphanReplicas) {
   std::vector<uint8_t> out(256 * 1024);
   ASSERT_TRUE(hl_->fs().Read(*ino, 0, out).ok());
   EXPECT_EQ(out, Pattern(256 * 1024, 5));
+}
+
+// io.replica_reads has one definition: a read a replica copy served. A
+// serial read-ahead whose closest copy is the replica counts nothing when
+// that read fails, and counts once when the replica serves it.
+TEST_F(ReplicaTest, ReplicaReadsCountOnlyServedReads) {
+  Result<uint32_t> ino = hl_->fs().Create("/f");
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(hl_->fs().Write(*ino, 0, Pattern(200 * 1024, 6)).ok());
+  MigratorOptions opts;
+  opts.replicas = 1;
+  ASSERT_TRUE(hl_->Internals().migrator.MigrateFiles({*ino}, opts).ok());
+  ASSERT_TRUE(hl_->DropCleanCacheLines().ok());
+  auto internals = hl_->Internals();
+  uint32_t primary = kNoSegment;
+  uint32_t replica = kNoSegment;
+  for (uint32_t t = 0; t < internals.tseg_table.size(); ++t) {
+    if (internals.tseg_table.Get(t).flags & kSegReplica) {
+      primary = internals.tseg_table.Get(t).cache_tseg;
+      replica = t;
+      break;
+    }
+  }
+  ASSERT_NE(primary, kNoSegment);
+  const int replica_vol =
+      static_cast<int>(internals.address_map.VolumeOfTseg(replica));
+  const uint64_t replica_offset =
+      internals.address_map.ByteOffsetOnVolume(replica);
+  // Reading the replica's image seats its volume, so the replica is the
+  // closest copy; then its extent is poisoned.
+  Result<std::vector<uint8_t>> image = hl_->ReadSegmentImage(replica);
+  ASSERT_TRUE(image.ok());
+  ASSERT_TRUE(*internals.footprint.VolumeMounted(replica_vol));
+  ASSERT_FALSE(*internals.footprint.VolumeMounted(static_cast<int>(
+      internals.address_map.VolumeOfTseg(primary))));
+  Result<Volume*> medium = internals.footprint.GetVolume(replica_vol);
+  ASSERT_TRUE(medium.ok());
+  (*medium)->fault_channel()->AddLatentError(replica_offset, kBlockSize);
+
+  IoServer& io = internals.io_server;
+  const uint64_t before = io.stats().replica_reads;
+  EXPECT_EQ(io.SchedulePrefetch(primary, nullptr).code(),
+            ErrorCode::kIoError);
+  EXPECT_EQ(io.stats().replica_reads, before);
+
+  // A rewrite heals the extent; the replica serves and counts once.
+  ASSERT_TRUE(
+      internals.footprint.RepairWrite(replica_vol, replica_offset, *image)
+          .ok());
+  size_t chunks = 0;
+  ASSERT_TRUE(io.SchedulePrefetch(primary,
+                                  [&](const Status& s, SimTime,
+                                      std::span<const ChunkRef> got) {
+                                    EXPECT_TRUE(s.ok());
+                                    chunks = got.size();
+                                  })
+                  .ok());
+  EXPECT_EQ(io.stats().replica_reads, before + 1);
+  EXPECT_EQ(chunks, internals.address_map.SegBytes() / Chunk::kBytes);
 }
 
 }  // namespace

@@ -1,16 +1,20 @@
-// Recall by reference: a demand fetch installs the source volume's chunks
-// into the cache line instead of copying them.
+// Recall by reference: every tertiary read hands out the source volume's
+// chunks, and a demand fetch or read-ahead installs them into the cache
+// line instead of copying them.
 //  * Crc32Combine joins stored CRCs exactly as Crc32 of the concatenation.
-//  * Every chunk's stored CRC describes its bytes after any mix of writes,
-//    and a shared read reports what a copying read of the extent would.
+//  * Every chunk's stored CRC describes its bytes after any mix of writes;
+//    a read of any extent, under any fault profile, delivers the medium's
+//    bytes unless a flip fired, reports Crc32 of what it delivered, draws
+//    what a copying read drew, and never changes the medium.
 //  * WriteShared is charged exactly as WriteBlocks of the same bytes,
-//    installs the chunks themselves only on a chunk boundary of the disk,
-//    and ConcatDriver forwards it only within one component.
+//    installs the chunks themselves only as whole chunks on the disk's
+//    chunk grid, and ConcatDriver forwards it only within one component.
 //  * Copy-on-write holds both ways: volume writes leave an installed line
 //    alone, disk writes leave the volume alone, and a remount reads exact.
-//  * Fetches share on a default deployment, and each fallback (a volume that
-//    can corrupt reads, a segment that is not whole chunks, a line across
-//    two disks) copies and reads back exact.
+//  * Fetches and read-ahead share on a default deployment; a corrupting
+//    volume is rejected by its CRC, and where a layer must copy (a segment
+//    that is not whole chunks, a line across two disks) it reads back
+//    exact.
 // Which chunks a disk shares is read with SimDisk::ChunkAt and
 // Volume::ChunkAt: a shared range holds the very chunk the other holder
 // has.
@@ -30,6 +34,7 @@
 #include "util/fault_injector.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "volume_bytes.h"
 
 namespace hl {
 namespace {
@@ -105,19 +110,31 @@ void ExpectStoredCrcsHold(const Volume& volume) {
 }
 
 // Seeded mixes of whole-chunk and partial writes, rewrites, erases and
-// shared reads, checked against a byte model of the volume. References a
-// shared read took keep the bytes they had, whatever the volume does next.
+// reads of any extent, some under a profile that can corrupt reads, checked
+// against a byte model of the volume. A read delivers the model's bytes
+// unless a flip fired, reports Crc32 of what it delivered, and hands out
+// the volume's own chunks for a whole-chunk extent no flip touched; a flip
+// never reaches the medium, so a later clean read equals the model.
+// References a read took keep the bytes they had, whatever the volume does
+// next.
 TEST(VolumeChunkTest, StoredCrcsAndSharedReadsHoldOverSeededOpMixes) {
   constexpr uint64_t kCapacity = 32 * kChunk;
+  FaultProfile corrupt;
+  corrupt.read_corrupt_p = 0.5;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
+    SimClock clock;
+    FaultInjector faults(&clock, seed);
     Volume volume("v", kCapacity);
+    volume.AttachFaults(faults.Channel("volume.v"));
     std::vector<uint8_t> model(kCapacity, 0);
     struct Held {
       std::vector<ChunkRef> chunks;
       std::vector<uint8_t> bytes;
     };
     std::vector<Held> held;
+    int shared = 0;
+    int flipped_reads = 0;
     Rng rng(seed);
     for (int op = 0; op < 150; ++op) {
       const uint64_t kind = rng.Below(10);
@@ -154,33 +171,61 @@ TEST(VolumeChunkTest, StoredCrcsAndSharedReadsHoldOverSeededOpMixes) {
           ASSERT_TRUE(volume.Erase().ok());
           std::fill(model.begin(), model.end(), 0);
         }
-      } else {  // Shared read, compared with a copying read.
-        const uint64_t n = 1 + rng.Below(4);
-        const uint64_t off = rng.Below(32 - n + 1) * kChunk;
+      } else {  // A read of whole chunks or of any extent, maybe corrupting.
+        const bool whole = rng.Below(2) == 0;
+        uint64_t off = 0;
+        uint64_t len = 0;
+        if (whole) {
+          const uint64_t n = 1 + rng.Below(4);
+          off = rng.Below(32 - n + 1) * kChunk;
+          len = n * kChunk;
+        } else {
+          len = 1 + rng.Below(3 * kChunk);
+          off = rng.Below(kCapacity - len + 1);
+        }
+        volume.fault_channel()->set_profile(
+            rng.Below(3) == 0 ? corrupt : FaultProfile{});
+        const uint64_t corruptions = faults.stats().corruptions;
         Held h;
-        uint32_t shared_crc = 0;
-        ASSERT_TRUE(volume.ReadShared(off, n * kChunk, &h.chunks, &shared_crc)
-                        .ok());
-        ASSERT_EQ(h.chunks.size(), n);
-        std::vector<uint8_t> copy(n * kChunk);
-        uint32_t copy_crc = 0;
-        ASSERT_TRUE(volume.Read(off, copy, &copy_crc).ok());
-        EXPECT_EQ(shared_crc, copy_crc);
+        uint32_t crc = 0;
+        ASSERT_TRUE(volume.Read(off, len, &h.chunks, &crc).ok());
+        const bool flipped = faults.stats().corruptions > corruptions;
+        volume.fault_channel()->set_profile(FaultProfile{});
+        ASSERT_EQ(h.chunks.size(), (len + kChunk - 1) / kChunk);
         h.bytes = Concat(h.chunks);
-        EXPECT_TRUE(h.bytes == copy);
-        EXPECT_TRUE(std::equal(copy.begin(), copy.end(), model.begin() + off));
-        for (uint64_t i = 0; i < n; ++i) {
+        const std::span<const uint8_t> delivered(h.bytes.data(), len);
+        EXPECT_EQ(crc, Crc32(delivered)) << "op " << op;
+        if (!flipped) {
+          EXPECT_TRUE(std::equal(delivered.begin(), delivered.end(),
+                                 model.begin() + off))
+              << "op " << op;
+        } else {
+          ++flipped_reads;
+          std::vector<uint8_t> clean(len);
+          ASSERT_TRUE(ReadBytes(volume, off, clean).ok());
+          EXPECT_TRUE(std::equal(clean.begin(), clean.end(),
+                                 model.begin() + off))
+              << "op " << op;
+        }
+        for (uint64_t i = 0; i < h.chunks.size(); ++i) {
           const Chunk* mine = volume.ChunkAt(off + i * kChunk);
-          if (mine != nullptr) {
-            EXPECT_EQ(h.chunks[i].get(), mine);  // A reference, not a copy.
+          if (whole && !flipped) {
+            if (mine != nullptr) {
+              EXPECT_EQ(h.chunks[i].get(), mine);  // A reference, not a copy.
+              ++shared;
+            }
+          } else {
+            EXPECT_EQ(h.chunks[i].use_count(), 1);  // A fresh private chunk.
           }
         }
         held.push_back(std::move(h));
       }
       ExpectStoredCrcsHold(volume);
     }
+    EXPECT_GT(shared, 0);
+    EXPECT_GT(flipped_reads, 0);
     std::vector<uint8_t> all(kCapacity);
-    ASSERT_TRUE(volume.Read(0, all).ok());
+    ASSERT_TRUE(ReadBytes(volume, 0, all).ok());
     EXPECT_TRUE(all == model);
     for (const Held& h : held) {
       EXPECT_TRUE(Concat(h.chunks) == h.bytes);
@@ -191,48 +236,76 @@ TEST(VolumeChunkTest, StoredCrcsAndSharedReadsHoldOverSeededOpMixes) {
   }
 }
 
-TEST(VolumeChunkTest, SharingIsRefusedBeforeAnyDrawWhereItCannotRun) {
+// The reads a volume used to refuse to share are served: extents off the
+// chunk grid, and any read under a profile that can corrupt it. Each makes
+// exactly the draws of a copying read (the media fault draw, then the
+// corruption draw over a copy of the delivered bytes), made here by hand
+// on a twin channel with the same seed, and delivers the same bytes. The
+// medium keeps its chunks and its bytes.
+TEST(VolumeChunkTest, OffGridAndCorruptingReadsDrawLikeACopyingRead) {
   SimClock clock;
   FaultInjector faults(&clock, 5);
+  FaultInjector twin_faults(&clock, 5);
   Volume volume("v", 8 * kChunk);
   volume.AttachFaults(faults.Channel("volume.v"));
-  ASSERT_TRUE(volume.Write(0, Pattern(4 * kChunk, 1)).ok());
-  std::vector<ChunkRef> out;
-  EXPECT_TRUE(volume.CanShare(kChunk, 2 * kChunk));
-  EXPECT_FALSE(volume.CanShare(kChunk / 2, kChunk));      // Unaligned start.
-  EXPECT_FALSE(volume.CanShare(0, 24 * kBlockSize));      // Not whole chunks.
-  EXPECT_EQ(volume.ReadShared(0, 24 * kBlockSize, &out).code(),
-            ErrorCode::kNotSupported);
+  FaultChannel* twin = twin_faults.Channel("volume.v");
+  const auto image = Pattern(4 * kChunk, 1);
+  ASSERT_TRUE(volume.Write(0, image).ok());
+  std::vector<const Chunk*> stored;
+  for (uint64_t i = 0; i < 4; ++i) {
+    stored.push_back(volume.ChunkAt(i * kChunk));
+  }
 
-  // A profile that can corrupt reads rules sharing out, and the refusal
-  // draws nothing: the next copying read corrupts exactly as a twin's does.
   FaultProfile corrupt;
   corrupt.read_corrupt_p = 0.5;
-  volume.fault_channel()->set_profile(corrupt);
-  EXPECT_FALSE(volume.CanShare(0, kChunk));
-  EXPECT_EQ(volume.ReadShared(0, kChunk, &out).code(),
-            ErrorCode::kNotSupported);
-  FaultInjector twin_faults(&clock, 5);
-  Volume twin("v", 8 * kChunk);
-  twin.AttachFaults(twin_faults.Channel("volume.v"));
-  ASSERT_TRUE(twin.Write(0, Pattern(4 * kChunk, 1)).ok());
-  twin.fault_channel()->set_profile(corrupt);
-  for (int i = 0; i < 8; ++i) {
-    std::vector<uint8_t> a(kChunk);
-    std::vector<uint8_t> b(kChunk);
-    ASSERT_TRUE(volume.Read(0, a).ok());
-    ASSERT_TRUE(twin.Read(0, b).ok());
-    EXPECT_TRUE(a == b) << "read " << i;
+  struct Extent {
+    uint64_t offset;
+    uint64_t len;
+  };
+  const Extent extents[] = {{kChunk / 2, kChunk},      // Unaligned start.
+                            {0, 24 * kBlockSize},      // Not whole chunks.
+                            {kChunk, 2 * kChunk},      // Whole chunks.
+                            {3 * kChunk + 7, 5}};
+  for (const FaultProfile& profile : {FaultProfile{}, corrupt}) {
+    volume.fault_channel()->set_profile(profile);
+    twin->set_profile(profile);
+    for (int round = 0; round < 4; ++round) {
+      for (const Extent& e : extents) {
+        std::vector<ChunkRef> out;
+        uint32_t crc = 0;
+        ASSERT_TRUE(volume.Read(e.offset, e.len, &out, &crc).ok());
+        std::vector<uint8_t> got(e.len);
+        CopyChunks(out, got);
+        std::vector<uint8_t> want(image.begin() + e.offset,
+                                  image.begin() + e.offset + e.len);
+        ASSERT_EQ(twin->Decide(FaultOp::kRead, e.offset, e.len),
+                  FaultOutcome::kNone);
+        twin->MaybeCorruptRead(want, e.offset);
+        EXPECT_TRUE(got == want) << "round " << round << " at " << e.offset;
+        EXPECT_EQ(crc, Crc32(got));
+        for (const ChunkRef& c : out) {
+          EXPECT_EQ(c->crc, Crc32(std::span<const uint8_t>(c->bytes)));
+        }
+      }
+    }
   }
+  EXPECT_GT(faults.stats().corruptions, 0u);
   EXPECT_EQ(faults.stats().corruptions, twin_faults.stats().corruptions);
+  volume.fault_channel()->set_profile(FaultProfile{});
+  for (uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(volume.ChunkAt(i * kChunk), stored[i]);
+  }
+  std::vector<uint8_t> all(4 * kChunk);
+  ASSERT_TRUE(ReadBytes(volume, 0, all).ok());
+  EXPECT_TRUE(all == image);
 
   // Past the end: the range check a copying read makes.
-  volume.fault_channel()->set_profile(FaultProfile{});
-  EXPECT_EQ(volume.ReadShared(6 * kChunk, 4 * kChunk, &out).code(),
+  std::vector<ChunkRef> out;
+  EXPECT_EQ(volume.Read(6 * kChunk, 4 * kChunk, &out).code(),
             ErrorCode::kOutOfRange);
   // Unwritten chunks are shared zeros with the zero CRC.
   uint32_t crc = 0;
-  ASSERT_TRUE(volume.ReadShared(4 * kChunk, 2 * kChunk, &out, &crc).ok());
+  ASSERT_TRUE(volume.Read(4 * kChunk, 2 * kChunk, &out, &crc).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(crc, Crc32(std::vector<uint8_t>(2 * kChunk, 0)));
   EXPECT_TRUE(Concat(out) == std::vector<uint8_t>(2 * kChunk, 0));
@@ -341,7 +414,12 @@ TEST(SharedWriteTest, WriteSharedChecksRangeAndSizeBeforeAnyCharge) {
   EXPECT_EQ(disk.WriteShared(56, 16, one).code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(disk.WriteShared(64, 16, one).code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(disk.WriteShared(0, 0, {}).code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(disk.WriteShared(0, 8, one).code(), ErrorCode::kInvalidArgument);
+  // The chunks `count` blocks need, no more and no fewer: on the grid and
+  // off it.
+  const std::vector<ChunkRef> two = MakeChunks(2, 2);
+  EXPECT_EQ(disk.WriteShared(0, 32, one).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(disk.WriteShared(0, 8, two).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(disk.WriteShared(8, 16, two).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(disk.writes(), 0u);
   for (uint32_t b = 0; b < 64; b += kChunkBlocks) {
     EXPECT_EQ(disk.ChunkAt(b), nullptr) << b;
@@ -351,6 +429,13 @@ TEST(SharedWriteTest, WriteSharedChecksRangeAndSizeBeforeAnyCharge) {
   EXPECT_EQ(disk.ChunkAt(48), one[0].get());
   EXPECT_EQ(disk.ChunkAt(63), one[0].get());
   EXPECT_EQ(disk.ChunkAt(47), nullptr);
+  // A last chunk only partly used: its head is copied in.
+  ASSERT_TRUE(disk.WriteShared(0, 24, two).ok());
+  EXPECT_NE(disk.ChunkAt(0), two[0].get());
+  std::vector<uint8_t> out(24 * kBlockSize);
+  ASSERT_TRUE(disk.ReadBlocks(0, 24, out).ok());
+  const std::vector<uint8_t> both = Concat(two);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), both.begin()));
 }
 
 TEST(SharedWriteTest, ConcatForwardsSharedWriteWithinOneComponentOnly) {
@@ -409,7 +494,7 @@ class CopyOnWriteTest : public ::testing::Test {
     image_ = Pattern(4 * kChunk, 21);
     ASSERT_TRUE(volume_.Write(kChunk, image_).ok());
     std::vector<ChunkRef> chunks;
-    ASSERT_TRUE(volume_.ReadShared(kChunk, 4 * kChunk, &chunks).ok());
+    ASSERT_TRUE(volume_.Read(kChunk, 4 * kChunk, &chunks).ok());
     ASSERT_TRUE(disk_.WriteShared(kLine, 4 * kChunkBlocks, chunks).ok());
     ASSERT_EQ(ChunksSharedWithVolume(), 4u);
   }
@@ -432,7 +517,7 @@ class CopyOnWriteTest : public ::testing::Test {
   }
   std::vector<uint8_t> OnVolume() {
     std::vector<uint8_t> out(4 * kChunk);
-    EXPECT_TRUE(volume_.Read(kChunk, out).ok());
+    EXPECT_TRUE(ReadBytes(volume_, kChunk, out).ok());
     return out;
   }
 
@@ -452,7 +537,7 @@ TEST_F(CopyOnWriteTest, VolumeWritesLeaveTheInstalledLineUnchanged) {
   EXPECT_EQ(ChunksSharedWithVolume(), 0u);
 
   std::vector<ChunkRef> chunks;
-  ASSERT_TRUE(volume_.ReadShared(kChunk, 4 * kChunk, &chunks).ok());
+  ASSERT_TRUE(volume_.Read(kChunk, 4 * kChunk, &chunks).ok());
   ASSERT_TRUE(disk_.WriteShared(kLine, 4 * kChunkBlocks, chunks).ok());
   ASSERT_TRUE(volume_.Write(kChunk + 1000, Pattern(300, 23)).ok());
   ASSERT_TRUE(volume_.Rewrite(2 * kChunk + 5, Pattern(kChunk, 24)).ok());
@@ -503,7 +588,7 @@ TEST_F(CopyOnWriteTest, DiskWritesLeaveTheVolumeUnchanged) {
 class SharedFetchTest : public ::testing::TestWithParam<bool> {
  protected:
   void Create(uint32_t seg_blocks, uint32_t second_disk_blocks = 0,
-              uint32_t cache_lines = 8) {
+              uint32_t cache_lines = 8, bool readahead = false) {
     HighLightConfig::Builder builder;
     builder.AddDisk(Rz57Profile(), 8 * 1024);
     if (second_disk_blocks != 0) {
@@ -513,6 +598,7 @@ class SharedFetchTest : public ::testing::TestWithParam<bool> {
                                          .SegSizeBlocks(seg_blocks)
                                          .CacheMaxSegments(cache_lines)
                                          .AsyncReadPipeline(GetParam())
+                                         .SequentialReadahead(readahead)
                                          .Build();
     ASSERT_TRUE(config.ok()) << config.status().ToString();
     auto made = HighLightFs::Create(*config, &clock_);
@@ -723,10 +809,11 @@ TEST_P(SharedFetchTest, CopyOnWriteBothWaysThenRemountReadsExact) {
             fetched_chunk[tsegs[2]]);
 }
 
-// Fallback: a source volume whose profile can corrupt reads is read by
-// copying. With a replica on a clean volume, the corrupt primary is tried
-// and rejected on every attempt, and the replica's chunks are shared.
-TEST_P(SharedFetchTest, CorruptibleVolumeCopiesAndTheReplicaShares) {
+// A source volume whose profile corrupts every read hands out private
+// flipped chunks. With a replica on a clean volume, the corrupt primary is
+// tried and rejected by its CRC on every attempt, and the replica's chunks
+// are shared.
+TEST_P(SharedFetchTest, CorruptibleVolumeIsRejectedAndTheReplicaShares) {
   Create(64);
   const std::map<std::string, std::vector<uint8_t>> files = {
       {"/f", Pattern(200 * 1024, 70)}};
@@ -772,10 +859,10 @@ TEST_P(SharedFetchTest, CorruptibleVolumeCopiesAndTheReplicaShares) {
   ExpectReadsBack(files);
 }
 
-// Fallback: the only copy sits on a volume whose profile could corrupt a
-// read (though none fires): the fetch copies, installs flat bytes and reads
-// back exact.
-TEST_P(SharedFetchTest, CorruptibleOnlyCopyIsCopiedExact) {
+// The only copy sits on a volume whose profile could corrupt a read (though
+// none fires): the fetch shares the volume's own chunks, verifies, and
+// reads back exact.
+TEST_P(SharedFetchTest, CorruptibleOnlyCopyIsSharedExact) {
   Create(64);
   const std::map<std::string, std::vector<uint8_t>> files = {
       {"/f", Pattern(200 * 1024, 71)}};
@@ -791,13 +878,16 @@ TEST_P(SharedFetchTest, CorruptibleOnlyCopyIsCopiedExact) {
   (*medium)->fault_channel()->set_profile(rare);
   const uint64_t verified = internals.io_server.stats().crc_verified;
   ExpectReadsBack(files);
-  EXPECT_NE(internals.cache.Lookup(tsegs[0]), kNoSegment);
-  EXPECT_EQ(BlocksSharedWithVolumes(0), 0u);
+  const uint32_t line = internals.cache.Lookup(tsegs[0]);
+  ASSERT_NE(line, kNoSegment);
+  EXPECT_TRUE(LineSharesVolumeChunks(line, tsegs[0]));
+  EXPECT_EQ(BlocksSharedWithVolumes(0), 64u);
   EXPECT_EQ(internals.io_server.stats().crc_verified, verified + 1);
 }
 
-// Fallback: 24-block (96 KB) segments are not whole chunks, so every fetch
-// copies.
+// 24-block (96 KB) segments are not whole chunks: the volume's read copies
+// each extent into fresh chunks, the last one partly used, and the disk
+// copies those in. Nothing is shared, and everything reads back exact.
 TEST_P(SharedFetchTest, SegmentsOfPartChunksAreCopiedExact) {
   Create(24);
   std::map<std::string, std::vector<uint8_t>> files;
@@ -811,8 +901,8 @@ TEST_P(SharedFetchTest, SegmentsOfPartChunksAreCopiedExact) {
   EXPECT_EQ(BlocksSharedWithVolumes(0), 0u);
 }
 
-// Fallback: disk segment 127 of 64 blocks spans [8144, 8208), across the
-// end of the 8192-block first disk. With two cache lines it is one of them
+// Disk segment 127 of 64 blocks spans [8144, 8208), across the end of the
+// 8192-block first disk. With two cache lines it is one of them
 // and segment 128, wholly on the second disk, the other. Installs into 127
 // are copied, 128 shares, and everything reads back exact.
 TEST_P(SharedFetchTest, LineAcrossTwoDisksIsCopiedExact) {
@@ -840,6 +930,31 @@ TEST_P(SharedFetchTest, LineAcrossTwoDisksIsCopiedExact) {
   EXPECT_EQ(shared.count(
                 internals.disk(1).ChunkAt(LineFirstBlock(128) - 8 * 1024)),
             1u);
+}
+
+// Sequential read-ahead holds the volume's chunks until the predicted miss,
+// and that miss installs them by reference: after a sequential read of a
+// three-segment file every cached line holds the very chunks its volume
+// holds.
+TEST_P(SharedFetchTest, ReadaheadInstallsTheVolumeChunks) {
+  Create(64, /*second_disk_blocks=*/0, /*cache_lines=*/8, /*readahead=*/true);
+  const std::map<std::string, std::vector<uint8_t>> files = {
+      {"/f", Pattern(3 * 200 * 1024, 95)}};
+  MigrateCold(files);
+  auto internals = hl_->Internals();
+  ASSERT_EQ(hl_->FetchableSegments().size(), 3u);
+  const uint64_t consumed =
+      hl_->Metrics().Value("service.readaheads_consumed");
+  ExpectReadsBack(files);
+  EXPECT_GE(hl_->Metrics().Value("service.readaheads_consumed"),
+            consumed + 1);
+  std::vector<SegmentCache::LineInfo> lines = internals.cache.Lines();
+  EXPECT_EQ(lines.size(), 3u);
+  for (const SegmentCache::LineInfo& line : lines) {
+    EXPECT_TRUE(LineSharesVolumeChunks(line.disk_seg, line.tseg))
+        << "tseg " << line.tseg;
+  }
+  EXPECT_EQ(BlocksSharedWithVolumes(0), 3 * 64u);
 }
 
 INSTANTIATE_TEST_SUITE_P(SyncAndAsync, SharedFetchTest, ::testing::Bool(),

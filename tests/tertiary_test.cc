@@ -6,6 +6,7 @@
 #include "tertiary/footprint.h"
 #include "tertiary/jukebox.h"
 #include "tertiary/volume.h"
+#include "volume_bytes.h"
 
 namespace hl {
 namespace {
@@ -19,14 +20,14 @@ TEST(VolumeTest, RoundTrip) {
   auto data = Fill(4096, 0xAA);
   ASSERT_TRUE(v.Write(8192, data).ok());
   std::vector<uint8_t> out(4096);
-  ASSERT_TRUE(v.Read(8192, out).ok());
+  ASSERT_TRUE(ReadBytes(v, 8192, out).ok());
   EXPECT_EQ(out, data);
 }
 
 TEST(VolumeTest, UnwrittenReadsZero) {
   Volume v("t0", 1 << 20);
   std::vector<uint8_t> out(512, 0xFF);
-  ASSERT_TRUE(v.Read(0, out).ok());
+  ASSERT_TRUE(ReadBytes(v, 0, out).ok());
   for (uint8_t b : out) {
     EXPECT_EQ(b, 0);
   }
@@ -43,7 +44,7 @@ TEST(VolumeTest, EndOfMediumOnShortCapacity) {
   // Nothing was written by the failed op.
   std::vector<uint8_t> out(4096, 0xFF);
   // Reading past actual (but within nominal) capacity still works and is 0.
-  ASSERT_TRUE(v.Read(8192, out).ok());
+  ASSERT_TRUE(ReadBytes(v, 8192, out).ok());
   for (uint8_t b : out) {
     EXPECT_EQ(b, 0);
   }

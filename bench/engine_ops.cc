@@ -445,8 +445,8 @@ int RunDeterministicGate() {
     auto emit = [](SpanTracer* t, uint32_t n) {
       for (uint32_t i = 0; i < n; ++i) {
         SpanScope s(t, (i % 2) == 0 ? "fetch" : "stage", "engine");
-        s.Annotate("tseg", "42");
-        s.Annotate("bytes", "4096");
+        s.Annotate("tseg", 42);
+        s.Annotate("bytes", 4096);
       }
     };
     emit(&tracer, 1024);  // Warm: ring slots, arg arenas, intern table.

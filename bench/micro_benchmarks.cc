@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the
 // implementation itself: checksums, on-media (de)serialization, partial-
-// segment assembly, buffer-cache operations, bmap resolution, and directory
-// lookups. These measure real CPU cost (not simulated time) and guard
-// against performance regressions in the library.
+// segment assembly, buffer-cache operations, bmap resolution, directory
+// lookups and span recording. These measure real CPU cost (not simulated
+// time) and guard against performance regressions in the library.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +19,7 @@
 #include "tertiary/volume.h"
 #include "util/crc32.h"
 #include "util/rng.h"
+#include "util/span.h"
 
 namespace hl {
 namespace {
@@ -345,6 +346,70 @@ void BM_CleanSegment(benchmark::State& state) {
       static_cast<double>(live_blocks), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_CleanSegment);
+
+// One demand-fetch span tree as a stager-routed recall records it: the
+// admission, the dispatch, and through a shard's view tracer the batch, an
+// eviction, the fetch with its media swap and transfer, and the install,
+// then the fan-out back on the stager: 9 spans and 17 arguments into a
+// 65 536-slot ring, ns per tree. Warm-up fills the ring first, so the timed
+// trees recycle slots as a long run does.
+void BM_SpanFetchTree(benchmark::State& state) {
+  SimClock clock;
+  SpanTracer core(&clock, 65536);
+  SpanTracer shard(&core, "shard0.");
+  uint32_t tseg = 0;
+  auto tree = [&] {
+    tseg = (tseg + 7) % 4096;
+    const SpanId admit = core.BeginChildOf(kNoSpan, "stager_admit", "stager");
+    core.Annotate(admit, "tenant", "tenant3");
+    core.Annotate(admit, "shard", 0);
+    core.Annotate(admit, "tseg", tseg);
+    core.End(admit);
+    SpanScope dispatch(&core, admit, "stager_dispatch", "stager");
+    dispatch.Annotate("shard", 0);
+    dispatch.Annotate("requests", size_t{1});
+    dispatch.Annotate("segments", size_t{1});
+    {
+      SpanScope batch(&shard, "fetch_batch", "service");
+      batch.Annotate("requests", size_t{1});
+      {
+        SpanScope evict(&shard, "evict", "cache");
+        evict.Annotate("tseg", tseg + 1);
+        evict.Annotate("disk_seg", uint32_t{9});
+      }
+      SpanScope fetch(&shard, "fetch", "io");
+      fetch.Annotate("tseg", tseg);
+      const SimTime t = clock.Now();
+      const SpanId swap = shard.AddComplete(
+          "media_swap", "jukebox.HP6300-MO", shard.current(), t, t + 13500);
+      shard.Annotate(swap, "slot", 3);
+      shard.Annotate(swap, "drive", 1);
+      const SpanId xfer = shard.AddComplete(
+          "xfer_read", "jukebox.HP6300-MO", shard.current(), t + 13500,
+          t + 14100);
+      shard.Annotate(xfer, "slot", 3);
+      shard.Annotate(xfer, "bytes", uint64_t{262144});
+      clock.Advance(14100);
+      SpanScope install(&shard, "install", "io");
+      install.Annotate("tseg", tseg);
+      install.Annotate("disk_seg", uint32_t{9});
+    }
+    const SpanId fan = core.AddComplete("stager_fanout", "stager",
+                                        dispatch.id(), clock.Now(),
+                                        clock.Now());
+    core.Annotate(fan, "tenant", "tenant3");
+    core.Annotate(fan, "tseg", tseg);
+  };
+  for (int i = 0; i < 65536 / 9 + 1; ++i) {
+    tree();
+  }
+  for (auto _ : state) {
+    tree();
+    benchmark::DoNotOptimize(core.total_spans());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SpanFetchTree);
 
 }  // namespace
 }  // namespace hl

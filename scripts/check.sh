@@ -104,6 +104,13 @@ cmake --build --preset default --target site_disaster -j "$jobs" >/dev/null
 python3 scripts/bench_diff.py "$smoke_dir"/BENCH_site_disaster_smoke.json \
   bench/baselines/site_disaster_smoke.json
 
+# Timeline gate: every TRACE_*.json the gates above wrote (tables 2, 3, 4
+# and 6, the federation and site-disaster smokes) must hash to its
+# committed SHA-256, so the span recorder and its exporters cannot move a
+# timeline byte unnoticed.
+echo "==> timelines vs trace digests"
+python3 scripts/trace_digests.py "$smoke_dir"
+
 # hlbench sim-digest gate: the repository benchmark's three workloads at
 # seed 1 must pass their correctness checks and reproduce the committed
 # sim digests (every simulated metric and registry, hashed), so engine-speed

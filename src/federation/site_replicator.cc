@@ -235,7 +235,7 @@ Status SiteReplicator::ShipImage(int src, int dst, uint32_t tseg,
   SpanScope span(spans_, "site_ship", "site");
   span.Annotate("src", sites_[src].name);
   span.Annotate("dst", sites_[dst].name);
-  span.Annotate("tseg", std::to_string(tseg));
+  span.Annotate("tseg", tseg);
   ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                    TransferVerified(link, image, crc));
   RETURN_IF_ERROR(sites_[dst].store->InstallSegmentImage(tseg, payload));
@@ -416,9 +416,9 @@ Result<SiteReplicator::AntiEntropyStats> SiteReplicator::AntiEntropyRound(
   // The catalog rows themselves crossed the WAN (tseg + CRC per entry).
   clock_->Advance(link->TransferCost(round.compared * kCatalogRowBytes));
   round.elapsed_us = clock_->Now() - start;
-  round_span.Annotate("compared", std::to_string(round.compared));
-  round_span.Annotate("divergent", std::to_string(round.divergent));
-  round_span.Annotate("shipped", std::to_string(round.shipped));
+  round_span.Annotate("compared", round.compared);
+  round_span.Annotate("divergent", round.divergent);
+  round_span.Annotate("shipped", round.shipped);
   if (s.ledger_dirty) {
     RETURN_IF_ERROR(PersistLedger(src));
   }
@@ -449,10 +449,12 @@ Result<std::vector<uint8_t>> SiteReplicator::FetchVerifiedImage(
   // Links the remote-repair WAN hop (the transfer spans below) into the
   // caller's tree — a failover fetch or scrub repair shows its WAN child.
   SpanScope span(spans_, "site_fetch_image", "site");
-  span.Annotate("site", site < static_cast<int>(sites_.size())
-                            ? sites_[site].name
-                            : std::to_string(site));
-  span.Annotate("tseg", std::to_string(tseg));
+  if (site < static_cast<int>(sites_.size())) {
+    span.Annotate("site", sites_[site].name);
+  } else {
+    span.Annotate("site", site);
+  }
+  span.Annotate("tseg", tseg);
   for (size_t p = 0; p < sites_.size(); ++p) {
     if (static_cast<int>(p) == site || sites_[p].quarantined ||
         !PeerReachable(site, static_cast<int>(p))) {

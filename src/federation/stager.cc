@@ -46,21 +46,18 @@ bool StagerScheduler::ShardDown(int shard) const {
          !site_health_->SiteAvailable(site);
 }
 
-size_t StagerScheduler::DemandBacklog() const {
-  size_t n = 0;
-  for (const Tenant& t : tenants_) {
-    n += t.fifo.size();
-  }
-  return n;
-}
-
 size_t StagerScheduler::PendingRequests() const {
-  return DemandBacklog() + migrations_.size() + scrubs_.size();
+  return demand_backlog_ + migrations_.size() + scrubs_.size();
 }
 
 uint64_t StagerScheduler::ServedFor(const std::string& tenant) const {
   auto it = served_.find(tenant);
   return it == served_.end() ? 0 : it->second;
+}
+
+size_t StagerScheduler::QueuedFor(const std::string& tenant) const {
+  auto it = tenant_index_.find(tenant);
+  return it == tenant_index_.end() ? 0 : tenants_[it->second].fifo.size();
 }
 
 std::vector<std::string> StagerScheduler::Tenants() const {
@@ -100,12 +97,13 @@ Status StagerScheduler::SubmitFetch(const std::string& tenant, int shard,
   if (spans_ != nullptr) {
     admit = spans_->BeginChildOf(kNoSpan, "stager_admit", "stager");
     spans_->Annotate(admit, "tenant", tenant);
-    spans_->Annotate(admit, "shard", std::to_string(shard));
-    spans_->Annotate(admit, "tseg", std::to_string(tseg));
+    spans_->Annotate(admit, "shard", shard);
+    spans_->Annotate(admit, "tseg", tseg);
     spans_->End(admit);
   }
   tenants_[it->second].fifo.push_back(
       DemandRequest{shard, tseg, clock_->Now(), admit});
+  demand_backlog_++;
   stats_.demand_admitted++;
   UpdateQueueGauge();
   return OkStatus();
@@ -141,7 +139,7 @@ int StagerScheduler::RouteShard(int shard) const {
 }
 
 Status StagerScheduler::Pump() {
-  if (DemandBacklog() == 0) {
+  if (demand_backlog_ == 0) {
     starved_rounds_ = 0;  // An idle-of-demand round serves maintenance.
     if (migrations_.empty() && scrubs_.empty()) {
       return OkStatus();
@@ -186,6 +184,7 @@ Status StagerScheduler::Pump() {
       }
       DemandRequest req = tenant.fifo.front();
       tenant.fifo.pop_front();
+      demand_backlog_--;
       // A failover counts once, when the recall joins its peer's batch; a
       // recall that waits for a token or a batch slot is routed afresh in
       // the round that takes it.
@@ -245,9 +244,9 @@ Status StagerScheduler::Pump() {
     // requests all share this one parent.
     SpanScope dispatch(spans_, batches[s][0].req.admit_span,
                        "stager_dispatch", "stager");
-    dispatch.Annotate("shard", std::to_string(s));
-    dispatch.Annotate("requests", std::to_string(batches[s].size()));
-    dispatch.Annotate("segments", std::to_string(unique.size()));
+    dispatch.Annotate("shard", s);
+    dispatch.Annotate("requests", batches[s].size());
+    dispatch.Annotate("segments", unique.size());
     SimTime dispatched_at = clock_->Now();
     Result<std::vector<FetchOutcome>> outcomes =
         shards_[s]->FetchBatch(unique);
@@ -264,9 +263,9 @@ Status StagerScheduler::Pump() {
                                          dispatch.id(), dispatched_at,
                                          clock_->Now());
         spans_->Annotate(fan, "tenant", tenants_[picked.tenant].name);
-        spans_->Annotate(fan, "tseg", std::to_string(picked.req.tseg));
+        spans_->Annotate(fan, "tseg", picked.req.tseg);
         if (picked.failover) {
-          spans_->Annotate(fan, "failover", "1");
+          spans_->Annotate(fan, "failover", 1);
         }
         if (!status.ok()) {
           spans_->Annotate(fan, "error", status.ToString());

@@ -130,6 +130,8 @@ class StagerScheduler {
   size_t PendingRequests() const;
   // Demand recalls completed for `tenant` so far.
   uint64_t ServedFor(const std::string& tenant) const;
+  // Demand recalls `tenant` has queued and no round has taken yet.
+  size_t QueuedFor(const std::string& tenant) const;
   // Tenants in first-submission order (the fair-share rotation order).
   std::vector<std::string> Tenants() const;
 
@@ -162,7 +164,6 @@ class StagerScheduler {
   // The shard that serves a recall for `shard`: its failover peer when
   // `shard` is down and the peer is not, else `shard` itself.
   int RouteShard(int shard) const;
-  size_t DemandBacklog() const;
   void UpdateQueueGauge();
   // The admission check every Submit* runs first.
   Status Admit(int shard);
@@ -184,6 +185,7 @@ class StagerScheduler {
 
   std::vector<Tenant> tenants_;                // First-submission order.
   std::map<std::string, size_t> tenant_index_;
+  size_t demand_backlog_ = 0;  // Sum of every tenant's fifo size.
   std::deque<MigrationItem> migrations_;
   std::deque<ScrubItem> scrubs_;
   size_t rr_tenant_ = 0;  // Round's starting tenant (rotates every round).

@@ -112,9 +112,9 @@ Status IoServer::RetrySync(uint32_t tseg, uint32_t volume,
     if (try_no > 1) {
       const SimTime backoff = retry_.BackoffFor(try_no - 1);
       retry = SpanScope(spans_, "retry", "io");
-      retry.Annotate("tseg", std::to_string(tseg));
-      retry.Annotate("attempt", std::to_string(try_no - 1));
-      retry.Annotate("backoff_us", std::to_string(backoff));
+      retry.Annotate("tseg", tseg);
+      retry.Annotate("attempt", try_no - 1);
+      retry.Annotate("backoff_us", backoff);
       stats_.retries++;
       stats_.retry_backoff_us += backoff;
       clock_->Advance(backoff);
@@ -155,8 +155,8 @@ Result<SimTime> IoServer::ScheduleWithRetry(
       const SpanId retry =
           spans_->AddComplete("retry", "io", parent, earliest,
                               earliest + backoff);
-      spans_->Annotate(retry, "tseg", std::to_string(tseg));
-      spans_->Annotate(retry, "attempt", std::to_string(try_no));
+      spans_->Annotate(retry, "tseg", tseg);
+      spans_->Annotate(retry, "attempt", try_no);
     }
     earliest += backoff;
   }
@@ -206,8 +206,8 @@ Status IoServer::InstallFetched(uint32_t tseg, uint32_t disk_seg,
                                 std::span<const ChunkRef> image) {
   const uint64_t seg_bytes = amap_->SegBytes();
   SpanScope install(spans_, "install", "io");
-  install.Annotate("tseg", std::to_string(tseg));
-  install.Annotate("disk_seg", std::to_string(disk_seg));
+  install.Annotate("tseg", tseg);
+  install.Annotate("disk_seg", disk_seg);
   const SimTime copy = CopyTime();
   clock_->Advance(copy);
   const SimTime t0 = clock_->Now();
@@ -222,17 +222,18 @@ Status IoServer::InstallFetched(uint32_t tseg, uint32_t disk_seg,
 Result<uint32_t> IoServer::ReadClosestCopy(
     uint32_t tseg, SpanId span,
     const std::function<Status(uint32_t source)>& read_copy) {
+  // The candidates always hold the primary, so at least one read runs and
+  // `last` is the outcome of the last source tried.
   std::vector<uint32_t> candidates = SourceCandidates(tseg);
-  Status last =
-      IoError("tseg " + std::to_string(tseg) + ": no tertiary copy");
+  Status last;
   uint32_t served_from = tseg;
   for (size_t i = 0; i < candidates.size(); ++i) {
     SpanScope failover;  // Each extra source tried is a failover child.
     if (i > 0) {
       stats_.failovers++;
       failover = SpanScope(spans_, "failover", "io");
-      failover.Annotate("tseg", std::to_string(tseg));
-      failover.Annotate("source", std::to_string(candidates[i]));
+      failover.Annotate("tseg", tseg);
+      failover.Annotate("source", candidates[i]);
     }
     last = read_copy(candidates[i]);
     if (last.ok()) {
@@ -253,14 +254,14 @@ void IoServer::NoteServed(uint32_t tseg, uint32_t source, SpanId span) {
   }
   stats_.replica_reads++;
   if (spans_ != nullptr) {
-    spans_->Annotate(span, "served_from", std::to_string(source));
+    spans_->Annotate(span, "served_from", source);
   }
 }
 
 Status IoServer::FetchSegment(uint32_t tseg, uint32_t disk_seg) {
   std::vector<ChunkRef> image;
   SpanScope fetch(spans_, "fetch", "io");
-  fetch.Annotate("tseg", std::to_string(tseg));
+  fetch.Annotate("tseg", tseg);
   const SimTime fetch_start = clock_->Now();
   Result<uint32_t> served_from = ReadClosestCopy(
       tseg, fetch.id(),
@@ -446,8 +447,8 @@ Status IoServer::IssueWrite(PendingOp& op) {
                   op.kind == OpKind::kReplicaWrite ? "issue_replica_write"
                                                    : "issue_copyout",
                   "io");
-  issue.Annotate("tseg", std::to_string(op.tseg));
-  issue.Annotate("disk_seg", std::to_string(op.disk_seg));
+  issue.Annotate("tseg", op.tseg);
+  issue.Annotate("disk_seg", op.disk_seg);
 
   // The staging-line read and memory copy still run synchronously — they
   // contend for the disk arm (the reason delayed copy-out exists at all).
@@ -523,7 +524,7 @@ size_t IoServer::Outstanding() const {
 
 Status IoServer::SchedulePrefetch(uint32_t tseg, ReadDone done) {
   SpanScope span(spans_, "prefetch_read", "io");
-  span.Annotate("tseg", std::to_string(tseg));
+  span.Annotate("tseg", tseg);
   const uint32_t source = SourceCandidates(tseg).front();
   const uint32_t volume = amap_->VolumeOfTseg(source);
   const SimTime t0 = clock_->Now();
@@ -549,7 +550,7 @@ Status IoServer::SchedulePrefetch(uint32_t tseg, ReadDone done) {
   }
   phases_.Add(phase_footprint_, *end - t0);
   stats_.prefetches_scheduled++;
-  span.Annotate("device_us", std::to_string(*end - t0));
+  span.Annotate("device_us", *end - t0);
   if (done) {
     done(OkStatus(), *end, image);
   }
@@ -713,7 +714,7 @@ Status IoServer::IssueRead(PendingOp& op) {
 
   SpanScope issue(spans_, op.ctx.span,
                   demand ? "issue_demand_read" : "issue_prefetch_read", "io");
-  issue.Annotate("tseg", std::to_string(op.tseg));
+  issue.Annotate("tseg", op.tseg);
 
   const SimTime issue_start = clock_->Now();
   SimTime end_time = 0;
@@ -761,7 +762,7 @@ Status IoServer::IssueRead(PendingOp& op) {
     fetch_latency_us_.Observe(ready - op.enqueued_at);
   } else {
     stats_.prefetches_scheduled++;
-    issue.Annotate("device_us", std::to_string(end_time - issue_start));
+    issue.Annotate("device_us", end_time - issue_start);
   }
   return DeliverRead(op, OkStatus(), ready, image);
 }

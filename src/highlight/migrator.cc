@@ -104,7 +104,7 @@ Status Migrator::CompleteSegment(const MigratorOptions& opts) {
   cur_tseg_ = kNoSegment;
   cur_offset_ = 0;
   SpanScope span(spans_, "complete_segment", "migrator");
-  span.Annotate("tseg", std::to_string(tseg));
+  span.Annotate("tseg", tseg);
   lifetime_.segments_completed++;
   staged_[tseg].replicas = opts.replicas;
   // The kernel's copy-out request to the service process (Table 4 queuing).
@@ -274,8 +274,8 @@ Result<uint32_t> Migrator::RetargetSegment(uint32_t old_tseg) {
                   "no volume available to re-target segment");
   }
   SpanScope span(spans_, "retarget", "migrator");
-  span.Annotate("old_tseg", std::to_string(old_tseg));
-  span.Annotate("new_tseg", std::to_string(new_tseg));
+  span.Annotate("old_tseg", old_tseg);
+  span.Annotate("new_tseg", new_tseg);
   int64_t delta = static_cast<int64_t>(amap_->TsegBase(new_tseg)) -
                   static_cast<int64_t>(amap_->TsegBase(old_tseg));
   uint32_t spb = fs_->superblock().seg_size_blocks;
@@ -436,7 +436,7 @@ Status Migrator::MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
     return OkStatus();
   }
   SpanScope span(spans_, "migrate_file", "migrator");
-  span.Annotate("ino", std::to_string(ino));
+  span.Annotate("ino", ino);
   const uint64_t blocks_before = report.blocks_migrated;
   ASSIGN_OR_RETURN(std::vector<BlockRef> refs, fs_->CollectFileBlocks(ino));
   // Migrating the inode of a file whose indirect blocks stay on disk would
@@ -468,8 +468,7 @@ Status Migrator::MigrateOneFile(uint32_t ino, const MigratorOptions& opts,
   }
   if (migrated_any) {
     report.files_migrated++;
-    span.Annotate("blocks",
-                  std::to_string(report.blocks_migrated - blocks_before));
+    span.Annotate("blocks", report.blocks_migrated - blocks_before);
   }
   return OkStatus();
 }
@@ -530,7 +529,7 @@ Result<MigrationReport> Migrator::RunPass(const Items& items,
 Result<MigrationReport> Migrator::MigrateFiles(
     const std::vector<uint32_t>& inos, const MigratorOptions& opts) {
   SpanScope span(spans_, "migrate_files", "migrator");
-  span.Annotate("files", std::to_string(inos.size()));
+  span.Annotate("files", inos.size());
   return RunPass(inos, opts, [&](uint32_t ino, MigrationReport& report) {
     return MigrateOneFile(ino, opts, report);
   });
@@ -600,7 +599,7 @@ Result<MigrationReport> Migrator::RunPolicy(MigrationPolicy& policy,
   SpanScope rank(spans_, "rank", "migrator");
   ASSIGN_OR_RETURN(std::vector<FileCandidate> ranked,
                    policy.Rank(*fs_, clock_->Now()));
-  rank.Annotate("candidates", std::to_string(ranked.size()));
+  rank.Annotate("candidates", ranked.size());
   rank = SpanScope();  // Ranking ends before the migration starts.
   // "/" (or "") keeps every candidate; any other path keeps itself and the
   // candidates under it.

@@ -272,8 +272,8 @@ Status SegmentCache::Eject(uint32_t tseg) {
   uint32_t disk_seg = line->disk_seg;
   RetirePrefetchedOnDrop(*line);
   SpanScope span(spans_, "evict", "cache");
-  span.Annotate("tseg", std::to_string(tseg));
-  span.Annotate("disk_seg", std::to_string(disk_seg));
+  span.Annotate("tseg", tseg);
+  span.Annotate("disk_seg", disk_seg);
   EraseLine(tseg);
   free_.push_back(disk_seg);
   RETURN_IF_ERROR(

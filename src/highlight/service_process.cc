@@ -30,7 +30,7 @@ Status ServiceProcess::FetchIntoCache(uint32_t tseg, bool is_prefetch) {
     // The sequential miss the read-ahead predicted: wait out the remainder
     // of the in-flight tertiary read, then install the held image.
     SpanScope span(spans_, "readahead_install", "service");
-    span.Annotate("tseg", std::to_string(tseg));
+    span.Annotate("tseg", tseg);
     PendingPrefetch hit = std::move(pending->second);
     pending_prefetch_.erase(pending);
     if (hit.ready_at > clock_->Now()) {
@@ -107,7 +107,7 @@ void ServiceProcess::DropPendingPrefetches() {
 
 Result<SimTime> ServiceProcess::DemandFetch(uint32_t tseg) {
   SpanScope span(spans_, "demand_fetch", "service");
-  span.Annotate("tseg", std::to_string(tseg));
+  span.Annotate("tseg", tseg);
   ASSIGN_OR_RETURN(std::vector<FetchOutcome> served, ServeFaults({tseg}));
   RETURN_IF_ERROR(served[0].status);
 
@@ -117,7 +117,7 @@ Result<SimTime> ServiceProcess::DemandFetch(uint32_t tseg) {
         continue;
       }
       SpanScope pf(spans_, "prefetch", "service");
-      pf.Annotate("tseg", std::to_string(extra));
+      pf.Annotate("tseg", extra);
       Status s = FetchIntoCache(extra, /*is_prefetch=*/true);
       if (!s.ok()) {
         stats_.failed_prefetches++;
@@ -150,8 +150,8 @@ void ServiceProcess::MaybeReadahead(uint32_t tseg) {
     return;
   }
   SpanScope span(spans_, "readahead", "service");
-  span.Annotate("tseg", std::to_string(next));
-  span.Annotate("trigger", std::to_string(tseg));
+  span.Annotate("tseg", next);
+  span.Annotate("trigger", tseg);
   // Hold the image until the predicted miss arrives. In the async pipeline
   // a demand fault on `next` may arrive first and promote the queued read,
   // which then installs straight into a cache line: no image to hold.
@@ -178,7 +178,7 @@ void ServiceProcess::MaybeReadahead(uint32_t tseg) {
 Result<std::vector<FetchOutcome>> ServiceProcess::DemandFetchBatch(
     const std::vector<uint32_t>& tsegs) {
   SpanScope span(spans_, "fetch_batch", "service");
-  span.Annotate("requests", std::to_string(tsegs.size()));
+  span.Annotate("requests", tsegs.size());
   return ServeFaults(tsegs);
 }
 

@@ -83,8 +83,8 @@ Result<int> Jukebox::EnsureMounted(int slot, bool for_write, SimTime earliest,
     // whatever span is open on the caller's stack right now.
     SpanId id = spans_->AddComplete("media_swap", span_track_,
                                     spans_->current(), begin, end);
-    spans_->Annotate(id, "slot", std::to_string(slot));
-    spans_->Annotate(id, "drive", std::to_string(chosen));
+    spans_->Annotate(id, "slot", slot);
+    spans_->Annotate(id, "drive", chosen);
   }
   ++insertions_[slot];
   *ready_at = end;
@@ -145,8 +145,8 @@ Result<SimTime> Jukebox::Transfer(SimTime earliest, int slot, uint64_t offset,
     SpanId id =
         spans_->AddComplete(is_write ? "xfer_write" : "xfer_read",
                             span_track_, spans_->current(), end - dur, end);
-    spans_->Annotate(id, "slot", std::to_string(slot));
-    spans_->Annotate(id, "bytes", std::to_string(bytes));
+    spans_->Annotate(id, "slot", slot);
+    spans_->Annotate(id, "bytes", bytes);
   }
   return end;
 }

@@ -20,6 +20,8 @@
 #define HIGHLIGHT_UTIL_METRICS_H_
 
 #include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -225,6 +227,14 @@ class MetricsRegistry {
 
 // Minimal JSON string escaping for metric names and trace payloads.
 std::string JsonEscape(const std::string& s);
+
+// Appends `v` in decimal, exactly as std::to_string prints it, with no
+// temporary string: the exporters' integer writer.
+template <std::integral Int>
+void AppendDecimal(std::string* out, Int v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
 
 }  // namespace hl
 

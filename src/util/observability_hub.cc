@@ -73,7 +73,13 @@ void ObservabilityHub::Poll(SimTime now) {
 void ObservabilityHub::EvaluateSlos() {
   for (size_t i = 0; i < slos_.size(); ++i) {
     SloState& s = slos_[i];
-    const auto& points = sampler_.Series(s.rule.series);
+    if (s.series == TimeSeriesSampler::kNoSeries) {
+      s.series = sampler_.SeriesIndex(s.rule.series);
+      if (s.series == TimeSeriesSampler::kNoSeries) {
+        continue;
+      }
+    }
+    const auto& points = sampler_.SeriesAt(s.series);
     if (points.empty()) {
       continue;
     }

@@ -123,6 +123,9 @@ class ObservabilityHub {
   };
   struct SloState {
     SloRule rule;
+    // The rule's series in the hub sampler, resolved at the first sample
+    // that finds it there.
+    size_t series = TimeSeriesSampler::kNoSeries;
     bool in_breach = false;
     Counter breaches;
     Counter breach_us;

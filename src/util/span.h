@@ -18,12 +18,20 @@
 // across the queue. Device operations whose completion time is known at
 // issue time (Resource scheduling) are recorded with AddComplete.
 //
-// Hot-path cost: span name/track strings (and annotation keys) are interned
-// once into the root tracer's string table — records carry string_views into
-// that table, so opening/closing a span allocates nothing once the working
-// set of names is warm. Completed records live in a fixed ring (not a deque
-// of heap-owning records), and per-span args use inline SmallVec storage.
-// JSON/Perfetto rendering reads the interned views back at export time.
+// Hot-path cost: a record is a flat, trivially copyable value that owns no
+// heap memory. Span names, tracks and argument keys are interned once into
+// the root tracer's string table (an O(1) open-addressing hash lookup), and
+// the record keeps the ids plus views into that table; a view tracer maps a
+// raw track id to its prefixed id without building a string. An argument
+// is typed: an integer is stored as an integer, a name (tenant, site, peer,
+// outcome, state) as its intern id, so annotating a span formats and copies
+// no string. Up to kSpanArgCapacity arguments live inline; annotations past
+// that are counted on the record and shown by every exporter as a last
+// `args_dropped` argument, never lost without a trace. Completed records
+// are copied into a ring reserved once (its pages are touched only as
+// records land), so once the names are warm no span operation allocates.
+// The exporters print an integer exactly as std::to_string of its type
+// would, and escape each interned string once per export, not per event.
 //
 // Observation never perturbs the simulation: the tracer only *reads* the
 // SimClock. Bench tables are bit-identical with tracing on or off.
@@ -31,16 +39,15 @@
 #ifndef HIGHLIGHT_UTIL_SPAN_H_
 #define HIGHLIGHT_UTIL_SPAN_H_
 
+#include <concepts>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <string_view>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "sim/sim_clock.h"
-#include "util/small_vec.h"
 
 namespace hl {
 
@@ -56,21 +63,48 @@ struct TraceContext {
   SpanId span = kNoSpan;
 };
 
-// One span arg. The key view points into the owning tracer's intern table
-// (stable for the tracer's lifetime); the value is owned (usually a short
-// number, so it rides the std::string SSO buffer without allocating).
-using SpanArg = std::pair<std::string_view, std::string>;
+// The widest span in the catalogue (antientropy_round) carries five.
+inline constexpr size_t kSpanArgCapacity = 5;
+
+// One span argument: an interned key and a typed value. 16 bytes, no heap.
+struct SpanArg {
+  enum class Kind : uint8_t { kUnsigned, kSigned, kName };
+  uint32_t key = 0;  // Intern id of the key.
+  Kind kind = Kind::kUnsigned;
+  // The integer (a signed one in two's complement) or a name's intern id.
+  uint64_t value = 0;
+};
+
+// A record's inline arguments, in annotation order.
+struct SpanArgs {
+  size_t size() const { return count; }
+  bool empty() const { return count == 0; }
+  const SpanArg& operator[](size_t i) const { return items[i]; }
+  const SpanArg* begin() const { return items; }
+  const SpanArg* end() const { return items + count; }
+  // Appends `arg`, or counts it in `dropped` when the record is full.
+  void Add(const SpanArg& arg);
+
+  SpanArg items[kSpanArgCapacity];
+  uint8_t count = 0;
+  // Annotations that found the record full (saturating at 255). Every
+  // exporter prints a nonzero count as a last `args_dropped` argument.
+  uint8_t dropped = 0;
+};
 
 struct SpanRecord {
   SpanId id = kNoSpan;
   SpanId parent = kNoSpan;
   SimTime begin_us = 0;
   SimTime end_us = 0;
-  // Interned: views into the owning (root) tracer's string table. What
-  // happened ("fetch", "retry") and its timeline lane ("io", "jukebox...").
+  // Interned: views into the owning (root) tracer's string table and their
+  // ids. What happened ("fetch", "retry") and its timeline lane ("io",
+  // "jukebox...").
   std::string_view name;
   std::string_view track;
-  SmallVec<SpanArg, 4> args;
+  uint32_t name_id = 0;
+  uint32_t track_id = 0;
+  SpanArgs args;
 
   SimTime duration_us() const {
     return end_us >= begin_us ? end_us - begin_us : 0;
@@ -79,6 +113,7 @@ struct SpanRecord {
   // point in time), which is what tells them apart from spans.
   bool instant() const { return id == kNoSpan; }
 };
+static_assert(std::is_trivially_copyable_v<SpanRecord>);
 
 // Bounded collector of completed spans and instants (oldest dropped beyond
 // `capacity`) plus the stack of currently-open spans. Single-threaded; no
@@ -108,10 +143,21 @@ class SpanTracer {
   // span still joins the stack so its own callees nest under it.
   SpanId BeginChildOf(SpanId parent, std::string_view name,
                       std::string_view track);
-  // Attaches a key/value argument to an open span, or to a recently
-  // completed one still in the window (device spans added with AddComplete
-  // are annotated right after the fact).
+  // Attaches a key/value argument to an open span, or to the newest
+  // completed record (a device span added with AddComplete is annotated
+  // right after the fact); any other id is ignored. A string value is a
+  // name and is interned; an integer is stored as itself and exported as
+  // std::to_string of its type prints it.
   void Annotate(SpanId id, std::string_view key, std::string_view value);
+  template <std::integral T>
+  void Annotate(SpanId id, std::string_view key, T value) {
+    if constexpr (std::is_signed_v<T>) {
+      AddArg(id, key, SpanArg::Kind::kSigned,
+             static_cast<uint64_t>(static_cast<int64_t>(value)));
+    } else {
+      AddArg(id, key, SpanArg::Kind::kUnsigned, static_cast<uint64_t>(value));
+    }
+  }
   // Closes the span at the current sim time. Closing a span that still has
   // open descendants closes those descendants too (defensive unwind).
   void End(SpanId id);
@@ -144,6 +190,9 @@ class SpanTracer {
   uint32_t InternId(std::string_view s);
   // The stable view for an interned id (valid for the tracer's lifetime).
   std::string_view ViewOf(uint32_t id) const;
+  // An argument's key, and its value as the exporters print it.
+  std::string_view ArgKey(const SpanArg& arg) const { return ViewOf(arg.key); }
+  std::string ArgValue(const SpanArg& arg) const;
   // Distinct strings interned so far (engine.* gauge material).
   size_t interned_strings() const;
   // Bytes currently reserved by the completed-span ring.
@@ -216,6 +265,8 @@ class SpanTracer {
     };
 
     explicit CompletedView(const SpanTracer* t) : t_(t) {}
+    // The root tracer holding the records (and their interned strings).
+    const SpanTracer& tracer() const { return *t_; }
     size_t size() const { return t_->CompletedCount(); }
     bool empty() const { return size() == 0; }
     const SpanRecord& operator[](size_t i) const { return t_->CompletedAt(i); }
@@ -242,18 +293,25 @@ class SpanTracer {
  private:
   friend class CompletedView;
 
-  SpanRecord* FindOpen(SpanId id);
-  void Retire(SpanRecord&& rec);
+  SpanTracer* Root() { return delegate_ != nullptr ? delegate_->Root() : this; }
+  // The id of `track` with this view's prefix applied (and every enclosing
+  // view's), interned the first time each raw track is seen.
+  uint32_t TrackId(std::string_view track);
+  // Root tracers only: the id-based bodies of the public operations.
+  SpanId Open(SpanId parent, uint32_t name, uint32_t track);
+  // Copies a completed record into the ring (over the oldest one once
+  // the ring is full) and returns its slot.
+  SpanRecord& Retire(const SpanRecord& rec);
+  SpanRecord& Push(SpanId id, SpanId parent, SimTime begin_us,
+                   SimTime end_us, uint32_t name, uint32_t track);
+  void AddArg(SpanId id, std::string_view key, SpanArg::Kind kind,
+              uint64_t value);
+  SpanRecord* FindAnnotatable(SpanId id);
   size_t CompletedCount() const { return done_.size(); }
   const SpanRecord& CompletedAt(size_t i) const {
-    return done_[(done_head_ + i) % done_.size()];
+    const size_t at = done_head_ + i;
+    return done_[at < done_.size() ? at : at - done_.size()];
   }
-  SpanRecord& MutableCompletedAt(size_t i) {
-    return done_[(done_head_ + i) % done_.size()];
-  }
-  // Applies this view's prefix to `track`, interning the combined name once
-  // per distinct raw track (view tracers only).
-  std::string_view PrefixTrack(std::string_view track);
 
   SimClock* clock_ = nullptr;
   size_t capacity_ = 0;
@@ -261,15 +319,18 @@ class SpanTracer {
   std::string prefix_;              // View track prefix ("siteA.").
   std::vector<SpanRecord> open_;  // Open spans, begin order.
   std::vector<SpanId> stack_;     // Implicit-context stack.
-  std::vector<SpanRecord> done_;  // Ring of completed spans.
-  size_t done_head_ = 0;          // Oldest record once the ring wrapped.
+  // Ring of completed spans, reserved to `capacity_` at construction.
+  std::vector<SpanRecord> done_;
+  size_t done_head_ = 0;  // Oldest record once the ring wrapped.
+  SpanRecord* newest_ = nullptr;  // The last record retired.
   SpanId next_id_ = 1;
   uint64_t total_ = 0;
   // Intern table (root tracers only): owned strings with stable addresses,
-  // the id->view index, and the lookup map keyed by views into strings_.
+  // the id->view index, and an open-addressing hash index over views_
+  // (a power-of-two slot count, each slot id + 1 or 0 when empty).
   std::deque<std::string> strings_;
   std::vector<std::string_view> views_;
-  std::map<std::string_view, uint32_t> ids_;
+  std::vector<uint32_t> index_;
   // View tracers: root-interned raw-track id -> root-interned prefixed id.
   std::vector<uint32_t> prefixed_tracks_;
 };
@@ -319,6 +380,12 @@ class SpanScope {
       tracer_->Annotate(id_, key, value);
     }
   }
+  template <std::integral T>
+  void Annotate(std::string_view key, T value) {
+    if (tracer_ != nullptr) {
+      tracer_->Annotate(id_, key, value);
+    }
+  }
   SpanId id() const { return id_; }
   explicit operator bool() const { return tracer_ != nullptr; }
 
@@ -356,11 +423,12 @@ std::string RenderSpanForest(const SpanTracer::CompletedView& spans);
 // instant event ("ph":"i") per instant, plus process_name / thread_name
 // metadata, one thread lane per distinct track, under process `pid`;
 // PerfettoTraceJson wraps accumulated events into the final
-// {"traceEvents": [...]} document chrome://tracing and ui.perfetto.dev load.
+// {"traceEvents": [...]} document chrome://tracing and ui.perfetto.dev load,
+// copying the events once, into the document.
 void AppendPerfettoSpanEvents(const SpanTracer& spans, int pid,
                               const std::string& process_name,
                               std::string* out);
-std::string PerfettoTraceJson(const std::string& events);
+std::string PerfettoTraceJson(std::string_view events);
 
 }  // namespace hl
 

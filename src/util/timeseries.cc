@@ -53,12 +53,17 @@ std::vector<std::string> TimeSeriesSampler::SeriesNames() const {
 
 const std::deque<TimeSeriesSampler::Point>& TimeSeriesSampler::Series(
     const std::string& name) const {
-  for (const SeriesData& s : series_) {
-    if (s.name == name) {
-      return s.points;
+  const size_t index = SeriesIndex(name);
+  return index == kNoSeries ? kNoPoints : SeriesAt(index);
+}
+
+size_t TimeSeriesSampler::SeriesIndex(const std::string& name) const {
+  for (size_t i = 0; i < series_.size(); ++i) {
+    if (series_[i].name == name) {
+      return i;
     }
   }
-  return kNoPoints;
+  return kNoSeries;
 }
 
 void TimeSeriesSampler::Clear() {
@@ -93,12 +98,19 @@ std::string TimeSeriesSampler::ToJson() const {
 
 void AppendPerfettoCounterEvents(const TimeSeriesSampler& sampler, int pid,
                                  std::string* out) {
-  for (const std::string& name : sampler.SeriesNames()) {
-    for (const TimeSeriesSampler::Point& p : sampler.Series(name)) {
-      *out += "  {\"ph\": \"C\", \"name\": \"" + JsonEscape(name) +
-              "\", \"ts\": " + std::to_string(p.t_us) +
-              ", \"pid\": " + std::to_string(pid) +
-              ", \"args\": {\"value\": " + std::to_string(p.value) + "}},\n";
+  const std::vector<std::string> names = sampler.SeriesNames();
+  const std::string pid_args = ", \"pid\": " + std::to_string(pid) +
+                               ", \"args\": {\"value\": ";
+  for (size_t i = 0; i < names.size(); ++i) {
+    // A series' name is escaped once, not once per point.
+    const std::string head =
+        "  {\"ph\": \"C\", \"name\": \"" + JsonEscape(names[i]) + "\", \"ts\": ";
+    for (const TimeSeriesSampler::Point& p : sampler.SeriesAt(i)) {
+      *out += head;
+      AppendDecimal(out, p.t_us);
+      *out += pid_args;
+      AppendDecimal(out, p.value);
+      *out += "}},\n";
     }
   }
 }

@@ -52,6 +52,13 @@ class TimeSeriesSampler {
   std::vector<std::string> SeriesNames() const;
   // Points for `name`, oldest first; empty for unknown series.
   const std::deque<Point>& Series(const std::string& name) const;
+  // The stable index of series `name` (kNoSeries when there is none yet),
+  // for callers that read one series at every sample, and its points.
+  static constexpr size_t kNoSeries = SIZE_MAX;
+  size_t SeriesIndex(const std::string& name) const;
+  const std::deque<Point>& SeriesAt(size_t index) const {
+    return series_[index].points;
+  }
 
   void Clear();
 

@@ -21,8 +21,8 @@ SimTime WanLink::TransferCost(uint64_t bytes) const {
 }
 
 Status WanLink::Transfer(std::span<uint8_t> payload) {
-  SpanScope span(spans_, "wan_transfer", ("wan." + name_).c_str());
-  span.Annotate("bytes", std::to_string(payload.size()));
+  SpanScope span(spans_, "wan_transfer", track_);
+  span.Annotate("bytes", payload.size());
   if (faults_ != nullptr) {
     const FaultOutcome outcome =
         faults_->Decide(FaultOp::kWrite, 0, payload.size());

@@ -38,7 +38,10 @@ struct WanLinkProfile {
 class WanLink {
  public:
   WanLink(std::string name, SimClock* clock, WanLinkProfile profile = {})
-      : name_(std::move(name)), clock_(clock), profile_(profile) {}
+      : name_(std::move(name)),
+        track_("wan." + name_),
+        clock_(clock),
+        profile_(profile) {}
   WanLink(const WanLink&) = delete;
   WanLink& operator=(const WanLink&) = delete;
 
@@ -88,6 +91,7 @@ class WanLink {
 
  private:
   std::string name_;
+  std::string track_;  // "wan.<name>": the span track of every transfer.
   SimClock* clock_;
   WanLinkProfile profile_;
   FaultChannel* faults_ = nullptr;

@@ -45,10 +45,10 @@ std::vector<const SpanRecord*> AllNamed(const SpanTracer::CompletedView& spans,
   return out;
 }
 
-bool HasArg(const SpanRecord& s, const std::string& key,
-            const std::string& value) {
-  for (const auto& [k, v] : s.args) {
-    if (k == key && v == value) {
+bool HasArg(const SpanTracer& tracer, const SpanRecord& s,
+            const std::string& key, const std::string& value) {
+  for (const SpanArg& arg : s.args) {
+    if (tracer.ArgKey(arg) == key && tracer.ArgValue(arg) == value) {
       return true;
     }
   }
@@ -199,8 +199,8 @@ TEST(StagerTracePropagationTest, CoalescedFanoutSharesOneDispatchParent) {
   const SpanRecord* dispatch = FindByName(done, "stager_dispatch");
   ASSERT_NE(dispatch, nullptr);
   EXPECT_EQ(fanouts[0]->parent, dispatch->id);
-  EXPECT_TRUE(HasArg(*fanouts[0], "tenant", "alice") ||
-              HasArg(*fanouts[1], "tenant", "alice"));
+  EXPECT_TRUE(HasArg(spans, *fanouts[0], "tenant", "alice") ||
+              HasArg(spans, *fanouts[1], "tenant", "alice"));
 
   // The dispatch is causally rooted at the batch's first admission...
   const SpanRecord* admit = FindByName(done, "stager_admit");
@@ -244,7 +244,7 @@ TEST(SiteReplicatorTracePropagationTest, FetchVerifiedImageLinksWanChild) {
   const SpanRecord* fetch = FindByName(done, "site_fetch_image");
   ASSERT_NE(fetch, nullptr);
   EXPECT_EQ(fetch->parent, kNoSpan);
-  EXPECT_TRUE(HasArg(*fetch, "peer", "b"));
+  EXPECT_TRUE(HasArg(spans, *fetch, "peer", "b"));
   // The remote-repair WAN hop is a child of the fetch, on the link's lane.
   const SpanRecord* xfer = FindByName(done, "wan_transfer");
   ASSERT_NE(xfer, nullptr);
@@ -280,7 +280,7 @@ TEST(SiteReplicatorTracePropagationTest, AntiEntropyRoundParentsItsShips) {
   const SpanRecord* parent = FindByName(done, "antientropy_round");
   ASSERT_NE(parent, nullptr);
   EXPECT_EQ(parent->parent, kNoSpan);
-  EXPECT_TRUE(HasArg(*parent, "shipped", "3"));
+  EXPECT_TRUE(HasArg(spans, *parent, "shipped", "3"));
 
   // Every per-segment ship is a child of the round, and every ship carries
   // its own WAN transfer child (the catalog-compare transfers hang off the
@@ -383,14 +383,14 @@ TEST(FederationObservabilityTest, CrossSiteFailoverIsOneConnectedTree) {
   EXPECT_TRUE(routed->instant());
   EXPECT_EQ(routed->parent, admit->id);
   EXPECT_EQ(routed->track, "stager");
-  EXPECT_TRUE(HasArg(*routed, "shard", std::to_string(p)));
-  EXPECT_TRUE(HasArg(*routed, "peer", std::to_string(q)));
+  EXPECT_TRUE(HasArg(hub.spans(), *routed, "shard", std::to_string(p)));
+  EXPECT_TRUE(HasArg(hub.spans(), *routed, "peer", std::to_string(q)));
 
   // The fan-out leaf is marked as a failover, and the peer site's service /
   // install spans sit inside the tree on their prefixed lanes.
   auto fanouts = AllNamed(done, "stager_fanout");
   ASSERT_EQ(fanouts.size(), 1u);
-  EXPECT_TRUE(HasArg(*fanouts[0], "failover", "1"));
+  EXPECT_TRUE(HasArg(hub.spans(), *fanouts[0], "failover", "1"));
   const SpanRecord* batch = FindByName(done, "fetch_batch");
   ASSERT_NE(batch, nullptr);
   EXPECT_EQ(batch->track, "siteB.service");
@@ -449,14 +449,15 @@ TEST(ObservabilityHubTest, SloBreachAndClearFireAtExactSimTimes) {
   EXPECT_EQ(slo_events[0]->name, "slo_breach");
   EXPECT_EQ(slo_events[0]->begin_us, 1'234'567u);
   EXPECT_EQ(slo_events[0]->duration_us(), 0u);
-  EXPECT_TRUE(HasArg(*slo_events[0], "rule", std::to_string(idx)));
-  EXPECT_TRUE(HasArg(*slo_events[0], "value", "20"));
+  EXPECT_TRUE(
+      HasArg(hub.spans(), *slo_events[0], "rule", std::to_string(idx)));
+  EXPECT_TRUE(HasArg(hub.spans(), *slo_events[0], "value", "20"));
   EXPECT_EQ(slo_events[1]->name, "slo_clear");
   EXPECT_EQ(slo_events[1]->begin_us, 2'234'566u);
-  EXPECT_TRUE(HasArg(*slo_events[1], "value", "4"));
+  EXPECT_TRUE(HasArg(hub.spans(), *slo_events[1], "value", "4"));
   EXPECT_EQ(slo_events[2]->name, "slo_breach");
   EXPECT_EQ(slo_events[2]->begin_us, 7'234'566u);
-  EXPECT_TRUE(HasArg(*slo_events[2], "value", "99"));
+  EXPECT_TRUE(HasArg(hub.spans(), *slo_events[2], "value", "99"));
 
   // The merged timeline carries each transition as a Perfetto instant.
   const std::string timeline = hub.MergedTimelineJson();

@@ -92,14 +92,14 @@ TEST(SpanTracerTest, AddCompleteIsAnnotatableAfterTheFact) {
   SimClock clock;
   SpanTracer tracer(&clock, 8);
   SpanId id = tracer.AddComplete("xfer", "dev", kNoSpan, 100, 250);
-  tracer.Annotate(id, "bytes", "4096");
+  tracer.Annotate(id, "bytes", 4096);
   ASSERT_EQ(tracer.Completed().size(), 1u);
   const SpanRecord& rec = tracer.Completed().front();
   EXPECT_EQ(rec.begin_us, 100u);
   EXPECT_EQ(rec.duration_us(), 150u);
   ASSERT_EQ(rec.args.size(), 1u);
-  EXPECT_EQ(rec.args[0].first, "bytes");
-  EXPECT_EQ(rec.args[0].second, "4096");
+  EXPECT_EQ(tracer.ArgKey(rec.args[0]), "bytes");
+  EXPECT_EQ(tracer.ArgValue(rec.args[0]), "4096");
 }
 
 TEST(SpanTracerTest, NullTracerScopesAreFree) {
@@ -137,10 +137,10 @@ TEST(SpanTracerTest, InstantIsAZeroDurationChildOfTheOpenSpan) {
   EXPECT_EQ(crc->duration_us(), 0u);
   EXPECT_EQ(crc->track, "io");
   ASSERT_EQ(crc->args.size(), 2u);
-  EXPECT_EQ(crc->args[0].first, "tseg");
-  EXPECT_EQ(crc->args[0].second, "7");
-  EXPECT_EQ(crc->args[1].first, "volume");
-  EXPECT_EQ(crc->args[1].second, "2");
+  EXPECT_EQ(tracer.ArgKey(crc->args[0]), "tseg");
+  EXPECT_EQ(tracer.ArgValue(crc->args[0]), "7");
+  EXPECT_EQ(tracer.ArgKey(crc->args[1]), "volume");
+  EXPECT_EQ(tracer.ArgValue(crc->args[1]), "2");
   EXPECT_FALSE(FindByName(tracer.Completed(), "fetch")->instant());
   EXPECT_TRUE(tracer.quiescent());  // An instant never joins the stack.
 
@@ -228,7 +228,7 @@ TEST(SpanTracerTest, InterningRoundTripSurvivesRingRecycling) {
   auto drive = [](SpanTracer& tracer, SimClock& clock) {
     for (int i = 0; i < 64; ++i) {
       SpanScope s(&tracer, (i % 3) == 0 ? "fetch" : "stage", "engine");
-      s.Annotate("tseg", (i % 2) == 0 ? "7" : "9");
+      s.Annotate("tseg", (i % 2) == 0 ? 7 : 9);
       s.Annotate("state", "copied");
       clock.Advance(3);
     }
@@ -243,14 +243,15 @@ TEST(SpanTracerTest, InterningRoundTripSurvivesRingRecycling) {
     EXPECT_TRUE(rec.name == "fetch" || rec.name == "stage");
     EXPECT_EQ(rec.track, "engine");
     ASSERT_EQ(rec.args.size(), 2u);
-    EXPECT_EQ(rec.args[0].first, "tseg");
-    EXPECT_TRUE(rec.args[0].second == "7" || rec.args[0].second == "9");
-    EXPECT_EQ(rec.args[1].first, "state");
-    EXPECT_EQ(rec.args[1].second, "copied");
+    EXPECT_EQ(tracer.ArgKey(rec.args[0]), "tseg");
+    const std::string tseg = tracer.ArgValue(rec.args[0]);
+    EXPECT_TRUE(tseg == "7" || tseg == "9");
+    EXPECT_EQ(tracer.ArgKey(rec.args[1]), "state");
+    EXPECT_EQ(tracer.ArgValue(rec.args[1]), "copied");
   }
-  // Exactly the five repeated strings intern (annotation *values* are
-  // owned per-record): fetch, stage, engine, tseg, state.
-  EXPECT_EQ(tracer.interned_strings(), 5u);
+  // Exactly the six repeated strings intern: fetch, stage, engine, tseg,
+  // state and the name value copied. The integer tsegs intern nothing.
+  EXPECT_EQ(tracer.interned_strings(), 6u);
   EXPECT_TRUE(tracer.quiescent());
 
   // Steady state: an identical second cycle may not grow the record window
@@ -258,7 +259,7 @@ TEST(SpanTracerTest, InterningRoundTripSurvivesRingRecycling) {
   const size_t window = tracer.window_bytes();
   drive(tracer, clock);
   EXPECT_EQ(tracer.window_bytes(), window);
-  EXPECT_EQ(tracer.interned_strings(), 5u);
+  EXPECT_EQ(tracer.interned_strings(), 6u);
 
   // Round trip: an identically driven tracer serializes byte-identically,
   // both the native JSON and the Perfetto export.

@@ -422,8 +422,8 @@ TEST_F(ReadPipelineTest, RequestsRidingAnInflightFetchAreInstants) {
     EXPECT_TRUE(s.instant()) << "a ride on another fetch is a moment";
     roots.push_back(span_names[s.parent]);
     ASSERT_EQ(s.args.size(), 1u);
-    EXPECT_EQ(s.args[0].first, "tseg");
-    tsegs.push_back(std::string(s.args[0].second));
+    EXPECT_EQ(hl_->spans().ArgKey(s.args[0]), "tseg");
+    tsegs.push_back(hl_->spans().ArgValue(s.args[0]));
   }
   EXPECT_EQ(roots,
             (std::vector<std::string_view>{"fetch_batch", "demand_fetch"}));

@@ -325,8 +325,8 @@ TEST_P(WriteBehindModeTest, CopyOutsToUnmountedVolumesIssueOldestFirst) {
       continue;
     }
     for (const SpanArg& arg : s.args) {
-      if (arg.first == "tseg") {
-        issued.push_back(arg.second);
+      if (hl_->spans().ArgKey(arg) == "tseg") {
+        issued.push_back(hl_->spans().ArgValue(arg));
       }
     }
   }
